@@ -15,6 +15,10 @@ Each step also materializes the predicted point w~ = (x+, y+, lambda~) with
 lambda~ = lambda - beta (A x+ + B y - c) and verifies online that the
 computed step equals the linear correction w_k - M (w_k - w~_k), which
 cross-validates the engine against the structural matrices every iteration.
+
+`solve` builds one oracle kernel per block before the first iteration (the
+penalty rho of each group is fixed under one config) and passes them to
+every step.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from .model import (
     validate_config,
     validate_problem,
 )
-from .oracles import ProxQuery, project, prox_solve
+from .oracles import OracleStats, ProxKernel, project, prox_solve
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
@@ -79,20 +83,30 @@ class Trace:
     records: list[IterationRecord]
     termination: str
     w_final: Iterate
+    oracle_stats: tuple[OracleStats, ...]  # x blocks, then y blocks
 
 
-def x_group_update(problem: BlockProblem, config: SolverConfig, state: Iterate):
+def block_kernels(problem: BlockProblem, config: SolverConfig):
+    """Oracle kernels (x blocks, y blocks) at rho = (1 + sigma) beta."""
+    rho_x = (1.0 + config.sigma1) * config.beta
+    rho_y = (1.0 + config.sigma2) * config.beta
+    return (tuple(ProxKernel(blk.objective, blk.set, blk.A, rho_x) for blk in problem.x_blocks),
+            tuple(ProxKernel(blk.objective, blk.set, blk.A, rho_y) for blk in problem.y_blocks))
+
+
+def x_group_update(problem: BlockProblem, config: SolverConfig, state: Iterate, kernels=None):
     """Jacobian sweep over the x blocks; every block reads the same snapshot."""
     beta, sigma1 = config.beta, config.sigma1
-    rho = (1.0 + sigma1) * beta
+    if kernels is None:
+        kernels = block_kernels(problem, config)[0]
     ax_sum = problem.apply_A(state.x)
     base = problem.c - problem.apply_B(state.y) + state.lam / beta
     out = []
-    for blk, xi in zip(problem.x_blocks, state.x):
+    for blk, kernel, xi in zip(problem.x_blocks, kernels, state.x):
         a_xi = blk.A @ xi
         v = base - (ax_sum - a_xi)
         u = (v + sigma1 * a_xi) / (1.0 + sigma1)
-        out.append(prox_solve(ProxQuery(blk.objective, blk.set, blk.A, rho, u)))
+        out.append(prox_solve(kernel, u))
     return out
 
 
@@ -103,18 +117,19 @@ def half_dual_update(problem: BlockProblem, config: SolverConfig, state: Iterate
 
 
 def y_group_update(problem: BlockProblem, config: SolverConfig, state: Iterate,
-                   x_new, lambda_half: np.ndarray):
+                   x_new, lambda_half: np.ndarray, kernels=None):
     """Jacobian sweep over the y blocks against the half-updated multiplier."""
     beta, sigma2 = config.beta, config.sigma2
-    rho = (1.0 + sigma2) * beta
+    if kernels is None:
+        kernels = block_kernels(problem, config)[1]
     by_sum = problem.apply_B(state.y)
     base = problem.c - problem.apply_A(x_new) + lambda_half / beta
     out = []
-    for blk, yj in zip(problem.y_blocks, state.y):
+    for blk, kernel, yj in zip(problem.y_blocks, kernels, state.y):
         b_yj = blk.A @ yj
         v = base - (by_sum - b_yj)
         u = (v + sigma2 * b_yj) / (1.0 + sigma2)
-        out.append(prox_solve(ProxQuery(blk.objective, blk.set, blk.A, rho, u)))
+        out.append(prox_solve(kernel, u))
     return out
 
 
@@ -139,14 +154,19 @@ def predict(problem: BlockProblem, state: Iterate, x_new, y_new, beta: float,
 
 def step(problem: BlockProblem, config: SolverConfig, state: Iterate,
          mats: structure.StructuralMatrices | None = None,
-         w_star: Iterate | None = None, k: int = 0):
-    """One full iteration; returns (next iterate, record with identity checks)."""
+         w_star: Iterate | None = None, k: int = 0, kernels=None):
+    """One full iteration; returns (next iterate, record with identity checks).
+
+    `kernels` is the pair from `block_kernels`; built here when omitted.
+    """
     if mats is None:
         mats = structure.assemble(problem, config)
+    if kernels is None:
+        kernels = block_kernels(problem, config)
 
-    x_new = x_group_update(problem, config, state)
+    x_new = x_group_update(problem, config, state, kernels[0])
     lambda_half = half_dual_update(problem, config, state, x_new)
-    y_new = y_group_update(problem, config, state, x_new, lambda_half)
+    y_new = y_group_update(problem, config, state, x_new, lambda_half, kernels[1])
     lambda_new = full_dual_update(problem, config, lambda_half, x_new, y_new)
     pred = predict(problem, state, x_new, y_new, config.beta, lambda_half)
     nxt = Iterate(tuple(x_new), tuple(y_new), lambda_new)
@@ -220,13 +240,15 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     if mats is None:
         mats = structure.assemble(problem, config)
     state = initial_point(problem, w0)
+    kernels = block_kernels(problem, config)
     records: list[IterationRecord] = []
     termination = ITERATION_CAP
     for k in range(config.max_iters):
-        state, record = step(problem, config, state, mats=mats, w_star=w_star, k=k)
+        state, record = step(problem, config, state, mats=mats, w_star=w_star, k=k, kernels=kernels)
         records.append(record)
         if max(record.d_inf, record.feasibility_inf) <= config.tol:
             termination = CONVERGED
             break
     return Trace(problem=problem, config=config, records=records,
-                 termination=termination, w_final=state)
+                 termination=termination, w_final=state,
+                 oracle_stats=tuple(kernel.stats for group in kernels for kernel in group))

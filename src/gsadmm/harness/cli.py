@@ -35,6 +35,14 @@ GEN_ERRORS = (
 )
 
 
+class CliFailure(Exception):
+    """A failure reported as one line on stderr and an exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 def _dims(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
@@ -64,48 +72,69 @@ def _add_config_args(sub):
 
 
 def _generate(args):
+    """The generated bundle; failures raise CliFailure."""
     name = args.generator
-    if name in FIXED_INSTANCES:
-        return FIXED_INSTANCES[name]()
     x_dims = args.x_dims if args.x_dims is not None else [1] * args.p
     y_dims = args.y_dims if args.y_dims is not None else [1] * args.q
-    if name == "quadratic":
-        return generators.gen_quadratic(args.p, args.q, x_dims, y_dims, args.n, args.seed)
-    if name == "l1":
-        return generators.gen_l1(args.p, args.q, y_dims, args.n, args.seed)
-    if name == "boxqp":
-        return generators.gen_box_qp(args.p, args.q, x_dims, y_dims, args.n, args.seed)
-    raise ValueError(f"unknown generator {name!r}")
+    try:
+        if name in FIXED_INSTANCES:
+            return FIXED_INSTANCES[name]()
+        if name == "quadratic":
+            return generators.gen_quadratic(args.p, args.q, x_dims, y_dims, args.n, args.seed)
+        if name == "l1":
+            return generators.gen_l1(args.p, args.q, y_dims, args.n, args.seed)
+        if name == "boxqp":
+            return generators.gen_box_qp(args.p, args.q, x_dims, y_dims, args.n, args.seed)
+    except GEN_ERRORS as exc:
+        raise CliFailure(EXIT_GENERATION, f"generation failure: {exc}") from exc
+    except ValueError as exc:
+        raise CliFailure(EXIT_VALIDATION, f"error: {exc}") from exc
+    raise CliFailure(EXIT_VALIDATION, f"error: unknown generator {name!r}")
 
 
-def _load_instance(args):
-    """Returns (problem, w_star or None, label)."""
+def _load(args):
+    """(problem, w_star or None, label, config) from the instance and config
+    arguments; failures raise CliFailure."""
     if args.instance:
-        problem, w_star, _meta = io.read_instance(args.instance)
-        return problem, w_star, str(args.instance)
-    if args.generator:
+        try:
+            problem, w_star, _meta = io.read_instance(args.instance)
+        except (OSError, ValueError) as exc:  # io.ParseError is a ValueError
+            raise CliFailure(EXIT_VALIDATION, f"error: {exc}") from exc
+        label = str(args.instance)
+    elif args.generator:
         bundle = _generate(args)
-        return bundle.problem, bundle.w_star, bundle.name
-    raise ValueError("either --instance or --generator is required")
+        problem, w_star, label = bundle.problem, bundle.w_star, bundle.name
+    else:
+        raise CliFailure(EXIT_VALIDATION, "error: either --instance or --generator is required")
+    return problem, w_star, label, _resolve_config(args, problem)
+
+
+def _read_config(path, values: dict) -> None:
+    """Apply a key-value config document to `values`."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliFailure(EXIT_VALIDATION, f"error: cannot read config {path}: {exc.strerror}") from exc
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        key, _, val = ln.partition(" ")
+        key = {"policy": "region_policy"}.get(key, key.replace("-", "_"))
+        if key not in values:
+            raise CliFailure(EXIT_VALIDATION, f"error: unknown config key {key!r} in {path}")
+        convert = {"region_policy": str.strip, "max_iters": int}.get(key, float)
+        try:
+            values[key] = convert(val)
+        except ValueError as exc:
+            raise CliFailure(EXIT_VALIDATION, f"error: config key {key!r} in {path}: "
+                             f"invalid value {val.strip()!r}") from exc
 
 
 def _resolve_config(args, problem) -> SolverConfig:
     values = dataclasses.asdict(generators.default_config(problem))
     if args.config:
-        for ln in Path(args.config).read_text(encoding="utf-8").splitlines():
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            key, _, val = ln.partition(" ")
-            key = {"policy": "region_policy"}.get(key, key.replace("-", "_"))
-            if key not in values:
-                raise ValueError(f"unknown config key {key!r}")
-            if key == "region_policy":
-                values[key] = val.strip()
-            elif key == "max_iters":
-                values[key] = int(val)
-            else:
-                values[key] = float(val)
+        _read_config(args.config, values)
     for key in ("beta", "tau", "s", "sigma1", "sigma2", "tol"):
         flag = getattr(args, key)
         if flag is not None:
@@ -147,21 +176,13 @@ def _run_diagnostics(problem, config, mats, trace, w_star):
 
 
 def cmd_run(args, print_report: bool = False) -> int:
-    try:
-        problem, w_star, label = _load_instance(args)
-    except GEN_ERRORS as exc:
-        print(f"generation failure: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    except (OSError, ValueError, io.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    config = _resolve_config(args, problem)
+    problem, w_star, label, config = _load(args)
     status = _validate_or_fail(problem, config)
     if status != EXIT_OK:
         return status
     try:
         mats = structure.assemble(problem, config)
-    except structure.SingularM as exc:
+    except (structure.SingularM, np.linalg.LinAlgError) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
@@ -191,15 +212,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        problem, w_star, label = _load_instance(args)
-    except GEN_ERRORS as exc:
-        print(f"generation failure: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    except (OSError, ValueError, io.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    base = _resolve_config(args, problem)
+    problem, w_star, label, base = _load(args)
     report = validate_problem(problem)
     if not report.ok:
         for v in report.violations:
@@ -260,15 +273,7 @@ def cmd_check(args) -> int:
         suffix = f" ({detail})" if detail else ""
         print(f"check {name}: {'pass' if ok else 'FAIL'}{suffix}")
 
-    try:
-        problem, w_star, label = _load_instance(args)
-    except GEN_ERRORS as exc:
-        print(f"generation failure: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    except (OSError, ValueError, io.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    config = _resolve_config(args, problem)
+    problem, w_star, label, config = _load(args)
     print(f"checking {label}")
     report = validate_problem(problem)
     check("problem-valid", report.ok, "; ".join(report.violations))
@@ -279,7 +284,7 @@ def cmd_check(args) -> int:
 
     try:
         mats = structure.assemble(problem, config)
-    except structure.SingularM as exc:
+    except (structure.SingularM, np.linalg.LinAlgError) as exc:
         check("correction-matrix-invertible", False, str(exc))
         return EXIT_VALIDATION
     check("correction-matrix-invertible", True)
@@ -313,16 +318,8 @@ def cmd_check(args) -> int:
 
 def cmd_gen(args) -> int:
     if not args.generator:
-        print("error: --generator is required", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        bundle = _generate(args)
-    except GEN_ERRORS as exc:
-        print(f"generation failure: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CliFailure(EXIT_VALIDATION, "error: --generator is required")
+    bundle = _generate(args)
     io.write_instance(args.out, bundle.problem, bundle.w_star,
                       bundle.provenance, bundle.certificate, bundle.seed)
     print(f"wrote {bundle.name} to {args.out}")
@@ -372,7 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CliFailure as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

