@@ -15,8 +15,6 @@ from .diagnostics import (
     RateConstants,
     RateReport,
     RegionNotCertified,
-    contraction_check,
-    d_vector,
     error_map_residual,
     linear_rate_check,
     nonergodic_check,
@@ -29,7 +27,6 @@ from .engine import (
     ITERATION_CAP,
     IterationRecord,
     NonFiniteIterate,
-    Prediction,
     Trace,
     solve,
     step,
@@ -60,11 +57,8 @@ from .model import (
     Quadratic,
     SolverConfig,
     ValidationReport,
-    augmented_lagrangian,
     in_region_D,
     in_region_G,
-    kkt_map,
-    lagrangian,
     validate_config,
     validate_problem,
 )

@@ -1,11 +1,12 @@
 """Convergence diagnostics computed from iteration traces.
 
 Everything here is a pure function of (problem, config, trace) plus the
-structural matrices: the per-iteration residual vector d, the contraction
-slack in the H-norm, the O(1/t) nonergodic envelope, the pointwise residual
-bound with its computable coefficient, the projection-based natural residual
-whose vanishing characterizes the solution set, the closed-form rate
-constants, and the empirical linear-rate fit.
+structural matrices: the per-iteration residual vector d, the O(1/t)
+nonergodic envelope, the pointwise residual bound with its computable
+coefficient, the projection-based natural residual whose vanishing
+characterizes the solution set, the closed-form rate constants, and the
+empirical linear-rate fit. The contraction slack is computed inline by the
+engine (`IterationRecord.contraction_slack`).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import BlockProblem, Iterate, L1, SolverConfig
-from .oracles import project
+from .oracles import l1_subgradient, project
 
 if TYPE_CHECKING:  # avoid a runtime cycle; records and traces are duck-typed
     from .engine import IterationRecord, Trace
@@ -52,7 +53,8 @@ def _require_region(mats: "StructuralMatrices", what: str):
 # Per-iteration residual vector d
 # ---------------------------------------------------------------------------
 
-def d_components(problem: BlockProblem, config: SolverConfig, w, w_tilde) -> list[np.ndarray]:
+def d_components(problem: BlockProblem, config: SolverConfig, w: Iterate,
+                 w_tilde: Iterate) -> list[np.ndarray]:
     """Blockwise optimality-shift vector of the predicted point.
 
     x components:  beta A_i' ((sigma1 - 1) sum_l A_l dx_l + A_i dx_i)
@@ -62,24 +64,19 @@ def d_components(problem: BlockProblem, config: SolverConfig, w, w_tilde) -> lis
     beta, sigma1, sigma2, tau = config.beta, config.sigma1, config.sigma2, config.tau
     ax_deltas = [
         blk.A @ (xt - xk)
-        for blk, xt, xk in zip(problem.x_blocks, w_tilde.x_tilde, w.x)
+        for blk, xt, xk in zip(problem.x_blocks, w_tilde.x, w.x)
     ]
     sx = np.zeros(problem.n)
     for d in ax_deltas:
         sx += d
-    dlam = w_tilde.lambda_tilde - w.lam
+    dlam = w_tilde.lam - w.lam
     parts = []
     for i, blk in enumerate(problem.x_blocks):
         parts.append(beta * (blk.A.T @ ((sigma1 - 1.0) * sx + ax_deltas[i])))
     for j, blk in enumerate(problem.y_blocks):
-        dy = w_tilde.y_tilde[j] - w.y[j]
+        dy = w_tilde.y[j] - w.y[j]
         parts.append((sigma2 + 1.0) * beta * (blk.A.T @ (blk.A @ dy)) - tau * (blk.A.T @ dlam))
     return parts
-
-
-def d_vector(problem: BlockProblem, config: SolverConfig, record: "IterationRecord") -> np.ndarray:
-    """Stacked residual vector d^k recomputed from a record's (w, w~)."""
-    return np.concatenate(d_components(problem, config, record.w, record.w_tilde))
 
 
 def theta_hat(problem: BlockProblem, config: SolverConfig) -> float:
@@ -124,10 +121,7 @@ def error_map_residual(problem: BlockProblem, w: Iterate, subgradient_selection=
         if subgradient_selection is not None:
             g = subgradient_selection[idx]
         elif isinstance(blk.objective, L1):
-            weight = blk.objective.weight
-            g = weight * np.sign(z)
-            zero = z == 0.0
-            g[zero] = np.clip(t[zero], -weight, weight)
+            g = l1_subgradient(blk.objective.weight, z, t)
         else:
             g = blk.objective.gradient(z)
         parts.append(z - project(blk.set, z - (g - t)))
@@ -136,24 +130,8 @@ def error_map_residual(problem: BlockProblem, w: Iterate, subgradient_selection=
 
 
 # ---------------------------------------------------------------------------
-# Contraction and nonergodic rate
+# Nonergodic rate
 # ---------------------------------------------------------------------------
-
-def contraction_check(mats: "StructuralMatrices", record: "IterationRecord",
-                      w_star: Iterate) -> float:
-    """Slack of the H-norm contraction inequality at one iteration:
-
-        ||w_k - w*||_H^2 - ||w_{k+1} - w*||_H^2 - ||w_k - w~_k||_G^2
-
-    Nonnegative (up to roundoff) whenever (tau, s) is in the triangle region.
-    """
-    _require_region(mats, "contraction check")
-    wk = record.w.stack()
-    wn = record.w_next.stack()
-    wt = record.w_tilde.stack()
-    ws = w_star.stack()
-    return mats.h_norm_sq(wk - ws) - mats.h_norm_sq(wn - ws) - mats.g_norm_sq(wk - wt)
-
 
 @dataclass(frozen=True)
 class NonergodicReport:
@@ -216,9 +194,9 @@ def pointwise_residual_check(problem: BlockProblem, config: SolverConfig,
 def feasibility_decomposition_error(problem: BlockProblem, config: SolverConfig,
                                     record: "IterationRecord") -> float:
     """Relative error of A x~ + B y~ - c = (lambda - lambda~)/beta - sum_j B_j (y_j - y~_j)."""
-    lhs = problem.residual(record.w_tilde.x_tilde, record.w_tilde.y_tilde)
-    rhs = (record.w.lam - record.w_tilde.lambda_tilde) / config.beta
-    for blk, yk, yt in zip(problem.y_blocks, record.w.y, record.w_tilde.y_tilde):
+    lhs = problem.residual(record.w_tilde.x, record.w_tilde.y)
+    rhs = (record.w.lam - record.w_tilde.lam) / config.beta
+    for blk, yk, yt in zip(problem.y_blocks, record.w.y, record.w_tilde.y):
         rhs = rhs - blk.A @ (yk - yt)
     denom = 1.0 + max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
     return float(np.linalg.norm(lhs - rhs)) / denom
@@ -279,8 +257,10 @@ def error_bound_check(problem: BlockProblem, mats: "StructuralMatrices", trace: 
     coef /= mats.lambda_min_G
     ok = True
     worst = 0.0
-    for rec in trace.records:
-        left = float(np.sum(error_map_residual(problem, rec.w_next) ** 2))
+    recs = trace.records
+    w_next = [rec.w for rec in recs[1:]] + [trace.w_final]
+    for rec, wn in zip(recs, w_next):
+        left = float(np.sum(error_map_residual(problem, wn) ** 2))
         wk = rec.w.stack()
         dw = wk - rec.w_tilde.stack()
         right = coef * mats.g_norm_sq(dw)

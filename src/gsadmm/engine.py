@@ -2,19 +2,24 @@
 
 One iteration runs a Jacobian sweep over the x group, a half dual update with
 stepsize tau, a Jacobian sweep over the y group against the half-updated
-multiplier, and a full dual update with stepsize s:
+multiplier, and a full dual update with stepsize s. Both sweeps are one
+`group_sweep`; `step` forms each group product A x_k, B y_k, A x+, B y+ once
+and derives every other vector from them:
 
     x_i+ = argmin_{x_i in X_i} L_beta(x_1..x_i..x_p, y, lambda)
            + (sigma1 beta/2) ||A_i (x_i - x_i_k)||^2          (i = 1..p)
-    lambda_half = lambda - tau beta (A x+ + B y - c)
+    r_half = A x+ + B y_k - c
+    lambda_half = lambda - tau beta r_half,   lambda~ = lambda - beta r_half
     y_j+ = argmin_{y_j in Y_j} L_beta(x+, y_1..y_j..y_q, lambda_half)
            + (sigma2 beta/2) ||B_j (y_j - y_j_k)||^2          (j = 1..q)
-    lambda+ = lambda_half - s beta (A x+ + B y+ - c)
+    r_new = A x+ + B y+ - c
+    lambda+ = lambda_half - s beta r_new
 
-Each step also materializes the predicted point w~ = (x+, y+, lambda~) with
-lambda~ = lambda - beta (A x+ + B y - c) and verifies online that the
-computed step equals the linear correction w_k - M (w_k - w~_k), which
-cross-validates the engine against the structural matrices every iteration.
+The predicted point w~ = (x+, y+, lambda~) is an `Iterate` like w. Each step
+verifies online that the computed step equals the linear correction
+w_k - M (w_k - w~_k), which cross-validates the engine against the
+structural matrices every iteration; r_new is also the feasibility residual
+of w~.
 
 `solve` builds one oracle kernel per block before the first iteration (the
 penalty rho of each group is fixed under one config) and passes them to
@@ -46,32 +51,18 @@ class NonFiniteIterate(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class Prediction:
-    """Predicted point w~: primal updates plus the shadow multiplier."""
-
-    x_tilde: tuple[np.ndarray, ...]
-    y_tilde: tuple[np.ndarray, ...]
-    lambda_tilde: np.ndarray
-    lambda_half: np.ndarray | None = None  # kept for diagnostics
-
-    def stack(self) -> np.ndarray:
-        return np.concatenate([*self.x_tilde, *self.y_tilde, self.lambda_tilde])
-
-
-@dataclass(frozen=True, eq=False)
 class IterationRecord:
     """Residuals and identity checks for the transition w_k -> w_{k+1}."""
 
     k: int
     w: Iterate
-    w_next: Iterate
-    w_tilde: Prediction
+    w_tilde: Iterate          # predicted point (x+, y+, lambda~)
     feasibility: float        # ||A x~ + B y~ - c||
     feasibility_inf: float
     correction_residual: float  # ||M (w - w~)||_H^2
     d_norm_sq: float
     d_inf: float
-    identity_error: float     # ||w_next - (w - M (w - w~))||
+    identity_error: float     # ||w_{k+1} - (w - M (w - w~))||
     dist_H: float             # ||w_k - w*||_H when a reference point is known
     contraction_slack: float  # nan without a reference point or outside the triangle
 
@@ -94,62 +85,19 @@ def block_kernels(problem: BlockProblem, config: SolverConfig):
             tuple(ProxKernel(blk.objective, blk.set, blk.A, rho_y) for blk in problem.y_blocks))
 
 
-def x_group_update(problem: BlockProblem, config: SolverConfig, state: Iterate, kernels=None):
-    """Jacobian sweep over the x blocks; every block reads the same snapshot."""
-    beta, sigma1 = config.beta, config.sigma1
-    if kernels is None:
-        kernels = block_kernels(problem, config)[0]
-    ax_sum = problem.apply_A(state.x)
-    base = problem.c - problem.apply_B(state.y) + state.lam / beta
+def group_sweep(blocks, kernels, zs, own_sum, base, sigma):
+    """Jacobian sweep over one group; every block reads the same snapshot.
+
+    Block i solves its prox at u_i = (base - (own_sum - A_i z_i) + sigma A_i z_i) / (1 + sigma),
+    where own_sum is the group's product at the snapshot zs.
+    """
     out = []
-    for blk, kernel, xi in zip(problem.x_blocks, kernels, state.x):
-        a_xi = blk.A @ xi
-        v = base - (ax_sum - a_xi)
-        u = (v + sigma1 * a_xi) / (1.0 + sigma1)
+    for blk, kernel, z in zip(blocks, kernels, zs):
+        a_z = blk.A @ z
+        v = base - (own_sum - a_z)
+        u = (v + sigma * a_z) / (1.0 + sigma)
         out.append(prox_solve(kernel, u))
     return out
-
-
-def half_dual_update(problem: BlockProblem, config: SolverConfig, state: Iterate, x_new):
-    """lambda_half = lambda - tau beta (A x+ + B y - c)."""
-    res = problem.apply_A(x_new) + problem.apply_B(state.y) - problem.c
-    return state.lam - config.tau * config.beta * res
-
-
-def y_group_update(problem: BlockProblem, config: SolverConfig, state: Iterate,
-                   x_new, lambda_half: np.ndarray, kernels=None):
-    """Jacobian sweep over the y blocks against the half-updated multiplier."""
-    beta, sigma2 = config.beta, config.sigma2
-    if kernels is None:
-        kernels = block_kernels(problem, config)[1]
-    by_sum = problem.apply_B(state.y)
-    base = problem.c - problem.apply_A(x_new) + lambda_half / beta
-    out = []
-    for blk, kernel, yj in zip(problem.y_blocks, kernels, state.y):
-        b_yj = blk.A @ yj
-        v = base - (by_sum - b_yj)
-        u = (v + sigma2 * b_yj) / (1.0 + sigma2)
-        out.append(prox_solve(kernel, u))
-    return out
-
-
-def full_dual_update(problem: BlockProblem, config: SolverConfig,
-                     lambda_half: np.ndarray, x_new, y_new):
-    """lambda+ = lambda_half - s beta (A x+ + B y+ - c)."""
-    res = problem.apply_A(x_new) + problem.apply_B(y_new) - problem.c
-    return lambda_half - config.s * config.beta * res
-
-
-def predict(problem: BlockProblem, state: Iterate, x_new, y_new, beta: float,
-            lambda_half: np.ndarray | None = None) -> Prediction:
-    """Predicted point: lambda~ = lambda - beta (A x+ + B y_k - c)."""
-    res = problem.apply_A(x_new) + problem.apply_B(state.y) - problem.c
-    return Prediction(
-        x_tilde=tuple(np.asarray(v, dtype=float) for v in x_new),
-        y_tilde=tuple(np.asarray(v, dtype=float) for v in y_new),
-        lambda_tilde=state.lam - beta * res,
-        lambda_half=lambda_half,
-    )
 
 
 def step(problem: BlockProblem, config: SolverConfig, state: Iterate,
@@ -163,13 +111,20 @@ def step(problem: BlockProblem, config: SolverConfig, state: Iterate,
         mats = structure.assemble(problem, config)
     if kernels is None:
         kernels = block_kernels(problem, config)
+    beta, c = config.beta, problem.c
 
-    x_new = x_group_update(problem, config, state, kernels[0])
-    lambda_half = half_dual_update(problem, config, state, x_new)
-    y_new = y_group_update(problem, config, state, x_new, lambda_half, kernels[1])
-    lambda_new = full_dual_update(problem, config, lambda_half, x_new, y_new)
-    pred = predict(problem, state, x_new, y_new, config.beta, lambda_half)
-    nxt = Iterate(tuple(x_new), tuple(y_new), lambda_new)
+    ax = problem.apply_A(state.x)
+    by = problem.apply_B(state.y)
+    x_new = group_sweep(problem.x_blocks, kernels[0], state.x, ax,
+                        c - by + state.lam / beta, config.sigma1)
+    ax_new = problem.apply_A(x_new)
+    r_half = ax_new + by - c
+    lambda_half = state.lam - config.tau * beta * r_half
+    y_new = group_sweep(problem.y_blocks, kernels[1], state.y, by,
+                        c - ax_new + lambda_half / beta, config.sigma2)
+    r_new = ax_new + problem.apply_B(y_new) - c
+    nxt = Iterate(x_new, y_new, lambda_half - config.s * beta * r_new)
+    pred = Iterate(nxt.x, nxt.y, state.lam - beta * r_half)
 
     wk = state.stack()
     wt = pred.stack()
@@ -182,14 +137,9 @@ def step(problem: BlockProblem, config: SolverConfig, state: Iterate,
     correction_residual = mats.h_norm_sq(mdw)
     identity_error = float(np.linalg.norm(wn - (wk - mdw)))
 
-    d_parts = d_components(problem, config, state, pred)
-    d_stack = np.concatenate(d_parts)
+    d_stack = np.concatenate(d_components(problem, config, state, pred))
     d_norm_sq = float(d_stack @ d_stack)
     d_inf = float(np.abs(d_stack).max(initial=0.0))
-
-    res_new = problem.residual(pred.x_tilde, pred.y_tilde)
-    feasibility = float(np.linalg.norm(res_new))
-    feasibility_inf = float(np.abs(res_new).max(initial=0.0))
 
     dist_h = float("nan")
     slack = float("nan")
@@ -200,8 +150,9 @@ def step(problem: BlockProblem, config: SolverConfig, state: Iterate,
             slack = mats.h_norm_sq(wk - ws) - mats.h_norm_sq(wn - ws) - mats.g_norm_sq(dw)
 
     record = IterationRecord(
-        k=k, w=state, w_next=nxt, w_tilde=pred,
-        feasibility=feasibility, feasibility_inf=feasibility_inf,
+        k=k, w=state, w_tilde=pred,
+        feasibility=float(np.linalg.norm(r_new)),
+        feasibility_inf=float(np.abs(r_new).max(initial=0.0)),
         correction_residual=correction_residual,
         d_norm_sq=d_norm_sq, d_inf=d_inf,
         identity_error=identity_error,

@@ -211,17 +211,23 @@ def cmd_report(args) -> int:
     return cmd_run(args, print_report=True)
 
 
+def _grid(flag: str, spec) -> np.ndarray:
+    """The points of a MIN MAX COUNT grid; bad bounds or counts raise CliFailure."""
+    lo, hi, count = spec
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise CliFailure(EXIT_VALIDATION, f"error: {flag} bounds must be finite, got {lo} and {hi}")
+    if not (count >= 1 and float(count).is_integer()):
+        raise CliFailure(EXIT_VALIDATION, f"error: {flag} count must be a whole number >= 1, got {count}")
+    return np.linspace(lo, hi, int(count))
+
+
 def cmd_sweep(args) -> int:
     problem, w_star, label, base = _load(args)
-    report = validate_problem(problem)
-    if not report.ok:
-        for v in report.violations:
-            print(f"violation: {v}", file=sys.stderr)
-        return EXIT_VALIDATION
-    tau_lo, tau_hi, tau_count = args.tau_grid
-    s_lo, s_hi, s_count = args.s_grid
-    taus = np.linspace(tau_lo, tau_hi, int(tau_count))
-    ss = np.linspace(s_lo, s_hi, int(s_count))
+    taus = _grid("--tau-grid", args.tau_grid)
+    ss = _grid("--s-grid", args.s_grid)
+    status = _validate_or_fail(problem, base)
+    if status != EXIT_OK:
+        return status
     rows = []
     for tau in taus:
         for s in ss:

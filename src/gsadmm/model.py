@@ -401,64 +401,3 @@ def validate_config(config: SolverConfig, problem: BlockProblem) -> ValidationRe
     else:
         report.violations.append(f"unknown region policy {config.region_policy!r}")
     return report
-
-
-# ---------------------------------------------------------------------------
-# Lagrangian functionals and the first-order map
-# ---------------------------------------------------------------------------
-
-def objective_total(problem: BlockProblem, w: Iterate) -> float:
-    """sum_i f_i(x_i) + sum_j g_j(y_j)."""
-    val = 0.0
-    for blk, xi in zip(problem.x_blocks, w.x):
-        val += blk.objective.value(xi)
-    for blk, yj in zip(problem.y_blocks, w.y):
-        val += blk.objective.value(yj)
-    return val
-
-
-def lagrangian(problem: BlockProblem, w: Iterate) -> float:
-    """L(x, y, lambda) = sum f_i + sum g_j - <lambda, A x + B y - c>."""
-    res = problem.residual(w.x, w.y)
-    return objective_total(problem, w) - float(w.lam @ res)
-
-
-def augmented_lagrangian(problem: BlockProblem, w: Iterate, beta: float) -> float:
-    """Lagrangian plus (beta/2) ||A x + B y - c||^2."""
-    res = problem.residual(w.x, w.y)
-    return lagrangian(problem, w) + 0.5 * beta * float(res @ res)
-
-
-def kkt_map(problem: BlockProblem, w: Iterate, subgradients=None) -> np.ndarray:
-    """Stacked first-order map (g_i - A_i'lambda; h_j - B_j'lambda; A x + B y - c).
-
-    With subgradients=None the primal entries use zero in place of the
-    objective subgradients, which leaves the affine map whose linear part is
-    skew symmetric. Otherwise `subgradients` supplies one vector per block
-    (x blocks first, then y blocks).
-    """
-    if subgradients is not None:
-        subgradients = [(_as_vector(v)) for v in subgradients]
-        if len(subgradients) != problem.p + problem.q:
-            raise ValueError(
-                f"expected {problem.p + problem.q} subgradient vectors, got {len(subgradients)}"
-            )
-    parts = []
-    for idx, (blk, xi) in enumerate(zip(problem.x_blocks, w.x)):
-        part = -blk.A.T @ w.lam
-        if subgradients is not None:
-            g = subgradients[idx]
-            if g.shape != xi.shape:
-                raise ValueError(f"subgradient {idx} has wrong dimension")
-            part = part + g
-        parts.append(part)
-    for jdx, (blk, yj) in enumerate(zip(problem.y_blocks, w.y)):
-        part = -blk.A.T @ w.lam
-        if subgradients is not None:
-            g = subgradients[problem.p + jdx]
-            if g.shape != yj.shape:
-                raise ValueError(f"subgradient {problem.p + jdx} has wrong dimension")
-            part = part + g
-        parts.append(part)
-    parts.append(problem.residual(w.x, w.y))
-    return np.concatenate(parts)

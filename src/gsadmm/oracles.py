@@ -353,11 +353,17 @@ def certifying_subgradient(query: ProxQuery, z: np.ndarray) -> np.ndarray:
         return obj.gradient(z)
     if isinstance(obj, L1):
         force = query.rho * (query.A.T @ (query.u - query.A @ z))
-        g = obj.weight * np.sign(z)
-        zero = z == 0.0
-        g[zero] = np.clip(force[zero], -obj.weight, obj.weight)
-        return g
+        return l1_subgradient(obj.weight, z, force)
     raise UnsupportedCombination(f"unknown objective variant {type(obj).__name__}")
+
+
+def l1_subgradient(weight: float, z: np.ndarray, force: np.ndarray) -> np.ndarray:
+    """Element of the subdifferential of weight ||z||_1 at z: weight sign(z),
+    and at zero components the force clipped into [-weight, weight]."""
+    g = weight * np.sign(z)
+    zero = z == 0.0
+    g[zero] = np.clip(force[zero], -weight, weight)
+    return g
 
 
 def optimality_residual(query: ProxQuery, z: np.ndarray) -> np.ndarray:

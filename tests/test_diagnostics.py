@@ -12,7 +12,8 @@ from gsadmm.model import Block, BlockProblem, Free, Iterate, L1, Quadratic, Solv
 
 def test_d_vector_first_step_hand_values(qp1_run):
     bundle, cfg, _, trace = qp1_run
-    d = g.d_vector(bundle.problem, cfg, trace.records[0])
+    rec = trace.records[0]
+    d = np.concatenate(diagnostics.d_components(bundle.problem, cfg, rec.w, rec.w_tilde))
     assert d[0] == pytest.approx(1.0 / 7.0, abs=1e-15)
     assert d[1] == pytest.approx(1.5 * 13.0 / 49.0 - 0.3 * 5.0 / 7.0, abs=1e-15)
     assert trace.records[0].d_norm_sq == pytest.approx(float(d @ d), rel=1e-14)
@@ -22,8 +23,7 @@ def test_d_vector_zero_when_prediction_equals_state(qp1_bundle):
     problem = qp1_bundle.problem
     cfg = g.default_config(problem)
     w = Iterate((np.array([0.4]),), (np.array([0.6]),), np.array([2.0]))
-    pred = g.engine.predict(problem, w, [w.x[0]], [w.y[0]], cfg.beta)
-    parts = diagnostics.d_components(problem, cfg, w, pred)
+    parts = diagnostics.d_components(problem, cfg, w, w)
     assert all(np.allclose(part, 0.0, atol=1e-16) for part in parts)
 
 
@@ -35,13 +35,13 @@ def test_d_block_optimality_residual_along_run(qp1_run):
     for rec in trace.records[:50]:
         parts = diagnostics.d_components(problem, cfg, rec.w, rec.w_tilde)
         for i, blk in enumerate(problem.x_blocks):
-            xt = rec.w_tilde.x_tilde[i]
-            shift = blk.objective.gradient(xt) - blk.A.T @ rec.w_tilde.lambda_tilde + parts[i]
+            xt = rec.w_tilde.x[i]
+            shift = blk.objective.gradient(xt) - blk.A.T @ rec.w_tilde.lam + parts[i]
             res = xt - g.project(blk.set, xt - shift)
             assert float(np.abs(res).max()) <= 1e-9
         for j, blk in enumerate(problem.y_blocks):
-            yt = rec.w_tilde.y_tilde[j]
-            shift = blk.objective.gradient(yt) - blk.A.T @ rec.w_tilde.lambda_tilde \
+            yt = rec.w_tilde.y[j]
+            shift = blk.objective.gradient(yt) - blk.A.T @ rec.w_tilde.lam \
                 + parts[problem.p + j]
             res = yt - g.project(blk.set, yt - shift)
             assert float(np.abs(res).max()) <= 1e-9
@@ -73,8 +73,7 @@ def test_contraction_slack_zero_at_fixed_point(qp1_bundle):
     cfg = g.default_config(problem)
     mats = g.assemble(problem, cfg)
     _, rec = g.step(problem, cfg, w_star, mats=mats, w_star=w_star)
-    slack = g.contraction_check(mats, rec, w_star)
-    assert abs(slack) <= 1e-24
+    assert abs(rec.contraction_slack) <= 1e-24
 
 
 def test_contraction_nonnegative_along_catalog(catalog_runs):
@@ -85,22 +84,13 @@ def test_contraction_nonnegative_along_catalog(catalog_runs):
             assert slack >= bound, bundle.name
 
 
-def test_contraction_check_matches_record(qp1_run):
-    bundle, _, mats, trace = qp1_run
-    rec = trace.records[3]
-    assert g.contraction_check(mats, rec, bundle.w_star) == pytest.approx(
-        rec.contraction_slack, rel=1e-12, abs=1e-18
-    )
-
-
 def test_region_gates_raise_outside_triangle(qp1_bundle):
     problem, w_star = qp1_bundle.problem, qp1_bundle.w_star
     cfg = g.default_config(problem, tau=1.5, s=0.3, region_policy="G")
     mats = g.assemble(problem, cfg)
     trace = g.solve(problem, cfg, w_star=w_star, mats=mats)
-    rec = trace.records[0]
-    with pytest.raises(g.RegionNotCertified):
-        g.contraction_check(mats, rec, w_star)
+    assert trace.records
+    assert all(np.isnan(rec.contraction_slack) for rec in trace.records)
     with pytest.raises(g.RegionNotCertified):
         g.nonergodic_check(mats, trace, w_star)
     with pytest.raises(g.RegionNotCertified):

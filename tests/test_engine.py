@@ -20,16 +20,15 @@ def qp1(qp1_bundle):
 def test_first_step_hand_values(qp1):
     problem, cfg, _ = qp1
     w0 = Iterate.zeros(problem)
-    x1 = engine.x_group_update(problem, cfg, w0)
-    assert x1[0] == pytest.approx([2.0 / 7.0], abs=1e-15)
-    lam_half = engine.half_dual_update(problem, cfg, w0, x1)
+    nxt, rec = engine.step(problem, cfg, w0)
+    assert nxt.x[0] == pytest.approx([2.0 / 7.0], abs=1e-15)
+    assert rec.w_tilde.lam == pytest.approx([5.0 / 7.0], abs=1e-15)
+    # lambda_half = lambda - tau (lambda - lambda~)
+    lam_half = w0.lam - cfg.tau * (w0.lam - rec.w_tilde.lam)
     assert lam_half == pytest.approx([3.0 / 14.0], abs=1e-15)
-    y1 = engine.y_group_update(problem, cfg, w0, x1, lam_half)
-    assert y1[0] == pytest.approx([13.0 / 49.0], abs=1e-15)
-    lam1 = engine.full_dual_update(problem, cfg, lam_half, x1, y1)
-    assert lam1 == pytest.approx([19.3 / 49.0], abs=1e-14)
-    pred = engine.predict(problem, w0, x1, y1, cfg.beta, lam_half)
-    assert pred.lambda_tilde == pytest.approx([5.0 / 7.0], abs=1e-15)
+    assert nxt.y[0] == pytest.approx([13.0 / 49.0], abs=1e-15)
+    assert nxt.lam == pytest.approx([19.3 / 49.0], abs=1e-14)
+    assert np.array_equal(rec.w_tilde.x[0], nxt.x[0]) and np.array_equal(rec.w_tilde.y[0], nxt.y[0])
 
 
 def test_step_matches_linear_correction(qp1):
@@ -43,40 +42,63 @@ def test_step_matches_linear_correction(qp1):
 
 
 def test_half_step_identity_along_run(qp1_run):
-    _, cfg, _, trace = qp1_run
-    for rec in trace.records:
-        lam, lam_tilde = rec.w.lam, rec.w_tilde.lambda_tilde
-        lam_half = rec.w_tilde.lambda_half
+    bundle, cfg, _, trace = qp1_run
+    nexts = [rec.w for rec in trace.records[1:]] + [trace.w_final]
+    for rec, nxt in zip(trace.records, nexts):
+        lam, lam_tilde = rec.w.lam, rec.w_tilde.lam
+        # undo the full dual update: lambda_half = lambda+ + s beta (A x~ + B y~ - c)
+        lam_half = nxt.lam + cfg.s * cfg.beta * bundle.problem.residual(rec.w_tilde.x, rec.w_tilde.y)
         expected = lam - cfg.tau * (lam - lam_tilde)
         assert np.allclose(lam_half, expected, atol=1e-12)
 
 
 def test_trivial_stepsize_reductions(qp1):
+    # tau = 0 leaves lambda_half = lambda, so lambda+ = lambda - s beta (A x+ + B y+ - c);
+    # s = 0 leaves lambda+ = lambda_half = lambda - tau beta (A x+ + B y_k - c)
     problem, _, _ = qp1
     w = Iterate((np.array([0.2]),), (np.array([0.1]),), np.array([0.5]))
     cfg0 = SolverConfig(tau=0.0, s=0.4, sigma1=0.5, sigma2=0.5)
-    x1 = engine.x_group_update(problem, cfg0, w)
-    assert np.array_equal(engine.half_dual_update(problem, cfg0, w, x1), w.lam)
+    nxt, _ = engine.step(problem, cfg0, w)
+    assert np.array_equal(nxt.lam, w.lam - cfg0.s * cfg0.beta * problem.residual(nxt.x, nxt.y))
     cfg_s0 = SolverConfig(tau=0.4, s=0.0, sigma1=0.5, sigma2=0.5)
-    y1 = engine.y_group_update(problem, cfg_s0, w, x1, w.lam)
-    assert np.array_equal(engine.full_dual_update(problem, cfg_s0, w.lam, x1, y1), w.lam)
+    nxt, _ = engine.step(problem, cfg_s0, w)
+    assert np.array_equal(nxt.lam, w.lam - cfg_s0.tau * cfg_s0.beta * problem.residual(nxt.x, w.y))
 
 
 def test_prediction_is_multiplier_at_feasible_pair(qp1):
+    # from this point the x sweep returns x+ = 0.25, so (x+, y_k) is feasible
     problem, cfg, _ = qp1
-    w = Iterate((np.array([0.25]),), (np.array([0.75]),), np.array([0.3]))
-    pred = engine.predict(problem, w, [np.array([0.25])], [np.array([0.75])], cfg.beta)
-    assert np.array_equal(pred.lambda_tilde, w.lam)
+    w = Iterate((np.array([0.25]),), (np.array([0.75]),), np.array([0.5]))
+    _, rec = engine.step(problem, cfg, w)
+    assert np.array_equal(rec.w_tilde.x[0], [0.25])
+    assert np.array_equal(rec.w_tilde.lam, w.lam)
 
 
 def test_prediction_scales_with_beta(qp1):
+    # lambda - lambda~ = beta (A x+ + B y_k - c) for every beta
     problem, _, _ = qp1
-    w = Iterate.zeros(problem)
-    x1 = [np.array([0.4])]
-    y1 = [np.array([0.0])]
-    p1 = engine.predict(problem, w, x1, y1, beta=1.0)
-    p2 = engine.predict(problem, w, x1, y1, beta=2.0)
-    assert np.allclose(w.lam - p2.lambda_tilde, 2.0 * (w.lam - p1.lambda_tilde), atol=1e-15)
+    w = Iterate((np.array([0.4]),), (np.array([0.0]),), np.array([0.2]))
+    for beta in (1.0, 2.0):
+        cfg = SolverConfig(beta=beta, sigma1=0.5, sigma2=0.5)
+        _, rec = engine.step(problem, cfg, w)
+        res = problem.residual(rec.w_tilde.x, w.y)
+        assert np.allclose(w.lam - rec.w_tilde.lam, beta * res, atol=1e-15)
+
+
+def test_step_forms_each_group_product_twice(qp1, monkeypatch):
+    problem, cfg, w_star = qp1
+    mats = g.assemble(problem, cfg)
+    kernels = engine.block_kernels(problem, cfg)
+    calls = {"apply_A": 0, "apply_B": 0}
+    for name in calls:
+        original = getattr(BlockProblem, name)
+
+        def counted(self, zs, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, zs)
+        monkeypatch.setattr(BlockProblem, name, counted)
+    engine.step(problem, cfg, Iterate.zeros(problem), mats=mats, w_star=w_star, kernels=kernels)
+    assert calls == {"apply_A": 2, "apply_B": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +126,14 @@ def test_group_update_reads_snapshot_only():
     cfg = SolverConfig(sigma1=problem.p - 1 + 0.5, sigma2=0.5)
     w = Iterate(tuple(rng.standard_normal(2) for _ in range(3)), (rng.standard_normal(1),), rng.standard_normal(3))
     w_perm = Iterate((w.x[2], w.x[0], w.x[1]), w.y, w.lam)
-    out = engine.x_group_update(problem, cfg, w)
-    out_perm = engine.x_group_update(perm_problem, cfg, w_perm)
+
+    def x_sweep(prob, state):
+        kernels = engine.block_kernels(prob, cfg)[0]
+        base = prob.c - prob.apply_B(state.y) + state.lam / cfg.beta
+        return engine.group_sweep(prob.x_blocks, kernels, state.x, prob.apply_A(state.x), base, cfg.sigma1)
+
+    out = x_sweep(problem, w)
+    out_perm = x_sweep(perm_problem, w_perm)
     for i, j in ((0, 1), (1, 2), (2, 0)):
         assert np.max(np.abs(out[i] - out_perm[j])) <= 1e-14 * (1 + np.max(np.abs(out[i])))
 
@@ -197,7 +225,7 @@ def test_solve_bit_identical_to_reference_oracle(bundle, monkeypatch):
     assert len(fast.records) == len(ref.records)
     assert fast.termination == ref.termination
     for a, b in zip(fast.records, ref.records):
-        for w_a, w_b in ((a.w, b.w), (a.w_next, b.w_next), (a.w_tilde, b.w_tilde)):
+        for w_a, w_b in ((a.w, b.w), (a.w_tilde, b.w_tilde)):
             assert w_a.stack().tobytes() == w_b.stack().tobytes(), a.k
         for name in ("identity_error", "dist_H", "contraction_slack", "d_inf"):
             assert np.float64(getattr(a, name)).tobytes() == np.float64(getattr(b, name)).tobytes(), (name, a.k)

@@ -263,6 +263,24 @@ def test_sweep_converged_points_have_positive_iters(sweep_atlas):
     assert int(corner["iters_to_tol"]) == -1
 
 
+@pytest.mark.parametrize("flags, needle", [
+    (["--beta", "inf"], "beta must be finite"),
+    (["--tol", "nan"], "tol must be a number"),
+    (["--tau-grid", "0", "1", "0"], "--tau-grid count must be a whole number"),
+    (["--s-grid", "0", "1", "nan"], "--s-grid count must be a whole number"),
+    (["--s-grid", "0", "1", "2.5"], "--s-grid count must be a whole number"),
+    (["--tau-grid", "0", "inf", "3"], "--tau-grid bounds must be finite"),
+    (["--s-grid", "nan", "1", "3"], "--s-grid bounds must be finite"),
+])
+def test_sweep_bad_input_exits_one_with_one_line(tmp_path, capsys, flags, needle):
+    out = tmp_path / "out"
+    code = main(["sweep", "--generator", "qp1", "--max-iters", "5", "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and needle in err, err
+    assert not out.exists()
+
+
 def test_sweep_determinism(tmp_path, sweep_atlas):
     out_prev, lines = sweep_atlas
     out = tmp_path / "again"

@@ -169,69 +169,6 @@ def test_config_tol_may_be_infinite_or_negative_but_not_nan():
 
 
 # ---------------------------------------------------------------------------
-# Lagrangians and the first-order map
-# ---------------------------------------------------------------------------
-
-def test_lagrangian_at_saddle_point():
-    problem = small_problem()
-    w = Iterate((np.array([0.5]),), (np.array([0.5]),), np.array([1.0]))
-    assert g.lagrangian(problem, w) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_augmented_equals_plain_on_feasible_points():
-    problem = small_problem()
-    w = Iterate((np.array([0.25]),), (np.array([0.75]),), np.array([-2.0]))
-    assert g.augmented_lagrangian(problem, w, beta=3.7) == pytest.approx(
-        g.lagrangian(problem, w), abs=1e-14
-    )
-
-
-def test_augmented_lagrangian_penalty_term():
-    problem = small_problem()
-    w = Iterate.zeros(problem)
-    assert g.augmented_lagrangian(problem, w, beta=2.0) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_kkt_map_at_qp1_solution():
-    problem = small_problem()
-    w = Iterate((np.array([0.5]),), (np.array([0.5]),), np.array([1.0]))
-    grads = [np.array([1.0]), np.array([1.0])]  # objective gradients 2*z
-    stacked = g.kkt_map(problem, w, grads)
-    assert np.allclose(stacked, 0.0, atol=1e-15)
-
-
-def test_kkt_map_reduces_to_residual_at_zero_multiplier():
-    problem = small_problem()
-    w = Iterate((np.array([0.2]),), (np.array([0.3]),), np.array([0.0]))
-    stacked = g.kkt_map(problem, w)
-    assert stacked[0] == 0.0 and stacked[1] == 0.0
-    assert stacked[2] == pytest.approx(0.2 + 0.3 - 1.0, abs=1e-15)
-
-
-def test_kkt_map_affine_part_is_skew():
-    problem = BlockProblem(
-        (Block(Quadratic(np.eye(2), np.zeros(2)), np.arange(1, 7, dtype=float).reshape(3, 2), Free()),),
-        (Block(Quadratic(np.eye(2), np.zeros(2)), np.arange(2, 8, dtype=float).reshape(3, 2) / 3.0, Free()),),
-        [1.0, 2.0, 3.0],
-    )
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        wa = Iterate((rng.standard_normal(2),), (rng.standard_normal(2),), rng.standard_normal(3))
-        wb = Iterate((rng.standard_normal(2),), (rng.standard_normal(2),), rng.standard_normal(3))
-        dw = wa.stack() - wb.stack()
-        dj = g.kkt_map(problem, wa) - g.kkt_map(problem, wb)
-        inner = float(dw @ dj)
-        assert abs(inner) <= 1e-12 * (1.0 + abs(float(dw @ dw)))
-
-
-def test_kkt_map_dimension_mismatch_raises():
-    problem = small_problem()
-    w = Iterate.zeros(problem)
-    with pytest.raises(ValueError):
-        g.kkt_map(problem, w, [np.zeros(2), np.zeros(1)])
-
-
-# ---------------------------------------------------------------------------
 # Iterate plumbing
 # ---------------------------------------------------------------------------
 
