@@ -7,6 +7,14 @@ coefficient, the projection-based natural residual whose vanishing
 characterizes the solution set, the closed-form rate constants, and the
 empirical linear-rate fit. The contraction slack is computed inline by the
 engine (`IterationRecord.contraction_slack`).
+
+The checks read a trace's columns (`Trace.iterates`, `Trace.predictions`,
+`Trace.columns`) and evaluate each bound for all iterations at once. Every
+per-row product is a stacked matrix-vector product (`_rows_matvec`,
+`structure.row_forms`), which runs the BLAS kernel of the 1-d product, and
+every expression keeps its association order, so each value has the bits the
+same formula gives one iteration at a time. The record-at-a-time reference
+lives in tests/reference_verdict.py.
 """
 from __future__ import annotations
 
@@ -18,9 +26,10 @@ import numpy as np
 
 from .model import BlockProblem, Iterate, L1, SolverConfig
 from .oracles import l1_subgradient, project
+from .structure import row_forms
 
-if TYPE_CHECKING:  # avoid a runtime cycle; records and traces are duck-typed
-    from .engine import IterationRecord, Trace
+if TYPE_CHECKING:  # avoid a runtime cycle; traces are duck-typed
+    from .engine import Trace
     from .structure import StructuralMatrices
 
 # Monotonicity of ||M(w - w~)||_H^2 is exact algebra; the tolerance is
@@ -47,6 +56,23 @@ def _require_region(mats: "StructuralMatrices", what: str):
         raise RegionNotCertified(
             f"{what} requires (tau, s) in the triangle region; got ({mats.tau}, {mats.s})"
         )
+
+
+def _rows_matvec(mat: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """mat @ z for each row z of a C-contiguous Z, as stacked matrix-vector
+    products (a 2-d GEMM `Z @ mat.T` changes the bits)."""
+    return np.matmul(mat, Z[:, :, None])[:, :, 0]
+
+
+def _rows_dot(V: np.ndarray) -> np.ndarray:
+    """v @ v for each row v of V, as stacked (1 x N)(N x 1) products."""
+    return (V[:, None, :] @ V[:, :, None])[:, 0, 0]
+
+
+def _running_max(values: np.ndarray, start: float) -> float:
+    """max(start, v_0, v_1, ...) as Python's max takes it: the first of the
+    largest, NaNs skipped after the first element."""
+    return max([start, *values.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -102,22 +128,34 @@ def theta_hat(problem: BlockProblem, config: SolverConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def error_map_residual(problem: BlockProblem, w: Iterate, subgradient_selection=None) -> np.ndarray:
-    """Stacked natural residual e(w, 1); zero exactly at solution points.
+    """Stacked natural residual e(w, 1) of one point; zero exactly at solution points.
+
+    The row-batched `error_map_rows` of the single stacked point.
+    """
+    return error_map_rows(problem, w.stack()[None, :], subgradient_selection)[0]
+
+
+def error_map_rows(problem: BlockProblem, W: np.ndarray, subgradient_selection=None) -> np.ndarray:
+    """Natural residual e(w, 1) of each row w of W (stacked points), shape (rows, N).
 
     Primal components are z - P_S[z - (g - A'lambda)] with g one subgradient
     element; the dual component is the constraint residual. For l1 blocks the
     default selection minimizes each residual component over the
     subdifferential interval, which is closed form because the projection and
     the interval are both componentwise: at a zero component the minimizer is
-    clip(A'lambda, -weight, weight).
+    clip(A'lambda, -weight, weight). A `subgradient_selection` gives one
+    subgradient per block, used for every row.
     """
     if subgradient_selection is not None:
         subgradient_selection = [np.asarray(g, dtype=float) for g in subgradient_selection]
+    lam = np.ascontiguousarray(W[:, W.shape[1] - problem.n:])
     parts = []
-    blocks = list(problem.x_blocks) + list(problem.y_blocks)
-    points = list(w.x) + list(w.y)
-    for idx, (blk, z) in enumerate(zip(blocks, points)):
-        t = blk.A.T @ w.lam
+    group_sums = [np.zeros((len(W), problem.n)), np.zeros((len(W), problem.n))]  # A x, B y
+    off = 0
+    for idx, blk in enumerate(problem.x_blocks + problem.y_blocks):
+        z = np.ascontiguousarray(W[:, off:off + blk.dim])
+        off += blk.dim
+        t = _rows_matvec(blk.A.T, lam)
         if subgradient_selection is not None:
             g = subgradient_selection[idx]
         elif isinstance(blk.objective, L1):
@@ -125,8 +163,9 @@ def error_map_residual(problem: BlockProblem, w: Iterate, subgradient_selection=
         else:
             g = blk.objective.gradient(z)
         parts.append(z - project(blk.set, z - (g - t)))
-    parts.append(problem.residual(w.x, w.y))
-    return np.concatenate(parts)
+        group_sums[idx >= problem.p] += _rows_matvec(blk.A, z)
+    parts.append(group_sums[0] + group_sums[1] - problem.c)
+    return np.concatenate(parts, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +184,19 @@ def nonergodic_check(mats: "StructuralMatrices", trace: "Trace",
     """Monotone decay of ||M(w - w~)||_H^2 and the O(1/t) bound with the
     tightest spectral constant."""
     _require_region(mats, "nonergodic check")
-    recs = trace.records
-    if not recs:
+    ms = trace.columns["correction_residual"]
+    if not len(ms):
         return NonergodicReport(True, True, 0.0)
-    ms = [r.correction_residual for r in recs]
-    m0 = ms[0]
-    monotone_ok = all(
-        ms[k + 1] <= ms[k] + MONOTONE_RTOL * (1.0 + m0) for k in range(len(ms) - 1)
-    )
-    h0 = mats.h_norm_sq(recs[0].w.stack() - w_star.stack())
-    envelope = max((k + 1) * mk for k, mk in enumerate(ms))
+    m0 = float(ms[0])
+    monotone_ok = bool(np.all(ms[1:] <= ms[:-1] + MONOTONE_RTOL * (1.0 + m0)))
+    h0 = mats.h_norm_sq(trace.iterates[0] - w_star.stack())
+    steps = np.arange(1.0, len(ms) + 1.0)  # k + 1
+    envelope = max((steps * ms).tolist())
     xi = mats.xi
     xi_bound_ok = (
         math.isfinite(xi)
         and xi > 0.0
-        and all((k + 1) * xi * mk <= h0 * (1.0 + XI_BOUND_RTOL) for k, mk in enumerate(ms))
+        and bool(np.all(steps * xi * ms <= h0 * (1.0 + XI_BOUND_RTOL)))
     )
     return NonergodicReport(monotone_ok, xi_bound_ok, envelope)
 
@@ -180,26 +217,15 @@ def pointwise_residual_check(problem: BlockProblem, config: SolverConfig,
                              trace: "Trace") -> PointwiseReport:
     """Verify ||d_t||^2 <= theta_hat ||w_t - w~_t||^2 and collect the scaled sups."""
     th = theta_hat(problem, config)
-    sup_d = 0.0
-    sup_f = 0.0
-    ok = True
-    for k, rec in enumerate(trace.records):
-        dw = rec.w.stack() - rec.w_tilde.stack()
-        ok = ok and rec.d_norm_sq <= th * float(dw @ dw) * (1.0 + ERROR_BOUND_RTOL) + 1e-300
-        sup_d = max(sup_d, (k + 1) * rec.d_norm_sq)
-        sup_f = max(sup_f, (k + 1) * rec.feasibility ** 2)
-    return PointwiseReport(sup_d, sup_f, th, bool(ok))
-
-
-def feasibility_decomposition_error(problem: BlockProblem, config: SolverConfig,
-                                    record: "IterationRecord") -> float:
-    """Relative error of A x~ + B y~ - c = (lambda - lambda~)/beta - sum_j B_j (y_j - y~_j)."""
-    lhs = problem.residual(record.w_tilde.x, record.w_tilde.y)
-    rhs = (record.w.lam - record.w_tilde.lam) / config.beta
-    for blk, yk, yt in zip(problem.y_blocks, record.w.y, record.w_tilde.y):
-        rhs = rhs - blk.A @ (yk - yt)
-    denom = 1.0 + max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
-    return float(np.linalg.norm(lhs - rhs)) / denom
+    cols = trace.columns
+    d_sq = cols["d_norm_sq"]
+    dw = trace.iterates[:-1] - trace.predictions
+    ok = bool(np.all(d_sq <= th * _rows_dot(dw) * (1.0 + ERROR_BOUND_RTOL) + 1e-300))
+    steps = np.arange(1.0, len(d_sq) + 1.0)  # k + 1
+    # Python's float ** 2 (C pow) and numpy's square differ in the last bit
+    # on about 1 value in 1000, so the squares are taken one by one
+    feas_sq = np.array([f ** 2 for f in cols["feasibility"].tolist()])
+    return PointwiseReport(_running_max(steps * d_sq, 0.0), _running_max(steps * feas_sq, 0.0), th, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -255,20 +281,13 @@ def error_bound_check(problem: BlockProblem, mats: "StructuralMatrices", trace: 
     _require_region(mats, "projection-residual bound")
     coef = constants.delta * max(max(constants.mu_tilde), max(constants.nu_tilde), 1.0)
     coef /= mats.lambda_min_G
-    ok = True
-    worst = 0.0
-    recs = trace.records
-    w_next = [rec.w for rec in recs[1:]] + [trace.w_final]
-    for rec, wn in zip(recs, w_next):
-        left = float(np.sum(error_map_residual(problem, wn) ** 2))
-        wk = rec.w.stack()
-        dw = wk - rec.w_tilde.stack()
-        right = coef * mats.g_norm_sq(dw)
-        bound = right * (1.0 + ERROR_BOUND_RTOL) + ERROR_BOUND_ABS_FLOOR * (1.0 + float(wk @ wk))
-        ok = ok and left <= bound
-        if right > 0.0:
-            worst = max(worst, left / right)
-    return ok, worst
+    W = trace.iterates[:-1]
+    left = np.sum(error_map_rows(problem, trace.iterates[1:]) ** 2, axis=1)
+    right = coef * row_forms(mats.G, W - trace.predictions)
+    bound = right * (1.0 + ERROR_BOUND_RTOL) + ERROR_BOUND_ABS_FLOOR * (1.0 + _rows_dot(W))
+    ok = bool(np.all(left <= bound))
+    positive = right > 0.0
+    return ok, _running_max(left[positive] / right[positive], 0.0)
 
 
 @dataclass(frozen=True)
@@ -295,24 +314,21 @@ def linear_rate_check(mats: "StructuralMatrices", trace: "Trace", w_star: Iterat
     InsufficientTrace.
     """
     _require_region(mats, "linear rate check")
-    recs = trace.records
-    if len(recs) < 20:
-        raise InsufficientTrace(f"{len(recs)} iterations; need at least 20")
+    iters = len(trace.predictions)
+    if iters < 20:
+        raise InsufficientTrace(f"{iters} iterations; need at least 20")
     problem = trace.problem
     ner = nonergodic_check(mats, trace, w_star)
     eb_ok, eb_worst = error_bound_check(problem, mats, trace, constants)
 
-    tol = trace.config.tol
-    t_conv = len(recs) - 1
-    for k, rec in enumerate(recs):
-        if max(rec.d_inf, rec.feasibility_inf) <= 10.0 * tol:
-            t_conv = k
-            break
+    reached = np.flatnonzero(trace.columns["residual"] <= 10.0 * trace.config.tol)
+    t_conv = int(reached[0]) if len(reached) else iters - 1
     start = t_conv // 2
     ws = w_star.stack()
+    h = row_forms(mats.H, trace.iterates[start:t_conv + 1] - ws)
+    dists = np.sqrt(np.where(0.0 > h, 0.0, h))  # mats.dist_H per row
     ks, logs = [], []
-    for k in range(start, t_conv + 1):
-        dh = mats.dist_H(recs[k].w.stack(), ws)
+    for k, dh in enumerate(dists.tolist(), start):
         if dh > 0.0 and math.isfinite(dh):
             ks.append(k)
             logs.append(math.log(dh))
@@ -322,7 +338,7 @@ def linear_rate_check(mats: "StructuralMatrices", trace: "Trace", w_star: Iterat
         )
     slope = float(np.polyfit(np.asarray(ks, dtype=float), np.asarray(logs), 1)[0])
     r_hat = math.exp(slope)
-    dist0 = mats.dist_H(recs[0].w.stack(), ws)
+    dist0 = mats.dist_H(trace.iterates[0], ws)
     if 0.0 < r_hat < 1.0 and dist0 > 0.0:
         big_c = 2.0 * dist0 / (1.0 - r_hat)
         envelope_ok = all(

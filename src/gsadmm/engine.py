@@ -23,11 +23,17 @@ of w~.
 
 `solve` builds one oracle kernel per block before the first iteration (the
 penalty rho of each group is fixed under one config) and passes them to
-every step.
+every step. It carries ||w_{k+1} - w*||_H^2 from one step into the next, so
+each step forms three H/G quadratic forms. The trace it returns is columnar:
+the iterates and predictions as row arrays and one array per record scalar;
+`Trace.records` builds each `IterationRecord` on access from them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,17 +70,57 @@ class IterationRecord:
     d_inf: float
     identity_error: float     # ||w_{k+1} - (w - M (w - w~))||
     dist_H: float             # ||w_k - w*||_H when a reference point is known
+    next_dist_sq: float       # ||w_{k+1} - w*||_H^2, carried into the next step
     contraction_slack: float  # nan without a reference point or outside the triangle
 
 
-@dataclass(eq=False)
+# The scalar fields of a record, in order; each is one column of a Trace.
+RECORD_SCALARS = tuple(f.name for f in fields(IterationRecord) if f.name not in ("k", "w", "w_tilde"))
+_record_scalars = operator.attrgetter(*RECORD_SCALARS)
+
+
+@dataclass(frozen=True, eq=False)
 class Trace:
+    """A run as columns: row k of `iterates` is w_k (the last row, one past the
+    last record, is `w_final`), row k of `predictions` is w~_k, and `columns`
+    maps each name in RECORD_SCALARS, plus "residual" = max(d_inf,
+    feasibility_inf), to one value per iteration. All arrays are read-only."""
+
     problem: BlockProblem
     config: SolverConfig
-    records: list[IterationRecord]
     termination: str
     w_final: Iterate
     oracle_stats: tuple[OracleStats, ...]  # x blocks, then y blocks
+    iterates: np.ndarray      # (iterations + 1, N)
+    predictions: np.ndarray   # (iterations, N)
+    columns: dict[str, np.ndarray]
+
+    @property
+    def records(self) -> "Records":
+        return Records(self)
+
+
+class Records(Sequence):
+    """Read-only sequence of a trace's IterationRecords, each built on access;
+    its `w` and `w_tilde` parts are views of the trace's rows."""
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.predictions)
+
+    def __getitem__(self, idx):
+        k = range(len(self))[idx]  # IndexError and negative indices as for a list
+        if isinstance(k, range):
+            return [self[i] for i in k]
+        t = self._trace
+        return IterationRecord(
+            k, Iterate.from_stack(t.problem, t.iterates[k]), Iterate.from_stack(t.problem, t.predictions[k]),
+            *(float(t.columns[name][k]) for name in RECORD_SCALARS))
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 def block_kernels(problem: BlockProblem, config: SolverConfig):
@@ -102,10 +148,13 @@ def group_sweep(blocks, kernels, zs, own_sum, base, sigma):
 
 def step(problem: BlockProblem, config: SolverConfig, state: Iterate,
          mats: structure.StructuralMatrices | None = None,
-         w_star: Iterate | None = None, k: int = 0, kernels=None):
+         w_star: Iterate | None = None, k: int = 0, kernels=None,
+         dist_sq: float | None = None):
     """One full iteration; returns (next iterate, record with identity checks).
 
     `kernels` is the pair from `block_kernels`; built here when omitted.
+    `dist_sq` is ||w_k - w*||_H^2 when the caller already has it (`solve`
+    passes the previous record's `next_dist_sq`); computed here when omitted.
     """
     if mats is None:
         mats = structure.assemble(problem, config)
@@ -135,28 +184,31 @@ def step(problem: BlockProblem, config: SolverConfig, state: Iterate,
     dw = wk - wt
     mdw = mats.apply_M(dw)
     correction_residual = mats.h_norm_sq(mdw)
-    identity_error = float(np.linalg.norm(wn - (wk - mdw)))
+    gap = wn - (wk - mdw)
+    identity_error = math.sqrt(gap @ gap)
 
     d_stack = np.concatenate(d_components(problem, config, state, pred))
     d_norm_sq = float(d_stack @ d_stack)
     d_inf = float(np.abs(d_stack).max(initial=0.0))
 
-    dist_h = float("nan")
-    slack = float("nan")
+    dist_h = next_dist_sq = slack = float("nan")
     if w_star is not None:
         ws = w_star.stack()
-        dist_h = mats.dist_H(wk, ws)
+        if dist_sq is None:
+            dist_sq = mats.h_norm_sq(wk - ws)
+        next_dist_sq = mats.h_norm_sq(wn - ws)
+        dist_h = float(np.sqrt(max(dist_sq, 0.0)))
         if mats.in_D:
-            slack = mats.h_norm_sq(wk - ws) - mats.h_norm_sq(wn - ws) - mats.g_norm_sq(dw)
+            slack = dist_sq - next_dist_sq - mats.g_norm_sq(dw)
 
     record = IterationRecord(
         k=k, w=state, w_tilde=pred,
-        feasibility=float(np.linalg.norm(r_new)),
+        feasibility=math.sqrt(r_new @ r_new),
         feasibility_inf=float(np.abs(r_new).max(initial=0.0)),
         correction_residual=correction_residual,
         d_norm_sq=d_norm_sq, d_inf=d_inf,
         identity_error=identity_error,
-        dist_H=dist_h, contraction_slack=slack,
+        dist_H=dist_h, next_dist_sq=next_dist_sq, contraction_slack=slack,
     )
     return nxt, record
 
@@ -192,14 +244,25 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
         mats = structure.assemble(problem, config)
     state = initial_point(problem, w0)
     kernels = block_kernels(problem, config)
-    records: list[IterationRecord] = []
+    rows, tilde_rows, scalars = [state.stack()], [], []
+    dist_sq = None
     termination = ITERATION_CAP
     for k in range(config.max_iters):
-        state, record = step(problem, config, state, mats=mats, w_star=w_star, k=k, kernels=kernels)
-        records.append(record)
-        if max(record.d_inf, record.feasibility_inf) <= config.tol:
+        state, record = step(problem, config, state, mats=mats, w_star=w_star, k=k, kernels=kernels,
+                             dist_sq=dist_sq)
+        dist_sq = record.next_dist_sq
+        residual = max(record.d_inf, record.feasibility_inf)
+        rows.append(state.stack())
+        tilde_rows.append(record.w_tilde.stack())
+        scalars.append((*_record_scalars(record), residual))
+        if residual <= config.tol:
             termination = CONVERGED
             break
-    return Trace(problem=problem, config=config, records=records,
-                 termination=termination, w_final=state,
-                 oracle_stats=tuple(kernel.stats for group in kernels for kernel in group))
+    table = np.array(scalars, dtype=float).reshape(-1, len(RECORD_SCALARS) + 1).T.copy()
+    arrays = (np.array(rows), np.array(tilde_rows).reshape(-1, problem.total_dim), table)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return Trace(problem=problem, config=config, termination=termination, w_final=state,
+                 oracle_stats=tuple(kernel.stats for group in kernels for kernel in group),
+                 iterates=arrays[0], predictions=arrays[1],
+                 columns=dict(zip(RECORD_SCALARS + ("residual",), table)))

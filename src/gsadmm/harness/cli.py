@@ -1,8 +1,8 @@
 """Command-line harness: single runs, stepsize sweeps, structural checks,
 instance generation, and report printing.
 
-Exit codes: 0 ok, 1 validation failure, 2 runtime failure, 3 generation
-failure.
+Exit codes: 0 ok, 1 validation failure (usage errors included), 2 runtime
+failure, 3 generation failure.
 """
 from __future__ import annotations
 
@@ -41,6 +41,14 @@ class CliFailure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exit code 1, like every
+    other input error (argparse's own prints the usage text and exits 2)."""
+
+    def error(self, message):
+        raise CliFailure(EXIT_VALIDATION, f"{self.prog}: error: {message}")
 
 
 def _dims(text: str) -> list[int]:
@@ -333,7 +341,7 @@ def cmd_gen(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsadmm",
         description="Grouped symmetric ADMM solver and verification harness",
     )
@@ -374,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliFailure as exc:
         print(exc, file=sys.stderr)

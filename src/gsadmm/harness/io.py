@@ -260,18 +260,11 @@ def read_instance(path):
 # ---------------------------------------------------------------------------
 
 def write_trace_csv(path, trace: Trace) -> None:
+    names = TRACE_HEADER.split(",")[1:]
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for rec in trace.records:
-            fh.write(",".join([
-                str(rec.k),
-                _fmt(rec.feasibility),
-                _fmt(rec.correction_residual),
-                _fmt(rec.d_norm_sq),
-                _fmt(rec.contraction_slack),
-                _fmt(rec.identity_error),
-                _fmt(rec.dist_H),
-            ]) + "\n")
+        for k, row in enumerate(zip(*(trace.columns[name].tolist() for name in names))):
+            fh.write(",".join([str(k), *map(_fmt, row)]) + "\n")
 
 
 def write_atlas_csv(path, rows: list[dict]) -> None:
@@ -309,7 +302,7 @@ def report_entries(trace: Trace, spectra: dict | None = None,
                    pointwise: PointwiseReport | None = None,
                    rate: RateReport | None = None) -> dict:
     """Assemble the flat report for one solver run."""
-    recs = trace.records
+    cols = trace.columns
     entries: dict[str, object] = {
         "p": trace.problem.p,
         "q": trace.problem.q,
@@ -320,13 +313,13 @@ def report_entries(trace: Trace, spectra: dict | None = None,
         "sigma1": trace.config.sigma1,
         "sigma2": trace.config.sigma2,
         "termination": trace.termination,
-        "iterations": len(recs),
+        "iterations": len(trace.records),
     }
-    if recs:
-        entries["final_feasibility"] = recs[-1].feasibility
-        entries["final_d_inf"] = recs[-1].d_inf
-        entries["final_dist_H"] = recs[-1].dist_H
-        entries["max_identity_error"] = max(r.identity_error for r in recs)
+    if len(trace.records):
+        entries["final_feasibility"] = float(cols["feasibility"][-1])
+        entries["final_d_inf"] = float(cols["d_inf"][-1])
+        entries["final_dist_H"] = float(cols["dist_H"][-1])
+        entries["max_identity_error"] = max(cols["identity_error"].tolist())
     for idx, stats in enumerate(trace.oracle_stats):
         if stats.set != "free":  # one line per constrained block
             block = f"x{idx}" if idx < trace.problem.p else f"y{idx - trace.problem.p}"

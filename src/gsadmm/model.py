@@ -67,7 +67,9 @@ class Quadratic:
         return 0.5 * float(z @ self.P @ z) + float(self.r @ z) + self.t
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
-        return self.P @ z + self.r
+        """P z + r at z, or at each row of a 2-d z (stacked matrix-vector
+        products, so each row has the bits of the 1-d call)."""
+        return np.matmul(self.P, z[..., None])[..., 0] + self.r
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +230,10 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class Iterate:
-    """A full primal-dual point w = (x_1..x_p, y_1..y_q, lambda)."""
+    """A full primal-dual point w = (x_1..x_p, y_1..y_q, lambda).
+
+    An Iterate is a value: its parts are not modified after construction.
+    """
 
     x: tuple[np.ndarray, ...]
     y: tuple[np.ndarray, ...]
@@ -240,7 +245,14 @@ class Iterate:
         object.__setattr__(self, "lam", _as_vector(self.lam))
 
     def stack(self) -> np.ndarray:
-        return np.concatenate([*self.x, *self.y, self.lam])
+        """The stacked vector (x, y, lambda), formed on the first call and
+        returned read-only from then on."""
+        stacked = self.__dict__.get("_stacked")
+        if stacked is None:
+            stacked = np.concatenate([*self.x, *self.y, self.lam])
+            stacked.flags.writeable = False
+            object.__setattr__(self, "_stacked", stacked)
+        return stacked
 
     @staticmethod
     def zeros(problem: BlockProblem) -> "Iterate":

@@ -191,6 +191,16 @@ class StructuralMatrices:
         return float(np.sqrt(max(self.h_norm_sq(v - w), 0.0)))
 
 
+def row_forms(mat: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """v' mat v for each row v of V.
+
+    Stacked (1 x N)(N x N) and (1 x N)(N x 1) products run the same BLAS
+    kernels as the 1-d `float(v @ mat @ v)`, so every value has the same
+    bits; a 2-d GEMM such as `V @ mat` does not.
+    """
+    return (np.matmul(V[:, None, :], mat) @ V[:, :, None])[:, 0, 0]
+
+
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 

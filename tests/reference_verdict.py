@@ -1,0 +1,158 @@
+"""Record-at-a-time reference for the post-hoc checks.
+
+These are the loops `diagnostics` ran over `trace.records` before the checks
+read the trace's columns: one `IterationRecord` at a time, 1-d matrix-vector
+products, the natural residual per point. The column-batched checks must
+reproduce every report field bit for bit (`tests/test_verdict.py`).
+
+`feasibility_decomposition_error` is the test-only identity behind
+acceptance criterion C6.
+"""
+import math
+
+import numpy as np
+
+from gsadmm.diagnostics import (
+    ERROR_BOUND_ABS_FLOOR,
+    ERROR_BOUND_RTOL,
+    MONOTONE_RTOL,
+    XI_BOUND_RTOL,
+    InsufficientTrace,
+    NonergodicReport,
+    PointwiseReport,
+    RateReport,
+    _require_region,
+    theta_hat,
+)
+from gsadmm.model import L1
+from gsadmm.oracles import l1_subgradient, project
+
+
+def error_map_residual(problem, w):
+    """Natural residual e(w, 1) of one point, block by block."""
+    parts = []
+    for blk, z in zip(list(problem.x_blocks) + list(problem.y_blocks), list(w.x) + list(w.y)):
+        t = blk.A.T @ w.lam
+        if isinstance(blk.objective, L1):
+            g = l1_subgradient(blk.objective.weight, z, t)
+        else:
+            g = blk.objective.gradient(z)
+        parts.append(z - project(blk.set, z - (g - t)))
+    parts.append(problem.residual(w.x, w.y))
+    return np.concatenate(parts)
+
+
+def nonergodic_check(mats, trace, w_star):
+    _require_region(mats, "nonergodic check")
+    recs = trace.records
+    if not recs:
+        return NonergodicReport(True, True, 0.0)
+    ms = [r.correction_residual for r in recs]
+    m0 = ms[0]
+    monotone_ok = all(
+        ms[k + 1] <= ms[k] + MONOTONE_RTOL * (1.0 + m0) for k in range(len(ms) - 1)
+    )
+    h0 = mats.h_norm_sq(recs[0].w.stack() - w_star.stack())
+    envelope = max((k + 1) * mk for k, mk in enumerate(ms))
+    xi = mats.xi
+    xi_bound_ok = (
+        math.isfinite(xi)
+        and xi > 0.0
+        and all((k + 1) * xi * mk <= h0 * (1.0 + XI_BOUND_RTOL) for k, mk in enumerate(ms))
+    )
+    return NonergodicReport(monotone_ok, xi_bound_ok, envelope)
+
+
+def pointwise_residual_check(problem, config, trace):
+    th = theta_hat(problem, config)
+    sup_d = 0.0
+    sup_f = 0.0
+    ok = True
+    for k, rec in enumerate(trace.records):
+        dw = rec.w.stack() - rec.w_tilde.stack()
+        ok = ok and rec.d_norm_sq <= th * float(dw @ dw) * (1.0 + ERROR_BOUND_RTOL) + 1e-300
+        sup_d = max(sup_d, (k + 1) * rec.d_norm_sq)
+        sup_f = max(sup_f, (k + 1) * rec.feasibility ** 2)
+    return PointwiseReport(sup_d, sup_f, th, bool(ok))
+
+
+def error_bound_check(problem, mats, trace, constants):
+    _require_region(mats, "projection-residual bound")
+    coef = constants.delta * max(max(constants.mu_tilde), max(constants.nu_tilde), 1.0)
+    coef /= mats.lambda_min_G
+    ok = True
+    worst = 0.0
+    recs = trace.records
+    w_next = [rec.w for rec in recs[1:]] + [trace.w_final]
+    for rec, wn in zip(recs, w_next):
+        left = float(np.sum(error_map_residual(problem, wn) ** 2))
+        wk = rec.w.stack()
+        dw = wk - rec.w_tilde.stack()
+        right = coef * mats.g_norm_sq(dw)
+        bound = right * (1.0 + ERROR_BOUND_RTOL) + ERROR_BOUND_ABS_FLOOR * (1.0 + float(wk @ wk))
+        ok = ok and left <= bound
+        if right > 0.0:
+            worst = max(worst, left / right)
+    return ok, worst
+
+
+def linear_rate_check(mats, trace, w_star, constants):
+    _require_region(mats, "linear rate check")
+    recs = trace.records
+    if len(recs) < 20:
+        raise InsufficientTrace(f"{len(recs)} iterations; need at least 20")
+    problem = trace.problem
+    ner = nonergodic_check(mats, trace, w_star)
+    eb_ok, eb_worst = error_bound_check(problem, mats, trace, constants)
+
+    tol = trace.config.tol
+    t_conv = len(recs) - 1
+    for k, rec in enumerate(recs):
+        if max(rec.d_inf, rec.feasibility_inf) <= 10.0 * tol:
+            t_conv = k
+            break
+    start = t_conv // 2
+    ws = w_star.stack()
+    ks, logs = [], []
+    for k in range(start, t_conv + 1):
+        dh = mats.dist_H(recs[k].w.stack(), ws)
+        if dh > 0.0 and math.isfinite(dh):
+            ks.append(k)
+            logs.append(math.log(dh))
+    if len(ks) < 20:
+        raise InsufficientTrace(
+            f"fit window [{start}, {t_conv}] has {len(ks)} usable points; need at least 20"
+        )
+    slope = float(np.polyfit(np.asarray(ks, dtype=float), np.asarray(logs), 1)[0])
+    r_hat = math.exp(slope)
+    dist0 = mats.dist_H(recs[0].w.stack(), ws)
+    if 0.0 < r_hat < 1.0 and dist0 > 0.0:
+        big_c = 2.0 * dist0 / (1.0 - r_hat)
+        envelope_ok = all(
+            math.exp(lg) <= big_c * r_hat ** k * (1.0 + XI_BOUND_RTOL)
+            for k, lg in zip(ks, logs)
+        )
+    else:
+        envelope_ok = False
+    return RateReport(
+        sublinear_envelope=ner.sublinear_envelope,
+        monotone_ok=ner.monotone_ok,
+        xi_bound_ok=ner.xi_bound_ok,
+        error_bound_ok=eb_ok,
+        error_bound_worst_ratio=eb_worst,
+        linear_ratio_fit=slope,
+        r_hat=r_hat,
+        envelope_ok=envelope_ok,
+        fit_start=ks[0],
+        fit_end=ks[-1],
+    )
+
+
+def feasibility_decomposition_error(problem, config, record):
+    """Relative error of A x~ + B y~ - c = (lambda - lambda~)/beta - sum_j B_j (y_j - y~_j)."""
+    lhs = problem.residual(record.w_tilde.x, record.w_tilde.y)
+    rhs = (record.w.lam - record.w_tilde.lam) / config.beta
+    for blk, yk, yt in zip(problem.y_blocks, record.w.y, record.w_tilde.y):
+        rhs = rhs - blk.A @ (yk - yt)
+    denom = 1.0 + max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
+    return float(np.linalg.norm(lhs - rhs)) / denom

@@ -11,6 +11,7 @@ import gsadmm as g
 from gsadmm import diagnostics, generators, structure
 from gsadmm.model import SolverConfig
 from gridsearch import FAMILIES, brute_force_min, random_query
+from reference_verdict import feasibility_decomposition_error
 
 
 def _gate(name: str, ok: bool, detail: str = ""):
@@ -145,7 +146,7 @@ def test_criterion_06_pointwise_residual_bounds(catalog_runs):
             ok = False
             detail = f"{bundle.name}: theta-hat bound violated"
         for rec in trace.records:
-            err = diagnostics.feasibility_decomposition_error(bundle.problem, cfg, rec)
+            err = feasibility_decomposition_error(bundle.problem, cfg, rec)
             worst_fd = max(worst_fd, err)
             if err > 1e-10:
                 ok = False

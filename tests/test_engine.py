@@ -5,6 +5,7 @@ import gsadmm as g
 from gsadmm import engine
 from gsadmm.model import Block, BlockProblem, Free, Iterate, Quadratic, SolverConfig
 from gridsearch import reference_prox_solve
+from reference_verdict import feasibility_decomposition_error
 
 
 @pytest.fixture()
@@ -141,7 +142,7 @@ def test_group_update_reads_snapshot_only():
 def test_feasibility_decomposition_along_run(qp1_run):
     bundle, cfg, _, trace = qp1_run
     for rec in trace.records:
-        err = g.diagnostics.feasibility_decomposition_error(bundle.problem, cfg, rec)
+        err = feasibility_decomposition_error(bundle.problem, cfg, rec)
         assert err <= 1e-10
 
 

@@ -281,6 +281,27 @@ def test_sweep_bad_input_exits_one_with_one_line(tmp_path, capsys, flags, needle
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["sweep", "--generator", "qp1", "--tau-grid", "-inf", "1", "3"], "--tau-grid: expected 3 arguments"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    (["run", "--generator", "qp1", "--tau"], "--tau: expected one argument"),
+])
+def test_usage_error_exits_one_with_one_line(tmp_path, capsys, monkeypatch, argv, needle):
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.count("\n") == 1 and needle in captured.err, captured.err
+    assert captured.out == ""
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--tau-grid" in capsys.readouterr().out
+
+
 def test_sweep_determinism(tmp_path, sweep_atlas):
     out_prev, lines = sweep_atlas
     out = tmp_path / "again"

@@ -1,6 +1,7 @@
 """Digest of a checkout's solver output, for bit-identity checks between commits.
 
     OPENBLAS_NUM_THREADS=1 python3 tools/trace_digest.py PATH/TO/CHECKOUT > out.txt
+    OPENBLAS_NUM_THREADS=1 python3 tools/trace_digest.py --verdict PATH/TO/CHECKOUT > verdict.txt
 
 imports `gsadmm` from CHECKOUT/src and the benchmark workloads from
 CHECKOUT/bench, and prints one line per case: a SHA-256 prefix over every
@@ -11,13 +12,27 @@ the atlas workload's atlas.csv for seeds 0 and 1; and every `certified`
 line of the atlas (seeds 0, 1), catalog (seeds 0, 1) and box-enum workloads.
 Two checkouts agree bit for bit when their outputs compare equal (`cmp`).
 Takes about a minute.
+
+--verdict prints instead the `repr` of every field of the four post-hoc
+reports (pointwise, nonergodic, error bound, linear rate), or the name of the
+exception a check raised, for: the catalog from the zero start and from a
+SplitMix64 seed-3 start, each forced (2000 iterations) and at tol 1e-10;
+`gen_box_qp(1, 1, [5], [3], 5)` seeds 1-10 at tol 1e-10; and an 11 x 11
+(tau, s) grid on `gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42)` with the
+sweep's settings. It uses only the package's public API, so it runs against
+older checkouts too. Takes one to two minutes.
 """
+import argparse
 import hashlib
 import sys
 import tempfile
 from pathlib import Path
 
-root = Path(sys.argv[1] if len(sys.argv) > 1 else ".").resolve()
+parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+parser.add_argument("--verdict", action="store_true", help="digest the post-hoc reports instead")
+parser.add_argument("checkout", nargs="?", default=".")
+args = parser.parse_args()
+root = Path(args.checkout).resolve()
 sys.path[:0] = [str(root / "src"), str(root / "bench")]
 
 import numpy as np  # noqa: E402
@@ -46,6 +61,61 @@ def solve_line(label, bundle, w0, **overrides) -> str:
     cfg = g.default_config(bundle.problem, **overrides)
     trace = g.solve(bundle.problem, cfg, w0=w0, w_star=bundle.w_star, mats=g.assemble(bundle.problem, cfg))
     return f"{label} {bundle.name} {len(trace.records)} {trace_digest(trace)}"
+
+
+def verdict_lines(label, problem, config, w0, w_star) -> list[str]:
+    """One line per report of the four post-hoc checks on one run."""
+    try:
+        mats = g.assemble(problem, config)
+    except (g.SingularM, np.linalg.LinAlgError) as exc:
+        return [f"{label} {type(exc).__name__}"]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = g.solve(problem, config, w0=w0, w_star=w_star, mats=mats, validate=False)
+    except g.NonFiniteIterate as exc:
+        return [f"{label} {type(exc).__name__}"]
+    constants = g.rate_constants(problem, config)
+    checks = {
+        "pointwise": lambda: g.pointwise_residual_check(problem, config, trace),
+        "nonergodic": lambda: g.nonergodic_check(mats, trace, w_star),
+        "error_bound": lambda: g.diagnostics.error_bound_check(problem, mats, trace, constants),
+        "rate": lambda: g.linear_rate_check(mats, trace, w_star, constants),
+    }
+    out = [f"{label} iters={len(trace.records)} {trace.termination}"]
+    for name, check in checks.items():
+        try:
+            value = check()
+        except (g.RegionNotCertified, g.InsufficientTrace) as exc:
+            value = type(exc).__name__
+        out.append(f"{label} {name} {value!r}")
+    return out
+
+
+def verdict_main():
+    out = []
+    catalog = g.standard_catalog()
+    for start in ("zero", "seed3"):
+        for tol in (-1.0, 1e-10):
+            rng = g.SplitMix64(3)
+            for b in catalog:
+                w0 = None if start == "zero" else Iterate.from_stack(b.problem, rng.normals(b.problem.total_dim))
+                cfg = g.default_config(b.problem, max_iters=2000, tol=tol)
+                out += verdict_lines(f"{start} tol={tol:g} {b.name}", b.problem, cfg, w0, b.w_star)
+    for seed in range(1, 11):
+        try:
+            b = g.gen_box_qp(1, 1, [5], [3], 5, seed=seed)
+        except workloads.GEN_ERRORS as exc:
+            out.append(f"box{seed} {type(exc).__name__}")
+            continue
+        cfg = g.default_config(b.problem, max_iters=2000, tol=1e-10)
+        out += verdict_lines(f"box{seed} {b.name}", b.problem, cfg, None, b.w_star)
+    b = g.gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42)
+    grid = np.linspace(-1.5, 1.5, 11)
+    for tau in grid:
+        for s in grid:
+            cfg = g.default_config(b.problem, tau=float(tau), s=float(s))
+            out += verdict_lines(f"grid tau={tau:.2f} s={s:.2f}", b.problem, cfg, None, b.w_star)
+    print("\n".join(out))
 
 
 def main():
@@ -77,4 +147,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    if args.verdict:
+        verdict_main()
+    else:
+        main()
