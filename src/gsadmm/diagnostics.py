@@ -79,29 +79,26 @@ def _running_max(values: np.ndarray, start: float) -> float:
 # Per-iteration residual vector d
 # ---------------------------------------------------------------------------
 
-def d_components(problem: BlockProblem, config: SolverConfig, w: Iterate,
-                 w_tilde: Iterate) -> list[np.ndarray]:
-    """Blockwise optimality-shift vector of the predicted point.
+def d_components(problem: BlockProblem, config: SolverConfig, delta: np.ndarray) -> list[np.ndarray]:
+    """Blockwise optimality-shift vector of the predicted point w~, from the
+    stacked difference delta = w~ - w.
 
     x components:  beta A_i' ((sigma1 - 1) sum_l A_l dx_l + A_i dx_i)
     y components:  (sigma2 + 1) beta B_j'B_j dy_j - tau B_j' dlam
-    with dx = x~ - x, dy = y~ - y, dlam = lambda~ - lambda.
+    with dx, dy, dlam the block slices of delta; the subtraction is
+    elementwise, so each slice has the bits of its per-block difference.
     """
     beta, sigma1, sigma2, tau = config.beta, config.sigma1, config.sigma2, config.tau
-    ax_deltas = [
-        blk.A @ (xt - xk)
-        for blk, xt, xk in zip(problem.x_blocks, w_tilde.x, w.x)
-    ]
+    slices, p = problem.block_slices, problem.p
+    ax_deltas = [blk.A @ delta[sl] for blk, sl in zip(problem.x_blocks, slices)]
     sx = np.zeros(problem.n)
     for d in ax_deltas:
         sx += d
-    dlam = w_tilde.lam - w.lam
-    parts = []
-    for i, blk in enumerate(problem.x_blocks):
-        parts.append(beta * (blk.A.T @ ((sigma1 - 1.0) * sx + ax_deltas[i])))
-    for j, blk in enumerate(problem.y_blocks):
-        dy = w_tilde.y[j] - w.y[j]
-        parts.append((sigma2 + 1.0) * beta * (blk.A.T @ (blk.A @ dy)) - tau * (blk.A.T @ dlam))
+    dlam = delta[delta.shape[0] - problem.n:]
+    shared = (sigma1 - 1.0) * sx
+    parts = [beta * (blk.AT @ (shared + a_d)) for blk, a_d in zip(problem.x_blocks, ax_deltas)]
+    for blk, sl in zip(problem.y_blocks, slices[p:]):
+        parts.append((sigma2 + 1.0) * beta * (blk.AT @ (blk.A @ delta[sl])) - tau * (blk.AT @ dlam))
     return parts
 
 
@@ -151,10 +148,8 @@ def error_map_rows(problem: BlockProblem, W: np.ndarray, subgradient_selection=N
     lam = np.ascontiguousarray(W[:, W.shape[1] - problem.n:])
     parts = []
     group_sums = [np.zeros((len(W), problem.n)), np.zeros((len(W), problem.n))]  # A x, B y
-    off = 0
-    for idx, blk in enumerate(problem.x_blocks + problem.y_blocks):
-        z = np.ascontiguousarray(W[:, off:off + blk.dim])
-        off += blk.dim
+    for idx, (blk, sl) in enumerate(zip(problem.x_blocks + problem.y_blocks, problem.block_slices)):
+        z = np.ascontiguousarray(W[:, sl])
         t = _rows_matvec(blk.A.T, lam)
         if subgradient_selection is not None:
             g = subgradient_selection[idx]
@@ -215,12 +210,17 @@ class PointwiseReport:
 
 def pointwise_residual_check(problem: BlockProblem, config: SolverConfig,
                              trace: "Trace") -> PointwiseReport:
-    """Verify ||d_t||^2 <= theta_hat ||w_t - w~_t||^2 and collect the scaled sups."""
+    """Verify ||d_t||^2 <= theta_hat ||w_t - w~_t||^2 and collect the scaled sups.
+
+    A non-finite side fails the check: a diverging run overflows ||d_t||^2 or
+    the bound to inf while its iterates stay finite, and inf <= inf holds.
+    """
     th = theta_hat(problem, config)
     cols = trace.columns
     d_sq = cols["d_norm_sq"]
     dw = trace.iterates[:-1] - trace.predictions
-    ok = bool(np.all(d_sq <= th * _rows_dot(dw) * (1.0 + ERROR_BOUND_RTOL) + 1e-300))
+    bound = th * _rows_dot(dw) * (1.0 + ERROR_BOUND_RTOL) + 1e-300
+    ok = bool(np.all(np.isfinite(d_sq) & np.isfinite(bound) & (d_sq <= bound)))
     steps = np.arange(1.0, len(d_sq) + 1.0)  # k + 1
     # Python's float ** 2 (C pow) and numpy's square differ in the last bit
     # on about 1 value in 1000, so the squares are taken one by one

@@ -3,8 +3,8 @@
 One iteration runs a Jacobian sweep over the x group, a half dual update with
 stepsize tau, a Jacobian sweep over the y group against the half-updated
 multiplier, and a full dual update with stepsize s. Both sweeps are one
-`group_sweep`; `step` forms each group product A x_k, B y_k, A x+, B y+ once
-and derives every other vector from them:
+`group_sweep`; every other vector is derived from the group products A x_k,
+B y_k, A x+, B y+:
 
     x_i+ = argmin_{x_i in X_i} L_beta(x_1..x_i..x_p, y, lambda)
            + (sigma1 beta/2) ||A_i (x_i - x_i_k)||^2          (i = 1..p)
@@ -15,23 +15,26 @@ and derives every other vector from them:
     r_new = A x+ + B y+ - c
     lambda+ = lambda_half - s beta r_new
 
-The predicted point w~ = (x+, y+, lambda~) is an `Iterate` like w. Each step
-verifies online that the computed step equals the linear correction
-w_k - M (w_k - w~_k), which cross-validates the engine against the
-structural matrices every iteration; r_new is also the feasibility residual
-of w~.
+The predicted point is w~ = (x+, y+, lambda~). Each iteration verifies online
+that the computed step equals the linear correction w_k - M (w_k - w~_k),
+which cross-validates the engine against the structural matrices every
+iteration; r_new is also the feasibility residual of w~.
 
-`solve` builds one oracle kernel per block before the first iteration (the
-penalty rho of each group is fixed under one config) and passes them to
-every step. It carries ||w_{k+1} - w*||_H^2 from one step into the next, so
-each step forms three H/G quadratic forms. The trace it returns is columnar:
-the iterates and predictions as row arrays and one array per record scalar;
-`Trace.records` builds each `IterationRecord` on access from them.
+`solve` iterates on stacked vectors. Before the first iteration it builds a
+`Plan` of everything that stays fixed over the solve: one oracle kernel per
+block (the penalty rho of each group is fixed under one config), the
+structural matrices, the stacked reference point and the config's scalars.
+`advance` is one iteration. It forms A x+ and B y+ once each and carries
+them into the next iteration as its A x_k and B y_k, and carries
+||w_{k+1} - w*||_H^2 the same way, so an iteration forms each group product
+once and three H/G quadratic forms. It writes w_{k+1} and w~_k each once, as
+a row of the trace, and its record scalars into the trace's columns.
+`Iterate`s and `IterationRecord`s are built only at the API edge: `step`
+wraps one `advance`, and `Trace.records` builds each record on access.
 """
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
@@ -76,7 +79,6 @@ class IterationRecord:
 
 # The scalar fields of a record, in order; each is one column of a Trace.
 RECORD_SCALARS = tuple(f.name for f in fields(IterationRecord) if f.name not in ("k", "w", "w_tilde"))
-_record_scalars = operator.attrgetter(*RECORD_SCALARS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +148,78 @@ def group_sweep(blocks, kernels, zs, own_sum, base, sigma):
     return out
 
 
+class Plan:
+    """What every iteration of one solve reads and none changes: the problem,
+    the config and its scalars, the oracle kernels, the structural matrices
+    and the stacked reference point (None without one)."""
+
+    def __init__(self, problem: BlockProblem, config: SolverConfig,
+                 mats: structure.StructuralMatrices, w_star: Iterate | None, kernels):
+        self.problem, self.config, self.mats, self.kernels = problem, config, mats, kernels
+        # tau beta and s beta, grouped as the dual updates evaluate them
+        self.tau_beta, self.s_beta = config.tau * config.beta, config.s * config.beta
+        self.in_D = mats.in_D
+        self.ws = None if w_star is None else w_star.stack()
+
+    def start(self, w: Iterate, row: np.ndarray, dist_sq: float | None = None) -> tuple:
+        """The state `advance` reads for the point w, whose stack is written
+        into row: (x blocks, y blocks, lambda, stacked w, A x, B y,
+        ||w - w*||_H^2 or None to have it computed)."""
+        problem = self.problem
+        return (w.x, w.y, w.lam, np.concatenate((*w.x, *w.y, w.lam), out=row),
+                problem.apply_A(w.x), problem.apply_B(w.y), dist_sq)
+
+
+def advance(plan: Plan, state: tuple, k: int, w_next: np.ndarray, w_tilde: np.ndarray,
+            scalars: np.ndarray):
+    """Iteration k from `state` (see `Plan.start`).
+
+    Writes w_{k+1} into the row w_next, w~_k into the row w_tilde, and the
+    record's scalars (RECORD_SCALARS, then the residual) into scalars.
+    Returns the state of w_{k+1} and the residual max(d_inf, feasibility_inf).
+    """
+    xs, ys, lam, wk, ax, by, dist_sq = state
+    problem, config, c = plan.problem, plan.config, plan.problem.c
+    beta = config.beta
+    x_new = group_sweep(problem.x_blocks, plan.kernels[0], xs, ax, c - by + lam / beta, config.sigma1)
+    ax_new = problem.apply_A(x_new)
+    r_half = ax_new + by - c
+    lambda_half = lam - plan.tau_beta * r_half
+    y_new = group_sweep(problem.y_blocks, plan.kernels[1], ys, by, c - ax_new + lambda_half / beta, config.sigma2)
+    by_new = problem.apply_B(y_new)
+    r_new = ax_new + by_new - c
+    lam_new = lambda_half - plan.s_beta * r_new
+    wn = np.concatenate((*x_new, *y_new, lam_new), out=w_next)
+    wt = np.concatenate((*x_new, *y_new, lam - beta * r_half), out=w_tilde)
+    if not np.isfinite(wn).all():
+        raise NonFiniteIterate(f"non-finite iterate at iteration {k}")
+
+    mats = plan.mats
+    dw = wk - wt
+    mdw = mats.apply_M(dw)
+    correction_residual = mats.h_norm_sq(mdw)
+    gap = wn - (wk - mdw)
+    d_stack = np.concatenate(d_components(problem, config, wt - wk))
+    d_inf = float(np.abs(d_stack).max(initial=0.0))
+
+    dist_h = next_dist_sq = slack = float("nan")
+    ws = plan.ws
+    if ws is not None:
+        if dist_sq is None:
+            dist_sq = mats.h_norm_sq(wk - ws)
+        next_dist_sq = mats.h_norm_sq(wn - ws)
+        dist_h = math.sqrt(max(dist_sq, 0.0))
+        if plan.in_D:
+            slack = dist_sq - next_dist_sq - mats.g_norm_sq(dw)
+
+    feasibility_inf = float(np.abs(r_new).max(initial=0.0))
+    residual = max(d_inf, feasibility_inf)
+    scalars[:] = (math.sqrt(r_new @ r_new), feasibility_inf, correction_residual,
+                  float(d_stack @ d_stack), d_inf, math.sqrt(gap @ gap),
+                  dist_h, next_dist_sq, slack, residual)
+    return (x_new, y_new, lam_new, wn, ax_new, by_new, next_dist_sq), residual
+
+
 def step(problem: BlockProblem, config: SolverConfig, state: Iterate,
          mats: structure.StructuralMatrices | None = None,
          w_star: Iterate | None = None, k: int = 0, kernels=None,
@@ -153,64 +227,19 @@ def step(problem: BlockProblem, config: SolverConfig, state: Iterate,
     """One full iteration; returns (next iterate, record with identity checks).
 
     `kernels` is the pair from `block_kernels`; built here when omitted.
-    `dist_sq` is ||w_k - w*||_H^2 when the caller already has it (`solve`
-    passes the previous record's `next_dist_sq`); computed here when omitted.
+    `dist_sq` is ||w_k - w*||_H^2 when the caller already has it (the
+    previous record's `next_dist_sq`); computed here when omitted.
     """
     if mats is None:
         mats = structure.assemble(problem, config)
     if kernels is None:
         kernels = block_kernels(problem, config)
-    beta, c = config.beta, problem.c
-
-    ax = problem.apply_A(state.x)
-    by = problem.apply_B(state.y)
-    x_new = group_sweep(problem.x_blocks, kernels[0], state.x, ax,
-                        c - by + state.lam / beta, config.sigma1)
-    ax_new = problem.apply_A(x_new)
-    r_half = ax_new + by - c
-    lambda_half = state.lam - config.tau * beta * r_half
-    y_new = group_sweep(problem.y_blocks, kernels[1], state.y, by,
-                        c - ax_new + lambda_half / beta, config.sigma2)
-    r_new = ax_new + problem.apply_B(y_new) - c
-    nxt = Iterate(x_new, y_new, lambda_half - config.s * beta * r_new)
-    pred = Iterate(nxt.x, nxt.y, state.lam - beta * r_half)
-
-    wk = state.stack()
-    wt = pred.stack()
-    wn = nxt.stack()
-    if not np.all(np.isfinite(wn)):
-        raise NonFiniteIterate(f"non-finite iterate at iteration {k}")
-
-    dw = wk - wt
-    mdw = mats.apply_M(dw)
-    correction_residual = mats.h_norm_sq(mdw)
-    gap = wn - (wk - mdw)
-    identity_error = math.sqrt(gap @ gap)
-
-    d_stack = np.concatenate(d_components(problem, config, state, pred))
-    d_norm_sq = float(d_stack @ d_stack)
-    d_inf = float(np.abs(d_stack).max(initial=0.0))
-
-    dist_h = next_dist_sq = slack = float("nan")
-    if w_star is not None:
-        ws = w_star.stack()
-        if dist_sq is None:
-            dist_sq = mats.h_norm_sq(wk - ws)
-        next_dist_sq = mats.h_norm_sq(wn - ws)
-        dist_h = float(np.sqrt(max(dist_sq, 0.0)))
-        if mats.in_D:
-            slack = dist_sq - next_dist_sq - mats.g_norm_sq(dw)
-
-    record = IterationRecord(
-        k=k, w=state, w_tilde=pred,
-        feasibility=math.sqrt(r_new @ r_new),
-        feasibility_inf=float(np.abs(r_new).max(initial=0.0)),
-        correction_residual=correction_residual,
-        d_norm_sq=d_norm_sq, d_inf=d_inf,
-        identity_error=identity_error,
-        dist_H=dist_h, next_dist_sq=next_dist_sq, contraction_slack=slack,
-    )
-    return nxt, record
+    plan = Plan(problem, config, mats, w_star, kernels)
+    rows = np.empty((3, problem.total_dim))  # w_k, w_{k+1}, w~_k
+    scalars = np.empty(len(RECORD_SCALARS) + 1)
+    nxt, _ = advance(plan, plan.start(state, rows[0], dist_sq), k, rows[1], rows[2], scalars)
+    pred = Iterate.from_stack(problem, rows[2])
+    return Iterate(*nxt[:3]), IterationRecord(k, state, pred, *scalars[:-1].tolist())
 
 
 def initial_point(problem: BlockProblem, w0: Iterate | None = None) -> Iterate:
@@ -220,6 +249,12 @@ def initial_point(problem: BlockProblem, w0: Iterate | None = None) -> Iterate:
     xs = tuple(project(blk.set, xi) for blk, xi in zip(problem.x_blocks, w0.x))
     ys = tuple(project(blk.set, yj) for blk, yj in zip(problem.y_blocks, w0.y))
     return Iterate(xs, ys, w0.lam)
+
+
+def _grown(rows: np.ndarray, count: int) -> np.ndarray:
+    out = np.empty((count,) + rows.shape[1:])
+    out[:len(rows)] = rows
+    return out
 
 
 def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None,
@@ -242,27 +277,31 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
             raise ValueError("invalid config: " + "; ".join(report.violations))
     if mats is None:
         mats = structure.assemble(problem, config)
-    state = initial_point(problem, w0)
     kernels = block_kernels(problem, config)
-    rows, tilde_rows, scalars = [state.stack()], [], []
-    dist_sq = None
-    termination = ITERATION_CAP
+    plan = Plan(problem, config, mats, w_star, kernels)
+    # row buffers, doubled when full: w_0 .. w_K, w~_0 .. w~_{K-1}, scalars
+    cap = min(config.max_iters, 1024)
+    iterates = np.empty((cap + 1, problem.total_dim))
+    predictions = np.empty((cap, problem.total_dim))
+    scalars = np.empty((cap, len(RECORD_SCALARS) + 1))
+    state = plan.start(initial_point(problem, w0), iterates[0])
+    termination, count = ITERATION_CAP, 0
     for k in range(config.max_iters):
-        state, record = step(problem, config, state, mats=mats, w_star=w_star, k=k, kernels=kernels,
-                             dist_sq=dist_sq)
-        dist_sq = record.next_dist_sq
-        residual = max(record.d_inf, record.feasibility_inf)
-        rows.append(state.stack())
-        tilde_rows.append(record.w_tilde.stack())
-        scalars.append((*_record_scalars(record), residual))
+        if k == cap:
+            cap *= 2
+            iterates, predictions, scalars = (
+                _grown(iterates, cap + 1), _grown(predictions, cap), _grown(scalars, cap))
+        state, residual = advance(plan, state, k, iterates[k + 1], predictions[k], scalars[k])
+        count = k + 1
         if residual <= config.tol:
             termination = CONVERGED
             break
-    table = np.array(scalars, dtype=float).reshape(-1, len(RECORD_SCALARS) + 1).T.copy()
-    arrays = (np.array(rows), np.array(tilde_rows).reshape(-1, problem.total_dim), table)
+    table = scalars[:count].T.copy()
+    arrays = (iterates[:count + 1].copy(), predictions[:count].copy(), table)
     for arr in arrays:
         arr.flags.writeable = False
-    return Trace(problem=problem, config=config, termination=termination, w_final=state,
+    return Trace(problem=problem, config=config, termination=termination,
+                 w_final=Iterate(*state[:3]),
                  oracle_stats=tuple(kernel.stats for group in kernels for kernel in group),
                  iterates=arrays[0], predictions=arrays[1],
                  columns=dict(zip(RECORD_SCALARS + ("residual",), table)))

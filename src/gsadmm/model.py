@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -152,6 +153,11 @@ class Block:
     def dim(self) -> int:
         return self.A.shape[1]
 
+    @cached_property
+    def AT(self) -> np.ndarray:
+        """The transpose of A, a view formed once."""
+        return self.A.T
+
 
 @dataclass(frozen=True, eq=False)
 class BlockProblem:
@@ -178,15 +184,26 @@ class BlockProblem:
     def n(self) -> int:
         return self.c.shape[0]
 
-    @property
+    # The block layout of w = (x_1..x_p, y_1..y_q, lambda), computed once:
+    # the blocks and their coupling matrices do not change after construction.
+    @cached_property
     def x_dims(self) -> tuple[int, ...]:
         return tuple(b.dim for b in self.x_blocks)
 
-    @property
+    @cached_property
     def y_dims(self) -> tuple[int, ...]:
         return tuple(b.dim for b in self.y_blocks)
 
-    @property
+    @cached_property
+    def block_slices(self) -> tuple[slice, ...]:
+        """The slice of each x block, then each y block, in the stacked w."""
+        out, off = [], 0
+        for d in self.x_dims + self.y_dims:
+            out.append(slice(off, off + d))
+            off += d
+        return tuple(out)
+
+    @cached_property
     def total_dim(self) -> int:
         """Stacked dimension of w = (x, y, lambda)."""
         return sum(self.x_dims) + sum(self.y_dims) + self.n
@@ -264,18 +281,12 @@ class Iterate:
 
     @staticmethod
     def from_stack(problem: BlockProblem, v: np.ndarray) -> "Iterate":
+        """The Iterate whose parts are views of the stacked vector v."""
         v = _as_vector(v)
         if v.shape[0] != problem.total_dim:
             raise ValueError("stacked vector has wrong length")
-        xs, ys = [], []
-        off = 0
-        for d in problem.x_dims:
-            xs.append(v[off:off + d])
-            off += d
-        for d in problem.y_dims:
-            ys.append(v[off:off + d])
-            off += d
-        return Iterate(tuple(xs), tuple(ys), v[off:])
+        parts = [v[sl] for sl in problem.block_slices]
+        return Iterate(tuple(parts[:problem.p]), tuple(parts[problem.p:]), v[v.shape[0] - problem.n:])
 
 
 @dataclass

@@ -301,6 +301,8 @@ class ProxKernel:
             return
         if not isinstance(objective, (Quadratic, Linear)):
             raise UnsupportedCombination(f"unknown objective variant {type(objective).__name__}")
+        # the per-call constants of the linear term r - rho A'u
+        self._AT, self._neg_rho, self._r = self.A.T, -self.rho, objective.r
         self._Heff = self.rho * (self.A.T @ self.A)
         if isinstance(objective, Quadratic):
             self._Heff = self._Heff + objective.P
@@ -324,11 +326,11 @@ class ProxKernel:
 
     def _geff(self, u: np.ndarray) -> np.ndarray:
         """Linear term of the reduced quadratic: r - rho A'u."""
-        return -self.rho * (self.A.T @ u) + self.objective.r
+        return self._neg_rho * (self._AT @ u) + self._r
 
     def _solve_free(self, u: np.ndarray) -> np.ndarray:
         try:
-            return np.linalg.solve(self._Heff, -self._geff(u))
+            return np.linalg.solve(self._Heff, -(self._neg_rho * (self._AT @ u) + self._r))
         except np.linalg.LinAlgError as exc:
             raise Unbounded("singular proximal system; coupling matrix rank deficient") from exc
 

@@ -70,7 +70,8 @@ def pointwise_residual_check(problem, config, trace):
     ok = True
     for k, rec in enumerate(trace.records):
         dw = rec.w.stack() - rec.w_tilde.stack()
-        ok = ok and rec.d_norm_sq <= th * float(dw @ dw) * (1.0 + ERROR_BOUND_RTOL) + 1e-300
+        bound = th * float(dw @ dw) * (1.0 + ERROR_BOUND_RTOL) + 1e-300
+        ok = ok and math.isfinite(rec.d_norm_sq) and math.isfinite(bound) and rec.d_norm_sq <= bound
         sup_d = max(sup_d, (k + 1) * rec.d_norm_sq)
         sup_f = max(sup_f, (k + 1) * rec.feasibility ** 2)
     return PointwiseReport(sup_d, sup_f, th, bool(ok))

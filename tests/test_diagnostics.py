@@ -13,7 +13,7 @@ from gsadmm.model import Block, BlockProblem, Free, Iterate, L1, Quadratic, Solv
 def test_d_vector_first_step_hand_values(qp1_run):
     bundle, cfg, _, trace = qp1_run
     rec = trace.records[0]
-    d = np.concatenate(diagnostics.d_components(bundle.problem, cfg, rec.w, rec.w_tilde))
+    d = np.concatenate(diagnostics.d_components(bundle.problem, cfg, rec.w_tilde.stack() - rec.w.stack()))
     assert d[0] == pytest.approx(1.0 / 7.0, abs=1e-15)
     assert d[1] == pytest.approx(1.5 * 13.0 / 49.0 - 0.3 * 5.0 / 7.0, abs=1e-15)
     assert trace.records[0].d_norm_sq == pytest.approx(float(d @ d), rel=1e-14)
@@ -23,7 +23,7 @@ def test_d_vector_zero_when_prediction_equals_state(qp1_bundle):
     problem = qp1_bundle.problem
     cfg = g.default_config(problem)
     w = Iterate((np.array([0.4]),), (np.array([0.6]),), np.array([2.0]))
-    parts = diagnostics.d_components(problem, cfg, w, w)
+    parts = diagnostics.d_components(problem, cfg, w.stack() - w.stack())
     assert all(np.allclose(part, 0.0, atol=1e-16) for part in parts)
 
 
@@ -33,7 +33,7 @@ def test_d_block_optimality_residual_along_run(qp1_run):
     bundle, cfg, _, trace = qp1_run
     problem = bundle.problem
     for rec in trace.records[:50]:
-        parts = diagnostics.d_components(problem, cfg, rec.w, rec.w_tilde)
+        parts = diagnostics.d_components(problem, cfg, rec.w_tilde.stack() - rec.w.stack())
         for i, blk in enumerate(problem.x_blocks):
             xt = rec.w_tilde.x[i]
             shift = blk.objective.gradient(xt) - blk.A.T @ rec.w_tilde.lam + parts[i]

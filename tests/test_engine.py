@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,94 @@ def test_step_forms_each_group_product_twice(qp1, monkeypatch):
         monkeypatch.setattr(BlockProblem, name, counted)
     engine.step(problem, cfg, Iterate.zeros(problem), mats=mats, w_star=w_star, kernels=kernels)
     assert calls == {"apply_A": 2, "apply_B": 2}
+
+
+def _count_group_products(monkeypatch) -> dict:
+    calls = {"apply_A": 0, "apply_B": 0}
+    for name in calls:
+        original = getattr(BlockProblem, name)
+
+        def counted(self, zs, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, zs)
+        monkeypatch.setattr(BlockProblem, name, counted)
+    return calls
+
+
+def test_solve_forms_each_group_product_once_per_iteration(qp1, monkeypatch):
+    # A x_k and B y_k are carried from the previous iteration's A x+ and B y+;
+    # only the start point's products are formed before the first iteration
+    problem, _, w_star = qp1
+    cfg = g.default_config(problem, max_iters=7, tol=-1.0)
+    mats = g.assemble(problem, cfg)
+    calls = _count_group_products(monkeypatch)
+    trace = g.solve(problem, cfg, w_star=w_star, mats=mats)
+    assert len(trace.records) == 7
+    assert calls == {"apply_A": 8, "apply_B": 8}
+
+
+# ---------------------------------------------------------------------------
+# solve against repeated public steps
+# ---------------------------------------------------------------------------
+
+def _stepped(problem, cfg, w_star, mats):
+    """The solve loop written with the public `step`: final iterate, records
+    and the oracle kernels they shared."""
+    kernels = engine.block_kernels(problem, cfg)
+    state, records, dist_sq = engine.initial_point(problem), [], None
+    for k in range(cfg.max_iters):
+        state, rec = engine.step(problem, cfg, state, mats=mats, w_star=w_star, k=k, kernels=kernels,
+                                 dist_sq=dist_sq)
+        dist_sq = rec.next_dist_sq
+        records.append(rec)
+        if max(rec.d_inf, rec.feasibility_inf) <= cfg.tol:
+            break
+    return state, records, kernels
+
+
+STEPPED_CASES = {
+    "qp1": ("qp1", {}),
+    "l1": ("l1-p1q2n2-s5", {"max_iters": 300, "tol": -1.0}),
+    "boxqp": ("boxqp-p2q1n3-s13", {"max_iters": 300, "tol": 1e-10}),
+    "outside-D": ("qp1", {"tau": 1.5, "s": 0.3, "region_policy": "G", "max_iters": 300}),
+}
+
+
+@pytest.mark.parametrize("case", STEPPED_CASES)
+def test_solve_bit_identical_to_repeated_steps(case, catalog):
+    name, overrides = STEPPED_CASES[case]
+    bundle = next(b for b in catalog if b.name == name)
+    problem, w_star = bundle.problem, bundle.w_star
+    cfg = g.default_config(problem, **overrides)
+    mats = g.assemble(problem, cfg)
+    trace = g.solve(problem, cfg, w_star=w_star, mats=mats)
+    final, records, kernels = _stepped(problem, cfg, w_star, mats)
+    assert len(records) == len(trace.predictions) > 0
+    assert (trace.termination == engine.CONVERGED) == (len(records) < cfg.max_iters)
+    for k, rec in enumerate(records):
+        assert rec.w.stack().tobytes() == trace.iterates[k].tobytes(), k
+        assert rec.w_tilde.stack().tobytes() == trace.predictions[k].tobytes(), k
+        for col in engine.RECORD_SCALARS:
+            assert np.float64(getattr(rec, col)).tobytes() == trace.columns[col][k].tobytes(), (col, k)
+        residual = max(rec.d_inf, rec.feasibility_inf)
+        assert np.float64(residual).tobytes() == trace.columns["residual"][k].tobytes(), k
+    assert final.stack().tobytes() == trace.w_final.stack().tobytes() == trace.iterates[-1].tobytes()
+    stepped_stats = [dataclasses.astuple(kernel.stats) for group in kernels for kernel in group]
+    assert stepped_stats == [dataclasses.astuple(stats) for stats in trace.oracle_stats]
+
+
+def test_diverging_solve_and_steps_raise_at_same_iteration(qp1):
+    problem, _, w_star = qp1
+    cfg = SolverConfig(tau=-0.5, s=-0.3, sigma1=0.5, sigma2=0.5, max_iters=5000, tol=-1.0)
+    mats = g.assemble(problem, cfg)
+    errors = []
+    with np.errstate(all="ignore"):
+        for run in (lambda: g.solve(problem, cfg, w_star=w_star, mats=mats, validate=False),
+                    lambda: _stepped(problem, cfg, w_star, mats)):
+            with pytest.raises(engine.NonFiniteIterate) as exc:
+                run()
+            errors.append(str(exc.value))
+    assert errors[0] == errors[1] and errors[0].startswith("non-finite iterate at iteration ")
 
 
 # ---------------------------------------------------------------------------

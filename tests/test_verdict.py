@@ -125,3 +125,26 @@ def test_outside_triangle_still_raises(qp1_bundle):
         with pytest.raises(g.RegionNotCertified):
             check(mats, trace, w_star, constants)
     _assert_same(g.pointwise_residual_check(problem, cfg, trace), ref.pointwise_residual_check(problem, cfg, trace))
+
+
+@pytest.mark.parametrize("tau_idx, s_idx, side", [(0, 0, "d"), (2, 4, "bound")])
+def test_pointwise_check_fails_diverging_run(tau_idx, s_idx, side):
+    # outside both stepsize regions the iterates grow while staying finite
+    # for all 500 iterations; ||d||^2 (at (-1.5, -1.5), first at k = 264) or
+    # the bound theta_hat ||w - w~||^2 (at (-0.9, -0.3)) overflows to inf,
+    # and inf <= inf must not pass
+    grid = np.linspace(-1.5, 1.5, 11)
+    bundle = g.gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42)
+    problem = bundle.problem
+    cfg = g.default_config(problem, tau=float(grid[tau_idx]), s=float(grid[s_idx]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = g.solve(problem, cfg, validate=False)
+        report = g.pointwise_residual_check(problem, cfg, trace)
+        _assert_same(report, ref.pointwise_residual_check(problem, cfg, trace))
+    assert len(trace.records) == 500 and np.all(np.isfinite(trace.iterates))
+    d_sq = trace.columns["d_norm_sq"]
+    if side == "d":
+        assert int(np.flatnonzero(~np.isfinite(d_sq))[0]) == 264
+    else:
+        assert np.all(np.isfinite(d_sq))
+    assert report.theta_hat_ok is False

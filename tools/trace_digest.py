@@ -5,7 +5,8 @@
 
 imports `gsadmm` from CHECKOUT/src and the benchmark workloads from
 CHECKOUT/bench, and prints one line per case: a SHA-256 prefix over every
-record's `w`, `w~` and scalars plus `w_final` for the 13 catalog instances
+record's `w`, `w~` and scalars plus `w_final`, followed by each block's oracle
+counters (calls, patterns, rechecks, loose), for the 13 catalog instances
 (2000 forced iterations, from zero and from a SplitMix64 seed-3 start) and
 for `gen_box_qp(1, 1, [5], [3], 5)` seeds 1-3 at tol 1e-10; the digest of
 the atlas workload's atlas.csv for seeds 0 and 1; and every `certified`
@@ -19,8 +20,9 @@ exception a check raised, for: the catalog from the zero start and from a
 SplitMix64 seed-3 start, each forced (2000 iterations) and at tol 1e-10;
 `gen_box_qp(1, 1, [5], [3], 5)` seeds 1-10 at tol 1e-10; and an 11 x 11
 (tau, s) grid on `gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42)` with the
-sweep's settings. It uses only the package's public API, so it runs against
-older checkouts too. Takes one to two minutes.
+sweep's settings; each run's first line also carries its oracle counters. It
+uses only the package's public API, so it runs against older checkouts too.
+Takes one to two minutes.
 """
 import argparse
 import hashlib
@@ -57,10 +59,15 @@ def trace_digest(trace) -> str:
     return h.hexdigest()[:16]
 
 
+def oracle_counters(trace) -> str:
+    """Each block's oracle counters, x blocks then y blocks."""
+    return "oracle=" + ";".join(f"{s.calls},{s.patterns},{s.rechecks},{s.loose}" for s in trace.oracle_stats)
+
+
 def solve_line(label, bundle, w0, **overrides) -> str:
     cfg = g.default_config(bundle.problem, **overrides)
     trace = g.solve(bundle.problem, cfg, w0=w0, w_star=bundle.w_star, mats=g.assemble(bundle.problem, cfg))
-    return f"{label} {bundle.name} {len(trace.records)} {trace_digest(trace)}"
+    return f"{label} {bundle.name} {len(trace.records)} {trace_digest(trace)} {oracle_counters(trace)}"
 
 
 def verdict_lines(label, problem, config, w0, w_star) -> list[str]:
@@ -81,7 +88,7 @@ def verdict_lines(label, problem, config, w0, w_star) -> list[str]:
         "error_bound": lambda: g.diagnostics.error_bound_check(problem, mats, trace, constants),
         "rate": lambda: g.linear_rate_check(mats, trace, w_star, constants),
     }
-    out = [f"{label} iters={len(trace.records)} {trace.termination}"]
+    out = [f"{label} iters={len(trace.records)} {trace.termination} {oracle_counters(trace)}"]
     for name, check in checks.items():
         try:
             value = check()
