@@ -63,7 +63,6 @@ from .model import (
     validate_problem,
 )
 from .oracles import (
-    ProxQuery,
     Unbounded,
     UnsupportedCombination,
     project,

@@ -124,36 +124,31 @@ def theta_hat(problem: BlockProblem, config: SolverConfig) -> float:
 # Natural residual (projection-based error map)
 # ---------------------------------------------------------------------------
 
-def error_map_residual(problem: BlockProblem, w: Iterate, subgradient_selection=None) -> np.ndarray:
+def error_map_residual(problem: BlockProblem, w: Iterate) -> np.ndarray:
     """Stacked natural residual e(w, 1) of one point; zero exactly at solution points.
 
     The row-batched `error_map_rows` of the single stacked point.
     """
-    return error_map_rows(problem, w.stack()[None, :], subgradient_selection)[0]
+    return error_map_rows(problem, w.stack()[None, :])[0]
 
 
-def error_map_rows(problem: BlockProblem, W: np.ndarray, subgradient_selection=None) -> np.ndarray:
+def error_map_rows(problem: BlockProblem, W: np.ndarray) -> np.ndarray:
     """Natural residual e(w, 1) of each row w of W (stacked points), shape (rows, N).
 
     Primal components are z - P_S[z - (g - A'lambda)] with g one subgradient
     element; the dual component is the constraint residual. For l1 blocks the
-    default selection minimizes each residual component over the
-    subdifferential interval, which is closed form because the projection and
-    the interval are both componentwise: at a zero component the minimizer is
-    clip(A'lambda, -weight, weight). A `subgradient_selection` gives one
-    subgradient per block, used for every row.
+    selection minimizes each residual component over the subdifferential
+    interval, which is closed form because the projection and the interval
+    are both componentwise: at a zero component the minimizer is
+    clip(A'lambda, -weight, weight).
     """
-    if subgradient_selection is not None:
-        subgradient_selection = [np.asarray(g, dtype=float) for g in subgradient_selection]
     lam = np.ascontiguousarray(W[:, W.shape[1] - problem.n:])
     parts = []
     group_sums = [np.zeros((len(W), problem.n)), np.zeros((len(W), problem.n))]  # A x, B y
     for idx, (blk, sl) in enumerate(zip(problem.x_blocks + problem.y_blocks, problem.block_slices)):
         z = np.ascontiguousarray(W[:, sl])
         t = _rows_matvec(blk.A.T, lam)
-        if subgradient_selection is not None:
-            g = subgradient_selection[idx]
-        elif isinstance(blk.objective, L1):
+        if isinstance(blk.objective, L1):
             g = l1_subgradient(blk.objective.weight, z, t)
         else:
             g = blk.objective.gradient(z)

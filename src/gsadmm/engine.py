@@ -196,7 +196,7 @@ def advance(plan: Plan, state: tuple, k: int, w_next: np.ndarray, w_tilde: np.nd
 
     mats = plan.mats
     dw = wk - wt
-    mdw = mats.apply_M(dw)
+    mdw = mats.M @ dw
     correction_residual = mats.h_norm_sq(mdw)
     gap = wn - (wk - mdw)
     d_stack = np.concatenate(d_components(problem, config, wt - wk))

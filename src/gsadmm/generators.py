@@ -162,17 +162,14 @@ def default_config(problem: BlockProblem, **overrides) -> SolverConfig:
 # ---------------------------------------------------------------------------
 
 def _stack_dims(problem: BlockProblem) -> tuple[np.ndarray, np.ndarray]:
-    """(blockdiag of quadratic Hessians, horizontally stacked couplings)."""
-    blocks = list(problem.x_blocks) + list(problem.y_blocks)
-    total = sum(b.dim for b in blocks)
+    """(blockdiag of quadratic Hessians, stacked linear terms) over (x, y)."""
+    total = problem.total_dim - problem.n
     P = np.zeros((total, total))
     r = np.zeros(total)
-    off = 0
-    for b in blocks:
+    for b, sl in zip(problem.x_blocks + problem.y_blocks, problem.block_slices):
         if isinstance(b.objective, Quadratic):
-            P[off:off + b.dim, off:off + b.dim] = b.objective.P
-            r[off:off + b.dim] = b.objective.r
-        off += b.dim
+            P[sl, sl] = b.objective.P
+            r[sl] = b.objective.r
     return P, r
 
 
@@ -190,17 +187,7 @@ def _kkt_solve(problem: BlockProblem) -> Iterate:
     cond = np.linalg.cond(K)
     if not cond <= KKT_COND_CAP:
         raise DegenerateInstance(f"KKT matrix condition number {cond:.3e} exceeds {KKT_COND_CAP:.0e}")
-    sol = np.linalg.solve(K, rhs)
-    u, lam = sol[:total], sol[total:]
-    xs, ys = [], []
-    off = 0
-    for d in problem.x_dims:
-        xs.append(u[off:off + d])
-        off += d
-    for d in problem.y_dims:
-        ys.append(u[off:off + d])
-        off += d
-    return Iterate(tuple(xs), tuple(ys), lam)
+    return Iterate.from_stack(problem, np.linalg.solve(K, rhs))
 
 
 def gen_quadratic(p: int, q: int, x_dims, y_dims, n: int, seed: int) -> InstanceBundle:
@@ -358,20 +345,18 @@ def _enumerate_box(problem: BlockProblem, margin: float = PATTERN_MARGIN) -> Ite
     boxed component; free components stay interior. Multiplier signs and
     interior positions must clear the strict margin; exactly one pattern may
     pass."""
-    blocks = list(problem.x_blocks) + list(problem.y_blocks)
-    dims = [b.dim for b in blocks]
-    total = sum(dims)
-    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    blocks = problem.x_blocks + problem.y_blocks
     P, r = _stack_dims(problem)
+    total = r.shape[0]
     C = np.hstack([b.A for b in blocks])
     n = problem.n
 
     lo = np.full(total, -np.inf)
     hi = np.full(total, np.inf)
-    for b_idx, blk in enumerate(blocks):
+    for blk, sl in zip(blocks, problem.block_slices):
         if isinstance(blk.set, Box):
-            lo[offs[b_idx]:offs[b_idx + 1]] = blk.set.lo
-            hi[offs[b_idx]:offs[b_idx + 1]] = blk.set.hi
+            lo[sl] = blk.set.lo
+            hi[sl] = blk.set.hi
     boxed = np.flatnonzero(np.isfinite(lo) | np.isfinite(hi))
     if boxed.size > PATTERN_DIM_CAP:
         raise PatternExplosion(f"boxed dimension {boxed.size} exceeds cap {PATTERN_DIM_CAP}")
@@ -422,11 +407,7 @@ def _enumerate_box(problem: BlockProblem, margin: float = PATTERN_MARGIN) -> Ite
             continue
         if np.any(grad[state == 1] < eps) or np.any(grad[state == 2] > -eps):
             continue
-        xs, ys = [], []
-        for b_idx in range(len(blocks)):
-            seg = u[offs[b_idx]:offs[b_idx + 1]]
-            (xs if b_idx < problem.p else ys).append(seg)
-        accepted.append(Iterate(tuple(xs), tuple(ys), lam))
+        accepted.append(Iterate.from_stack(problem, np.concatenate([u, lam])))
         if len(accepted) > 1:
             raise NonUniqueSolution("two bound patterns pass the strict filter")
     if not accepted:

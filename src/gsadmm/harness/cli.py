@@ -2,7 +2,9 @@
 instance generation, and report printing.
 
 Exit codes: 0 ok, 1 validation failure (usage errors included), 2 runtime
-failure, 3 generation failure.
+failure, 3 generation failure. `run`, `report` and `check` treat a
+floating-point overflow, invalid operation or division by zero as a runtime
+failure; `sweep` tolerates them, since divergence there is an expected outcome.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import diagnostics, engine, generators, structure
+from .. import diagnostics, engine, generators, oracles, structure
 from ..model import SolverConfig, in_region_D, in_region_G, validate_config, validate_problem
 from . import io
 
@@ -183,6 +185,7 @@ def _run_diagnostics(problem, config, mats, trace, w_star):
     return spectra, nonergodic, pointwise, rate
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def cmd_run(args, print_report: bool = False) -> int:
     problem, w_star, label, config = _load(args)
     status = _validate_or_fail(problem, config)
@@ -195,6 +198,9 @@ def cmd_run(args, print_report: bool = False) -> int:
         return EXIT_VALIDATION
     try:
         trace = engine.solve(problem, config, w_star=w_star, mats=mats)
+    except oracles.UnsupportedCombination as exc:
+        print(f"violation: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except engine.NonFiniteIterate as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -276,6 +282,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def cmd_check(args) -> int:
     """One-shot structural validation with one pass/fail line per invariant."""
     failures = 0
@@ -388,6 +395,9 @@ def main(argv=None) -> int:
     except CliFailure as exc:
         print(exc, file=sys.stderr)
         return exc.code
+    except FloatingPointError as exc:
+        print(f"runtime failure: floating-point {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -238,6 +238,8 @@ def parse_instance(text: str):
             key, _, rest = ln.partition(" ")
             meta[key] = rest
         w_star = Iterate(tuple(xs), tuple(ys), lam)
+        if not np.isfinite(w_star.stack()).all():
+            raise ParseError("solution has non-finite entries")
     if "seed" in meta:
         meta["seed"] = int(meta["seed"])  # type: ignore[arg-type]
     return problem, w_star, meta

@@ -327,6 +327,10 @@ def _check_objective(obj: Objective, dim: int, label: str, report: ValidationRep
         if obj.r.shape != (dim,):
             report.violations.append(f"{label}: quadratic r has length {obj.r.shape[0]}, expected {dim}")
             return
+        bad = [name for name, v in (("P", obj.P), ("r", obj.r), ("t", obj.t)) if not np.isfinite(v).all()]
+        if bad:
+            report.violations.append(f"{label}: quadratic {', '.join(bad)} has non-finite entries")
+            return
         scale = max(1.0, float(np.abs(obj.P).max()))
         if float(np.abs(obj.P - obj.P.T).max()) > 1e-10 * scale:
             report.violations.append(f"{label}: quadratic P is not symmetric")
@@ -334,11 +338,15 @@ def _check_objective(obj: Objective, dim: int, label: str, report: ValidationRep
         if float(np.linalg.eigvalsh(0.5 * (obj.P + obj.P.T)).min()) < -1e-10 * scale:
             report.violations.append(f"{label}: quadratic P is not positive semidefinite")
     elif isinstance(obj, L1):
-        if obj.weight < 0.0:
+        if not math.isfinite(obj.weight):
+            report.violations.append(f"{label}: l1 weight {obj.weight} is not finite")
+        elif obj.weight < 0.0:
             report.violations.append(f"{label}: l1 weight {obj.weight} is negative")
     elif isinstance(obj, Linear):
         if obj.r.shape != (dim,):
             report.violations.append(f"{label}: linear r has length {obj.r.shape[0]}, expected {dim}")
+        elif not np.isfinite(obj.r).all():
+            report.violations.append(f"{label}: linear r has non-finite entries")
     else:
         report.violations.append(f"{label}: unknown objective variant {type(obj).__name__}")
 
@@ -348,7 +356,9 @@ def _check_set(fset: FeasibleSet, dim: int, label: str, report: ValidationReport
         if fset.lo.shape != (dim,) or fset.hi.shape != (dim,):
             report.violations.append(f"{label}: box bounds have wrong length, expected {dim}")
             return
-        if np.any(fset.lo > fset.hi):
+        if np.isnan(fset.lo).any() or np.isnan(fset.hi).any():
+            report.violations.append(f"{label}: box bounds have NaN entries")
+        elif np.any(fset.lo > fset.hi):
             report.violations.append(f"{label}: box has lo > hi in some component")
     elif not isinstance(fset, (Free, Nonnegative)):
         report.violations.append(f"{label}: unknown set variant {type(fset).__name__}")
@@ -369,6 +379,8 @@ def validate_problem(problem: BlockProblem) -> ValidationReport:
         report.violations.append("at least one x-block is required (p >= 1)")
     if problem.q < 1:
         report.violations.append("at least one y-block is required (q >= 1)")
+    if not np.isfinite(problem.c).all():
+        report.violations.append("right-hand side c has non-finite entries")
     for group, blocks in (("x", problem.x_blocks), ("y", problem.y_blocks)):
         for idx, blk in enumerate(blocks):
             label = f"{group}[{idx}]"
@@ -376,9 +388,12 @@ def validate_problem(problem: BlockProblem) -> ValidationReport:
                 report.violations.append(
                     f"{label}: coupling matrix has {blk.A.shape[0]} rows, expected n={n}"
                 )
-            sv = np.linalg.svd(blk.A, compute_uv=False)
-            if sv.size == 0 or sv.max() == 0.0 or sv.min() <= RANK_RTOL * sv.max():
-                report.violations.append(f"{label}: coupling matrix is not of full column rank")
+            if not np.isfinite(blk.A).all():
+                report.violations.append(f"{label}: coupling matrix has non-finite entries")
+            else:
+                sv = np.linalg.svd(blk.A, compute_uv=False)
+                if sv.size == 0 or sv.max() == 0.0 or sv.min() <= RANK_RTOL * sv.max():
+                    report.violations.append(f"{label}: coupling matrix is not of full column rank")
             _check_objective(blk.objective, blk.dim, label, report)
             _check_set(blk.set, blk.dim, label, report)
     return report

@@ -94,30 +94,6 @@ def project(fset: FeasibleSet, z: np.ndarray) -> np.ndarray:
     raise UnsupportedCombination(f"unknown set variant {type(fset).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
-class ProxQuery:
-    """argmin_{z in set} objective(z) + (rho/2) ||A z - u||^2."""
-
-    objective: Objective
-    set: FeasibleSet
-    A: np.ndarray
-    rho: float
-    u: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        object.__setattr__(self, "rho", float(self.rho))
-
-    @property
-    def dim(self) -> int:
-        return self.A.shape[1]
-
-    def value(self, z: np.ndarray) -> float:
-        res = self.A @ z - self.u
-        return self.objective.value(z) + 0.5 * self.rho * float(res @ res)
-
-
 def _scaled_identity_factor(A: np.ndarray) -> float | None:
     """Return alpha > 0 if A = alpha * I, else None."""
     n, m = A.shape
@@ -335,28 +311,9 @@ class ProxKernel:
             raise Unbounded("singular proximal system; coupling matrix rank deficient") from exc
 
 
-def prox_solve(query: ProxQuery | ProxKernel, u: np.ndarray | None = None) -> np.ndarray:
-    """Exact minimizer of the canonical proximal subproblem: of a query, or
-    of a kernel at the point u."""
-    if u is None:
-        return ProxKernel(query.objective, query.set, query.A, query.rho).solve(query.u)
-    return query.solve(u)
-
-
-def certifying_subgradient(query: ProxQuery, z: np.ndarray) -> np.ndarray:
-    """Subgradient element witnessing optimality of z for the query.
-
-    For smooth objectives this is the gradient. For l1 the zero components
-    take the element that cancels the smooth force, which the soft-threshold
-    formula guarantees lies inside [-weight, weight].
-    """
-    obj = query.objective
-    if isinstance(obj, (Quadratic, Linear)):
-        return obj.gradient(z)
-    if isinstance(obj, L1):
-        force = query.rho * (query.A.T @ (query.u - query.A @ z))
-        return l1_subgradient(obj.weight, z, force)
-    raise UnsupportedCombination(f"unknown objective variant {type(obj).__name__}")
+def prox_solve(kernel: ProxKernel, u: np.ndarray) -> np.ndarray:
+    """Exact minimizer of the kernel's proximal subproblem at the point u."""
+    return kernel.solve(u)
 
 
 def l1_subgradient(weight: float, z: np.ndarray, force: np.ndarray) -> np.ndarray:
@@ -366,10 +323,3 @@ def l1_subgradient(weight: float, z: np.ndarray, force: np.ndarray) -> np.ndarra
     zero = z == 0.0
     g[zero] = np.clip(force[zero], -weight, weight)
     return g
-
-
-def optimality_residual(query: ProxQuery, z: np.ndarray) -> np.ndarray:
-    """Projected-gradient residual z - P_S(z - (g(z) + rho A'(Az - u)))."""
-    g = certifying_subgradient(query, z)
-    step = g + query.rho * (query.A.T @ (query.A @ z - query.u))
-    return z - project(query.set, z - step)

@@ -19,7 +19,6 @@ All matrices are dense double precision; instances are desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -36,15 +35,13 @@ class SingularM(RuntimeError):
 
 
 def build_Hx(problem: BlockProblem, beta: float, sigma1: float) -> np.ndarray:
-    dims = problem.x_dims
-    mats = [blk.A for blk in problem.x_blocks]
-    size = sum(dims)
+    blocks = tuple(zip(problem.x_blocks, problem.block_slices))
+    size = sum(problem.x_dims)
     out = np.zeros((size, size))
-    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    for i, Ai in enumerate(mats):
-        for l, Al in enumerate(mats):
-            blockval = (sigma1 if i == l else -1.0) * (Ai.T @ Al)
-            out[offs[i]:offs[i + 1], offs[l]:offs[l + 1]] = beta * blockval
+    for i, (bi, si) in enumerate(blocks):
+        for l, (bl, sl) in enumerate(blocks):
+            blockval = (sigma1 if i == l else -1.0) * (bi.A.T @ bl.A)
+            out[si, sl] = beta * blockval
     return out
 
 
@@ -69,15 +66,10 @@ def build_Q(Hx: np.ndarray, Qtilde: np.ndarray) -> np.ndarray:
 
 
 def build_M(problem: BlockProblem, beta: float, tau: float, s: float) -> np.ndarray:
-    nx = sum(problem.x_dims)
-    ny = sum(problem.y_dims)
     n = problem.n
-    size = nx + ny + n
-    out = np.eye(size)
-    off = nx
-    for blk in problem.y_blocks:
-        out[-n:, off:off + blk.dim] = -s * beta * blk.A
-        off += blk.dim
+    out = np.eye(problem.total_dim)
+    for blk, sl in zip(problem.y_blocks, problem.block_slices[problem.p:]):
+        out[-n:, sl] = -s * beta * blk.A
     out[-n:, -n:] = (tau + s) * np.eye(n)
     return out
 
@@ -121,14 +113,10 @@ def m_inverse_closed(problem: BlockProblem, beta: float, tau: float, s: float) -
     (s beta/(tau+s)) B_j on the y columns and I/(tau+s) in the corner."""
     if tau + s == 0.0:
         raise SingularM("correction matrix is singular: tau + s = 0")
-    nx = sum(problem.x_dims)
     n = problem.n
-    size = nx + sum(problem.y_dims) + n
-    out = np.eye(size)
-    off = nx
-    for blk in problem.y_blocks:
-        out[-n:, off:off + blk.dim] = (s * beta / (tau + s)) * blk.A
-        off += blk.dim
+    out = np.eye(problem.total_dim)
+    for blk, sl in zip(problem.y_blocks, problem.block_slices[problem.p:]):
+        out[-n:, sl] = (s * beta / (tau + s)) * blk.A
     out[-n:, -n:] = np.eye(n) / (tau + s)
     return out
 
@@ -175,9 +163,6 @@ class StructuralMatrices:
     @property
     def in_D(self) -> bool:
         return in_region_D(self.tau, self.s)
-
-    def apply_M(self, v: np.ndarray) -> np.ndarray:
-        return self.M @ v
 
     def h_norm_sq(self, v: np.ndarray) -> float:
         """Quadratic form v'Hv (a norm only where H is positive definite)."""
@@ -243,18 +228,3 @@ def spectral_summary(mats: StructuralMatrices) -> dict[str, float]:
         "xi": mats.xi,
     }
 
-
-def export_matrices_csv(mats: StructuralMatrices, outdir) -> list[Path]:
-    """One CSV per matrix; the header row carries the side length."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in ("Hx", "Qtilde", "Q", "M", "G", "H"):
-        mat = getattr(mats, name)
-        path = outdir / f"{name}.csv"
-        with open(path, "w") as fh:
-            fh.write(f"{mat.shape[0]}\n")
-            for row in mat:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        written.append(path)
-    return written

@@ -9,15 +9,79 @@ trapped away from the unique minimizer.
 
 `reference_prox_solve` is the plain one-pattern-at-a-time enumeration that
 the batched box/nonnegative oracle must reproduce bit for bit.
+
+A `ProxQuery` is one proximal subproblem with its point u; `solve_query`
+solves it through a `ProxKernel` built for it, and `optimality_residual`
+checks the answer against the projected-gradient optimality condition.
 """
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from gsadmm.model import L1, Box, Linear, Nonnegative, Quadratic
-from gsadmm.oracles import BOX_ENUM_CAP, ProxQuery, Unbounded, UnsupportedCombination, bounds, prox_solve
+from gsadmm.model import L1, Box, FeasibleSet, Free, Linear, Nonnegative, Objective, Quadratic
+from gsadmm.oracles import (
+    BOX_ENUM_CAP,
+    ProxKernel,
+    Unbounded,
+    UnsupportedCombination,
+    bounds,
+    l1_subgradient,
+    project,
+    prox_solve,
+)
 
 SPAN = 20.0  # search frame for unbounded directions; asserted non-binding
+
+
+@dataclass(frozen=True, eq=False)
+class ProxQuery:
+    """argmin_{z in set} objective(z) + (rho/2) ||A z - u||^2."""
+
+    objective: Objective
+    set: FeasibleSet
+    A: np.ndarray
+    rho: float
+    u: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
+        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
+        object.__setattr__(self, "rho", float(self.rho))
+
+    @property
+    def dim(self) -> int:
+        return self.A.shape[1]
+
+    def value(self, z: np.ndarray) -> float:
+        res = self.A @ z - self.u
+        return self.objective.value(z) + 0.5 * self.rho * float(res @ res)
+
+
+def solve_query(query: ProxQuery) -> np.ndarray:
+    """The exact oracle's answer to one query, from a kernel built for it."""
+    return prox_solve(ProxKernel(query.objective, query.set, query.A, query.rho), query.u)
+
+
+def certifying_subgradient(query: ProxQuery, z: np.ndarray) -> np.ndarray:
+    """Subgradient element witnessing optimality of z for the query.
+
+    For smooth objectives this is the gradient. For l1 the zero components
+    take the element that cancels the smooth force, which the soft-threshold
+    formula guarantees lies inside [-weight, weight].
+    """
+    obj = query.objective
+    if isinstance(obj, (Quadratic, Linear)):
+        return obj.gradient(z)
+    force = query.rho * (query.A.T @ (query.u - query.A @ z))
+    return l1_subgradient(obj.weight, z, force)
+
+
+def optimality_residual(query: ProxQuery, z: np.ndarray) -> np.ndarray:
+    """Projected-gradient residual z - P_S(z - (g(z) + rho A'(Az - u)))."""
+    g = certifying_subgradient(query, z)
+    step = g + query.rho * (query.A.T @ (query.A @ z - query.u))
+    return z - project(query.set, z - step)
 
 
 def eval_many(query: ProxQuery, Z: np.ndarray) -> np.ndarray:
@@ -174,7 +238,7 @@ def reference_prox_solve(query, u=None) -> np.ndarray:
     kernel and u, like prox_solve."""
     obj, fset, A, rho = query.objective, query.set, query.A, query.rho
     if not (isinstance(obj, (Quadratic, Linear)) and isinstance(fset, (Box, Nonnegative))):
-        return prox_solve(query, u)
+        return solve_query(query) if u is None else prox_solve(query, u)
     u = query.u if u is None else u
     Heff = rho * (A.T @ A)
     geff = -rho * (A.T @ u)
@@ -221,7 +285,6 @@ def _random_box(rng, dim):
 
 def random_query(family: str, rng: np.random.Generator, dim: int | None = None) -> ProxQuery:
     """A random query of the family, of dimension 1 or 2 unless given."""
-    from gsadmm.model import Free
     if dim is None:
         dim = int(rng.integers(1, 3))
     rho = float(rng.uniform(0.5, 2.0))

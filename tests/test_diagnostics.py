@@ -161,9 +161,6 @@ def test_error_map_l1_selection_minimizes():
     w2 = Iterate((np.array([0.0]),), (np.array([1.0]),), np.array([1.7]))
     res2 = g.error_map_residual(problem, w2)
     assert res2[0] == pytest.approx(-(1.7 - 1.0), abs=1e-15)
-    # explicit selections are honored
-    res3 = g.error_map_residual(problem, w, subgradient_selection=[np.array([0.0]), np.array([0.0])])
-    assert res3[0] == pytest.approx(-0.4, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
+import contextlib
+import io as textio
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gsadmm as g
-from gsadmm.generators import gen_box_qp, gen_l1, gen_quadratic, qp1
+from gsadmm.generators import boxqp_1d, gen_box_qp, gen_l1, gen_quadratic, l1_1d, qp1
 from gsadmm.harness import io
 from gsadmm.harness.cli import main
 from gsadmm.model import Box, Nonnegative
@@ -70,9 +78,44 @@ def test_parse_rejects_malformed_document():
 # run / report
 # ---------------------------------------------------------------------------
 
+def _document(bundle) -> str:
+    return io.serialize_problem(bundle.problem, bundle.w_star, bundle.provenance,
+                                bundle.certificate, bundle.seed)
+
+
+# Malformed instance documents: (bundle, text replaced once, replacement,
+# what the one error line says).
+CORRUPTIONS = {
+    "coupling-rank-deficient": (qp1, "coupling 1 1\n1\n", "coupling 1 1\n0\n",
+                                "x[0]: coupling matrix is not of full column rank"),
+    "coupling-nan": (qp1, "coupling 1 1\n1\n", "coupling 1 1\nnan\n",
+                     "x[0]: coupling matrix has non-finite entries"),
+    "quad-P-nan": (qp1, "quad-P 1 1\n2\n", "quad-P 1 1\nnan\n", "x[0]: quadratic P has non-finite entries"),
+    "quad-r-nan": (qp1, "quad-r 1\n0\n", "quad-r 1\nnan\n", "x[0]: quadratic r has non-finite entries"),
+    "quad-t-nan": (qp1, "quad-t 0\n", "quad-t nan\n", "x[0]: quadratic t has non-finite entries"),
+    "rhs-nan": (qp1, "rhs 1\n1\n", "rhs 1\nnan\n", "right-hand side c has non-finite entries"),
+    "rhs-inf": (qp1, "rhs 1\n1\n", "rhs 1\ninf\n", "right-hand side c has non-finite entries"),
+    "l1-weight-inf": (l1_1d, "l1-weight 1\n", "l1-weight inf\n", "x[0]: l1 weight inf is not finite"),
+    "box-lo-nan": (boxqp_1d, "box-lo 1\n0\n", "box-lo 1\nnan\n", "x[0]: box bounds have NaN entries"),
+    "solution-nan": (qp1, "x 0 1\n0.5\n", "x 0 1\nnan\n", "solution has non-finite entries"),
+}
+
+
+def _corrupted(tmp_path, case) -> str:
+    """Path of the instance document of a CORRUPTIONS case."""
+    bundle_fn, old, new, _ = CORRUPTIONS[case]
+    text = _document(bundle_fn())
+    assert old in text
+    path = tmp_path / f"{case}.txt"
+    path.write_text(text.replace(old, new, 1))
+    return str(path)
+
+
 def _bad_input(tmp_path, case):
     """argv for a run whose instance or config input is malformed."""
     run = ["run", "--out", str(tmp_path / "out")]
+    if case in CORRUPTIONS:
+        return run + ["--instance", _corrupted(tmp_path, case)]
     if case == "instance-header-without-version":
         path = tmp_path / "instance.txt"
         path.write_text(io.serialize_problem(qp1().problem).replace("gsadmm-instance 1", "gsadmm-instance"))
@@ -97,12 +140,38 @@ def _bad_input(tmp_path, case):
     ("instance-header-without-version", "unrecognized document header"),
     ("beta-inf", "beta must be finite"),
     ("tol-nan", "tol must be a number"),
+    *((case, needle) for case, (*_, needle) in CORRUPTIONS.items()),
 ])
 def test_cmd_run_bad_input_exits_one_with_one_line(tmp_path, capsys, case, needle):
     code = main(_bad_input(tmp_path, case))
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and needle in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cmd_run_unsupported_oracle_exits_one_with_one_line(tmp_path, capsys):
+    # an l1 block coupled through -I passes validation; its oracle rejects it
+    path = tmp_path / "instance.txt"
+    path.write_text(_document(l1_1d()).replace("coupling 1 1\n1\n", "coupling 1 1\n-1\n", 1))
+    assert main(["run", "--instance", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        "violation: l1 blocks require the coupling matrix to be a positive multiple of I\n"
+
+
+@pytest.mark.parametrize("command", ["run", "report", "check"])
+def test_overflow_is_a_runtime_failure(tmp_path, capsys, command):
+    # a linear term of 1e308 overflows the iteration and the reference-point
+    # check, which must fail the command instead of reporting inf
+    path = tmp_path / "huge.txt"
+    path.write_text(_document(qp1()).replace("quad-r 1\n0\n", "quad-r 1\n1e308\n", 1))
+    argv = [command, "--instance", str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("runtime failure: floating-point overflow"), err
     assert not (tmp_path / "out").exists()
 
 
@@ -337,16 +406,78 @@ def test_cmd_check_reports_singular_m(capsys):
 
 
 def test_cmd_check_fails_on_corrupted_file(tmp_path, capsys):
-    bundle = qp1()
-    text = io.serialize_problem(bundle.problem, bundle.w_star, seed=0)
-    # corrupt the coupling matrix into a rank-deficient one
-    corrupted = text.replace("coupling 1 1\n1\n", "coupling 1 1\n0\n", 1)
-    path = tmp_path / "bad.txt"
-    path.write_text(corrupted)
-    code = main(["check", "--instance", str(path)])
-    out = capsys.readouterr().out
+    for case, (*_, needle) in CORRUPTIONS.items():
+        code = main(["check", "--instance", _corrupted(tmp_path, case)])
+        captured = capsys.readouterr()
+        assert code == 1, case
+        if case == "solution-nan":  # rejected by the parser
+            assert captured.err == f"error: {needle}\n"
+        else:
+            assert f"check problem-valid: FAIL ({needle})" in captured.out, captured.out
+            assert captured.err == ""
+
+
+def test_sweep_rejects_non_finite_instance(tmp_path, capsys):
+    # the rank test's SVD does not converge on a NaN coupling entry
+    out = tmp_path / "out"
+    code = main(["sweep", "--instance", _corrupted(tmp_path, "coupling-nan"), "--out", str(out)])
+    err = capsys.readouterr().err
     assert code == 1
-    assert "check problem-valid: FAIL" in out
+    assert err == "violation: x[0]: coupling matrix has non-finite entries\n"
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Malformed documents, property-based
+# ---------------------------------------------------------------------------
+
+CONFIG_DOCUMENT = "beta 1.0\ntau 0.3\ns 0.4\nsigma1 0.5\nsigma2 0.5\nmax_iters 500\ntol 1e-10\npolicy D\n"
+TOKENS = ("nan", "inf", "-inf", "1e308", "-1", "0", "x", "")
+DOCUMENTS = {name: _document(fn()) for name, fn in (("qp1", qp1), ("l1-1d", l1_1d), ("boxqp-1d", boxqp_1d))}
+
+
+@st.composite
+def _mutated(draw, text: str) -> str:
+    """text truncated after one of its lines, or with one token replaced."""
+    lines = text.splitlines(keepends=True)
+    if draw(st.booleans()):
+        return "".join(lines[:draw(st.integers(0, len(lines)))])
+    row = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[row].split()
+    tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(TOKENS))
+    lines[row] = " ".join(tokens) + "\n"
+    return "".join(lines)
+
+
+@st.composite
+def _documents(draw) -> tuple[str, str]:
+    """(instance document, config document), one of them mutated."""
+    instance = DOCUMENTS[draw(st.sampled_from(sorted(DOCUMENTS)))]
+    if draw(st.booleans()):
+        return draw(_mutated(instance)), CONFIG_DOCUMENT
+    return instance, draw(_mutated(CONFIG_DOCUMENT))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_documents())
+def test_malformed_documents_fail_with_documented_codes(docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "instance.txt", Path(tmp) / "config.txt"]
+        for path, text in zip(paths, docs):
+            path.write_text(text)
+        inputs = ["--instance", str(paths[0]), "--config", str(paths[1])]
+        for argv in (["run", *inputs, "--max-iters", "20", "--out", str(Path(tmp) / "out")],
+                     ["check", *inputs]):
+            err = textio.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(textio.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            assert code in (0, 1, 2), (argv[0], code)
+            assert code != 0 or not lines, (argv[0], lines)
+            assert all(ln.startswith(("error:", "violation:", "runtime failure:")) for ln in lines), lines
+            assert not caught, [str(w.message) for w in caught]
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,16 @@ import pytest
 
 from gsadmm import oracles
 from gsadmm.model import Box, Free, L1, Linear, Nonnegative, Quadratic
-from gsadmm.oracles import (
-    ProxKernel,
+from gsadmm.oracles import ProxKernel, Unbounded, UnsupportedCombination, project, prox_solve
+from gridsearch import (
+    FAMILIES,
     ProxQuery,
-    Unbounded,
-    UnsupportedCombination,
+    brute_force_min,
     optimality_residual,
-    project,
-    prox_solve,
+    random_query,
+    reference_prox_solve,
+    solve_query,
 )
-from gridsearch import FAMILIES, brute_force_min, random_query, reference_prox_solve
 
 BOUND_FAMILIES = ("quadratic-box", "quadratic-nonnegative", "linear-box", "linear-nonnegative")
 
@@ -51,49 +51,49 @@ def test_projection_nonexpansive(fset):
 def test_prox_quadratic_free_scalar():
     # (2 + 1.5) z = 1.5 * 7
     q = ProxQuery(Quadratic([[2.0]], [0.0]), Free(), [[1.0]], 1.5, [7.0])
-    assert prox_solve(q) == pytest.approx([3.0], abs=1e-14)
+    assert solve_query(q) == pytest.approx([3.0], abs=1e-14)
 
 
 def test_prox_first_x_step_of_qp1():
     # 2x + 1.5 (x - 2/3) = 0  =>  x = 2/7
     q = ProxQuery(Quadratic([[2.0]], [0.0]), Free(), [[1.0]], 1.5, [2.0 / 3.0])
-    assert prox_solve(q) == pytest.approx([2.0 / 7.0], abs=1e-15)
+    assert solve_query(q) == pytest.approx([2.0 / 7.0], abs=1e-15)
 
 
 def test_prox_l1_soft_threshold():
     q = ProxQuery(L1(1.0), Free(), np.eye(2), 2.0, [1.2, -0.1])
-    assert np.allclose(prox_solve(q), [0.7, 0.0], atol=1e-15)
+    assert np.allclose(solve_query(q), [0.7, 0.0], atol=1e-15)
 
 
 def test_prox_l1_nonnegative():
     q = ProxQuery(L1(1.0), Nonnegative(), np.eye(2), 2.0, [1.2, -0.1])
-    assert np.allclose(prox_solve(q), [0.7, 0.0], atol=1e-15)
+    assert np.allclose(solve_query(q), [0.7, 0.0], atol=1e-15)
 
 
 def test_prox_l1_scaled_identity():
     # min w|z| + rho/2 (alpha z - u)^2 -> soft threshold of u/alpha at w/(rho alpha^2)
     q = ProxQuery(L1(0.6), Free(), 2.0 * np.eye(1), 1.5, [3.0])
     expected = np.sign(1.5) * max(1.5 - 0.6 / (1.5 * 4.0), 0.0)
-    assert prox_solve(q) == pytest.approx([expected], abs=1e-14)
+    assert solve_query(q) == pytest.approx([expected], abs=1e-14)
 
 
 def test_prox_box_active_set():
     q = ProxQuery(Quadratic(np.eye(2), np.zeros(2)), Box([0.0, 0.0], [1.0, 1.0]),
                   np.eye(2), 1.0, [2.0, -3.0])
-    assert np.allclose(prox_solve(q), [1.0, 0.0], atol=1e-14)
+    assert np.allclose(solve_query(q), [1.0, 0.0], atol=1e-14)
 
 
 def test_prox_linear_box():
     # gradient r + rho(z - u); pulled to the lower bound in both components
     q = ProxQuery(Linear([5.0, 5.0]), Box([-1.0, -1.0], [1.0, 1.0]),
                   np.eye(2), 1.0, [0.0, 0.0])
-    assert np.allclose(prox_solve(q), [-1.0, -1.0], atol=1e-14)
+    assert np.allclose(solve_query(q), [-1.0, -1.0], atol=1e-14)
 
 
 def test_prox_linear_nonnegative():
     q = ProxQuery(Linear([-3.0]), Nonnegative(), [[1.0]], 2.0, [1.0])
     # 2(z - 1) - 3 = 0 -> z = 2.5
-    assert prox_solve(q) == pytest.approx([2.5], abs=1e-14)
+    assert solve_query(q) == pytest.approx([2.5], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +102,13 @@ def test_prox_linear_nonnegative():
 
 def test_unsupported_combinations_raise():
     with pytest.raises(UnsupportedCombination):
-        prox_solve(ProxQuery(L1(1.0), Free(), [[1.0, 0.5], [0.0, 1.0]], 1.0, [0.0, 0.0]))
+        solve_query(ProxQuery(L1(1.0), Free(), [[1.0, 0.5], [0.0, 1.0]], 1.0, [0.0, 0.0]))
     with pytest.raises(UnsupportedCombination):
-        prox_solve(ProxQuery(L1(1.0), Free(), -np.eye(2), 1.0, [0.0, 0.0]))
+        solve_query(ProxQuery(L1(1.0), Free(), -np.eye(2), 1.0, [0.0, 0.0]))
     with pytest.raises(UnsupportedCombination):
-        prox_solve(ProxQuery(L1(1.0), Box([0.0], [1.0]), np.eye(1), 1.0, [0.0]))
+        solve_query(ProxQuery(L1(1.0), Box([0.0], [1.0]), np.eye(1), 1.0, [0.0]))
     with pytest.raises(UnsupportedCombination):
-        prox_solve(ProxQuery(Linear([1.0]), Free(), [[1.0]], 1.0, [0.0]))
+        solve_query(ProxQuery(Linear([1.0]), Free(), [[1.0]], 1.0, [0.0]))
 
 
 def test_enumeration_dimension_cap():
@@ -116,7 +116,7 @@ def test_enumeration_dimension_cap():
     q = ProxQuery(Quadratic(np.eye(dim), np.zeros(dim)), Nonnegative(),
                   np.eye(dim), 1.0, np.zeros(dim))
     with pytest.raises(UnsupportedCombination):
-        prox_solve(q)
+        solve_query(q)
 
 
 def test_unbounded_face_raises():
@@ -125,7 +125,7 @@ def test_unbounded_face_raises():
     q = ProxQuery(Linear([-1.0, -1.0]), Nonnegative(),
                   np.array([[1.0, -1.0]]), 1.0, np.array([1.0]))
     with pytest.raises(Unbounded):
-        prox_solve(q)
+        solve_query(q)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def test_optimality_residual_vanishes(family):
     rng = np.random.default_rng(11)
     for _ in range(25):
         q = random_query(family, rng)
-        z = prox_solve(q)
+        z = solve_query(q)
         res = optimality_residual(q, z)
         assert float(np.abs(res).max()) <= 1e-9, family
 
@@ -147,7 +147,7 @@ def test_brute_force_agreement_smoke(family):
     rng = np.random.default_rng(5)
     for _ in range(10):
         q = random_query(family, rng)
-        z = prox_solve(q)
+        z = solve_query(q)
         z_ref, f_ref = brute_force_min(q)
         assert abs(q.value(z) - f_ref) <= 1e-8
         assert float(np.abs(z - z_ref).max()) <= 1e-3
@@ -157,10 +157,10 @@ def test_perturbation_lipschitz_bound():
     rng = np.random.default_rng(3)
     for _ in range(50):
         q = random_query("quadratic-box", rng)
-        z = prox_solve(q)
+        z = solve_query(q)
         delta = 1e-4 * rng.standard_normal(q.u.shape)
         q2 = ProxQuery(q.objective, q.set, q.A, q.rho, q.u + delta)
-        z2 = prox_solve(q2)
+        z2 = solve_query(q2)
         curvature = q.objective.P + q.rho * (q.A.T @ q.A)
         lam_min = float(np.linalg.eigvalsh(curvature).min())
         bound = np.linalg.norm(delta) * q.rho * np.linalg.norm(q.A, 2) / lam_min
@@ -209,7 +209,7 @@ def test_bound_oracle_degenerate_tie_takes_first_pattern():
     q = ProxQuery(Quadratic(2.0 * np.eye(3), np.zeros(3)), Box([0.1, -1.0, -1.0], [1.0, 1.0, 1.0]),
                   np.eye(3), 1.0, [0.3, 0.2, -0.4])
     _assert_same_bits(q)
-    z = prox_solve(q)
+    z = solve_query(q)
     assert z[0] == 0.3 / 3.0 != 0.1
     grad_at_bound = 3.0 * 0.1 - 0.3
     assert 0.0 <= grad_at_bound <= 1e-15  # the at-bound pattern passes too
@@ -245,12 +245,12 @@ def test_bound_oracle_singular_patterns_fall_back():
     # solve raises, and the group is solved pattern by pattern
     q = ProxQuery(Linear([1.0, 1.0]), Nonnegative(), np.array([[1.0, -1.0]]), 1.0, np.array([0.0]))
     _assert_same_bits(q)
-    assert np.array_equal(prox_solve(q), [0.0, 0.0])
+    assert np.array_equal(solve_query(q), [0.0, 0.0])
     unbounded = ProxQuery(Linear([-1.0, -1.0]), Nonnegative(), np.array([[1.0, -1.0]]), 1.0, np.array([1.0]))
     with pytest.raises(Unbounded):
         reference_prox_solve(unbounded)
     with pytest.raises(Unbounded):
-        prox_solve(unbounded)
+        solve_query(unbounded)
 
 
 def test_oracle_counters():

@@ -232,12 +232,3 @@ def test_spectral_summary_fields(golden):
     assert summary["lambda_min_H"] == pytest.approx(0.5, abs=1e-12)
     assert summary["xi"] > 0
 
-
-def test_export_matrices_csv(tmp_path, golden):
-    _, _, mats = golden
-    paths = structure.export_matrices_csv(mats, tmp_path)
-    assert len(paths) == 6
-    text = (tmp_path / "G.csv").read_text().splitlines()
-    assert text[0] == "3"
-    parsed = np.array([[float(v) for v in row.split(",")] for row in text[1:]])
-    assert np.array_equal(parsed, mats.G)

@@ -4,13 +4,19 @@
     OPENBLAS_NUM_THREADS=1 python3 tools/trace_digest.py --verdict PATH/TO/CHECKOUT > verdict.txt
 
 imports `gsadmm` from CHECKOUT/src and the benchmark workloads from
-CHECKOUT/bench, and prints one line per case: a SHA-256 prefix over every
-record's `w`, `w~` and scalars plus `w_final`, followed by each block's oracle
-counters (calls, patterns, rechecks, loose), for the 13 catalog instances
-(2000 forced iterations, from zero and from a SplitMix64 seed-3 start) and
-for `gen_box_qp(1, 1, [5], [3], 5)` seeds 1-3 at tol 1e-10; the digest of
-the atlas workload's atlas.csv for seeds 0 and 1; and every `certified`
-line of the atlas (seeds 0, 1), catalog (seeds 0, 1) and box-enum workloads.
+CHECKOUT/bench, and prints one line per case. First the generated instances:
+a SHA-256 prefix of the instance document (`harness.io.serialize_problem`,
+reference point included) of every catalog instance, every box-enum instance
+and the atlas instance of seeds 0 and 1, and for each catalog instance a
+SHA-256 prefix over the bytes of its structural matrices Hx, Qtilde, Q, M,
+G, H and its four spectral scalars under the default config. Then the
+solves: a SHA-256 prefix over every record's `w`, `w~` and scalars plus
+`w_final`, followed by each block's oracle counters (calls, patterns,
+rechecks, loose), for the 13 catalog instances (2000 forced iterations, from
+zero and from a SplitMix64 seed-3 start) and for `gen_box_qp(1, 1, [5], [3],
+5)` seeds 1-3 at tol 1e-10; the digest of the atlas workload's atlas.csv for
+seeds 0 and 1; and every `certified` line of the atlas (seeds 0, 1), catalog
+(seeds 0, 1) and box-enum workloads.
 Two checkouts agree bit for bit when their outputs compare equal (`cmp`).
 Takes about a minute.
 
@@ -41,6 +47,7 @@ import numpy as np  # noqa: E402
 
 import gsadmm as g  # noqa: E402
 import workloads  # noqa: E402
+from gsadmm.harness import io  # noqa: E402
 from gsadmm.model import Iterate  # noqa: E402
 
 SCALARS = ("k", "feasibility", "feasibility_inf", "correction_residual", "d_norm_sq",
@@ -62,6 +69,37 @@ def trace_digest(trace) -> str:
 def oracle_counters(trace) -> str:
     """Each block's oracle counters, x blocks then y blocks."""
     return "oracle=" + ";".join(f"{s.calls},{s.patterns},{s.rechecks},{s.loose}" for s in trace.oracle_stats)
+
+
+def sha(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()[:16]
+
+
+def instance_lines(catalog) -> list[str]:
+    """Digests of the generated instance documents, and of the structural
+    matrices and spectral scalars of each catalog instance."""
+    bundles = [("catalog", b) for b in catalog]
+    box = workloads.make("box-enum", 0, False, None)
+    box.build()
+    bundles += [("box-enum", bundle) for bundle, *_ in box.runs]
+    for seed in (0, 1):
+        atlas = workloads.Atlas(seed, False, None)
+        atlas.build()
+        atlas_seed = int(atlas.argv[atlas.argv.index("--seed") + 1])
+        bundles.append((f"atlas{seed}", g.gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=atlas_seed)))
+    out = []
+    for label, b in bundles:
+        doc = io.serialize_problem(b.problem, b.w_star, b.provenance, b.certificate, b.seed)
+        out.append(f"instance {label} {b.name} {sha([doc.encode()])}")
+    for b in catalog:
+        mats = g.assemble(b.problem, g.default_config(b.problem))
+        chunks = [getattr(mats, name).tobytes() for name in ("Hx", "Qtilde", "Q", "M", "G", "H")]
+        chunks += [np.float64(v).tobytes() for v in g.spectral_summary(mats).values()]
+        out.append(f"matrices {b.name} {sha(chunks)}")
+    return out
 
 
 def solve_line(label, bundle, w0, **overrides) -> str:
@@ -126,8 +164,8 @@ def verdict_main():
 
 
 def main():
-    out = []
     catalog = g.standard_catalog()
+    out = instance_lines(catalog)
     for start in ("zero", "seed3"):
         rng = g.SplitMix64(3)
         for b in catalog:
