@@ -29,7 +29,6 @@ from .engine import (
     NonFiniteIterate,
     Trace,
     solve,
-    step,
 )
 from .generators import (
     DegenerateInstance,

@@ -79,9 +79,9 @@ def _running_max(values: np.ndarray, start: float) -> float:
 # Per-iteration residual vector d
 # ---------------------------------------------------------------------------
 
-def d_components(problem: BlockProblem, config: SolverConfig, delta: np.ndarray) -> list[np.ndarray]:
-    """Blockwise optimality-shift vector of the predicted point w~, from the
-    stacked difference delta = w~ - w.
+def d_components(problem: BlockProblem, config: SolverConfig, delta: np.ndarray) -> np.ndarray:
+    """Stacked optimality-shift vector d of the predicted point w~ (x blocks,
+    then y blocks), from the stacked difference delta = w~ - w.
 
     x components:  beta A_i' ((sigma1 - 1) sum_l A_l dx_l + A_i dx_i)
     y components:  (sigma2 + 1) beta B_j'B_j dy_j - tau B_j' dlam
@@ -99,7 +99,7 @@ def d_components(problem: BlockProblem, config: SolverConfig, delta: np.ndarray)
     parts = [beta * (blk.AT @ (shared + a_d)) for blk, a_d in zip(problem.x_blocks, ax_deltas)]
     for blk, sl in zip(problem.y_blocks, slices[p:]):
         parts.append((sigma2 + 1.0) * beta * (blk.AT @ (blk.A @ delta[sl])) - tau * (blk.AT @ dlam))
-    return parts
+    return np.concatenate(parts)
 
 
 def theta_hat(problem: BlockProblem, config: SolverConfig) -> float:
@@ -287,9 +287,6 @@ def error_bound_check(problem: BlockProblem, mats: "StructuralMatrices", trace: 
 
 @dataclass(frozen=True)
 class RateReport:
-    sublinear_envelope: float
-    monotone_ok: bool
-    xi_bound_ok: bool
     error_bound_ok: bool
     error_bound_worst_ratio: float
     linear_ratio_fit: float   # least-squares slope of log dist_H over the tail
@@ -312,9 +309,7 @@ def linear_rate_check(mats: "StructuralMatrices", trace: "Trace", w_star: Iterat
     iters = len(trace.predictions)
     if iters < 20:
         raise InsufficientTrace(f"{iters} iterations; need at least 20")
-    problem = trace.problem
-    ner = nonergodic_check(mats, trace, w_star)
-    eb_ok, eb_worst = error_bound_check(problem, mats, trace, constants)
+    eb_ok, eb_worst = error_bound_check(trace.problem, mats, trace, constants)
 
     reached = np.flatnonzero(trace.columns["residual"] <= 10.0 * trace.config.tol)
     t_conv = int(reached[0]) if len(reached) else iters - 1
@@ -343,9 +338,6 @@ def linear_rate_check(mats: "StructuralMatrices", trace: "Trace", w_star: Iterat
     else:
         envelope_ok = False
     return RateReport(
-        sublinear_envelope=ner.sublinear_envelope,
-        monotone_ok=ner.monotone_ok,
-        xi_bound_ok=ner.xi_bound_ok,
         error_bound_ok=eb_ok,
         error_bound_worst_ratio=eb_worst,
         linear_ratio_fit=slope,

@@ -20,17 +20,18 @@ that the computed step equals the linear correction w_k - M (w_k - w~_k),
 which cross-validates the engine against the structural matrices every
 iteration; r_new is also the feasibility residual of w~.
 
-`solve` iterates on stacked vectors. Before the first iteration it builds a
-`Plan` of everything that stays fixed over the solve: one oracle kernel per
-block (the penalty rho of each group is fixed under one config), the
-structural matrices, the stacked reference point and the config's scalars.
-`advance` is one iteration. It forms A x+ and B y+ once each and carries
-them into the next iteration as its A x_k and B y_k, and carries
+`solve` iterates on the stacked point w = (x, y, lambda), the only form of
+an iterate inside the engine. Before the first iteration it builds a `Plan`
+of everything that stays fixed over the solve: one oracle kernel per block
+(the penalty rho of each group is fixed under one config), the structural
+matrices, each block's slice of w, the stacked reference point and the
+config's scalars. `advance` is one iteration. It reads w_k from its trace
+row, each block writes its prox answer straight into the row of w_{k+1}, and
+w~_k takes its primal part from there. It forms A x+ and B y+ once each and
+carries them into the next iteration as its A x_k and B y_k, and carries
 ||w_{k+1} - w*||_H^2 the same way, so an iteration forms each group product
-once and three H/G quadratic forms. It writes w_{k+1} and w~_k each once, as
-a row of the trace, and its record scalars into the trace's columns.
-`Iterate`s and `IterationRecord`s are built only at the API edge: `step`
-wraps one `advance`, and `Trace.records` builds each record on access.
+once and three H/G quadratic forms. `IterationRecord`s are built only at the
+API edge: `Trace.records` builds each record on access.
 """
 from __future__ import annotations
 
@@ -73,7 +74,6 @@ class IterationRecord:
     d_inf: float
     identity_error: float     # ||w_{k+1} - (w - M (w - w~))||
     dist_H: float             # ||w_k - w*||_H when a reference point is known
-    next_dist_sq: float       # ||w_{k+1} - w*||_H^2, carried into the next step
     contraction_slack: float  # nan without a reference point or outside the triangle
 
 
@@ -91,11 +91,14 @@ class Trace:
     problem: BlockProblem
     config: SolverConfig
     termination: str
-    w_final: Iterate
     oracle_stats: tuple[OracleStats, ...]  # x blocks, then y blocks
     iterates: np.ndarray      # (iterations + 1, N)
     predictions: np.ndarray   # (iterations, N)
     columns: dict[str, np.ndarray]
+
+    @property
+    def w_final(self) -> Iterate:
+        return Iterate.from_stack(self.problem, self.iterates[-1])
 
     @property
     def records(self) -> "Records":
@@ -133,113 +136,94 @@ def block_kernels(problem: BlockProblem, config: SolverConfig):
             tuple(ProxKernel(blk.objective, blk.set, blk.A, rho_y) for blk in problem.y_blocks))
 
 
-def group_sweep(blocks, kernels, zs, own_sum, base, sigma):
-    """Jacobian sweep over one group; every block reads the same snapshot.
+def group_sweep(blocks, kernels, slices, wk, own_sum, base, sigma, out):
+    """Jacobian sweep over one group; every block reads the same snapshot wk.
 
     Block i solves its prox at u_i = (base - (own_sum - A_i z_i) + sigma A_i z_i) / (1 + sigma),
-    where own_sum is the group's product at the snapshot zs.
+    with z_i = wk[slices[i]] and own_sum the group's product at wk, and
+    writes the answer into out[slices[i]].
     """
-    out = []
-    for blk, kernel, z in zip(blocks, kernels, zs):
-        a_z = blk.A @ z
+    for blk, kernel, sl in zip(blocks, kernels, slices):
+        a_z = blk.A @ wk[sl]
         v = base - (own_sum - a_z)
         u = (v + sigma * a_z) / (1.0 + sigma)
-        out.append(prox_solve(kernel, u))
-    return out
+        out[sl] = prox_solve(kernel, u)
 
 
 class Plan:
     """What every iteration of one solve reads and none changes: the problem,
-    the config and its scalars, the oracle kernels, the structural matrices
-    and the stacked reference point (None without one)."""
+    the config and its scalars, the oracle kernels, the structural matrices,
+    each block's slice of the stacked w, and the stacked reference point
+    (None without one)."""
 
     def __init__(self, problem: BlockProblem, config: SolverConfig,
                  mats: structure.StructuralMatrices, w_star: Iterate | None, kernels):
         self.problem, self.config, self.mats, self.kernels = problem, config, mats, kernels
+        self.x_slices = problem.block_slices[:problem.p]
+        self.y_slices = problem.block_slices[problem.p:]
+        self.m = problem.total_dim - problem.n  # lambda is w[m:]
         # tau beta and s beta, grouped as the dual updates evaluate them
         self.tau_beta, self.s_beta = config.tau * config.beta, config.s * config.beta
         self.in_D = mats.in_D
         self.ws = None if w_star is None else w_star.stack()
 
-    def start(self, w: Iterate, row: np.ndarray, dist_sq: float | None = None) -> tuple:
-        """The state `advance` reads for the point w, whose stack is written
-        into row: (x blocks, y blocks, lambda, stacked w, A x, B y,
-        ||w - w*||_H^2 or None to have it computed)."""
+    def start(self, row: np.ndarray) -> tuple:
+        """The state `advance` reads for the stacked point row:
+        (A x, B y, ||w - w*||_H^2, nan without a reference point)."""
         problem = self.problem
-        return (w.x, w.y, w.lam, np.concatenate((*w.x, *w.y, w.lam), out=row),
-                problem.apply_A(w.x), problem.apply_B(w.y), dist_sq)
+        dist_sq = float("nan") if self.ws is None else self.mats.h_norm_sq(row - self.ws)
+        return problem.apply_A(row), problem.apply_B(row), dist_sq
 
 
-def advance(plan: Plan, state: tuple, k: int, w_next: np.ndarray, w_tilde: np.ndarray,
-            scalars: np.ndarray):
-    """Iteration k from `state` (see `Plan.start`).
+def advance(plan: Plan, state: tuple, k: int, wk: np.ndarray, w_next: np.ndarray,
+            w_tilde: np.ndarray, scalars: np.ndarray):
+    """Iteration k from the row wk and its `state` (see `Plan.start`).
 
     Writes w_{k+1} into the row w_next, w~_k into the row w_tilde, and the
     record's scalars (RECORD_SCALARS, then the residual) into scalars.
     Returns the state of w_{k+1} and the residual max(d_inf, feasibility_inf).
     """
-    xs, ys, lam, wk, ax, by, dist_sq = state
-    problem, config, c = plan.problem, plan.config, plan.problem.c
+    ax, by, dist_sq = state
+    problem, config, c, m = plan.problem, plan.config, plan.problem.c, plan.m
     beta = config.beta
-    x_new = group_sweep(problem.x_blocks, plan.kernels[0], xs, ax, c - by + lam / beta, config.sigma1)
-    ax_new = problem.apply_A(x_new)
+    lam = wk[m:]
+    group_sweep(problem.x_blocks, plan.kernels[0], plan.x_slices, wk, ax, c - by + lam / beta,
+                config.sigma1, w_next)
+    ax_new = problem.apply_A(w_next)
     r_half = ax_new + by - c
     lambda_half = lam - plan.tau_beta * r_half
-    y_new = group_sweep(problem.y_blocks, plan.kernels[1], ys, by, c - ax_new + lambda_half / beta, config.sigma2)
-    by_new = problem.apply_B(y_new)
+    group_sweep(problem.y_blocks, plan.kernels[1], plan.y_slices, wk, by, c - ax_new + lambda_half / beta,
+                config.sigma2, w_next)
+    by_new = problem.apply_B(w_next)
     r_new = ax_new + by_new - c
-    lam_new = lambda_half - plan.s_beta * r_new
-    wn = np.concatenate((*x_new, *y_new, lam_new), out=w_next)
-    wt = np.concatenate((*x_new, *y_new, lam - beta * r_half), out=w_tilde)
-    if not np.isfinite(wn).all():
+    w_next[m:] = lambda_half - plan.s_beta * r_new
+    w_tilde[:m] = w_next[:m]
+    w_tilde[m:] = lam - beta * r_half
+    if not np.isfinite(w_next).all():
         raise NonFiniteIterate(f"non-finite iterate at iteration {k}")
 
     mats = plan.mats
-    dw = wk - wt
+    dw = wk - w_tilde
     mdw = mats.M @ dw
     correction_residual = mats.h_norm_sq(mdw)
-    gap = wn - (wk - mdw)
-    d_stack = np.concatenate(d_components(problem, config, wt - wk))
+    gap = w_next - (wk - mdw)
+    d_stack = d_components(problem, config, w_tilde - wk)
     d_inf = float(np.abs(d_stack).max(initial=0.0))
 
-    dist_h = next_dist_sq = slack = float("nan")
+    dist_h = dist_next = slack = float("nan")
     ws = plan.ws
     if ws is not None:
-        if dist_sq is None:
-            dist_sq = mats.h_norm_sq(wk - ws)
-        next_dist_sq = mats.h_norm_sq(wn - ws)
+        dist_next = mats.h_norm_sq(w_next - ws)
         dist_h = math.sqrt(max(dist_sq, 0.0))
         if plan.in_D:
-            slack = dist_sq - next_dist_sq - mats.g_norm_sq(dw)
+            slack = dist_sq - dist_next - mats.g_norm_sq(dw)
 
     feasibility_inf = float(np.abs(r_new).max(initial=0.0))
     residual = max(d_inf, feasibility_inf)
     scalars[:] = (math.sqrt(r_new @ r_new), feasibility_inf, correction_residual,
                   float(d_stack @ d_stack), d_inf, math.sqrt(gap @ gap),
-                  dist_h, next_dist_sq, slack, residual)
-    return (x_new, y_new, lam_new, wn, ax_new, by_new, next_dist_sq), residual
-
-
-def step(problem: BlockProblem, config: SolverConfig, state: Iterate,
-         mats: structure.StructuralMatrices | None = None,
-         w_star: Iterate | None = None, k: int = 0, kernels=None,
-         dist_sq: float | None = None):
-    """One full iteration; returns (next iterate, record with identity checks).
-
-    `kernels` is the pair from `block_kernels`; built here when omitted.
-    `dist_sq` is ||w_k - w*||_H^2 when the caller already has it (the
-    previous record's `next_dist_sq`); computed here when omitted.
-    """
-    if mats is None:
-        mats = structure.assemble(problem, config)
-    if kernels is None:
-        kernels = block_kernels(problem, config)
-    plan = Plan(problem, config, mats, w_star, kernels)
-    rows = np.empty((3, problem.total_dim))  # w_k, w_{k+1}, w~_k
-    scalars = np.empty(len(RECORD_SCALARS) + 1)
-    nxt, _ = advance(plan, plan.start(state, rows[0], dist_sq), k, rows[1], rows[2], scalars)
-    pred = Iterate.from_stack(problem, rows[2])
-    return Iterate(*nxt[:3]), IterationRecord(k, state, pred, *scalars[:-1].tolist())
+                  dist_h, slack, residual)
+    return (ax_new, by_new, dist_next), residual
 
 
 def initial_point(problem: BlockProblem, w0: Iterate | None = None) -> Iterate:
@@ -284,14 +268,15 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     iterates = np.empty((cap + 1, problem.total_dim))
     predictions = np.empty((cap, problem.total_dim))
     scalars = np.empty((cap, len(RECORD_SCALARS) + 1))
-    state = plan.start(initial_point(problem, w0), iterates[0])
+    iterates[0] = initial_point(problem, w0).stack()
+    state = plan.start(iterates[0])
     termination, count = ITERATION_CAP, 0
     for k in range(config.max_iters):
         if k == cap:
             cap *= 2
             iterates, predictions, scalars = (
                 _grown(iterates, cap + 1), _grown(predictions, cap), _grown(scalars, cap))
-        state, residual = advance(plan, state, k, iterates[k + 1], predictions[k], scalars[k])
+        state, residual = advance(plan, state, k, iterates[k], iterates[k + 1], predictions[k], scalars[k])
         count = k + 1
         if residual <= config.tol:
             termination = CONVERGED
@@ -301,7 +286,6 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     for arr in arrays:
         arr.flags.writeable = False
     return Trace(problem=problem, config=config, termination=termination,
-                 w_final=Iterate(*state[:3]),
                  oracle_stats=tuple(kernel.stats for group in kernels for kernel in group),
                  iterates=arrays[0], predictions=arrays[1],
                  columns=dict(zip(RECORD_SCALARS + ("residual",), table)))

@@ -190,6 +190,12 @@ def _kkt_solve(problem: BlockProblem) -> Iterate:
     return Iterate.from_stack(problem, np.linalg.solve(K, rhs))
 
 
+def _quadratic_block(rng: SplitMix64, d: int, n: int) -> Block:
+    """A free block with a strictly convex quadratic objective; draws P, then
+    r, then the n x d coupling matrix."""
+    return Block(Quadratic(spd_matrix(rng, d), 0.5 * rng.normals(d)), full_rank_matrix(rng, n, d), Free())
+
+
 def gen_quadratic(p: int, q: int, x_dims, y_dims, n: int, seed: int) -> InstanceBundle:
     """Strictly convex quadratics over free blocks; oracle = dense KKT solve."""
     if len(x_dims) != p or len(y_dims) != q:
@@ -197,15 +203,8 @@ def gen_quadratic(p: int, q: int, x_dims, y_dims, n: int, seed: int) -> Instance
     if any(d > n for d in list(x_dims) + list(y_dims)):
         raise ValueError("block dimension exceeds n; full column rank is impossible")
     rng = SplitMix64(seed)
-
-    def make_block(d):
-        P = spd_matrix(rng, d)
-        r = 0.5 * rng.normals(d)
-        A = full_rank_matrix(rng, n, d)
-        return Block(Quadratic(P, r), A, Free())
-
-    x_blocks = tuple(make_block(d) for d in x_dims)
-    y_blocks = tuple(make_block(d) for d in y_dims)
+    x_blocks = tuple(_quadratic_block(rng, d, n) for d in x_dims)
+    y_blocks = tuple(_quadratic_block(rng, d, n) for d in y_dims)
     c = rng.normals(n)
     problem = BlockProblem(x_blocks, y_blocks, c)
     w_star = _kkt_solve(problem)
@@ -323,10 +322,7 @@ def gen_l1(p: int, q: int, y_dims, n: int, seed: int) -> InstanceBundle:
         Block(L1(rng.uniform_in(0.5, 1.5)), rng.uniform_in(0.6, 1.4) * np.eye(n), Free())
         for _ in range(p)
     )
-    y_blocks = tuple(
-        Block(Quadratic(spd_matrix(rng, d), 0.5 * rng.normals(d)), full_rank_matrix(rng, n, d), Free())
-        for d in y_dims
-    )
+    y_blocks = tuple(_quadratic_block(rng, d, n) for d in y_dims)
     c = rng.normals(n)
     problem = BlockProblem(x_blocks, y_blocks, c)
     w_star = _enumerate_l1(problem)
@@ -427,21 +423,13 @@ def gen_box_qp(p: int, q: int, x_dims, y_dims, n: int, seed: int) -> InstanceBun
     rng = SplitMix64(seed)
 
     def boxed_block(d):
-        P = spd_matrix(rng, d)
-        r = 0.5 * rng.normals(d)
-        A = full_rank_matrix(rng, n, d)
+        blk = _quadratic_block(rng, d, n)
         lo = np.array([-rng.uniform_in(0.05, 0.5) for _ in range(d)])
         hi = np.array([rng.uniform_in(0.05, 0.5) for _ in range(d)])
-        return Block(Quadratic(P, r), A, Box(lo, hi))
-
-    def free_block(d):
-        return Block(
-            Quadratic(spd_matrix(rng, d), 0.5 * rng.normals(d)),
-            full_rank_matrix(rng, n, d), Free(),
-        )
+        return Block(blk.objective, blk.A, Box(lo, hi))
 
     x_blocks = tuple(boxed_block(d) for d in x_dims)
-    y_blocks = tuple(free_block(d) for d in y_dims)
+    y_blocks = tuple(_quadratic_block(rng, d, n) for d in y_dims)
     # Anchor c at a strictly interior point so the instance is feasible even
     # when the y couplings do not span the constraint space.
     c = np.zeros(n)

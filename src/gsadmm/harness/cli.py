@@ -2,9 +2,10 @@
 instance generation, and report printing.
 
 Exit codes: 0 ok, 1 validation failure (usage errors included), 2 runtime
-failure, 3 generation failure. `run`, `report` and `check` treat a
+failure, 3 generation failure. `run`, `report`, `check` and `sweep` treat a
 floating-point overflow, invalid operation or division by zero as a runtime
-failure; `sweep` tolerates them, since divergence there is an expected outcome.
+failure, except inside a sweep's solves, where divergence is an expected
+outcome.
 """
 from __future__ import annotations
 
@@ -215,9 +216,9 @@ def cmd_run(args, print_report: bool = False) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         io.write_trace_csv(outdir / "trace.csv", trace)
         (outdir / "report.txt").write_text(report_text, encoding="utf-8")
-        final = trace.records[-1] if trace.records else None
-        print(f"{label}: {trace.termination} after {len(trace.records)} iterations"
-              + (f", final residual {max(final.d_inf, final.feasibility_inf):.3e}" if final else ""))
+        iters = len(trace.predictions)
+        print(f"{label}: {trace.termination} after {iters} iterations"
+              + (f", final residual {trace.columns['residual'][-1]:.3e}" if iters else ""))
     return EXIT_OK
 
 
@@ -235,6 +236,7 @@ def _grid(flag: str, spec) -> np.ndarray:
     return np.linspace(lo, hi, int(count))
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def cmd_sweep(args) -> int:
     problem, w_star, label, base = _load(args)
     taus = _grid("--tau-grid", args.tau_grid)
@@ -262,12 +264,15 @@ def cmd_sweep(args) -> int:
             row["xi"] = mats.xi
             try:
                 # divergence at uncertified stepsizes is an expected outcome
-                with np.errstate(over="ignore", invalid="ignore"):
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     trace = engine.solve(problem, config, w_star=w_star, mats=mats, validate=False)
+            except oracles.UnsupportedCombination as exc:
+                print(f"violation: {exc}", file=sys.stderr)
+                return EXIT_VALIDATION
             except engine.NonFiniteIterate:
                 continue
             if trace.termination == engine.CONVERGED:
-                row["iters_to_tol"] = len(trace.records)
+                row["iters_to_tol"] = len(trace.predictions)
             if w_star is not None and mats.in_D:
                 try:
                     constants = diagnostics.rate_constants(problem, config)

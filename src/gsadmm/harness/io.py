@@ -315,9 +315,9 @@ def report_entries(trace: Trace, spectra: dict | None = None,
         "sigma1": trace.config.sigma1,
         "sigma2": trace.config.sigma2,
         "termination": trace.termination,
-        "iterations": len(trace.records),
+        "iterations": len(trace.predictions),
     }
-    if len(trace.records):
+    if len(trace.predictions):
         entries["final_feasibility"] = float(cols["feasibility"][-1])
         entries["final_d_inf"] = float(cols["d_inf"][-1])
         entries["final_dist_H"] = float(cols["dist_H"][-1])

@@ -208,21 +208,19 @@ class BlockProblem:
         """Stacked dimension of w = (x, y, lambda)."""
         return sum(self.x_dims) + sum(self.y_dims) + self.n
 
-    def apply_A(self, xs) -> np.ndarray:
+    def apply_A(self, w: np.ndarray) -> np.ndarray:
+        """A x = sum_i A_i x_i of the stacked point w."""
         out = np.zeros(self.n)
-        for blk, xi in zip(self.x_blocks, xs):
-            out += blk.A @ xi
+        for blk, sl in zip(self.x_blocks, self.block_slices):
+            out += blk.A @ w[sl]
         return out
 
-    def apply_B(self, ys) -> np.ndarray:
+    def apply_B(self, w: np.ndarray) -> np.ndarray:
+        """B y = sum_j B_j y_j of the stacked point w."""
         out = np.zeros(self.n)
-        for blk, yj in zip(self.y_blocks, ys):
-            out += blk.A @ yj
+        for blk, sl in zip(self.y_blocks, self.block_slices[self.p:]):
+            out += blk.A @ w[sl]
         return out
-
-    def residual(self, xs, ys) -> np.ndarray:
-        """Constraint residual A x + B y - c."""
-        return self.apply_A(xs) + self.apply_B(ys) - self.c
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
-"""Record-at-a-time reference for the post-hoc checks.
+"""Record-at-a-time reference for the engine and the post-hoc checks.
 
-These are the loops `diagnostics` ran over `trace.records` before the checks
-read the trace's columns: one `IterationRecord` at a time, 1-d matrix-vector
-products, the natural residual per point. The column-batched checks must
-reproduce every report field bit for bit (`tests/test_verdict.py`).
+`step` is one iteration as an (Iterate, IterationRecord) pair: one
+`engine.advance` from a stacked start point, whose H-distance to w* it
+computes afresh. Repeated steps must reproduce `engine.solve` bit for bit
+(`tests/test_engine.py`).
+
+The checks below are the loops `diagnostics` ran over `trace.records` before
+the checks read the trace's columns: one `IterationRecord` at a time, 1-d
+matrix-vector products, the natural residual per point. The column-batched
+checks must reproduce every report field bit for bit (`tests/test_verdict.py`).
 
 `feasibility_decomposition_error` is the test-only identity behind
 acceptance criterion C6.
@@ -12,6 +17,7 @@ import math
 
 import numpy as np
 
+from gsadmm import engine, structure
 from gsadmm.diagnostics import (
     ERROR_BOUND_ABS_FLOOR,
     ERROR_BOUND_RTOL,
@@ -24,8 +30,33 @@ from gsadmm.diagnostics import (
     _require_region,
     theta_hat,
 )
-from gsadmm.model import L1
+from gsadmm.model import L1, Iterate
 from gsadmm.oracles import l1_subgradient, project
+
+
+def step(problem, config, state, mats=None, w_star=None, k=0, kernels=None):
+    """One iteration from the Iterate state; returns (next Iterate, record).
+
+    `mats` and `kernels` (the pair from `engine.block_kernels`) are built
+    here when omitted.
+    """
+    if mats is None:
+        mats = structure.assemble(problem, config)
+    if kernels is None:
+        kernels = engine.block_kernels(problem, config)
+    plan = engine.Plan(problem, config, mats, w_star, kernels)
+    rows = np.empty((3, problem.total_dim))  # w_k, w_{k+1}, w~_k
+    rows[0] = state.stack()
+    scalars = np.empty(len(engine.RECORD_SCALARS) + 1)
+    engine.advance(plan, plan.start(rows[0]), k, rows[0], rows[1], rows[2], scalars)
+    record = engine.IterationRecord(k, state, Iterate.from_stack(problem, rows[2]), *scalars[:-1].tolist())
+    return Iterate.from_stack(problem, rows[1]), record
+
+
+def residual(problem, xs, ys):
+    """Constraint residual A x + B y - c of the blocks xs and ys."""
+    w = Iterate(xs, ys, np.zeros(problem.n)).stack()
+    return problem.apply_A(w) + problem.apply_B(w) - problem.c
 
 
 def error_map_residual(problem, w):
@@ -38,7 +69,7 @@ def error_map_residual(problem, w):
         else:
             g = blk.objective.gradient(z)
         parts.append(z - project(blk.set, z - (g - t)))
-    parts.append(problem.residual(w.x, w.y))
+    parts.append(residual(problem, w.x, w.y))
     return np.concatenate(parts)
 
 
@@ -102,9 +133,7 @@ def linear_rate_check(mats, trace, w_star, constants):
     recs = trace.records
     if len(recs) < 20:
         raise InsufficientTrace(f"{len(recs)} iterations; need at least 20")
-    problem = trace.problem
-    ner = nonergodic_check(mats, trace, w_star)
-    eb_ok, eb_worst = error_bound_check(problem, mats, trace, constants)
+    eb_ok, eb_worst = error_bound_check(trace.problem, mats, trace, constants)
 
     tol = trace.config.tol
     t_conv = len(recs) - 1
@@ -136,9 +165,6 @@ def linear_rate_check(mats, trace, w_star, constants):
     else:
         envelope_ok = False
     return RateReport(
-        sublinear_envelope=ner.sublinear_envelope,
-        monotone_ok=ner.monotone_ok,
-        xi_bound_ok=ner.xi_bound_ok,
         error_bound_ok=eb_ok,
         error_bound_worst_ratio=eb_worst,
         linear_ratio_fit=slope,
@@ -151,7 +177,7 @@ def linear_rate_check(mats, trace, w_star, constants):
 
 def feasibility_decomposition_error(problem, config, record):
     """Relative error of A x~ + B y~ - c = (lambda - lambda~)/beta - sum_j B_j (y_j - y~_j)."""
-    lhs = problem.residual(record.w_tilde.x, record.w_tilde.y)
+    lhs = residual(problem, record.w_tilde.x, record.w_tilde.y)
     rhs = (record.w.lam - record.w_tilde.lam) / config.beta
     for blk, yk, yt in zip(problem.y_blocks, record.w.y, record.w_tilde.y):
         rhs = rhs - blk.A @ (yk - yt)

@@ -7,7 +7,7 @@ import gsadmm as g
 from gsadmm import engine
 from gsadmm.model import Block, BlockProblem, Free, Iterate, Quadratic, SolverConfig
 from gridsearch import reference_prox_solve
-from reference_verdict import feasibility_decomposition_error
+from reference_verdict import feasibility_decomposition_error, residual, step
 
 
 @pytest.fixture()
@@ -23,7 +23,7 @@ def qp1(qp1_bundle):
 def test_first_step_hand_values(qp1):
     problem, cfg, _ = qp1
     w0 = Iterate.zeros(problem)
-    nxt, rec = engine.step(problem, cfg, w0)
+    nxt, rec = step(problem, cfg, w0)
     assert nxt.x[0] == pytest.approx([2.0 / 7.0], abs=1e-15)
     assert rec.w_tilde.lam == pytest.approx([5.0 / 7.0], abs=1e-15)
     # lambda_half = lambda - tau (lambda - lambda~)
@@ -37,7 +37,7 @@ def test_first_step_hand_values(qp1):
 def test_step_matches_linear_correction(qp1):
     problem, cfg, _ = qp1
     mats = g.assemble(problem, cfg)
-    nxt, rec = engine.step(problem, cfg, Iterate.zeros(problem), mats=mats)
+    nxt, rec = step(problem, cfg, Iterate.zeros(problem), mats=mats)
     m_form = Iterate.zeros(problem).stack() - mats.M @ (Iterate.zeros(problem).stack() - rec.w_tilde.stack())
     assert np.allclose(nxt.stack(), m_form, atol=1e-15)
     assert rec.identity_error <= 1e-15
@@ -50,7 +50,7 @@ def test_half_step_identity_along_run(qp1_run):
     for rec, nxt in zip(trace.records, nexts):
         lam, lam_tilde = rec.w.lam, rec.w_tilde.lam
         # undo the full dual update: lambda_half = lambda+ + s beta (A x~ + B y~ - c)
-        lam_half = nxt.lam + cfg.s * cfg.beta * bundle.problem.residual(rec.w_tilde.x, rec.w_tilde.y)
+        lam_half = nxt.lam + cfg.s * cfg.beta * residual(bundle.problem, rec.w_tilde.x, rec.w_tilde.y)
         expected = lam - cfg.tau * (lam - lam_tilde)
         assert np.allclose(lam_half, expected, atol=1e-12)
 
@@ -61,18 +61,18 @@ def test_trivial_stepsize_reductions(qp1):
     problem, _, _ = qp1
     w = Iterate((np.array([0.2]),), (np.array([0.1]),), np.array([0.5]))
     cfg0 = SolverConfig(tau=0.0, s=0.4, sigma1=0.5, sigma2=0.5)
-    nxt, _ = engine.step(problem, cfg0, w)
-    assert np.array_equal(nxt.lam, w.lam - cfg0.s * cfg0.beta * problem.residual(nxt.x, nxt.y))
+    nxt, _ = step(problem, cfg0, w)
+    assert np.array_equal(nxt.lam, w.lam - cfg0.s * cfg0.beta * residual(problem, nxt.x, nxt.y))
     cfg_s0 = SolverConfig(tau=0.4, s=0.0, sigma1=0.5, sigma2=0.5)
-    nxt, _ = engine.step(problem, cfg_s0, w)
-    assert np.array_equal(nxt.lam, w.lam - cfg_s0.tau * cfg_s0.beta * problem.residual(nxt.x, w.y))
+    nxt, _ = step(problem, cfg_s0, w)
+    assert np.array_equal(nxt.lam, w.lam - cfg_s0.tau * cfg_s0.beta * residual(problem, nxt.x, w.y))
 
 
 def test_prediction_is_multiplier_at_feasible_pair(qp1):
     # from this point the x sweep returns x+ = 0.25, so (x+, y_k) is feasible
     problem, cfg, _ = qp1
     w = Iterate((np.array([0.25]),), (np.array([0.75]),), np.array([0.5]))
-    _, rec = engine.step(problem, cfg, w)
+    _, rec = step(problem, cfg, w)
     assert np.array_equal(rec.w_tilde.x[0], [0.25])
     assert np.array_equal(rec.w_tilde.lam, w.lam)
 
@@ -83,8 +83,8 @@ def test_prediction_scales_with_beta(qp1):
     w = Iterate((np.array([0.4]),), (np.array([0.0]),), np.array([0.2]))
     for beta in (1.0, 2.0):
         cfg = SolverConfig(beta=beta, sigma1=0.5, sigma2=0.5)
-        _, rec = engine.step(problem, cfg, w)
-        res = problem.residual(rec.w_tilde.x, w.y)
+        _, rec = step(problem, cfg, w)
+        res = residual(problem, rec.w_tilde.x, w.y)
         assert np.allclose(w.lam - rec.w_tilde.lam, beta * res, atol=1e-15)
 
 
@@ -100,7 +100,7 @@ def test_step_forms_each_group_product_twice(qp1, monkeypatch):
             calls[_name] += 1
             return _original(self, zs)
         monkeypatch.setattr(BlockProblem, name, counted)
-    engine.step(problem, cfg, Iterate.zeros(problem), mats=mats, w_star=w_star, kernels=kernels)
+    step(problem, cfg, Iterate.zeros(problem), mats=mats, w_star=w_star, kernels=kernels)
     assert calls == {"apply_A": 2, "apply_B": 2}
 
 
@@ -129,18 +129,17 @@ def test_solve_forms_each_group_product_once_per_iteration(qp1, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# solve against repeated public steps
+# solve against repeated single steps
 # ---------------------------------------------------------------------------
 
 def _stepped(problem, cfg, w_star, mats):
-    """The solve loop written with the public `step`: final iterate, records
-    and the oracle kernels they shared."""
+    """The solve loop written with the test `step`, which computes each
+    H-distance afresh where `solve` carries it: final iterate, records and
+    the oracle kernels they shared."""
     kernels = engine.block_kernels(problem, cfg)
-    state, records, dist_sq = engine.initial_point(problem), [], None
+    state, records = engine.initial_point(problem), []
     for k in range(cfg.max_iters):
-        state, rec = engine.step(problem, cfg, state, mats=mats, w_star=w_star, k=k, kernels=kernels,
-                                 dist_sq=dist_sq)
-        dist_sq = rec.next_dist_sq
+        state, rec = step(problem, cfg, state, mats=mats, w_star=w_star, k=k, kernels=kernels)
         records.append(rec)
         if max(rec.d_inf, rec.feasibility_inf) <= cfg.tol:
             break
@@ -198,7 +197,7 @@ def test_diverging_solve_and_steps_raise_at_same_iteration(qp1):
 
 def test_fixed_point_stays(qp1):
     problem, cfg, w_star = qp1
-    nxt, rec = engine.step(problem, cfg, w_star)
+    nxt, rec = step(problem, cfg, w_star)
     assert np.allclose(nxt.stack(), w_star.stack(), atol=1e-14)
     assert rec.feasibility <= 1e-14
     assert rec.d_norm_sq <= 1e-28
@@ -220,8 +219,11 @@ def test_group_update_reads_snapshot_only():
 
     def x_sweep(prob, state):
         kernels = engine.block_kernels(prob, cfg)[0]
-        base = prob.c - prob.apply_B(state.y) + state.lam / cfg.beta
-        return engine.group_sweep(prob.x_blocks, kernels, state.x, prob.apply_A(state.x), base, cfg.sigma1)
+        wk, out = state.stack(), np.zeros(prob.total_dim)
+        base = prob.c - prob.apply_B(wk) + state.lam / cfg.beta
+        slices = prob.block_slices[:prob.p]
+        engine.group_sweep(prob.x_blocks, kernels, slices, wk, prob.apply_A(wk), base, cfg.sigma1, out)
+        return [out[sl] for sl in slices]
 
     out = x_sweep(problem, w)
     out_perm = x_sweep(perm_problem, w_perm)

@@ -150,22 +150,51 @@ def test_cmd_run_bad_input_exits_one_with_one_line(tmp_path, capsys, case, needl
     assert not (tmp_path / "out").exists()
 
 
-def test_cmd_run_unsupported_oracle_exits_one_with_one_line(tmp_path, capsys):
+# a sweep over the single stepsize point (0.3, 0.4)
+ONE_POINT_GRID = ["--tau-grid", "0.3", "0.3", "1", "--s-grid", "0.4", "0.4", "1"]
+
+
+def _command_argv(command, path, tmp_path) -> list[str]:
+    """argv of `command` on the instance at path; run and sweep write to tmp_path/out."""
+    argv = [command, "--instance", str(path)]
+    if command in ("run", "sweep"):
+        argv += ["--out", str(tmp_path / "out")]
+    return argv + (ONE_POINT_GRID if command == "sweep" else [])
+
+
+def _assert_unsupported_oracle_exits_one(tmp_path, capsys, command):
     # an l1 block coupled through -I passes validation; its oracle rejects it
     path = tmp_path / "instance.txt"
     path.write_text(_document(l1_1d()).replace("coupling 1 1\n1\n", "coupling 1 1\n-1\n", 1))
-    assert main(["run", "--instance", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert main(_command_argv(command, path, tmp_path)) == 1
     assert capsys.readouterr().err == \
         "violation: l1 blocks require the coupling matrix to be a positive multiple of I\n"
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "report", "check"])
-def test_overflow_is_a_runtime_failure(tmp_path, capsys, command):
-    # a linear term of 1e308 overflows the iteration and the reference-point
-    # check, which must fail the command instead of reporting inf
+def test_cmd_run_unsupported_oracle_exits_one_with_one_line(tmp_path, capsys):
+    _assert_unsupported_oracle_exits_one(tmp_path, capsys, "run")
+
+
+def test_sweep_unsupported_oracle_exits_one_with_one_line(tmp_path, capsys):
+    _assert_unsupported_oracle_exits_one(tmp_path, capsys, "sweep")
+
+
+# (command, instance, its linear term replaced by 1e308); the qp1 cases are
+# named by their command alone
+OVERFLOW_CASES = [pytest.param(command, document, old, id=command + suffix)
+                  for document, old, suffix in ((qp1, "quad-r 1\n0\n", ""), (l1_1d, "quad-r 1\n-2\n", "-l1-1d"))
+                  for command in ("run", "report", "check", "sweep")]
+
+
+@pytest.mark.parametrize("command, document, old", OVERFLOW_CASES)
+def test_overflow_is_a_runtime_failure(tmp_path, capsys, command, document, old):
+    # a linear term of 1e308 overflows the iteration, the reference-point
+    # check and the sweep's rate check, which must fail the command instead
+    # of reporting inf
     path = tmp_path / "huge.txt"
-    path.write_text(_document(qp1()).replace("quad-r 1\n0\n", "quad-r 1\n1e308\n", 1))
-    argv = [command, "--instance", str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    path.write_text(_document(document()).replace(old, "quad-r 1\n1e308\n", 1))
+    argv = _command_argv(command, path, tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv)
@@ -466,8 +495,8 @@ def test_malformed_documents_fail_with_documented_codes(docs):
         for path, text in zip(paths, docs):
             path.write_text(text)
         inputs = ["--instance", str(paths[0]), "--config", str(paths[1])]
-        for argv in (["run", *inputs, "--max-iters", "20", "--out", str(Path(tmp) / "out")],
-                     ["check", *inputs]):
+        out = ["--max-iters", "20", "--out", str(Path(tmp) / "out")]
+        for argv in (["run", *inputs, *out], ["sweep", *inputs, *out, *ONE_POINT_GRID], ["check", *inputs]):
             err = textio.StringIO()
             with warnings.catch_warnings(record=True) as caught, \
                     contextlib.redirect_stdout(textio.StringIO()), contextlib.redirect_stderr(err):
