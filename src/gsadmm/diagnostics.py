@@ -10,7 +10,7 @@ engine (`IterationRecord.contraction_slack`).
 
 The checks read a trace's columns (`Trace.iterates`, `Trace.predictions`,
 `Trace.columns`) and evaluate each bound for all iterations at once. Every
-per-row product is a stacked matrix-vector product (`_rows_matvec`,
+per-row product is a stacked matrix-vector product (`matvecs`,
 `structure.row_forms`), which runs the BLAS kernel of the 1-d product, and
 every expression keeps its association order, so each value has the bits the
 same formula gives one iteration at a time. The record-at-a-time reference
@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import BlockProblem, Iterate, L1, SolverConfig
+from .model import BlockProblem, Iterate, L1, SolverConfig, block_sum, matvecs
 from .oracles import l1_subgradient, project
 from .structure import row_forms
 
@@ -58,12 +58,6 @@ def _require_region(mats: "StructuralMatrices", what: str):
         )
 
 
-def _rows_matvec(mat: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """mat @ z for each row z of a C-contiguous Z, as stacked matrix-vector
-    products (a 2-d GEMM `Z @ mat.T` changes the bits)."""
-    return np.matmul(mat, Z[:, :, None])[:, :, 0]
-
-
 def _rows_dot(V: np.ndarray) -> np.ndarray:
     """v @ v for each row v of V, as stacked (1 x N)(N x 1) products."""
     return (V[:, None, :] @ V[:, :, None])[:, 0, 0]
@@ -87,19 +81,20 @@ def d_components(problem: BlockProblem, config: SolverConfig, delta: np.ndarray)
     y components:  (sigma2 + 1) beta B_j'B_j dy_j - tau B_j' dlam
     with dx, dy, dlam the block slices of delta; the subtraction is
     elementwise, so each slice has the bits of its per-block difference.
+    One stacked product per batch (`BlockProblem.batches`) keeps those bits.
     """
     beta, sigma1, sigma2, tau = config.beta, config.sigma1, config.sigma2, config.tau
-    slices, p = problem.block_slices, problem.p
-    ax_deltas = [blk.A @ delta[sl] for blk, sl in zip(problem.x_blocks, slices)]
-    sx = np.zeros(problem.n)
-    for d in ax_deltas:
-        sx += d
-    dlam = delta[delta.shape[0] - problem.n:]
-    shared = (sigma1 - 1.0) * sx
-    parts = [beta * (blk.AT @ (shared + a_d)) for blk, a_d in zip(problem.x_blocks, ax_deltas)]
-    for blk, sl in zip(problem.y_blocks, slices[p:]):
-        parts.append((sigma2 + 1.0) * beta * (blk.AT @ (blk.A @ delta[sl])) - tau * (blk.AT @ dlam))
-    return np.concatenate(parts)
+    m = delta.shape[0] - problem.n
+    dlam = delta[m:]
+    out = np.empty(m)
+    AX = problem.products(0, delta)
+    shared = (sigma1 - 1.0) * block_sum(AX)
+    for rows, cols, _, AT in problem.batches[0]:
+        out[cols] = beta * matvecs(AT, shared + AX[rows])
+    BY = problem.products(1, delta)
+    for rows, cols, _, AT in problem.batches[1]:
+        out[cols] = (sigma2 + 1.0) * beta * matvecs(AT, BY[rows]) - tau * matvecs(AT, dlam)
+    return out
 
 
 def theta_hat(problem: BlockProblem, config: SolverConfig) -> float:
@@ -147,13 +142,13 @@ def error_map_rows(problem: BlockProblem, W: np.ndarray) -> np.ndarray:
     group_sums = [np.zeros((len(W), problem.n)), np.zeros((len(W), problem.n))]  # A x, B y
     for idx, (blk, sl) in enumerate(zip(problem.x_blocks + problem.y_blocks, problem.block_slices)):
         z = np.ascontiguousarray(W[:, sl])
-        t = _rows_matvec(blk.A.T, lam)
+        t = matvecs(blk.A.T, lam)
         if isinstance(blk.objective, L1):
             g = l1_subgradient(blk.objective.weight, z, t)
         else:
             g = blk.objective.gradient(z)
         parts.append(z - project(blk.set, z - (g - t)))
-        group_sums[idx >= problem.p] += _rows_matvec(blk.A, z)
+        group_sums[idx >= problem.p] += matvecs(blk.A, z)
     parts.append(group_sums[0] + group_sums[1] - problem.c)
     return np.concatenate(parts, axis=1)
 

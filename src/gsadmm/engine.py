@@ -24,13 +24,16 @@ iteration; r_new is also the feasibility residual of w~.
 an iterate inside the engine. Before the first iteration it builds a `Plan`
 of everything that stays fixed over the solve: one oracle kernel per block
 (the penalty rho of each group is fixed under one config), the structural
-matrices, each block's slice of w, the stacked reference point and the
+matrices, each group's sweep steps, the stacked reference point and the
 config's scalars. `advance` is one iteration. It reads w_k from its trace
 row, each block writes its prox answer straight into the row of w_{k+1}, and
-w~_k takes its primal part from there. It forms A x+ and B y+ once each and
-carries them into the next iteration as its A x_k and B y_k, and carries
-||w_{k+1} - w*||_H^2 the same way, so an iteration forms each group product
-once and three H/G quadratic forms. `IterationRecord`s are built only at the
+w~_k takes its primal part from there. It forms the stacks of A_i x_i+ and
+B_j y_j+ once each and carries them and their sums into the next iteration,
+and carries ||w_{k+1} - w*||_H^2 the same way, so an iteration forms each
+group product once and three H/G quadratic forms. Blocks go in batches
+(`BlockProblem.batches`): one stacked call per batch for products, prox
+points and free-quadratic solves, with the bits of the per-block iteration
+in tests/reference_verdict.py. `IterationRecord`s are built only at the
 API edge: `Trace.records` builds each record on access.
 """
 from __future__ import annotations
@@ -47,10 +50,11 @@ from .model import (
     BlockProblem,
     Iterate,
     SolverConfig,
+    block_sum,
     validate_config,
     validate_problem,
 )
-from .oracles import OracleStats, ProxKernel, project, prox_solve
+from .oracles import OracleStats, ProxKernel, project, prox_solve, sweep_steps
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
@@ -136,31 +140,28 @@ def block_kernels(problem: BlockProblem, config: SolverConfig):
             tuple(ProxKernel(blk.objective, blk.set, blk.A, rho_y) for blk in problem.y_blocks))
 
 
-def group_sweep(blocks, kernels, slices, wk, own_sum, base, sigma, out):
-    """Jacobian sweep over one group; every block reads the same snapshot wk.
+def group_sweep(steps, AZ, own_sum, base, sigma, out):
+    """Jacobian sweep over one group; every block reads the same snapshot z.
 
-    Block i solves its prox at u_i = (base - (own_sum - A_i z_i) + sigma A_i z_i) / (1 + sigma),
-    with z_i = wk[slices[i]] and own_sum the group's product at wk, and
-    writes the answer into out[slices[i]].
+    Row i of AZ is A_i z_i and own_sum their sum; all prox points
+    u_i = (base - (own_sum - A_i z_i) + sigma A_i z_i) / (1 + sigma) are formed
+    at once, and each step of `sweep_steps` writes its answers into out[cols].
     """
-    for blk, kernel, sl in zip(blocks, kernels, slices):
-        a_z = blk.A @ wk[sl]
-        v = base - (own_sum - a_z)
-        u = (v + sigma * a_z) / (1.0 + sigma)
-        out[sl] = prox_solve(kernel, u)
+    U = (base - (own_sum - AZ) + sigma * AZ) / (1.0 + sigma)
+    for kernel, rows, cols in steps:
+        out[cols] = prox_solve(kernel, U[rows])
 
 
 class Plan:
     """What every iteration of one solve reads and none changes: the problem,
     the config and its scalars, the oracle kernels, the structural matrices,
-    each block's slice of the stacked w, and the stacked reference point
-    (None without one)."""
+    each group's sweep steps, and the stacked reference point (None without
+    one)."""
 
     def __init__(self, problem: BlockProblem, config: SolverConfig,
                  mats: structure.StructuralMatrices, w_star: Iterate | None, kernels):
         self.problem, self.config, self.mats, self.kernels = problem, config, mats, kernels
-        self.x_slices = problem.block_slices[:problem.p]
-        self.y_slices = problem.block_slices[problem.p:]
+        self.steps = tuple(map(sweep_steps, problem.batches, kernels))
         self.m = problem.total_dim - problem.n  # lambda is w[m:]
         # tau beta and s beta, grouped as the dual updates evaluate them
         self.tau_beta, self.s_beta = config.tau * config.beta, config.s * config.beta
@@ -168,11 +169,11 @@ class Plan:
         self.ws = None if w_star is None else w_star.stack()
 
     def start(self, row: np.ndarray) -> tuple:
-        """The state `advance` reads for the stacked point row:
-        (A x, B y, ||w - w*||_H^2, nan without a reference point)."""
-        problem = self.problem
+        """The state `advance` reads for the stacked point row: the stacks of
+        A_i x_i and B_j y_j, A x, B y, and ||w - w*||_H^2 (nan without w*)."""
+        AX, BY = self.problem.products(0, row), self.problem.products(1, row)
         dist_sq = float("nan") if self.ws is None else self.mats.h_norm_sq(row - self.ws)
-        return problem.apply_A(row), problem.apply_B(row), dist_sq
+        return AX, block_sum(AX), BY, block_sum(BY), dist_sq
 
 
 def advance(plan: Plan, state: tuple, k: int, wk: np.ndarray, w_next: np.ndarray,
@@ -183,18 +184,18 @@ def advance(plan: Plan, state: tuple, k: int, wk: np.ndarray, w_next: np.ndarray
     record's scalars (RECORD_SCALARS, then the residual) into scalars.
     Returns the state of w_{k+1} and the residual max(d_inf, feasibility_inf).
     """
-    ax, by, dist_sq = state
+    AX, ax, BY, by, dist_sq = state
     problem, config, c, m = plan.problem, plan.config, plan.problem.c, plan.m
     beta = config.beta
     lam = wk[m:]
-    group_sweep(problem.x_blocks, plan.kernels[0], plan.x_slices, wk, ax, c - by + lam / beta,
-                config.sigma1, w_next)
-    ax_new = problem.apply_A(w_next)
+    group_sweep(plan.steps[0], AX, ax, c - by + lam / beta, config.sigma1, w_next)
+    AX_new = problem.products(0, w_next)
+    ax_new = block_sum(AX_new)
     r_half = ax_new + by - c
     lambda_half = lam - plan.tau_beta * r_half
-    group_sweep(problem.y_blocks, plan.kernels[1], plan.y_slices, wk, by, c - ax_new + lambda_half / beta,
-                config.sigma2, w_next)
-    by_new = problem.apply_B(w_next)
+    group_sweep(plan.steps[1], BY, by, c - ax_new + lambda_half / beta, config.sigma2, w_next)
+    BY_new = problem.products(1, w_next)
+    by_new = block_sum(BY_new)
     r_new = ax_new + by_new - c
     w_next[m:] = lambda_half - plan.s_beta * r_new
     w_tilde[:m] = w_next[:m]
@@ -223,7 +224,7 @@ def advance(plan: Plan, state: tuple, k: int, wk: np.ndarray, w_next: np.ndarray
     scalars[:] = (math.sqrt(r_new @ r_new), feasibility_inf, correction_residual,
                   float(d_stack @ d_stack), d_inf, math.sqrt(gap @ gap),
                   dist_h, slack, residual)
-    return (ax_new, by_new, dist_next), residual
+    return (AX_new, ax_new, BY_new, by_new, dist_next), residual
 
 
 def initial_point(problem: BlockProblem, w0: Iterate | None = None) -> Iterate:

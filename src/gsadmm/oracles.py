@@ -21,6 +21,10 @@ Heff = rho A'A (+ P) for quadratic and linear blocks, the soft-threshold
 constant for l1 blocks, and for box and nonnegative blocks a table of active
 patterns.
 
+Free-quadratic blocks call the gesv gufunc of `np.linalg.solve`, with its bits
+but not its costly wrapper, several at once in a `FreeBatch`. gesv fails only
+on an exact zero pivot of Heff, so a probe at construction decides `Unbounded`.
+
 Box and nonnegative blocks are solved by KKT pattern enumeration. Each
 component is interior, at its lower bound or at its upper bound; patterns are
 tried in lexicographic order, and the first whose solution passes the
@@ -45,8 +49,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _gesv  # the gufunc np.linalg.solve runs for a 1-d b
 
-from .model import L1, Box, FeasibleSet, Free, Linear, Nonnegative, Objective, Quadratic
+from .model import L1, Box, FeasibleSet, Free, Linear, Nonnegative, Objective, Quadratic, matvecs
 
 # Active-set enumeration visits up to 3^dim patterns; cap the block dimension.
 BOX_ENUM_CAP = 12
@@ -157,10 +162,9 @@ class _PatternChunk:
             rows = np.flatnonzero(nfree == nf)
             idx = np.nonzero(self.free[rows])[1].reshape(rows.size, nf)
             act = np.nonzero(~self.free[rows])[1].reshape(rows.size, -1)
-            # one matrix-vector product per pattern, as the scalar loop does,
-            # so the constants carry the same bits
-            const = np.array([Heff[cols[:, None], a] @ self.Zb[r, a]
-                              for r, cols, a in zip(rows, idx, act)])
+            # Heff[free, active] z[active] of every pattern as stacked
+            # matrix-vector products, so each has the bits of the scalar loop's
+            const = matvecs(Heff[idx[:, :, None], act[:, None, :]], self.Zb[rows[:, None], act])
             self.groups.append((rows, idx, Heff[idx[:, :, None], idx[:, None, :]], const))
 
     def first_pass(self, table: "_PatternTable", geff: np.ndarray, gmax: float,
@@ -285,10 +289,15 @@ class ProxKernel:
         if isinstance(fset, Free):
             if isinstance(objective, Linear):
                 raise UnsupportedCombination("linear objective over a free block")
-            self._solve = self._solve_free
+            try:  # the singularity probe (see the module docstring)
+                np.linalg.solve(self._Heff, np.zeros(self.dim))
+                self._singular = False
+            except np.linalg.LinAlgError:
+                self._singular = True
+            self._solve = lambda u: _solve_free(self, u)
         elif isinstance(fset, (Box, Nonnegative)):
             table = _PatternTable(self._Heff, *bounds(fset, self.dim))
-            self._solve = lambda u: table.solve(self._geff(u), self.stats)
+            self._solve = lambda u: table.solve(_geff(self, u), self.stats)
         else:
             raise UnsupportedCombination(f"unknown set variant {type(fset).__name__}")
 
@@ -300,15 +309,48 @@ class ProxKernel:
         self.stats.calls += 1
         return self._solve(np.asarray(u, dtype=float))
 
-    def _geff(self, u: np.ndarray) -> np.ndarray:
-        """Linear term of the reduced quadratic: r - rho A'u."""
-        return self._neg_rho * (self._AT @ u) + self._r
 
-    def _solve_free(self, u: np.ndarray) -> np.ndarray:
-        try:
-            return np.linalg.solve(self._Heff, -(self._neg_rho * (self._AT @ u) + self._r))
-        except np.linalg.LinAlgError as exc:
-            raise Unbounded("singular proximal system; coupling matrix rank deficient") from exc
+
+class FreeBatch:
+    """Free-quadratic kernels of one dimension and rho (with their `objective`,
+    `set`, `dim`): one stacked gesv answers row i of U for kernels[i]."""
+
+    def __init__(self, kernels):
+        first = kernels[0]
+        self.kernels, self.objective, self.set, self.dim = kernels, first.objective, first.set, first.dim
+        # a view of the stacked A, so each item has the layout of a kernel's A'
+        self._AT, self._neg_rho = np.stack([k.A for k in kernels]).transpose(0, 2, 1), first._neg_rho
+        self._r, self._Heff = np.stack([k._r for k in kernels]), np.stack([k._Heff for k in kernels])
+        self._singular = any(k._singular for k in kernels)
+
+    def solve(self, U: np.ndarray) -> np.ndarray:
+        for kernel in self.kernels:
+            kernel.stats.calls += 1
+        return _solve_free(self, U)
+
+
+def sweep_steps(batches, kernels) -> tuple:
+    """One group's solves as (kernel, rows, cols) for `BlockProblem.batches`: a
+    batch of free-quadratic blocks is one FreeBatch, any other block alone."""
+    steps = []
+    for rows, cols, _, _ in batches:
+        run = kernels[rows]
+        if isinstance(run[0].objective, Quadratic) and isinstance(run[0].set, Free):
+            steps.append((FreeBatch(run), rows, cols))
+        else:
+            steps += zip(run, range(rows.start, rows.stop), cols)
+    return tuple(steps)
+
+
+def _geff(kernel: ProxKernel | FreeBatch, u: np.ndarray) -> np.ndarray:
+    """Linear term of the reduced quadratic, r - rho A'u, at u or each row of U."""
+    return kernel._neg_rho * matvecs(kernel._AT, u) + kernel._r
+
+
+def _solve_free(kernel: ProxKernel | FreeBatch, u: np.ndarray) -> np.ndarray:
+    if kernel._singular:
+        raise Unbounded("singular proximal system; coupling matrix rank deficient")
+    return _gesv(kernel._Heff, -_geff(kernel, u))
 
 
 def prox_solve(kernel: ProxKernel, u: np.ndarray) -> np.ndarray:

@@ -236,9 +236,10 @@ def reference_prox_solve(query, u=None) -> np.ndarray:
     """prox_solve with the reference enumeration for quadratic and linear
     objectives over box and nonnegative sets; takes a ProxQuery, or a
     kernel and u, like prox_solve."""
-    obj, fset, A, rho = query.objective, query.set, query.A, query.rho
+    obj, fset = query.objective, query.set
     if not (isinstance(obj, (Quadratic, Linear)) and isinstance(fset, (Box, Nonnegative))):
         return solve_query(query) if u is None else prox_solve(query, u)
+    A, rho = query.A, query.rho
     u = query.u if u is None else u
     Heff = rho * (A.T @ A)
     geff = -rho * (A.T @ u)

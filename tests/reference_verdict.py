@@ -5,6 +5,14 @@
 computes afresh. Repeated steps must reproduce `engine.solve` bit for bit
 (`tests/test_engine.py`).
 
+`start` and `advance` are the iteration one block at a time, as the engine
+ran it before it batched blocks: `group_sweep` forms each block's product
+and prox point on its own and solves a free-quadratic block with its own
+`np.linalg.solve`, `d_components` loops over the blocks, and
+`apply_A`/`apply_B` sum the group products block by block. `engine.solve`
+driven by them (`engine.advance` and `engine.Plan.start` replaced) must
+reproduce the batched engine bit for bit (`tests/test_engine.py`).
+
 The checks below are the loops `diagnostics` ran over `trace.records` before
 the checks read the trace's columns: one `IterationRecord` at a time, 1-d
 matrix-vector products, the natural residual per point. The column-batched
@@ -17,7 +25,7 @@ import math
 
 import numpy as np
 
-from gsadmm import engine, structure
+from gsadmm import engine, oracles, structure
 from gsadmm.diagnostics import (
     ERROR_BOUND_ABS_FLOOR,
     ERROR_BOUND_RTOL,
@@ -30,8 +38,8 @@ from gsadmm.diagnostics import (
     _require_region,
     theta_hat,
 )
-from gsadmm.model import L1, Iterate
-from gsadmm.oracles import l1_subgradient, project
+from gsadmm.model import L1, Free, Iterate, Quadratic
+from gsadmm.oracles import l1_subgradient, project, prox_solve
 
 
 def step(problem, config, state, mats=None, w_star=None, k=0, kernels=None):
@@ -53,10 +61,113 @@ def step(problem, config, state, mats=None, w_star=None, k=0, kernels=None):
     return Iterate.from_stack(problem, rows[1]), record
 
 
+def apply_A(problem, w):
+    """A x = sum_i A_i x_i of the stacked point w, block by block."""
+    out = np.zeros(problem.n)
+    for blk, sl in zip(problem.x_blocks, problem.block_slices):
+        out += blk.A @ w[sl]
+    return out
+
+
+def apply_B(problem, w):
+    """B y = sum_j B_j y_j of the stacked point w, block by block."""
+    out = np.zeros(problem.n)
+    for blk, sl in zip(problem.y_blocks, problem.block_slices[problem.p:]):
+        out += blk.A @ w[sl]
+    return out
+
+
+def _prox(kernel, u):
+    """prox_solve, with a free-quadratic block solved by its own np.linalg.solve."""
+    if not (isinstance(kernel.objective, Quadratic) and isinstance(kernel.set, Free)):
+        return prox_solve(kernel, u)
+    kernel.stats.calls += 1
+    A, rho, obj = kernel.A, kernel.rho, kernel.objective
+    try:
+        return np.linalg.solve(rho * (A.T @ A) + obj.P, -(-rho * (A.T @ u) + obj.r))
+    except np.linalg.LinAlgError as exc:
+        raise oracles.Unbounded("singular proximal system; coupling matrix rank deficient") from exc
+
+
+def group_sweep(blocks, kernels, slices, wk, own_sum, base, sigma, out):
+    """Jacobian sweep over one group, one block at a time."""
+    for blk, kernel, sl in zip(blocks, kernels, slices):
+        a_z = blk.A @ wk[sl]
+        v = base - (own_sum - a_z)
+        u = (v + sigma * a_z) / (1.0 + sigma)
+        out[sl] = _prox(kernel, u)
+
+
+def d_components(problem, config, delta):
+    """The stacked d vector, one block at a time."""
+    beta, sigma1, sigma2, tau = config.beta, config.sigma1, config.sigma2, config.tau
+    slices, p = problem.block_slices, problem.p
+    ax_deltas = [blk.A @ delta[sl] for blk, sl in zip(problem.x_blocks, slices)]
+    sx = np.zeros(problem.n)
+    for d in ax_deltas:
+        sx += d
+    dlam = delta[delta.shape[0] - problem.n:]
+    shared = (sigma1 - 1.0) * sx
+    parts = [beta * (blk.A.T @ (shared + a_d)) for blk, a_d in zip(problem.x_blocks, ax_deltas)]
+    for blk, sl in zip(problem.y_blocks, slices[p:]):
+        parts.append((sigma2 + 1.0) * beta * (blk.A.T @ (blk.A @ delta[sl])) - tau * (blk.A.T @ dlam))
+    return np.concatenate(parts)
+
+
+def start(plan, row):
+    """The state `advance` reads: (A x, B y, ||w - w*||_H^2 or nan)."""
+    problem = plan.problem
+    dist_sq = float("nan") if plan.ws is None else plan.mats.h_norm_sq(row - plan.ws)
+    return apply_A(problem, row), apply_B(problem, row), dist_sq
+
+
+def advance(plan, state, k, wk, w_next, w_tilde, scalars):
+    """`engine.advance`, one block at a time."""
+    ax, by, dist_sq = state
+    problem, config, c, m = plan.problem, plan.config, plan.problem.c, plan.m
+    x_slices, y_slices = problem.block_slices[:problem.p], problem.block_slices[problem.p:]
+    beta = config.beta
+    lam = wk[m:]
+    group_sweep(problem.x_blocks, plan.kernels[0], x_slices, wk, ax, c - by + lam / beta,
+                config.sigma1, w_next)
+    ax_new = apply_A(problem, w_next)
+    r_half = ax_new + by - c
+    lambda_half = lam - plan.tau_beta * r_half
+    group_sweep(problem.y_blocks, plan.kernels[1], y_slices, wk, by, c - ax_new + lambda_half / beta,
+                config.sigma2, w_next)
+    by_new = apply_B(problem, w_next)
+    r_new = ax_new + by_new - c
+    w_next[m:] = lambda_half - plan.s_beta * r_new
+    w_tilde[:m] = w_next[:m]
+    w_tilde[m:] = lam - beta * r_half
+    if not np.isfinite(w_next).all():
+        raise engine.NonFiniteIterate(f"non-finite iterate at iteration {k}")
+
+    mats = plan.mats
+    dw = wk - w_tilde
+    mdw = mats.M @ dw
+    correction_residual = mats.h_norm_sq(mdw)
+    gap = w_next - (wk - mdw)
+    d_stack = d_components(problem, config, w_tilde - wk)
+    d_inf = float(np.abs(d_stack).max(initial=0.0))
+    dist_h = dist_next = slack = float("nan")
+    if plan.ws is not None:
+        dist_next = mats.h_norm_sq(w_next - plan.ws)
+        dist_h = math.sqrt(max(dist_sq, 0.0))
+        if plan.in_D:
+            slack = dist_sq - dist_next - mats.g_norm_sq(dw)
+    feasibility_inf = float(np.abs(r_new).max(initial=0.0))
+    residual = max(d_inf, feasibility_inf)
+    scalars[:] = (math.sqrt(r_new @ r_new), feasibility_inf, correction_residual,
+                  float(d_stack @ d_stack), d_inf, math.sqrt(gap @ gap),
+                  dist_h, slack, residual)
+    return (ax_new, by_new, dist_next), residual
+
+
 def residual(problem, xs, ys):
     """Constraint residual A x + B y - c of the blocks xs and ys."""
     w = Iterate(xs, ys, np.zeros(problem.n)).stack()
-    return problem.apply_A(w) + problem.apply_B(w) - problem.c
+    return apply_A(problem, w) + apply_B(problem, w) - problem.c
 
 
 def error_map_residual(problem, w):

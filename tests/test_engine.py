@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import gsadmm as g
-from gsadmm import engine
+from gsadmm import engine, oracles
 from gsadmm.model import Block, BlockProblem, Free, Iterate, Quadratic, SolverConfig
 from gridsearch import reference_prox_solve
+import reference_verdict
 from reference_verdict import feasibility_decomposition_error, residual, step
 
 
@@ -88,44 +89,49 @@ def test_prediction_scales_with_beta(qp1):
         assert np.allclose(w.lam - rec.w_tilde.lam, beta * res, atol=1e-15)
 
 
+def _count_group_products(monkeypatch) -> dict:
+    """Counts of `BlockProblem.products` calls by group ("x", "y"), leaving out
+    the d vector's products of w~ - w inside `engine.d_components`."""
+    calls = {"x": 0, "y": 0}
+    in_d = []
+    products, d_components = BlockProblem.products, engine.d_components
+
+    def counted_products(self, group, w):
+        if not in_d:
+            calls["y" if group else "x"] += 1
+        return products(self, group, w)
+
+    def uncounted_d(*args):
+        in_d.append(True)
+        try:
+            return d_components(*args)
+        finally:
+            in_d.pop()
+    monkeypatch.setattr(BlockProblem, "products", counted_products)
+    monkeypatch.setattr(engine, "d_components", uncounted_d)
+    return calls
+
+
 def test_step_forms_each_group_product_twice(qp1, monkeypatch):
     problem, cfg, w_star = qp1
     mats = g.assemble(problem, cfg)
     kernels = engine.block_kernels(problem, cfg)
-    calls = {"apply_A": 0, "apply_B": 0}
-    for name in calls:
-        original = getattr(BlockProblem, name)
-
-        def counted(self, zs, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(self, zs)
-        monkeypatch.setattr(BlockProblem, name, counted)
+    calls = _count_group_products(monkeypatch)
     step(problem, cfg, Iterate.zeros(problem), mats=mats, w_star=w_star, kernels=kernels)
-    assert calls == {"apply_A": 2, "apply_B": 2}
-
-
-def _count_group_products(monkeypatch) -> dict:
-    calls = {"apply_A": 0, "apply_B": 0}
-    for name in calls:
-        original = getattr(BlockProblem, name)
-
-        def counted(self, zs, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(self, zs)
-        monkeypatch.setattr(BlockProblem, name, counted)
-    return calls
+    assert calls == {"x": 2, "y": 2}
 
 
 def test_solve_forms_each_group_product_once_per_iteration(qp1, monkeypatch):
-    # A x_k and B y_k are carried from the previous iteration's A x+ and B y+;
-    # only the start point's products are formed before the first iteration
+    # the stacks of A_i x_i and B_j y_j are carried from the previous
+    # iteration's x+ and y+; only the start point's are formed before the
+    # first iteration, by `Plan.start` with the same per-block product call
     problem, _, w_star = qp1
     cfg = g.default_config(problem, max_iters=7, tol=-1.0)
     mats = g.assemble(problem, cfg)
     calls = _count_group_products(monkeypatch)
     trace = g.solve(problem, cfg, w_star=w_star, mats=mats)
     assert len(trace.records) == 7
-    assert calls == {"apply_A": 8, "apply_B": 8}
+    assert calls == {"x": 8, "y": 8}
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +198,62 @@ def test_diverging_solve_and_steps_raise_at_same_iteration(qp1):
 
 
 # ---------------------------------------------------------------------------
+# solve against the per-block reference iteration
+# ---------------------------------------------------------------------------
+
+def _atlas(tau, s, **overrides):
+    bundle = g.gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42)
+    return bundle, g.default_config(bundle.problem, tau=tau, s=s, region_policy="G", **overrides)
+
+
+PER_BLOCK_CASES = {
+    "qp1": "qp1",
+    "p3q2n4-s7": "quadratic-p3q2n4-s7",   # x dims [1, 2, 2], y dims [2, 1]
+    "p2q2n3-s42": "quadratic-p2q2n3-s42",
+    "l1": "l1-p1q2n2-s5",
+    "boxqp": "boxqp-p2q1n3-s13",
+    "atlas-D": (0.3, 0.3, {}),
+    "atlas-G": (1.2, 0.0, {}),
+    "atlas-diverging": (-0.9, -0.3, {"max_iters": 5000, "tol": -1.0}),
+}
+
+
+@pytest.mark.parametrize("case", PER_BLOCK_CASES)
+def test_solve_bit_identical_to_per_block_reference(case, catalog, monkeypatch):
+    spec = PER_BLOCK_CASES[case]
+    if isinstance(spec, str):
+        bundle = next(b for b in catalog if b.name == spec)
+        cfg = g.default_config(bundle.problem, max_iters=2000, tol=-1.0)
+    else:
+        bundle, cfg = _atlas(spec[0], spec[1], **spec[2])
+    problem, w_star = bundle.problem, bundle.w_star
+    mats = g.assemble(problem, cfg)
+
+    def run(reference):
+        with monkeypatch.context() as mp:
+            if reference:
+                mp.setattr(engine, "advance", reference_verdict.advance)
+                mp.setattr(engine.Plan, "start", reference_verdict.start)
+            with np.errstate(all="ignore"):
+                try:
+                    return g.solve(problem, cfg, w_star=w_star, mats=mats, validate=False)
+                except engine.NonFiniteIterate as exc:
+                    return str(exc)
+
+    fast, ref = run(False), run(True)
+    if case == "atlas-diverging":
+        assert fast == ref and fast.startswith("non-finite iterate at iteration ")
+        return
+    assert fast.termination == ref.termination
+    assert fast.iterates.tobytes() == ref.iterates.tobytes()
+    assert fast.predictions.tobytes() == ref.predictions.tobytes()
+    assert fast.columns.keys() == ref.columns.keys()
+    for name, column in fast.columns.items():
+        assert column.tobytes() == ref.columns[name].tobytes(), name
+    assert fast.oracle_stats == ref.oracle_stats
+
+
+# ---------------------------------------------------------------------------
 # Fixed points and group snapshots
 # ---------------------------------------------------------------------------
 
@@ -220,10 +282,10 @@ def test_group_update_reads_snapshot_only():
     def x_sweep(prob, state):
         kernels = engine.block_kernels(prob, cfg)[0]
         wk, out = state.stack(), np.zeros(prob.total_dim)
-        base = prob.c - prob.apply_B(wk) + state.lam / cfg.beta
-        slices = prob.block_slices[:prob.p]
-        engine.group_sweep(prob.x_blocks, kernels, slices, wk, prob.apply_A(wk), base, cfg.sigma1, out)
-        return [out[sl] for sl in slices]
+        base = prob.c - reference_verdict.apply_B(prob, wk) + state.lam / cfg.beta
+        steps = oracles.sweep_steps(prob.batches[0], kernels)
+        engine.group_sweep(steps, prob.products(0, wk), reference_verdict.apply_A(prob, wk), base, cfg.sigma1, out)
+        return [out[sl] for sl in prob.block_slices[:prob.p]]
 
     out = x_sweep(problem, w)
     out_perm = x_sweep(perm_problem, w_perm)

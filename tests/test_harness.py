@@ -465,15 +465,25 @@ TOKENS = ("nan", "inf", "-inf", "1e308", "-1", "0", "x", "")
 DOCUMENTS = {name: _document(fn()) for name, fn in (("qp1", qp1), ("l1-1d", l1_1d), ("boxqp-1d", boxqp_1d))}
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 @st.composite
 def _mutated(draw, text: str) -> str:
-    """text truncated after one of its lines, or with one token replaced."""
+    """text truncated after one of its lines, or with one numeric token replaced."""
     lines = text.splitlines(keepends=True)
     if draw(st.booleans()):
         return "".join(lines[:draw(st.integers(0, len(lines)))])
-    row = draw(st.integers(0, len(lines) - 1))
+    numeric = [(row, col) for row, line in enumerate(lines)
+               for col, token in enumerate(line.split()) if _is_number(token)]
+    row, col = draw(st.sampled_from(numeric))
     tokens = lines[row].split()
-    tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(TOKENS))
+    tokens[col] = draw(st.sampled_from(TOKENS))
     lines[row] = " ".join(tokens) + "\n"
     return "".join(lines)
 

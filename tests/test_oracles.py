@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,24 @@ def test_unbounded_face_raises():
                   np.array([[1.0, -1.0]]), 1.0, np.array([1.0]))
     with pytest.raises(Unbounded):
         solve_query(q)
+
+
+def test_singular_free_kernel_raises_unbounded():
+    # Heff = A'A = [[1, 1], [1, 1]] has an exact zero pivot. The probe at
+    # construction finds it, and each call raises Unbounded, alone or in a
+    # batch, with no floating-point error or warning; a batch that does not
+    # fail leaves no floating-point flag either
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        singular = ProxKernel(Quadratic(np.zeros((2, 2)), np.zeros(2)), Free(), [[1.0, 1.0]], 1.0)
+        regular = ProxKernel(Quadratic(np.eye(2), np.zeros(2)), Free(), [[1.0, 1.0]], 1.0)
+        with pytest.raises(Unbounded):
+            prox_solve(singular, np.ones(1))
+        with pytest.raises(Unbounded):
+            prox_solve(oracles.FreeBatch([regular, singular]), np.ones((2, 1)))
+        z = prox_solve(oracles.FreeBatch([regular, regular]), np.array([[1.0], [2.0]]))
+        assert z.tobytes() == np.stack([prox_solve(regular, np.ones(1)), prox_solve(regular, [2.0])]).tobytes()
+    assert (singular.stats.calls, regular.stats.calls) == (2, 5)
 
 
 # ---------------------------------------------------------------------------
