@@ -5,18 +5,20 @@ Exit codes: 0 ok, 1 validation failure (usage errors included), 2 runtime
 failure, 3 generation failure. `run`, `report`, `check` and `sweep` treat a
 floating-point overflow, invalid operation or division by zero as a runtime
 failure, except inside a sweep's solves, where divergence is an expected
-outcome.
+outcome. Every failure is one line on stderr: a command raises `CliFailure`
+with its line and code, and `main` prints it.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .. import diagnostics, engine, generators, oracles, structure
+from .. import diagnostics, engine, generators, structure
 from ..model import SolverConfig, in_region_D, in_region_G, validate_config, validate_problem
 from . import io
 
@@ -157,17 +159,24 @@ def _resolve_config(args, problem) -> SolverConfig:
     return SolverConfig(**values)
 
 
-def _validate_or_fail(problem, config) -> int:
+@contextlib.contextmanager
+def _writing(path):
+    """Yields the output path; an OSError while writing there raises CliFailure."""
+    try:
+        yield Path(path)
+    except OSError as exc:
+        raise CliFailure(EXIT_VALIDATION, f"error: cannot write {path}: {exc.strerror}") from exc
+
+
+def _validate_or_fail(problem, config) -> None:
+    """Prints the warnings; violations raise CliFailure with all of them on one line."""
     report = validate_problem(problem)
     config_report = validate_config(config, problem)
     for warning in report.warnings + config_report.warnings:
         print(f"warning: {warning}")
     violations = report.violations + config_report.violations
     if violations:
-        for v in violations:
-            print(f"violation: {v}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+        raise CliFailure(EXIT_VALIDATION, "violation: " + "; ".join(violations))
 
 
 def _run_diagnostics(problem, config, mats, trace, w_star):
@@ -189,22 +198,15 @@ def _run_diagnostics(problem, config, mats, trace, w_star):
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def cmd_run(args, print_report: bool = False) -> int:
     problem, w_star, label, config = _load(args)
-    status = _validate_or_fail(problem, config)
-    if status != EXIT_OK:
-        return status
+    _validate_or_fail(problem, config)
     try:
         mats = structure.assemble(problem, config)
     except (structure.SingularM, np.linalg.LinAlgError) as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise CliFailure(EXIT_VALIDATION, f"violation: {exc}") from exc
     try:
         trace = engine.solve(problem, config, w_star=w_star, mats=mats)
-    except oracles.UnsupportedCombination as exc:
-        print(f"violation: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except engine.NonFiniteIterate as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise CliFailure(EXIT_RUNTIME, f"runtime failure: {exc}") from exc
     spectra, nonergodic, pointwise, rate = _run_diagnostics(problem, config, mats, trace, w_star)
     entries = {"instance": label}
     entries.update(io.report_entries(trace, spectra, nonergodic, pointwise, rate))
@@ -212,10 +214,10 @@ def cmd_run(args, print_report: bool = False) -> int:
     if print_report:
         sys.stdout.write(report_text)
     else:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        io.write_trace_csv(outdir / "trace.csv", trace)
-        (outdir / "report.txt").write_text(report_text, encoding="utf-8")
+        with _writing(args.out) as outdir:
+            outdir.mkdir(parents=True, exist_ok=True)
+            io.write_trace_csv(outdir / "trace.csv", trace)
+            (outdir / "report.txt").write_text(report_text, encoding="utf-8")
         iters = len(trace.predictions)
         print(f"{label}: {trace.termination} after {iters} iterations"
               + (f", final residual {trace.columns['residual'][-1]:.3e}" if iters else ""))
@@ -241,9 +243,7 @@ def cmd_sweep(args) -> int:
     problem, w_star, label, base = _load(args)
     taus = _grid("--tau-grid", args.tau_grid)
     ss = _grid("--s-grid", args.s_grid)
-    status = _validate_or_fail(problem, base)
-    if status != EXIT_OK:
-        return status
+    _validate_or_fail(problem, base)
     rows = []
     for tau in taus:
         for s in ss:
@@ -266,9 +266,6 @@ def cmd_sweep(args) -> int:
                 # divergence at uncertified stepsizes is an expected outcome
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     trace = engine.solve(problem, config, w_star=w_star, mats=mats, validate=False)
-            except oracles.UnsupportedCombination as exc:
-                print(f"violation: {exc}", file=sys.stderr)
-                return EXIT_VALIDATION
             except engine.NonFiniteIterate:
                 continue
             if trace.termination == engine.CONVERGED:
@@ -280,9 +277,9 @@ def cmd_sweep(args) -> int:
                     row["r_hat"] = rate.r_hat
                 except (diagnostics.InsufficientTrace, diagnostics.RegionNotCertified):
                     pass
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    io.write_atlas_csv(outdir / "atlas.csv", rows)
+    with _writing(args.out) as outdir:
+        outdir.mkdir(parents=True, exist_ok=True)
+        io.write_atlas_csv(outdir / "atlas.csv", rows)
     print(f"{label}: swept {len(rows)} stepsize points")
     return EXIT_OK
 
@@ -346,8 +343,9 @@ def cmd_gen(args) -> int:
     if not args.generator:
         raise CliFailure(EXIT_VALIDATION, "error: --generator is required")
     bundle = _generate(args)
-    io.write_instance(args.out, bundle.problem, bundle.w_star,
-                      bundle.provenance, bundle.certificate, bundle.seed)
+    with _writing(args.out) as path:
+        io.write_instance(path, bundle.problem, bundle.w_star,
+                          bundle.provenance, bundle.certificate, bundle.seed)
     print(f"wrote {bundle.name} to {args.out}")
     return EXIT_OK
 

@@ -29,6 +29,8 @@ RANK_RTOL = 1e-10
 # guest): 5 ms per oracle call at d = 8, 15 ms at d = 9, 0.1 s at d = 10
 # and 1.1 s at d = 12.
 ENUMERATION_WARN_DIM = 8
+# Above this dimension they are rejected: enumeration visits up to 3^dim patterns.
+BOX_ENUM_CAP = 12
 
 # Region policies for the dual stepsizes (tau, s).
 REQUIRE_D = "D"
@@ -366,8 +368,6 @@ def _check_objective(obj: Objective, dim: int, label: str, report: ValidationRep
             report.violations.append(f"{label}: linear r has length {obj.r.shape[0]}, expected {dim}")
         elif not np.isfinite(obj.r).all():
             report.violations.append(f"{label}: linear r has non-finite entries")
-    else:
-        report.violations.append(f"{label}: unknown objective variant {type(obj).__name__}")
 
 
 def _check_set(fset: FeasibleSet, dim: int, label: str, report: ValidationReport):
@@ -379,17 +379,45 @@ def _check_set(fset: FeasibleSet, dim: int, label: str, report: ValidationReport
             report.violations.append(f"{label}: box bounds have NaN entries")
         elif np.any(fset.lo > fset.hi):
             report.violations.append(f"{label}: box has lo > hi in some component")
-    elif not isinstance(fset, (Free, Nonnegative)):
-        report.violations.append(f"{label}: unknown set variant {type(fset).__name__}")
-    if isinstance(fset, (Box, Nonnegative)) and dim > ENUMERATION_WARN_DIM:
+    if isinstance(fset, (Box, Nonnegative)) and ENUMERATION_WARN_DIM < dim <= BOX_ENUM_CAP:
         report.warnings.append(
             f"{label}: constrained dimension {dim} exceeds {ENUMERATION_WARN_DIM}; "
             "active-set enumeration will be slow"
         )
 
 
+def oracle_violation(objective: Objective, fset: FeasibleSet, A: np.ndarray) -> str | None:
+    """Why a block with this objective, set and finite coupling matrix A has
+    no exact oracle, or None when it has one. The catalog admits only
+    combinations with a closed form or a finite enumeration:
+
+        quadratic x {free, box, nonnegative}   any A
+        l1        x {free, nonnegative}        A a positive multiple of I
+        linear    x {box, nonnegative}         any A
+
+    and box or nonnegative blocks of at most BOX_ENUM_CAP components.
+    """
+    if not isinstance(objective, (Quadratic, L1, Linear)):
+        return f"unknown objective variant {type(objective).__name__}"
+    if not isinstance(fset, (Free, Box, Nonnegative)):
+        return f"unknown set variant {type(fset).__name__}"
+    if isinstance(objective, L1):
+        alpha = float(A[0, 0]) if A.size and A.shape[0] == A.shape[1] else 0.0
+        if not (alpha > 0.0
+                and float(np.abs(A - alpha * np.eye(A.shape[0])).max()) <= 1e-12 * max(1.0, alpha)):
+            return "l1 blocks require the coupling matrix to be a positive multiple of I"
+        if isinstance(fset, Box):
+            return "l1 objective with Box set"
+    elif isinstance(objective, Linear) and isinstance(fset, Free):
+        return "linear objective over a free block"
+    if not isinstance(fset, Free) and A.shape[1] > BOX_ENUM_CAP:
+        return f"constrained block dimension {A.shape[1]} exceeds enumeration cap {BOX_ENUM_CAP}"
+    return None
+
+
 def validate_problem(problem: BlockProblem) -> ValidationReport:
-    """Check dimensions, rank, and variant invariants; findings go in the report."""
+    """Check dimensions, rank, variant invariants and the exact-oracle catalog;
+    findings go in the report."""
     report = ValidationReport()
     n = problem.n
     if n < 1:
@@ -413,6 +441,9 @@ def validate_problem(problem: BlockProblem) -> ValidationReport:
                 sv = np.linalg.svd(blk.A, compute_uv=False)
                 if sv.size == 0 or sv.max() == 0.0 or sv.min() <= RANK_RTOL * sv.max():
                     report.violations.append(f"{label}: coupling matrix is not of full column rank")
+                why = oracle_violation(blk.objective, blk.set, blk.A)
+                if why:
+                    report.violations.append(f"{label}: {why}")
             _check_objective(blk.objective, blk.dim, label, report)
             _check_set(blk.set, blk.dim, label, report)
     return report

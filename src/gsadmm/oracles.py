@@ -6,14 +6,9 @@ the canonical proximal form
     argmin_{z in S}  f(z) + (rho/2) ||A z - u||^2,
 
 with rho > 0 and A of full column rank, so the minimizer is unique. Only
-combinations with a closed form or a finite enumeration are admitted:
-
-    quadratic x {free, box, nonnegative}   any A
-    l1        x {free, nonnegative}        A a positive multiple of I
-    linear    x {box, nonnegative}         any A
-
-Inexact inner solvers are deliberately not provided; the per-iteration
-convergence checks assume exact subproblem solutions.
+the combinations of the exact-oracle catalog (`model.oracle_violation`) are
+admitted. Inexact inner solvers are deliberately not provided; the
+per-iteration convergence checks assume exact subproblem solutions.
 
 A `ProxKernel` holds everything that does not depend on u, so a solve builds
 one per block and reuses it at every iteration: the curvature
@@ -51,10 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _gesv  # the gufunc np.linalg.solve runs for a 1-d b
 
-from .model import L1, Box, FeasibleSet, Free, Linear, Nonnegative, Objective, Quadratic, matvecs
+from .model import L1, Box, FeasibleSet, Free, Nonnegative, Objective, Quadratic, matvecs, oracle_violation
 
-# Active-set enumeration visits up to 3^dim patterns; cap the block dimension.
-BOX_ENUM_CAP = 12
 # Relative KKT tolerances, tried in order.
 KKT_TIERS = (1e-9, 1e-6)
 # Multiplier margins closer than this (times the scale) to the tolerance are
@@ -97,19 +90,6 @@ def project(fset: FeasibleSet, z: np.ndarray) -> np.ndarray:
     if isinstance(fset, Box):
         return np.clip(z, fset.lo, fset.hi)
     raise UnsupportedCombination(f"unknown set variant {type(fset).__name__}")
-
-
-def _scaled_identity_factor(A: np.ndarray) -> float | None:
-    """Return alpha > 0 if A = alpha * I, else None."""
-    n, m = A.shape
-    if n != m:
-        return None
-    alpha = float(A[0, 0])
-    if alpha <= 0.0:
-        return None
-    if float(np.abs(A - alpha * np.eye(n)).max()) > 1e-12 * max(1.0, abs(alpha)):
-        return None
-    return alpha
 
 
 def soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
@@ -210,17 +190,12 @@ class _PatternTable:
     """Active patterns of min 0.5 z'Hz + g'z over [lo, hi] for a fixed H."""
 
     def __init__(self, Heff: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        dim = lo.shape[0]
-        if dim > BOX_ENUM_CAP:
-            raise UnsupportedCombination(
-                f"constrained block dimension {dim} exceeds enumeration cap {BOX_ENUM_CAP}"
-            )
         self.Heff, self.lo, self.hi = Heff, lo, hi
         self.hmax = float(np.abs(Heff).max())
         # 0 = interior, 1 = at lower bound, 2 = at upper bound; infinite
         # bounds cannot be active
         self.states = [np.array([0] + [1] * bool(np.isfinite(lo[c])) + [2] * bool(np.isfinite(hi[c])),
-                                dtype=np.int8) for c in range(dim)]
+                                dtype=np.int8) for c in range(lo.shape[0])]
         self.count = math.prod(s.size for s in self.states)
         self._cached: list[_PatternChunk] = []
         self._cached_stop = 0
@@ -254,8 +229,9 @@ class _PatternTable:
 class ProxKernel:
     """argmin_{z in set} objective(z) + (rho/2) ||A z - u||^2 for any u.
 
-    Checks the combination against the catalog and computes everything that
-    does not depend on u once; `solve(u)` does the rest.
+    Rejects a combination outside the catalog (`model.oracle_violation`) and
+    computes everything that does not depend on u once; `solve(u)` does the
+    rest.
     """
 
     def __init__(self, objective: Objective, fset: FeasibleSet, A, rho: float):
@@ -264,42 +240,33 @@ class ProxKernel:
         self.rho = float(rho)
         if self.rho <= 0.0:
             raise ValueError(f"rho must be positive, got {self.rho}")
+        why = oracle_violation(objective, fset, self.A)
+        if why:
+            raise UnsupportedCombination(why)
         self.stats = OracleStats(type(fset).__name__.lower(), self.dim)
-        if isinstance(objective, L1):
-            alpha = _scaled_identity_factor(self.A)
-            if alpha is None:
-                raise UnsupportedCombination(
-                    "l1 blocks require the coupling matrix to be a positive multiple of I"
-                )
+        if isinstance(objective, L1):  # A = alpha I
+            alpha = float(self.A[0, 0])
             thresh = objective.weight / (self.rho * alpha * alpha)
             if isinstance(fset, Free):
                 self._solve = lambda u: soft_threshold(u / alpha, thresh)
-            elif isinstance(fset, Nonnegative):
-                self._solve = lambda u: np.maximum(u / alpha - thresh, 0.0)
             else:
-                raise UnsupportedCombination(f"l1 objective with {type(fset).__name__} set")
+                self._solve = lambda u: np.maximum(u / alpha - thresh, 0.0)
             return
-        if not isinstance(objective, (Quadratic, Linear)):
-            raise UnsupportedCombination(f"unknown objective variant {type(objective).__name__}")
         # the per-call constants of the linear term r - rho A'u
         self._AT, self._neg_rho, self._r = self.A.T, -self.rho, objective.r
         self._Heff = self.rho * (self.A.T @ self.A)
         if isinstance(objective, Quadratic):
             self._Heff = self._Heff + objective.P
         if isinstance(fset, Free):
-            if isinstance(objective, Linear):
-                raise UnsupportedCombination("linear objective over a free block")
             try:  # the singularity probe (see the module docstring)
                 np.linalg.solve(self._Heff, np.zeros(self.dim))
                 self._singular = False
             except np.linalg.LinAlgError:
                 self._singular = True
             self._solve = lambda u: _solve_free(self, u)
-        elif isinstance(fset, (Box, Nonnegative)):
+        else:
             table = _PatternTable(self._Heff, *bounds(fset, self.dim))
             self._solve = lambda u: table.solve(_geff(self, u), self.stats)
-        else:
-            raise UnsupportedCombination(f"unknown set variant {type(fset).__name__}")
 
     @property
     def dim(self) -> int:

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gsadmm.model import L1, Box, FeasibleSet, Free, Linear, Nonnegative, Objective, Quadratic
+from gsadmm.model import BOX_ENUM_CAP, L1, Box, FeasibleSet, Free, Linear, Nonnegative, Objective, Quadratic
 from gsadmm.oracles import (
-    BOX_ENUM_CAP,
     ProxKernel,
     Unbounded,
     UnsupportedCombination,

@@ -97,6 +97,16 @@ CORRUPTIONS = {
     "rhs-inf": (qp1, "rhs 1\n1\n", "rhs 1\ninf\n", "right-hand side c has non-finite entries"),
     "l1-weight-inf": (l1_1d, "l1-weight 1\n", "l1-weight inf\n", "x[0]: l1 weight inf is not finite"),
     "box-lo-nan": (boxqp_1d, "box-lo 1\n0\n", "box-lo 1\nnan\n", "x[0]: box bounds have NaN entries"),
+    # outside the exact-oracle catalog
+    "l1-coupling-negative": (l1_1d, "coupling 1 1\n1\n", "coupling 1 1\n-1\n",
+                             "x[0]: l1 blocks require the coupling matrix to be a positive multiple of I"),
+    "l1-set-box": (l1_1d, "set free\n", "set box\nbox-lo 1\n-1\nbox-hi 1\n1\n",
+                   "x[0]: l1 objective with Box set"),
+    "linear-set-free": (l1_1d, "objective quadratic\nquad-P 1 1\n2\nquad-r 1\n-2\nquad-t 1\n",
+                        "objective linear\nlin-r 1\n-2\n", "y[0]: linear objective over a free block"),
+    # a non-finite coupling is reported alone, before the catalog test reads it
+    "l1-coupling-inf": (l1_1d, "coupling 1 1\n1\n", "coupling 1 1\ninf\n",
+                        "x[0]: coupling matrix has non-finite entries"),
     "solution-nan": (qp1, "x 0 1\n0.5\n", "x 0 1\nnan\n", "solution has non-finite entries"),
 }
 
@@ -163,12 +173,12 @@ def _command_argv(command, path, tmp_path) -> list[str]:
 
 
 def _assert_unsupported_oracle_exits_one(tmp_path, capsys, command):
-    # an l1 block coupled through -I passes validation; its oracle rejects it
+    # an l1 block coupled through -I has no exact oracle, and validation rejects it
     path = tmp_path / "instance.txt"
     path.write_text(_document(l1_1d()).replace("coupling 1 1\n1\n", "coupling 1 1\n-1\n", 1))
     assert main(_command_argv(command, path, tmp_path)) == 1
     assert capsys.readouterr().err == \
-        "violation: l1 blocks require the coupling matrix to be a positive multiple of I\n"
+        "violation: x[0]: l1 blocks require the coupling matrix to be a positive multiple of I\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -178,6 +188,34 @@ def test_cmd_run_unsupported_oracle_exits_one_with_one_line(tmp_path, capsys):
 
 def test_sweep_unsupported_oracle_exits_one_with_one_line(tmp_path, capsys):
     _assert_unsupported_oracle_exits_one(tmp_path, capsys, "sweep")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_several_violations_share_one_line(tmp_path, capsys, command):
+    path = tmp_path / "instance.txt"
+    path.write_text(_document(l1_1d()).replace("l1-weight 1\n", "l1-weight -1\n", 1)
+                    .replace("rhs 1\n1\n", "rhs 1\nnan\n", 1))
+    assert main(_command_argv(command, path, tmp_path)) == 1
+    assert capsys.readouterr().err == ("violation: right-hand side c has non-finite entries; "
+                                       "x[0]: l1 weight -1.0 is negative\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "sweep"])
+def test_unwritable_out_exits_one_with_one_line(tmp_path, capsys, command):
+    # gen writes into a missing directory; run and sweep find a file where
+    # their output directory should be
+    if command == "gen":
+        out = tmp_path / "missing" / "x.txt"
+        strerror = "No such file or directory"
+    else:
+        out = tmp_path / "out"
+        out.write_text("")
+        strerror = "File exists"
+    argv = [command, "--generator", "qp1", "--out", str(out)]
+    code = main(argv + (ONE_POINT_GRID if command == "sweep" else []))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: {strerror}\n"
 
 
 # (command, instance, its linear term replaced by 1e308); the qp1 cases are

@@ -16,6 +16,7 @@ from gsadmm.model import (
     Quadratic,
     SolverConfig,
 )
+from gsadmm.oracles import ProxKernel
 
 
 def small_problem(A=None, B=None, c=None):
@@ -117,6 +118,36 @@ def test_validate_warns_on_large_enumeration_block():
     report = g.validate_problem(problem)
     assert report.ok
     assert any("enumeration" in w for w in report.warnings)
+
+
+def test_validate_rejects_block_above_enumeration_cap():
+    dim = 13
+    problem = BlockProblem(
+        (Block(Quadratic(np.eye(dim), np.zeros(dim)), np.eye(dim), Nonnegative()),),
+        (Block(Quadratic([[2.0]], [0.0]), np.ones((dim, 1)), Free()),),
+        np.ones(dim),
+    )
+    report = g.validate_problem(problem)
+    assert report.violations == ["x[0]: constrained block dimension 13 exceeds enumeration cap 12"]
+    assert not report.warnings
+
+
+@pytest.mark.parametrize("objective, A, fset", [
+    (L1(1.0), [[1.0, 0.5], [0.0, 1.0]], Free()),
+    (L1(1.0), -np.eye(2), Nonnegative()),
+    (L1(1.0), np.eye(2), Box([0.0, 0.0], [1.0, 1.0])),
+    (Linear([1.0, 2.0]), np.eye(2), Free()),
+    (Quadratic(np.eye(13), np.zeros(13)), np.eye(13), Box(np.zeros(13), np.ones(13))),
+])
+def test_kernel_rejects_what_validation_reports(objective, A, fset):
+    problem = BlockProblem((Block(objective, A, fset),),
+                           (Block(Quadratic([[2.0]], [0.0]), np.ones((len(A), 1)), Free()),),
+                           np.ones(len(A)))
+    violations = g.validate_problem(problem).violations
+    assert len(violations) == 1 and violations[0].startswith("x[0]: ")
+    with pytest.raises(g.UnsupportedCombination) as exc:
+        ProxKernel(objective, fset, A, 1.0)
+    assert f"x[0]: {exc.value}" == violations[0]
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,9 @@ def verdict_lines(label, problem, config, w0, w_star) -> list[str]:
     out = [f"{label} iters={len(trace.records)} {trace.termination} {oracle_counters(trace)}"]
     for name, check in checks.items():
         try:
-            value = check()
+            # a diverged run overflows the checks' products as it does the solve
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = check()
         except (g.RegionNotCertified, g.InsufficientTrace) as exc:
             value = type(exc).__name__
         out.append(f"{label} {name} {value!r}")
