@@ -24,17 +24,29 @@ iteration; r_new is also the feasibility residual of w~.
 an iterate inside the engine. Before the first iteration it builds a `Plan`
 of everything that stays fixed over the solve: one oracle kernel per block
 (the penalty rho of each group is fixed under one config), the structural
-matrices, each group's sweep steps, the stacked reference point and the
-config's scalars. `advance` is one iteration. It reads w_k from its trace
-row, each block writes its prox answer straight into the row of w_{k+1}, and
-w~_k takes its primal part from there. It forms the stacks of A_i x_i+ and
-B_j y_j+ once each and carries them and their sums into the next iteration,
-and carries ||w_{k+1} - w*||_H^2 the same way, so an iteration forms each
-group product once and three H/G quadratic forms. Blocks go in batches
-(`BlockProblem.batches`): one stacked call per batch for products, prox
-points and free-quadratic solves, with the bits of the per-block iteration
-in tests/reference_verdict.py. `IterationRecord`s are built only at the
-API edge: `Trace.records` builds each record on access.
+matrices, each group's sweep steps, the stacked reference point, the
+config's scalars and the step path, chosen from the block kinds alone:
+
+- affine, when every block is free-quadratic: an iteration is then an affine
+  map of w, built once per solve (`step_operator`) and checked once as the
+  operator identity T = I - M (I - P). `affine_advance` is one stacked
+  matrix-vector product, and the d vector one more. A failed check, a
+  singular kernel, or an iterate past HANDOVER_MAX (a diverging run) sends
+  the solve to the sweep, and the trace's `step_fallback` says why.
+- sweep, for every other instance: `advance` runs both group sweeps. Each
+  block writes its prox answer straight into the row of w_{k+1}, and w~_k
+  takes its primal part from there. It carries the stacks of A_i x_i+ and
+  B_j y_j+ and their sums into the next iteration, so an iteration forms
+  each group product once. Blocks go in batches (`BlockProblem.batches`):
+  one stacked call per batch for products, prox points and free-quadratic
+  solves, with the bits of the per-block iteration in
+  tests/reference_verdict.py.
+
+Each iteration reads w_k from its trace row and writes w_{k+1}, w~_k and its
+record scalars (`certify`, shared by both paths) into the trace, carrying
+||w_{k+1} - w*||_H^2 into the next iteration, so it takes three H/G
+quadratic forms. `IterationRecord`s are built only at the API edge:
+`Trace.records` builds each record on access.
 """
 from __future__ import annotations
 
@@ -48,13 +60,15 @@ from . import structure
 from .diagnostics import d_components
 from .model import (
     BlockProblem,
+    Free,
     Iterate,
+    Quadratic,
     SolverConfig,
     block_sum,
     validate_config,
     validate_problem,
 )
-from .oracles import OracleStats, ProxKernel, project, prox_solve, sweep_steps
+from .oracles import OracleStats, ProxKernel, Unbounded, project, prox_solve, sweep_steps
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
@@ -62,6 +76,16 @@ ITERATION_CAP = "iteration-cap"
 
 class NonFiniteIterate(RuntimeError):
     """NaN or infinity in an iterate; bad conditioning or an invalid config."""
+
+
+# An all-free solve whose iterate grows past this hands over to the sweep, so
+# that a diverging run overflows at the iteration where the sweep's own
+# arithmetic does.
+HANDOVER_MAX = 1e300
+
+
+class _Handover(Exception):
+    """The affine step's w_{k+1} is past HANDOVER_MAX or not finite."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +123,8 @@ class Trace:
     iterates: np.ndarray      # (iterations + 1, N)
     predictions: np.ndarray   # (iterations, N)
     columns: dict[str, np.ndarray]
+    step_path: str = "sweep"  # "affine" or "sweep" (see `Plan`)
+    step_fallback: str | None = None  # why an all-free instance stepped on the sweep
 
     @property
     def w_final(self) -> Iterate:
@@ -152,11 +178,82 @@ def group_sweep(steps, AZ, own_sum, base, sigma, out):
         out[cols] = prox_solve(kernel, U[rows])
 
 
+# The step operator passes its check when ||T - (I - M (I - P))||_max is at
+# most OPERATOR_RTOL * N * scale (see `step_operator`).
+OPERATOR_RTOL = 10.0 * np.finfo(float).eps
+
+
+@dataclass(frozen=True, eq=False)
+class StepOperator:
+    """One iteration of an all-free-quadratic instance as an affine map: the
+    rows of K give w_{k+1}, lambda~_k and the feasibility residual
+    A x+ + B y+ - c as functions of (w_k, 1) (None when a kernel is singular).
+    `error` is the measured ||T - (I - M (I - P))||_max, `bound` its
+    tolerance, and `why` says why the engine does not step on K (None when
+    it does)."""
+
+    K: np.ndarray | None
+    error: float
+    bound: float
+    why: str | None
+
+
+def step_operator(problem: BlockProblem, config: SolverConfig,
+                  mats: structure.StructuralMatrices, steps) -> StepOperator | None:
+    """The affine step of an instance whose every block is free-quadratic
+    (None for any other instance), composed from the kernels' affine answers
+    as the x sweep, half dual update, y sweep and full dual update, each an
+    (N+1) x (N+1) map of (w, 1), and checked once as an operator identity
+    against the structural M."""
+    if not all(isinstance(b.objective, Quadratic) and isinstance(b.set, Free)
+               for b in problem.x_blocks + problem.y_blocks):
+        return None
+    N, n, m, beta = problem.total_dim, problem.n, problem.total_dim - problem.n, config.beta
+    R = np.zeros((n, N + 1))  # (w, 1) -> A x + B y - c
+    for blk, sl in zip(problem.x_blocks + problem.y_blocks, problem.block_slices):
+        R[:, sl] = blk.A
+    R[:, N] = -problem.c
+
+    def dual(coef):  # lambda <- lambda - coef (A x + B y - c)
+        S = np.eye(N + 1)
+        S[m:N] -= coef * R
+        return S
+
+    def sweep(group_steps, sigma):  # z_i <- prox at u_i = (lambda/beta - R)/(1 + sigma) + A_i z_i
+        S = np.eye(N + 1)
+        shared = (S[m:N] / beta - R) / (1.0 + sigma)
+        for batch, _, cols in group_steps:
+            for kernel, L, c in zip(batch.kernels, batch.affine(), cols):
+                U = shared.copy()
+                U[:, c] += kernel.A
+                S[c] = L[:, :-1] @ U
+                S[c, N] += L[:, -1]
+        return S
+
+    eye = np.eye(N, N + 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            X = sweep(steps[0], config.sigma1)
+            T = dual(config.s * beta) @ sweep(steps[1], config.sigma2) @ dual(config.tau * beta) @ X
+        except Unbounded as exc:
+            return StepOperator(None, math.inf, 0.0, str(exc))
+        lam_tilde = X[m:N] - beta * (R @ X)
+        K = np.vstack((T[:N], lam_tilde, R @ T))
+        correction = eye - np.vstack((T[:m], lam_tilde))  # I - P
+        error = float(np.abs(T[:N] - (eye - mats.M @ correction)).max())
+        scale = max(1.0, float(np.abs(T).max()), float(np.abs(mats.M).max() * np.abs(correction).max()))
+    bound = OPERATOR_RTOL * N * scale
+    ok = error <= bound and np.isfinite(K).all()
+    return StepOperator(K, error, bound, None if ok else f"step operator identity error {error:.3e} exceeds {bound:.3e}")
+
+
 class Plan:
     """What every iteration of one solve reads and none changes: the problem,
     the config and its scalars, the oracle kernels, the structural matrices,
-    each group's sweep steps, and the stacked reference point (None without
-    one)."""
+    each group's sweep steps, the stacked reference point (None without
+    one), and the affine step (`step_operator`; None without one). `path` is
+    the step path, "affine" or "sweep", and `fallback` why an all-free
+    instance steps on the sweep (None otherwise)."""
 
     def __init__(self, problem: BlockProblem, config: SolverConfig,
                  mats: structure.StructuralMatrices, w_star: Iterate | None, kernels):
@@ -167,22 +264,62 @@ class Plan:
         self.tau_beta, self.s_beta = config.tau * config.beta, config.s * config.beta
         self.in_D = mats.in_D
         self.ws = None if w_star is None else w_star.stack()
+        op = self.operator = step_operator(problem, config, mats, self.steps)
+        self.fallback = op.why if op else None
+        self.path = "affine" if op and not op.why else "sweep"
+        if self.path == "affine":
+            self.K, self.k0 = np.ascontiguousarray(op.K[:, :-1]), op.K[:, -1].copy()
+            # the d vector of w~ - w, `d_components` as a matrix
+            self.D = np.column_stack([d_components(problem, config, e) for e in np.eye(problem.total_dim)])
+
+    def dist_sq(self, row: np.ndarray) -> float:
+        """||row - w*||_H^2, nan without w*."""
+        return float("nan") if self.ws is None else self.mats.h_norm_sq(row - self.ws)
 
     def start(self, row: np.ndarray) -> tuple:
         """The state `advance` reads for the stacked point row: the stacks of
         A_i x_i and B_j y_j, A x, B y, and ||w - w*||_H^2 (nan without w*)."""
         AX, BY = self.problem.products(0, row), self.problem.products(1, row)
-        dist_sq = float("nan") if self.ws is None else self.mats.h_norm_sq(row - self.ws)
-        return AX, block_sum(AX), BY, block_sum(BY), dist_sq
+        return AX, block_sum(AX), BY, block_sum(BY), self.dist_sq(row)
+
+
+def certify(plan: Plan, dist_sq: float, wk: np.ndarray, w_next: np.ndarray, w_tilde: np.ndarray,
+            r_new: np.ndarray, d_stack: np.ndarray, scalars: np.ndarray):
+    """The record scalars of iteration k (RECORD_SCALARS, then the residual)
+    into scalars, from w_k, w_{k+1}, w~_k, the feasibility residual and the d
+    vector of w~_k, and ||w_k - w*||_H^2. Returns ||w_{k+1} - w*||_H^2 and the
+    residual max(d_inf, feasibility_inf)."""
+    mats = plan.mats
+    dw = wk - w_tilde
+    mdw = mats.M @ dw
+    correction_residual = mats.h_norm_sq(mdw)
+    gap = w_next - (wk - mdw)
+    d_inf = float(np.abs(d_stack).max(initial=0.0))
+
+    dist_h = dist_next = slack = float("nan")
+    ws = plan.ws
+    if ws is not None:
+        dist_next = mats.h_norm_sq(w_next - ws)
+        dist_h = math.sqrt(max(dist_sq, 0.0))
+        if plan.in_D:
+            slack = dist_sq - dist_next - mats.g_norm_sq(dw)
+
+    feasibility_inf = float(np.abs(r_new).max(initial=0.0))
+    residual = max(d_inf, feasibility_inf)
+    scalars[:] = (math.sqrt(r_new @ r_new), feasibility_inf, correction_residual,
+                  float(d_stack @ d_stack), d_inf, math.sqrt(gap @ gap),
+                  dist_h, slack, residual)
+    return dist_next, residual
 
 
 def advance(plan: Plan, state: tuple, k: int, wk: np.ndarray, w_next: np.ndarray,
             w_tilde: np.ndarray, scalars: np.ndarray):
-    """Iteration k from the row wk and its `state` (see `Plan.start`).
+    """Iteration k from the row wk and its `state` (see `Plan.start`), by the
+    two group sweeps.
 
     Writes w_{k+1} into the row w_next, w~_k into the row w_tilde, and the
-    record's scalars (RECORD_SCALARS, then the residual) into scalars.
-    Returns the state of w_{k+1} and the residual max(d_inf, feasibility_inf).
+    record's scalars into scalars (`certify`). Returns the state of w_{k+1}
+    and the residual max(d_inf, feasibility_inf).
     """
     AX, ax, BY, by, dist_sq = state
     problem, config, c, m = plan.problem, plan.config, plan.problem.c, plan.m
@@ -202,29 +339,24 @@ def advance(plan: Plan, state: tuple, k: int, wk: np.ndarray, w_next: np.ndarray
     w_tilde[m:] = lam - beta * r_half
     if not np.isfinite(w_next).all():
         raise NonFiniteIterate(f"non-finite iterate at iteration {k}")
-
-    mats = plan.mats
-    dw = wk - w_tilde
-    mdw = mats.M @ dw
-    correction_residual = mats.h_norm_sq(mdw)
-    gap = w_next - (wk - mdw)
     d_stack = d_components(problem, config, w_tilde - wk)
-    d_inf = float(np.abs(d_stack).max(initial=0.0))
-
-    dist_h = dist_next = slack = float("nan")
-    ws = plan.ws
-    if ws is not None:
-        dist_next = mats.h_norm_sq(w_next - ws)
-        dist_h = math.sqrt(max(dist_sq, 0.0))
-        if plan.in_D:
-            slack = dist_sq - dist_next - mats.g_norm_sq(dw)
-
-    feasibility_inf = float(np.abs(r_new).max(initial=0.0))
-    residual = max(d_inf, feasibility_inf)
-    scalars[:] = (math.sqrt(r_new @ r_new), feasibility_inf, correction_residual,
-                  float(d_stack @ d_stack), d_inf, math.sqrt(gap @ gap),
-                  dist_h, slack, residual)
+    dist_next, residual = certify(plan, dist_sq, wk, w_next, w_tilde, r_new, d_stack, scalars)
     return (AX_new, ax_new, BY_new, by_new, dist_next), residual
+
+
+def affine_advance(plan: Plan, dist_sq: float, k: int, wk: np.ndarray, w_next: np.ndarray,
+                   w_tilde: np.ndarray, scalars: np.ndarray):
+    """`advance` on the affine step: one stacked matrix-vector product gives
+    w_{k+1}, lambda~_k and the feasibility residual, and the d vector is taken
+    of the difference w~_k - w_k as stored. The state is ||w_k - w*||_H^2."""
+    N, m = wk.shape[0], plan.m
+    z = plan.K @ wk + plan.k0  # w_{k+1}, lambda~_k, r_new
+    w_next[:] = z[:N]
+    w_tilde[:m] = z[:m]
+    w_tilde[m:] = z[N:2 * N - m]
+    if not np.abs(w_next).max() <= HANDOVER_MAX:  # also when not finite
+        raise _Handover
+    return certify(plan, dist_sq, wk, w_next, w_tilde, z[2 * N - m:], plan.D @ (w_tilde - wk), scalars)
 
 
 def initial_point(problem: BlockProblem, w0: Iterate | None = None) -> Iterate:
@@ -270,18 +402,30 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     predictions = np.empty((cap, problem.total_dim))
     scalars = np.empty((cap, len(RECORD_SCALARS) + 1))
     iterates[0] = initial_point(problem, w0).stack()
-    state = plan.start(iterates[0])
-    termination, count = ITERATION_CAP, 0
+    if plan.path == "affine":
+        step, state = affine_advance, plan.dist_sq(iterates[0])
+    else:
+        step, state = advance, plan.start(iterates[0])
+    termination, count, affine_count, fallback = ITERATION_CAP, 0, 0, plan.fallback
     for k in range(config.max_iters):
         if k == cap:
             cap *= 2
             iterates, predictions, scalars = (
                 _grown(iterates, cap + 1), _grown(predictions, cap), _grown(scalars, cap))
-        state, residual = advance(plan, state, k, iterates[k], iterates[k + 1], predictions[k], scalars[k])
+        rows = iterates[k], iterates[k + 1], predictions[k], scalars[k]
+        try:
+            state, residual = step(plan, state, k, *rows)
+        except _Handover:
+            affine_count, step = k, advance
+            fallback = f"iterate past {HANDOVER_MAX:g} at iteration {k}; the sweep from there"
+            state, residual = step(plan, plan.start(iterates[k]), k, *rows)
         count = k + 1
         if residual <= config.tol:
             termination = CONVERGED
             break
+    if plan.path == "affine":  # one oracle call per block and iteration, as on the sweep
+        for kernel in kernels[0] + kernels[1]:
+            kernel.stats.calls += count if step is affine_advance else affine_count
     table = scalars[:count].T.copy()
     arrays = (iterates[:count + 1].copy(), predictions[:count].copy(), table)
     for arr in arrays:
@@ -289,4 +433,5 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     return Trace(problem=problem, config=config, termination=termination,
                  oracle_stats=tuple(kernel.stats for group in kernels for kernel in group),
                  iterates=arrays[0], predictions=arrays[1],
-                 columns=dict(zip(RECORD_SCALARS + ("residual",), table)))
+                 columns=dict(zip(RECORD_SCALARS + ("residual",), table)),
+                 step_path=plan.path, step_fallback=fallback)

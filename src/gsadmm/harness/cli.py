@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .. import diagnostics, engine, generators, structure
-from ..model import SolverConfig, in_region_D, in_region_G, validate_config, validate_problem
+from ..model import SolverConfig, in_region_D, in_region_G, region_violation, validate_config, validate_problem
 from . import io
 
 EXIT_OK = 0
@@ -160,12 +161,22 @@ def _resolve_config(args, problem) -> SolverConfig:
 
 
 @contextlib.contextmanager
-def _writing(path):
-    """Yields the output path; an OSError while writing there raises CliFailure."""
+def _writing(path, directory: bool = False):
+    """Yields the output path, first made as a directory when `directory` is
+    set, so that an unwritable path fails before the work. An OSError raises
+    CliFailure; any other failure removes the directory made here."""
+    made = False
     try:
+        if directory and not Path(path).is_dir():
+            Path(path).mkdir(parents=True)
+            made = True
         yield Path(path)
     except OSError as exc:
         raise CliFailure(EXIT_VALIDATION, f"error: cannot write {path}: {exc.strerror}") from exc
+    except BaseException:
+        if made:
+            shutil.rmtree(path)
+        raise
 
 
 def _validate_or_fail(problem, config) -> None:
@@ -199,28 +210,27 @@ def _run_diagnostics(problem, config, mats, trace, w_star):
 def cmd_run(args, print_report: bool = False) -> int:
     problem, w_star, label, config = _load(args)
     _validate_or_fail(problem, config)
-    try:
-        mats = structure.assemble(problem, config)
-    except (structure.SingularM, np.linalg.LinAlgError) as exc:
-        raise CliFailure(EXIT_VALIDATION, f"violation: {exc}") from exc
-    try:
-        trace = engine.solve(problem, config, w_star=w_star, mats=mats)
-    except engine.NonFiniteIterate as exc:
-        raise CliFailure(EXIT_RUNTIME, f"runtime failure: {exc}") from exc
-    spectra, nonergodic, pointwise, rate = _run_diagnostics(problem, config, mats, trace, w_star)
-    entries = {"instance": label}
-    entries.update(io.report_entries(trace, spectra, nonergodic, pointwise, rate))
-    report_text = io.format_report(entries)
-    if print_report:
-        sys.stdout.write(report_text)
-    else:
-        with _writing(args.out) as outdir:
-            outdir.mkdir(parents=True, exist_ok=True)
-            io.write_trace_csv(outdir / "trace.csv", trace)
-            (outdir / "report.txt").write_text(report_text, encoding="utf-8")
-        iters = len(trace.predictions)
-        print(f"{label}: {trace.termination} after {iters} iterations"
-              + (f", final residual {trace.columns['residual'][-1]:.3e}" if iters else ""))
+    with contextlib.nullcontext() if print_report else _writing(args.out, directory=True) as outdir:
+        try:
+            mats = structure.assemble(problem, config)
+        except (structure.SingularM, np.linalg.LinAlgError) as exc:
+            raise CliFailure(EXIT_VALIDATION, f"violation: {exc}") from exc
+        try:
+            trace = engine.solve(problem, config, w_star=w_star, mats=mats)
+        except engine.NonFiniteIterate as exc:
+            raise CliFailure(EXIT_RUNTIME, f"runtime failure: {exc}") from exc
+        spectra, nonergodic, pointwise, rate = _run_diagnostics(problem, config, mats, trace, w_star)
+        entries = {"instance": label}
+        entries.update(io.report_entries(trace, spectra, nonergodic, pointwise, rate))
+        report_text = io.format_report(entries)
+        if print_report:
+            sys.stdout.write(report_text)
+            return EXIT_OK
+        io.write_trace_csv(outdir / "trace.csv", trace)
+        (outdir / "report.txt").write_text(report_text, encoding="utf-8")
+    iters = len(trace.predictions)
+    print(f"{label}: {trace.termination} after {iters} iterations"
+          + (f", final residual {trace.columns['residual'][-1]:.3e}" if iters else ""))
     return EXIT_OK
 
 
@@ -245,40 +255,39 @@ def cmd_sweep(args) -> int:
     ss = _grid("--s-grid", args.s_grid)
     _validate_or_fail(problem, base)
     rows = []
-    for tau in taus:
-        for s in ss:
-            row = {
-                "tau": float(tau), "s": float(s),
-                "in_G": in_region_G(tau, s), "in_D": in_region_D(tau, s),
-                "lambda_min_G": float("nan"), "lambda_min_H": float("nan"),
-                "xi": float("nan"), "iters_to_tol": -1, "r_hat": -1.0,
-            }
-            rows.append(row)
-            config = dataclasses.replace(base, tau=float(tau), s=float(s))
-            try:
-                mats = structure.assemble(problem, config)
-            except (structure.SingularM, np.linalg.LinAlgError):
-                continue
-            row["lambda_min_G"] = mats.lambda_min_G
-            row["lambda_min_H"] = mats.lambda_min_H
-            row["xi"] = mats.xi
-            try:
-                # divergence at uncertified stepsizes is an expected outcome
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    trace = engine.solve(problem, config, w_star=w_star, mats=mats, validate=False)
-            except engine.NonFiniteIterate:
-                continue
-            if trace.termination == engine.CONVERGED:
-                row["iters_to_tol"] = len(trace.predictions)
-            if w_star is not None and mats.in_D:
+    with _writing(args.out, directory=True) as outdir:
+        for tau in taus:
+            for s in ss:
+                row = {
+                    "tau": float(tau), "s": float(s),
+                    "in_G": in_region_G(tau, s), "in_D": in_region_D(tau, s),
+                    "lambda_min_G": float("nan"), "lambda_min_H": float("nan"),
+                    "xi": float("nan"), "iters_to_tol": -1, "r_hat": -1.0,
+                }
+                rows.append(row)
+                config = dataclasses.replace(base, tau=float(tau), s=float(s))
                 try:
-                    constants = diagnostics.rate_constants(problem, config)
-                    rate = diagnostics.linear_rate_check(mats, trace, w_star, constants)
-                    row["r_hat"] = rate.r_hat
-                except (diagnostics.InsufficientTrace, diagnostics.RegionNotCertified):
-                    pass
-    with _writing(args.out) as outdir:
-        outdir.mkdir(parents=True, exist_ok=True)
+                    mats = structure.assemble(problem, config)
+                except (structure.SingularM, np.linalg.LinAlgError):
+                    continue
+                row["lambda_min_G"] = mats.lambda_min_G
+                row["lambda_min_H"] = mats.lambda_min_H
+                row["xi"] = mats.xi
+                try:
+                    # divergence at uncertified stepsizes is an expected outcome
+                    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                        trace = engine.solve(problem, config, w_star=w_star, mats=mats, validate=False)
+                except engine.NonFiniteIterate:
+                    continue
+                if trace.termination == engine.CONVERGED:
+                    row["iters_to_tol"] = len(trace.predictions)
+                if w_star is not None and mats.in_D:
+                    try:
+                        constants = diagnostics.rate_constants(problem, config)
+                        rate = diagnostics.linear_rate_check(mats, trace, w_star, constants)
+                        row["r_hat"] = rate.r_hat
+                    except (diagnostics.InsufficientTrace, diagnostics.RegionNotCertified):
+                        pass
         io.write_atlas_csv(outdir / "atlas.csv", rows)
     print(f"{label}: swept {len(rows)} stepsize points")
     return EXIT_OK
@@ -302,7 +311,8 @@ def cmd_check(args) -> int:
     check("problem-valid", report.ok, "; ".join(report.violations))
     config_report = validate_config(config, problem)
     check("config-valid", config_report.ok, "; ".join(config_report.violations))
-    if not report.ok:
+    # the structural checks still run outside the stepsize region, and report why
+    if not report.ok or not (config_report.ok or config_report.violations == [region_violation(config)]):
         return EXIT_VALIDATION
 
     try:
@@ -333,6 +343,9 @@ def cmd_check(args) -> int:
         print(f"note: (tau, s) = ({config.tau}, {config.s}) outside the triangle region; "
               "definiteness not asserted "
               f"(lambda_min_G={mats.lambda_min_G:.3e})")
+    op = engine.Plan(problem, config, mats, None, engine.block_kernels(problem, config)).operator
+    if op is not None:  # every block is free-quadratic
+        check("step-operator-identity", op.why is None, op.why or f"error={op.error:.3e}, bound={op.bound:.3e}")
     if w_star is not None:
         res = float(np.linalg.norm(diagnostics.error_map_residual(problem, w_star)))
         check("reference-point-kkt", res <= generators.KKT_RESIDUAL_TOL, f"residual={res:.3e}")

@@ -316,7 +316,10 @@ def report_entries(trace: Trace, spectra: dict | None = None,
         "sigma2": trace.config.sigma2,
         "termination": trace.termination,
         "iterations": len(trace.predictions),
+        "step_path": trace.step_path,
     }
+    if trace.step_fallback:
+        entries["step_fallback"] = trace.step_fallback
     if len(trace.predictions):
         entries["final_feasibility"] = float(cols["feasibility"][-1])
         entries["final_d_inf"] = float(cols["d_inf"][-1])

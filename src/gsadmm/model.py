@@ -471,21 +471,25 @@ def validate_config(config: SolverConfig, problem: BlockProblem) -> ValidationRe
     if config.max_iters < 0:
         report.violations.append(f"max_iters must be nonnegative, got {config.max_iters}")
     tau, s = config.tau, config.s
-    if config.region_policy == REQUIRE_D:
-        if not in_region_D(tau, s):
-            report.violations.append(
-                f"(tau, s) = ({tau}, {s}) is outside the triangle region required by policy D"
-            )
-    elif config.region_policy == ALLOW_G:
-        if not (in_region_G(tau, s) or in_region_D(tau, s)):
-            report.violations.append(
-                f"(tau, s) = ({tau}, {s}) is outside both stepsize regions"
-            )
-        elif not in_region_D(tau, s):
-            report.warnings.append(
-                f"(tau, s) = ({tau}, {s}) lies outside the triangle region; "
-                "convergence holds but rate diagnostics are not certified"
-            )
-    else:
+    why = region_violation(config)
+    if why:
+        report.violations.append(why)
+    elif config.region_policy not in (REQUIRE_D, ALLOW_G):
         report.violations.append(f"unknown region policy {config.region_policy!r}")
+    elif not in_region_D(tau, s):
+        report.warnings.append(
+            f"(tau, s) = ({tau}, {s}) lies outside the triangle region; "
+            "convergence holds but rate diagnostics are not certified"
+        )
     return report
+
+
+def region_violation(config: SolverConfig) -> str | None:
+    """Why (tau, s) lies outside the stepsize region its policy requires, or
+    None (also for an unknown policy)."""
+    tau, s = config.tau, config.s
+    if config.region_policy == REQUIRE_D and not in_region_D(tau, s):
+        return f"(tau, s) = ({tau}, {s}) is outside the triangle region required by policy D"
+    if config.region_policy == ALLOW_G and not (in_region_G(tau, s) or in_region_D(tau, s)):
+        return f"(tau, s) = ({tau}, {s}) is outside both stepsize regions"
+    return None

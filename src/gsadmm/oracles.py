@@ -19,6 +19,8 @@ patterns.
 Free-quadratic blocks call the gesv gufunc of `np.linalg.solve`, with its bits
 but not its costly wrapper, several at once in a `FreeBatch`. gesv fails only
 on an exact zero pivot of Heff, so a probe at construction decides `Unbounded`.
+`FreeBatch.affine` gives the same answers as affine maps of u, for the
+engine's affine step.
 
 Box and nonnegative blocks are solved by KKT pattern enumeration. Each
 component is interior, at its lower bound or at its upper bound; patterns are
@@ -294,6 +296,15 @@ class FreeBatch:
         for kernel in self.kernels:
             kernel.stats.calls += 1
         return _solve_free(self, U)
+
+    def affine(self) -> np.ndarray:
+        """The answers as affine maps of u: item i is Heff_i^{-1} [rho A_i', -r_i],
+        so kernel i's answer at u is item[:, :-1] @ u + item[:, -1]. One gesv
+        with a matrix right-hand side."""
+        if self._singular:
+            raise Unbounded("singular proximal system; coupling matrix rank deficient")
+        rhs = np.concatenate((-self._neg_rho * self._AT, -self._r[:, :, None]), axis=2)
+        return np.linalg.solve(self._Heff, rhs)
 
 
 def sweep_steps(batches, kernels) -> tuple:

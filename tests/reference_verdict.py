@@ -1,8 +1,10 @@
 """Record-at-a-time reference for the engine and the post-hoc checks.
 
 `step` is one iteration as an (Iterate, IterationRecord) pair: one
-`engine.advance` from a stacked start point, whose H-distance to w* it
-computes afresh. Repeated steps must reproduce `engine.solve` bit for bit
+`engine.advance` (the sweep, on every instance) from a stacked start point,
+whose H-distance to w* it computes afresh. Repeated steps must reproduce
+`engine.solve` bit for bit where it sweeps, and keep the equivalence
+contract of `tools/contract.py` where it takes the affine step
 (`tests/test_engine.py`).
 
 `start` and `advance` are the iteration one block at a time, as the engine
@@ -10,8 +12,9 @@ ran it before it batched blocks: `group_sweep` forms each block's product
 and prox point on its own and solves a free-quadratic block with its own
 `np.linalg.solve`, `d_components` loops over the blocks, and
 `apply_A`/`apply_B` sum the group products block by block. `engine.solve`
-driven by them (`engine.advance` and `engine.Plan.start` replaced) must
-reproduce the batched engine bit for bit (`tests/test_engine.py`).
+driven by them (`engine.advance` and `engine.Plan.start` replaced, and the
+affine step turned off) must reproduce the batched sweep bit for bit, and
+the affine step within the contract (`tests/test_engine.py`).
 
 The checks below are the loops `diagnostics` ran over `trace.records` before
 the checks read the trace's columns: one `IterationRecord` at a time, 1-d

@@ -1,4 +1,7 @@
 import dataclasses
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,9 @@ from gsadmm.model import Block, BlockProblem, Free, Iterate, Quadratic, SolverCo
 from gridsearch import reference_prox_solve
 import reference_verdict
 from reference_verdict import feasibility_decomposition_error, residual, step
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import contract  # noqa: E402
 
 
 @pytest.fixture()
@@ -121,27 +127,56 @@ def test_step_forms_each_group_product_twice(qp1, monkeypatch):
     assert calls == {"x": 2, "y": 2}
 
 
-def test_solve_forms_each_group_product_once_per_iteration(qp1, monkeypatch):
+def test_solve_forms_each_group_product_once_per_iteration(catalog, monkeypatch):
     # the stacks of A_i x_i and B_j y_j are carried from the previous
     # iteration's x+ and y+; only the start point's are formed before the
     # first iteration, by `Plan.start` with the same per-block product call
-    problem, _, w_star = qp1
-    cfg = g.default_config(problem, max_iters=7, tol=-1.0)
-    mats = g.assemble(problem, cfg)
+    bundle = next(b for b in catalog if b.name == "l1-p1q2n2-s5")
+    cfg = g.default_config(bundle.problem, max_iters=7, tol=-1.0)
+    mats = g.assemble(bundle.problem, cfg)
     calls = _count_group_products(monkeypatch)
-    trace = g.solve(problem, cfg, w_star=w_star, mats=mats)
-    assert len(trace.records) == 7
+    trace = g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats)
+    assert len(trace.records) == 7 and trace.step_path == "sweep"
     assert calls == {"x": 8, "y": 8}
+
+
+@pytest.mark.parametrize("iterations", [7, 14])
+def test_affine_solve_forms_no_group_product_or_prox_per_iteration(catalog, monkeypatch, iterations):
+    # on an all-free-quadratic instance an iteration is one stacked
+    # matrix-vector product: no group product, no oracle call; each kernel
+    # still counts one call per iteration
+    bundle = next(b for b in catalog if b.name == "quadratic-p3q2n4-s7")
+    cfg = g.default_config(bundle.problem, max_iters=iterations, tol=-1.0)
+    mats = g.assemble(bundle.problem, cfg)
+    calls = _count_group_products(monkeypatch)
+    prox_calls = []
+    prox_solve = engine.prox_solve
+    monkeypatch.setattr(engine, "prox_solve", lambda *args: prox_calls.append(1) or prox_solve(*args))
+    trace = g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats)
+    assert len(trace.records) == iterations and trace.step_path == "affine"
+    assert calls == {"x": 0, "y": 0} and prox_calls == []
+    assert [s.calls for s in trace.oracle_stats] == [iterations] * 5
 
 
 # ---------------------------------------------------------------------------
 # solve against repeated single steps
 # ---------------------------------------------------------------------------
 
+def _all_free(problem) -> bool:
+    return all(isinstance(b.objective, Quadratic) and isinstance(b.set, Free)
+               for b in problem.x_blocks + problem.y_blocks)
+
+
+def _contract_record(trace, mats, w_star):
+    """The equivalence contract's record of a trace (tools/contract.py)."""
+    return {**contract.run_record(trace, w_star),
+            **contract.verdict_record(trace.problem, trace.config, mats, trace, w_star)}
+
+
 def _stepped(problem, cfg, w_star, mats):
     """The solve loop written with the test `step`, which computes each
-    H-distance afresh where `solve` carries it: final iterate, records and
-    the oracle kernels they shared."""
+    H-distance afresh where `solve` carries it and always sweeps: final
+    iterate, records and the oracle kernels they shared."""
     kernels = engine.block_kernels(problem, cfg)
     state, records = engine.initial_point(problem), []
     for k in range(cfg.max_iters):
@@ -150,6 +185,17 @@ def _stepped(problem, cfg, w_star, mats):
         if max(rec.d_inf, rec.feasibility_inf) <= cfg.tol:
             break
     return state, records, kernels
+
+
+def _stepped_trace(problem, cfg, final, records, kernels) -> engine.Trace:
+    """The stepped run as a Trace."""
+    columns = {col: np.array([getattr(rec, col) for rec in records]) for col in engine.RECORD_SCALARS}
+    columns["residual"] = np.array([max(rec.d_inf, rec.feasibility_inf) for rec in records])
+    return engine.Trace(
+        problem, cfg, engine.CONVERGED if len(records) < cfg.max_iters else engine.ITERATION_CAP,
+        tuple(kernel.stats for group in kernels for kernel in group),
+        np.array([rec.w.stack() for rec in records] + [final.stack()]),
+        np.array([rec.w_tilde.stack() for rec in records]), columns)
 
 
 STEPPED_CASES = {
@@ -162,6 +208,9 @@ STEPPED_CASES = {
 
 @pytest.mark.parametrize("case", STEPPED_CASES)
 def test_solve_bit_identical_to_repeated_steps(case, catalog):
+    # an instance with a non-free block steps on the sweep, as `step` does,
+    # and must match it bit for bit; an all-free one steps on the affine map,
+    # which rounds differently, and must keep the equivalence contract
     name, overrides = STEPPED_CASES[case]
     bundle = next(b for b in catalog if b.name == name)
     problem, w_star = bundle.problem, bundle.w_star
@@ -171,6 +220,15 @@ def test_solve_bit_identical_to_repeated_steps(case, catalog):
     final, records, kernels = _stepped(problem, cfg, w_star, mats)
     assert len(records) == len(trace.predictions) > 0
     assert (trace.termination == engine.CONVERGED) == (len(records) < cfg.max_iters)
+    stepped_stats = [dataclasses.astuple(kernel.stats) for group in kernels for kernel in group]
+    assert stepped_stats == [dataclasses.astuple(stats) for stats in trace.oracle_stats]
+    if _all_free(problem):
+        assert trace.step_path == "affine"
+        stepped = _stepped_trace(problem, cfg, final, records, kernels)
+        assert contract.violations(_contract_record(trace, mats, w_star),
+                                   _contract_record(stepped, mats, w_star)) == []
+        return
+    assert trace.step_path == "sweep"
     for k, rec in enumerate(records):
         assert rec.w.stack().tobytes() == trace.iterates[k].tobytes(), k
         assert rec.w_tilde.stack().tobytes() == trace.predictions[k].tobytes(), k
@@ -179,8 +237,6 @@ def test_solve_bit_identical_to_repeated_steps(case, catalog):
         residual = max(rec.d_inf, rec.feasibility_inf)
         assert np.float64(residual).tobytes() == trace.columns["residual"][k].tobytes(), k
     assert final.stack().tobytes() == trace.w_final.stack().tobytes() == trace.iterates[-1].tobytes()
-    stepped_stats = [dataclasses.astuple(kernel.stats) for group in kernels for kernel in group]
-    assert stepped_stats == [dataclasses.astuple(stats) for stats in trace.oracle_stats]
 
 
 def test_diverging_solve_and_steps_raise_at_same_iteration(qp1):
@@ -195,6 +251,19 @@ def test_diverging_solve_and_steps_raise_at_same_iteration(qp1):
                 run()
             errors.append(str(exc.value))
     assert errors[0] == errors[1] and errors[0].startswith("non-finite iterate at iteration ")
+
+
+def test_diverging_affine_solve_hands_over_to_sweep(qp1):
+    # past 1e300 the affine solve goes on by the sweep, which counts its own
+    # oracle calls from there
+    problem, _, _ = qp1
+    cfg = SolverConfig(tau=-0.5, s=-0.3, sigma1=0.5, sigma2=0.5, max_iters=2085, tol=-1.0)
+    with np.errstate(all="ignore"):
+        trace = g.solve(problem, cfg, validate=False)
+    assert trace.step_path == "affine"
+    assert trace.step_fallback.startswith("iterate past 1e+300 at iteration ")
+    assert np.isfinite(trace.iterates).all() and np.abs(trace.iterates[-1]).max() > 1e300
+    assert [s.calls for s in trace.oracle_stats] == [2085, 2085]
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +287,15 @@ PER_BLOCK_CASES = {
 }
 
 
+def _sweep_only(mp):
+    """Make every solve step on the sweep, as if no instance were all-free."""
+    mp.setattr(engine, "step_operator", lambda *args: None)
+
+
 @pytest.mark.parametrize("case", PER_BLOCK_CASES)
 def test_solve_bit_identical_to_per_block_reference(case, catalog, monkeypatch):
+    # the reference always sweeps; the engine must match it bit for bit on
+    # the sweep, and keep the equivalence contract on the affine step
     spec = PER_BLOCK_CASES[case]
     if isinstance(spec, str):
         bundle = next(b for b in catalog if b.name == spec)
@@ -234,6 +310,7 @@ def test_solve_bit_identical_to_per_block_reference(case, catalog, monkeypatch):
             if reference:
                 mp.setattr(engine, "advance", reference_verdict.advance)
                 mp.setattr(engine.Plan, "start", reference_verdict.start)
+                _sweep_only(mp)
             with np.errstate(all="ignore"):
                 try:
                     return g.solve(problem, cfg, w_star=w_star, mats=mats, validate=False)
@@ -245,12 +322,135 @@ def test_solve_bit_identical_to_per_block_reference(case, catalog, monkeypatch):
         assert fast == ref and fast.startswith("non-finite iterate at iteration ")
         return
     assert fast.termination == ref.termination
+    assert fast.oracle_stats == ref.oracle_stats
+    assert ref.step_path == "sweep"
+    if _all_free(problem):
+        assert fast.step_path == "affine"
+        assert contract.violations(_contract_record(fast, mats, w_star), _contract_record(ref, mats, w_star)) == []
+        return
+    assert fast.step_path == "sweep"
     assert fast.iterates.tobytes() == ref.iterates.tobytes()
     assert fast.predictions.tobytes() == ref.predictions.tobytes()
     assert fast.columns.keys() == ref.columns.keys()
     for name, column in fast.columns.items():
         assert column.tobytes() == ref.columns[name].tobytes(), name
-    assert fast.oracle_stats == ref.oracle_stats
+
+
+# ---------------------------------------------------------------------------
+# The affine step and its operator identity
+# ---------------------------------------------------------------------------
+
+def _exact_maps(problem, cfg):
+    """(T, P, M) of one iteration on a 1 x 1 instance (p = q = n = 1) as maps
+    of (x, y, lambda, 1), in exact arithmetic from the float data: each block
+    update solves its 1 x 1 optimality condition
+    (P_i + (1 + sigma) beta A_i^2) z+ = -r_i + beta A_i (c - A_o z_o + lambda/beta) + sigma beta A_i^2 z_i."""
+    (bx,), (by,), c = problem.x_blocks, problem.y_blocks, Fraction(problem.c[0])
+    beta, tau, s, sig1, sig2 = (Fraction(v) for v in (cfg.beta, cfg.tau, cfg.s, cfg.sigma1, cfg.sigma2))
+    A, B = Fraction(bx.A[0, 0]), Fraction(by.A[0, 0])
+    unit = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    x, y, lam, one = (np.array(row, dtype=object) for row in unit)
+
+    def update(blk, a, z, other, mult, sigma):
+        P, r = Fraction(blk.objective.P[0, 0]), Fraction(blk.objective.r[0])
+        rhs = -r * one + beta * a * (c * one - other + mult / beta) + sigma * beta * a * a * z
+        return rhs / (P + (1 + sigma) * beta * a * a)
+
+    x_new = update(bx, A, x, B * y, lam, sig1)
+    r_half = A * x_new + B * y - c * one
+    lam_half = lam - tau * beta * r_half
+    y_new = update(by, B, y, A * x_new, lam_half, sig2)
+    lam_new = lam_half - s * beta * (A * x_new + B * y_new - c * one)
+    T = np.array([x_new, y_new, lam_new])
+    P = np.array([x_new, y_new, lam - beta * r_half])
+    M = np.array([[1, 0, 0], [0, 1, 0], [0, -s * beta * B, tau + s]], dtype=object)
+    return T, P, M
+
+
+def test_step_operator_identity_exact_on_qp1(qp1):
+    # T = I - M (I - P) with zero error in rational arithmetic, offsets
+    # included; the engine's float maps and the structural M agree with the
+    # exact ones to rounding
+    problem, cfg, _ = qp1
+    T, P, M = _exact_maps(problem, cfg)
+    eye = np.array([[Fraction(int(i == j)) for j in range(4)] for i in range(3)], dtype=object)
+    assert (T == eye - M.dot(eye - P)).all()
+    mats = g.assemble(problem, cfg)
+    plan = engine.Plan(problem, cfg, mats, None, engine.block_kernels(problem, cfg))
+    assert plan.path == "affine" and plan.operator.error <= plan.operator.bound
+    K = plan.operator.K
+    assert np.abs(K[:3] - T.astype(float)).max() <= 1e-15
+    assert np.abs(K[3] - P[2].astype(float)).max() <= 1e-15
+    assert np.abs(mats.M - M.astype(float)).max() <= 1e-15
+
+
+def _assembled_plans(catalog):
+    """Plans of every all-free catalog instance under its default config, and
+    of every assembled point of the atlas's 11 x 11 stepsize grid."""
+    for b in catalog:
+        if _all_free(b.problem):
+            cfg = g.default_config(b.problem)
+            yield b.name, engine.Plan(b.problem, cfg, g.assemble(b.problem, cfg), None,
+                                      engine.block_kernels(b.problem, cfg))
+    bundle = g.gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42)
+    for tau in np.linspace(-1.5, 1.5, 11):
+        for s in np.linspace(-1.5, 1.5, 11):
+            cfg = g.default_config(bundle.problem, tau=float(tau), s=float(s))
+            try:
+                mats = g.assemble(bundle.problem, cfg)
+            except g.SingularM:
+                continue
+            yield f"atlas {tau:.2f} {s:.2f}", engine.Plan(bundle.problem, cfg, mats, None,
+                                                          engine.block_kernels(bundle.problem, cfg))
+
+
+def test_step_operator_identity_on_all_free_catalog_and_atlas(catalog):
+    names = []
+    for name, plan in _assembled_plans(catalog):
+        op = plan.operator
+        assert plan.path == "affine" and plan.fallback is None, (name, op.why)
+        assert op.error <= op.bound <= 1e-13, name
+        names.append(name)
+    assert len(names) == 6 + 116  # M is singular (tau + s = 0) at 5 grid points
+
+
+def test_mixed_instance_has_no_step_operator(catalog):
+    for b in catalog:
+        if not _all_free(b.problem):
+            cfg = g.default_config(b.problem)
+            plan = engine.Plan(b.problem, cfg, g.assemble(b.problem, cfg), None, engine.block_kernels(b.problem, cfg))
+            assert (plan.operator, plan.path, plan.fallback) == (None, "sweep", None), b.name
+
+
+def test_failed_operator_check_falls_back_to_sweep(catalog, monkeypatch):
+    # a step operator that fails its identity check is not used: the solve
+    # sweeps, bit for bit as on a non-free instance, and says why
+    bundle = next(b for b in catalog if b.name == "quadratic-p2q2n3-s42")
+    cfg = g.default_config(bundle.problem, max_iters=300, tol=-1.0)
+    mats = g.assemble(bundle.problem, cfg)
+    with monkeypatch.context() as mp:
+        _sweep_only(mp)
+        ref = g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats)
+    monkeypatch.setattr(engine, "OPERATOR_RTOL", -1.0)
+    fell = g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats)
+    assert fell.step_path == ref.step_path == "sweep"
+    assert fell.step_fallback.startswith("step operator identity error ")
+    assert fell.iterates.tobytes() == ref.iterates.tobytes()
+    for name, column in fell.columns.items():
+        assert column.tobytes() == ref.columns[name].tobytes(), name
+
+
+def test_singular_free_kernel_falls_back_and_raises_unbounded():
+    # a rank-deficient free block (validation would reject it) has a singular
+    # kernel: no affine step, and the sweep raises Unbounded as before
+    problem = BlockProblem((Block(Quadratic(np.zeros((2, 2)), np.zeros(2)), [[1.0, 1.0]], Free()),),
+                           (Block(Quadratic([[2.0]], [0.0]), [[1.0]], Free()),), [1.0])
+    cfg = SolverConfig(sigma1=0.5, sigma2=0.5)
+    mats = g.assemble(problem, cfg)
+    plan = engine.Plan(problem, cfg, mats, None, engine.block_kernels(problem, cfg))
+    assert plan.path == "sweep" and plan.fallback.startswith("singular proximal system")
+    with pytest.raises(oracles.Unbounded):
+        g.solve(problem, cfg, mats=mats, validate=False)
 
 
 # ---------------------------------------------------------------------------

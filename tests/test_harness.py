@@ -202,9 +202,9 @@ def test_several_violations_share_one_line(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["gen", "run", "sweep"])
-def test_unwritable_out_exits_one_with_one_line(tmp_path, capsys, command):
+def test_unwritable_out_exits_one_with_one_line(tmp_path, capsys, monkeypatch, command):
     # gen writes into a missing directory; run and sweep find a file where
-    # their output directory should be
+    # their output directory should be, and find it before any solve
     if command == "gen":
         out = tmp_path / "missing" / "x.txt"
         strerror = "No such file or directory"
@@ -212,6 +212,7 @@ def test_unwritable_out_exits_one_with_one_line(tmp_path, capsys, command):
         out = tmp_path / "out"
         out.write_text("")
         strerror = "File exists"
+    monkeypatch.setattr(g.engine, "solve", lambda *args, **kwargs: pytest.fail("solved before writing"))
     argv = [command, "--generator", "qp1", "--out", str(out)]
     code = main(argv + (ONE_POINT_GRID if command == "sweep" else []))
     assert code == 1
@@ -284,6 +285,22 @@ def test_cmd_run_region_policy_gate(tmp_path, capsys):
     code = main(["run", "--generator", "qp1", "--tau", "1.5", "--s", "0.3",
                  "--policy", "G", "--out", str(tmp_path)])
     assert code == 0
+
+
+@pytest.mark.parametrize("name, path", [("qp1", "affine"), ("l1-1d", "sweep"), ("boxqp-1d", "sweep")])
+def test_report_names_the_step_path(capsys, name, path):
+    assert main(["report", "--generator", name]) == 0
+    report = dict(ln.split(" ", 1) for ln in capsys.readouterr().out.splitlines())
+    assert report["step_path"] == path
+    assert "step_fallback" not in report
+
+
+def test_report_says_why_the_affine_step_fell_back(capsys, monkeypatch):
+    monkeypatch.setattr(g.engine, "OPERATOR_RTOL", -1.0)  # no operator passes its check
+    assert main(["report", "--generator", "qp1"]) == 0
+    report = dict(ln.split(" ", 1) for ln in capsys.readouterr().out.splitlines())
+    assert report["step_path"] == "sweep"
+    assert report["step_fallback"].startswith("step operator identity error ")
 
 
 def test_cmd_report_prints_without_writing(tmp_path, capsys, monkeypatch):
@@ -470,6 +487,32 @@ def test_cmd_check_reports_singular_m(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "tau + s = 0" in out
+
+
+@pytest.mark.parametrize("flags, detail", [
+    (["--beta", "inf"], "beta must be finite, got inf"),
+    (["--sigma1", "0"], "sigma1 must exceed p-1 = 0 strictly, got 0.0"),
+], ids=["beta-inf", "sigma1-0"])
+def test_cmd_check_stops_after_config_failure(capsys, flags, detail):
+    # only a stepsize-region violation lets the structural checks run on
+    code = main(["check", "--generator", "qp1", *flags])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert captured.out.splitlines()[-1] == f"check config-valid: FAIL ({detail})"
+
+
+@pytest.mark.parametrize("name, listed", [("qp1", True), ("quadratic", True), ("l1-1d", False)])
+def test_cmd_check_reports_step_operator_identity(capsys, name, listed):
+    # on an instance whose every block is free-quadratic
+    assert main(["check", "--generator", name, "--p", "2", "--q", "2", "--x-dims", "2,2",
+                 "--y-dims", "2,2", "--n", "3", "--seed", "42"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if "step-operator-identity" in ln]
+    if listed:
+        (line,) = lines
+        error, bound = (float(part.split("=")[1]) for part in line[line.index("(") + 1:-1].split(", "))
+        assert line.startswith("check step-operator-identity: pass (error=") and error <= bound
+    else:
+        assert lines == []
 
 
 def test_cmd_check_fails_on_corrupted_file(tmp_path, capsys):

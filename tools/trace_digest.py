@@ -29,22 +29,42 @@ SplitMix64 seed-3 start, each forced (2000 iterations) and at tol 1e-10;
 sweep's settings; each run's first line also carries its oracle counters. It
 uses only the package's public API, so it runs against older checkouts too.
 Takes one to two minutes.
+
+--contract prints, for the same cases, one JSON record per case instead of
+its digest (`tools/contract.py`): instance and matrix digests, the atlas
+columns other than iters_to_tol and r_hat, and the workloads' lines as
+exact values, each solve as its contract record.
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/trace_digest.py --compare PARENT CHANGE
+    OPENBLAS_NUM_THREADS=1 python3 tools/trace_digest.py --compare --verdict PARENT CHANGE
+
+runs --contract (with --verdict if given) on both checkouts and checks each
+case against the equivalence contract of `tools/contract.py`: it prints each
+case that breaks it with the rules it breaks, then one summary line, and
+exits 1 if any case breaks it. Takes twice as long as the digest it compares.
 """
 import argparse
 import hashlib
+import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("--verdict", action="store_true", help="digest the post-hoc reports instead")
-parser.add_argument("checkout", nargs="?", default=".")
+parser.add_argument("--contract", action="store_true", help="print contract records instead of digests")
+parser.add_argument("--compare", action="store_true", help="check two checkouts against the contract")
+parser.add_argument("checkout", nargs="*", default=["."])
 args = parser.parse_args()
-root = Path(args.checkout).resolve()
+if len(args.checkout) != 1 + args.compare:
+    parser.error("give one checkout, or two with --compare")
+root = Path(args.checkout[0]).resolve()
 sys.path[:0] = [str(root / "src"), str(root / "bench")]
 
 import numpy as np  # noqa: E402
 
+import contract  # noqa: E402
 import gsadmm as g  # noqa: E402
 import workloads  # noqa: E402
 from gsadmm.harness import io  # noqa: E402
@@ -102,23 +122,36 @@ def instance_lines(catalog) -> list[str]:
     return out
 
 
+def record(label, **fields) -> str:
+    """One contract record as a JSON line."""
+    return json.dumps({"case": label, **fields})
+
+
 def solve_line(label, bundle, w0, **overrides) -> str:
     cfg = g.default_config(bundle.problem, **overrides)
     trace = g.solve(bundle.problem, cfg, w0=w0, w_star=bundle.w_star, mats=g.assemble(bundle.problem, cfg))
+    if args.contract:
+        return record(f"{label} {bundle.name}", **contract.run_record(trace, bundle.w_star))
     return f"{label} {bundle.name} {len(trace.records)} {trace_digest(trace)} {oracle_counters(trace)}"
 
 
 def verdict_lines(label, problem, config, w0, w_star) -> list[str]:
-    """One line per report of the four post-hoc checks on one run."""
+    """One line per report of the four post-hoc checks on one run, or its
+    contract record."""
     try:
         mats = g.assemble(problem, config)
     except (g.SingularM, np.linalg.LinAlgError) as exc:
-        return [f"{label} {type(exc).__name__}"]
+        return [record(label, termination=type(exc).__name__) if args.contract
+                else f"{label} {type(exc).__name__}"]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             trace = g.solve(problem, config, w0=w0, w_star=w_star, mats=mats, validate=False)
     except g.NonFiniteIterate as exc:
-        return [f"{label} {type(exc).__name__}"]
+        return [record(label, termination=f"{type(exc).__name__}: {exc}") if args.contract
+                else f"{label} {type(exc).__name__}"]
+    if args.contract:
+        return [record(label, **contract.run_record(trace, w_star),
+                       **contract.verdict_record(problem, config, mats, trace, w_star))]
     constants = g.rate_constants(problem, config)
     checks = {
         "pointwise": lambda: g.pointwise_residual_check(problem, config, trace),
@@ -152,7 +185,8 @@ def verdict_main():
         try:
             b = g.gen_box_qp(1, 1, [5], [3], 5, seed=seed)
         except workloads.GEN_ERRORS as exc:
-            out.append(f"box{seed} {type(exc).__name__}")
+            out.append(record(f"box{seed}", exact=type(exc).__name__) if args.contract
+                       else f"box{seed} {type(exc).__name__}")
             continue
         cfg = g.default_config(b.problem, max_iters=2000, tol=1e-10)
         out += verdict_lines(f"box{seed} {b.name}", b.problem, cfg, None, b.w_star)
@@ -165,9 +199,67 @@ def verdict_main():
     print("\n".join(out))
 
 
+def atlas_records(seed, csv_text, res) -> list[str]:
+    """The atlas pass of one seed as contract records: iters_to_tol and r_hat
+    of each row under the contract, every other column and line exactly."""
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    out = [record(f"atlas{seed}", exact=[rows[0], f"failed={res.failed}"])]
+    for row in rows[1:]:
+        out.append(record(f"atlas{seed} tau={row[0]} s={row[1]}", exact=row[:-2], iters=int(row[-2]),
+                          r_hat=float(row[-1])))
+    return out + [record(f"atlas{seed} {line}", exact=line) for line in res.lines]
+
+
+def certified_records(label, res) -> list[str]:
+    """A workload pass as contract records: each certified line exactly up to
+    its identity ratio and final H-distance, which the contract bounds."""
+    out = [record(label, exact=f"failed={res.failed}")]
+    for line in res.lines:
+        head, _, tail = line.partition(" identity_ratio=")
+        identity, dist = tail.split(" dist_H=")
+        out.append(record(f"{label} {head.split()[0]}", exact=head,
+                          identity_ratio=float(identity), dist_H=float(dist)))
+    return out
+
+
+def compare(verdict: bool) -> int:
+    """Check the contract records of two checkouts, made side by side, case by
+    case."""
+    procs = [subprocess.Popen([sys.executable, __file__, "--contract", *(["--verdict"] * verdict), checkout],
+                              stdout=subprocess.PIPE, text=True) for checkout in args.checkout]
+    sides = []
+    for checkout, proc in zip(args.checkout, procs):
+        out = proc.communicate()[0]
+        if proc.returncode:
+            sys.exit(f"--contract on {checkout} exited {proc.returncode}")
+        recs = {}
+        for line in out.splitlines():
+            rec = json.loads(line)
+            label = rec.pop("case")
+            if label in recs:
+                sys.exit(f"--contract on {checkout} printed case {label} twice")
+            recs[label] = rec
+        sides.append(recs)
+    a, b = sides
+    broken = identical = 0
+    for label in sorted(a.keys() | b.keys()):
+        if label not in a or label not in b:
+            found = [f"only in {args.checkout[label in b]}"]
+        else:
+            found = contract.violations(a[label], b[label])
+            identical += a[label] == b[label]
+        if found:
+            broken += 1
+            print(f"{label}: " + "; ".join(found))
+    print(f"contract: {len(a.keys() | b.keys())} cases, {identical} identical, {broken} broken")
+    return 1 if broken else 0
+
+
 def main():
     catalog = g.standard_catalog()
     out = instance_lines(catalog)
+    if args.contract:
+        out = [record(line.rsplit(" ", 1)[0], exact=line) for line in out]
     for start in ("zero", "seed3"):
         rng = g.SplitMix64(3)
         for b in catalog:
@@ -182,19 +274,27 @@ def main():
             wl.build()
             res = wl.run_pass()
             data = (Path(tmp) / "atlas.csv").read_bytes()
+        if args.contract:
+            out += atlas_records(seed, data.decode(), res)
+            continue
         out.append(f"atlas{seed} {hashlib.sha256(data).hexdigest()[:16]} failed={res.failed}")
         out += res.lines
     for name, seed in (("catalog", 0), ("catalog", 1), ("box-enum", 0)):
         wl = workloads.make(name, seed, False, None)
         wl.build()
         res = wl.run_pass()
+        if args.contract:
+            out += certified_records(f"{name}{seed}", res)
+            continue
         out.append(f"{name}{seed} failed={res.failed}")
         out += res.lines
     print("\n".join(out))
 
 
 if __name__ == "__main__":
-    if args.verdict:
+    if args.compare:
+        sys.exit(compare(args.verdict))
+    elif args.verdict:
         verdict_main()
     else:
         main()
