@@ -25,28 +25,27 @@ an iterate inside the engine. Before the first iteration it builds a `Plan`
 of everything that stays fixed over the solve: one oracle kernel per block
 (the penalty rho of each group is fixed under one config), the structural
 matrices, each group's sweep steps, the stacked reference point, the
-config's scalars and the step path, chosen from the block kinds alone:
+config's scalars and the step path, chosen from the block kinds alone
+(`all_free`):
 
-- affine, when every block is free-quadratic: an iteration is then an affine
-  map of w, built once per solve (`step_operator`) and checked once as the
-  operator identity T = I - M (I - P). `affine_advance` is one stacked
-  matrix-vector product, and the d vector one more. A failed check, a
-  singular kernel, or an iterate past HANDOVER_MAX (a diverging run) sends
-  the solve to the sweep, and the trace's `step_fallback` says why.
-- sweep, for every other instance: `advance` runs both group sweeps. Each
-  block writes its prox answer straight into the row of w_{k+1}, and w~_k
-  takes its primal part from there. It carries the stacks of A_i x_i+ and
-  B_j y_j+ and their sums into the next iteration, so an iteration forms
-  each group product once. Blocks go in batches (`BlockProblem.batches`):
-  one stacked call per batch for products, prox points and free-quadratic
-  solves, with the bits of the per-block iteration in
-  tests/reference_verdict.py.
+- affine, when every block is free-quadratic: an iteration is an affine map
+  of w, built once per solve and checked once as the operator identity
+  T = I - M (I - P) (`step_operator`); `affine_advance` is one stacked
+  matrix-vector product. A failed check, a singular kernel or an iterate
+  past HANDOVER_MAX (a diverging run) sends the solve to the sweep, and the
+  trace's `step_fallback` says why.
+- sweep, for every other instance: `advance` runs both group sweeps, each
+  block writing its prox answer into the row of w_{k+1}. It carries the
+  stacks of A_i x_i+ and B_j y_j+ and their sums into the next iteration, so
+  an iteration forms each group product once. Blocks go in batches
+  (`BlockProblem.batches`): one stacked call per batch for products, prox
+  points and free-quadratic solves, with the bits of the per-block iteration
+  in tests/reference_verdict.py.
 
-Each iteration reads w_k from its trace row and writes w_{k+1}, w~_k and its
-record scalars (`certify`, shared by both paths) into the trace, carrying
-||w_{k+1} - w*||_H^2 into the next iteration, so it takes three H/G
-quadratic forms. `IterationRecord`s are built only at the API edge:
-`Trace.records` builds each record on access.
+Both read w_k from its trace row, write w_{k+1}, w~_k and the record scalars
+(`certify`) into the trace, and carry ||w_{k+1} - w*||_H^2 into the next
+iteration, so an iteration takes three H/G quadratic forms. `Trace.records`
+builds each `IterationRecord` on access.
 """
 from __future__ import annotations
 
@@ -183,31 +182,35 @@ def group_sweep(steps, AZ, own_sum, base, sigma, out):
 OPERATOR_RTOL = 10.0 * np.finfo(float).eps
 
 
+def all_free(problem: BlockProblem) -> bool:
+    """Whether every block is free-quadratic, which makes an iteration an
+    affine map of w (`step_operator`)."""
+    return all(isinstance(b.objective, Quadratic) and isinstance(b.set, Free)
+               for b in problem.x_blocks + problem.y_blocks)
+
+
 @dataclass(frozen=True, eq=False)
 class StepOperator:
-    """One iteration of an all-free-quadratic instance as an affine map: the
-    rows of K give w_{k+1}, lambda~_k and the feasibility residual
-    A x+ + B y+ - c as functions of (w_k, 1) (None when a kernel is singular).
-    `error` is the measured ||T - (I - M (I - P))||_max, `bound` its
-    tolerance, and `why` says why the engine does not step on K (None when
-    it does)."""
+    """One iteration of an all-free-quadratic instance as an affine map:
+    K @ w_k + k0 stacks w_{k+1}, lambda~_k and the feasibility residual
+    A x+ + B y+ - c (K and k0 are None when a kernel is singular). `error` is
+    the measured ||T - (I - M (I - P))||_max, `bound` its tolerance, and
+    `why` says why the engine does not step on K (None when it does)."""
 
     K: np.ndarray | None
+    k0: np.ndarray | None
     error: float
     bound: float
     why: str | None
 
 
 def step_operator(problem: BlockProblem, config: SolverConfig,
-                  mats: structure.StructuralMatrices, steps) -> StepOperator | None:
+                  mats: structure.StructuralMatrices, steps) -> StepOperator:
     """The affine step of an instance whose every block is free-quadratic
-    (None for any other instance), composed from the kernels' affine answers
-    as the x sweep, half dual update, y sweep and full dual update, each an
-    (N+1) x (N+1) map of (w, 1), and checked once as an operator identity
-    against the structural M."""
-    if not all(isinstance(b.objective, Quadratic) and isinstance(b.set, Free)
-               for b in problem.x_blocks + problem.y_blocks):
-        return None
+    (`all_free`), composed from the kernels' affine answers as the x sweep,
+    half dual update, y sweep and full dual update, each an (N+1) x (N+1) map
+    of (w, 1), and checked once as an operator identity against the
+    structural M."""
     N, n, m, beta = problem.total_dim, problem.n, problem.total_dim - problem.n, config.beta
     R = np.zeros((n, N + 1))  # (w, 1) -> A x + B y - c
     for blk, sl in zip(problem.x_blocks + problem.y_blocks, problem.block_slices):
@@ -236,7 +239,7 @@ def step_operator(problem: BlockProblem, config: SolverConfig,
             X = sweep(steps[0], config.sigma1)
             T = dual(config.s * beta) @ sweep(steps[1], config.sigma2) @ dual(config.tau * beta) @ X
         except Unbounded as exc:
-            return StepOperator(None, math.inf, 0.0, str(exc))
+            return StepOperator(None, None, math.inf, 0.0, str(exc))
         lam_tilde = X[m:N] - beta * (R @ X)
         K = np.vstack((T[:N], lam_tilde, R @ T))
         correction = eye - np.vstack((T[:m], lam_tilde))  # I - P
@@ -244,15 +247,16 @@ def step_operator(problem: BlockProblem, config: SolverConfig,
         scale = max(1.0, float(np.abs(T).max()), float(np.abs(mats.M).max() * np.abs(correction).max()))
     bound = OPERATOR_RTOL * N * scale
     ok = error <= bound and np.isfinite(K).all()
-    return StepOperator(K, error, bound, None if ok else f"step operator identity error {error:.3e} exceeds {bound:.3e}")
+    return StepOperator(np.ascontiguousarray(K[:, :N]), K[:, N].copy(), error, bound,
+                        None if ok else f"step operator identity error {error:.3e} exceeds {bound:.3e}")
 
 
 class Plan:
     """What every iteration of one solve reads and none changes: the problem,
     the config and its scalars, the oracle kernels, the structural matrices,
     each group's sweep steps, the stacked reference point (None without
-    one), and the affine step (`step_operator`; None without one). `path` is
-    the step path, "affine" or "sweep", and `fallback` why an all-free
+    one), and the affine step: (K, k0, D) of `step_operator` and the d
+    vector as a matrix, or None on the sweep. `fallback` says why an all-free
     instance steps on the sweep (None otherwise)."""
 
     def __init__(self, problem: BlockProblem, config: SolverConfig,
@@ -264,13 +268,14 @@ class Plan:
         self.tau_beta, self.s_beta = config.tau * config.beta, config.s * config.beta
         self.in_D = mats.in_D
         self.ws = None if w_star is None else w_star.stack()
-        op = self.operator = step_operator(problem, config, mats, self.steps)
-        self.fallback = op.why if op else None
-        self.path = "affine" if op and not op.why else "sweep"
-        if self.path == "affine":
-            self.K, self.k0 = np.ascontiguousarray(op.K[:, :-1]), op.K[:, -1].copy()
-            # the d vector of w~ - w, `d_components` as a matrix
-            self.D = np.column_stack([d_components(problem, config, e) for e in np.eye(problem.total_dim)])
+        self.affine = self.fallback = None
+        if all_free(problem):
+            op = step_operator(problem, config, mats, self.steps)
+            self.fallback = op.why
+            if op.why is None:
+                # the d vector of w~ - w, `d_components` as a matrix
+                D = np.column_stack([d_components(problem, config, e) for e in np.eye(problem.total_dim)])
+                self.affine = op.K, op.k0, D
 
     def dist_sq(self, row: np.ndarray) -> float:
         """||row - w*||_H^2, nan without w*."""
@@ -349,14 +354,14 @@ def affine_advance(plan: Plan, dist_sq: float, k: int, wk: np.ndarray, w_next: n
     """`advance` on the affine step: one stacked matrix-vector product gives
     w_{k+1}, lambda~_k and the feasibility residual, and the d vector is taken
     of the difference w~_k - w_k as stored. The state is ||w_k - w*||_H^2."""
-    N, m = wk.shape[0], plan.m
-    z = plan.K @ wk + plan.k0  # w_{k+1}, lambda~_k, r_new
+    N, m, (K, k0, D) = wk.shape[0], plan.m, plan.affine
+    z = K @ wk + k0  # w_{k+1}, lambda~_k, r_new
     w_next[:] = z[:N]
     w_tilde[:m] = z[:m]
     w_tilde[m:] = z[N:2 * N - m]
     if not np.abs(w_next).max() <= HANDOVER_MAX:  # also when not finite
         raise _Handover
-    return certify(plan, dist_sq, wk, w_next, w_tilde, z[2 * N - m:], plan.D @ (w_tilde - wk), scalars)
+    return certify(plan, dist_sq, wk, w_next, w_tilde, z[2 * N - m:], D @ (w_tilde - wk), scalars)
 
 
 def initial_point(problem: BlockProblem, w0: Iterate | None = None) -> Iterate:
@@ -402,7 +407,7 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     predictions = np.empty((cap, problem.total_dim))
     scalars = np.empty((cap, len(RECORD_SCALARS) + 1))
     iterates[0] = initial_point(problem, w0).stack()
-    if plan.path == "affine":
+    if plan.affine is not None:
         step, state = affine_advance, plan.dist_sq(iterates[0])
     else:
         step, state = advance, plan.start(iterates[0])
@@ -423,7 +428,7 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
         if residual <= config.tol:
             termination = CONVERGED
             break
-    if plan.path == "affine":  # one oracle call per block and iteration, as on the sweep
+    if plan.affine is not None:  # one oracle call per block and iteration, as on the sweep
         for kernel in kernels[0] + kernels[1]:
             kernel.stats.calls += count if step is affine_advance else affine_count
     table = scalars[:count].T.copy()
@@ -434,4 +439,4 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
                  oracle_stats=tuple(kernel.stats for group in kernels for kernel in group),
                  iterates=arrays[0], predictions=arrays[1],
                  columns=dict(zip(RECORD_SCALARS + ("residual",), table)),
-                 step_path=plan.path, step_fallback=fallback)
+                 step_path="sweep" if plan.affine is None else "affine", step_fallback=fallback)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import diagnostics, engine, generators, structure
+from .. import diagnostics, engine, generators, oracles, structure
 from ..model import SolverConfig, in_region_D, in_region_G, region_violation, validate_config, validate_problem
 from . import io
 
@@ -161,21 +161,27 @@ def _resolve_config(args, problem) -> SolverConfig:
 
 
 @contextlib.contextmanager
-def _writing(path, directory: bool = False):
-    """Yields the output path, first made as a directory when `directory` is
-    set, so that an unwritable path fails before the work. An OSError raises
-    CliFailure; any other failure removes the directory made here."""
-    made = False
+def _writing(path):
+    """Yields the output path; an OSError while writing there raises CliFailure."""
     try:
-        if directory and not Path(path).is_dir():
-            Path(path).mkdir(parents=True)
-            made = True
         yield Path(path)
     except OSError as exc:
         raise CliFailure(EXIT_VALIDATION, f"error: cannot write {path}: {exc.strerror}") from exc
+
+
+@contextlib.contextmanager
+def _output_dir(path):
+    """Yields the output directory, made before the work so that an
+    unwritable path fails first; a failure of the work removes the directory
+    made here."""
+    with _writing(path) as out:
+        made = not out.is_dir()
+        out.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out
     except BaseException:
         if made:
-            shutil.rmtree(path)
+            shutil.rmtree(out)
         raise
 
 
@@ -210,7 +216,7 @@ def _run_diagnostics(problem, config, mats, trace, w_star):
 def cmd_run(args, print_report: bool = False) -> int:
     problem, w_star, label, config = _load(args)
     _validate_or_fail(problem, config)
-    with contextlib.nullcontext() if print_report else _writing(args.out, directory=True) as outdir:
+    with contextlib.nullcontext() if print_report else _output_dir(args.out) as outdir:
         try:
             mats = structure.assemble(problem, config)
         except (structure.SingularM, np.linalg.LinAlgError) as exc:
@@ -226,8 +232,9 @@ def cmd_run(args, print_report: bool = False) -> int:
         if print_report:
             sys.stdout.write(report_text)
             return EXIT_OK
-        io.write_trace_csv(outdir / "trace.csv", trace)
-        (outdir / "report.txt").write_text(report_text, encoding="utf-8")
+        with _writing(outdir):
+            io.write_trace_csv(outdir / "trace.csv", trace)
+            (outdir / "report.txt").write_text(report_text, encoding="utf-8")
     iters = len(trace.predictions)
     print(f"{label}: {trace.termination} after {iters} iterations"
           + (f", final residual {trace.columns['residual'][-1]:.3e}" if iters else ""))
@@ -255,7 +262,7 @@ def cmd_sweep(args) -> int:
     ss = _grid("--s-grid", args.s_grid)
     _validate_or_fail(problem, base)
     rows = []
-    with _writing(args.out, directory=True) as outdir:
+    with _output_dir(args.out) as outdir:
         for tau in taus:
             for s in ss:
                 row = {
@@ -288,7 +295,8 @@ def cmd_sweep(args) -> int:
                         row["r_hat"] = rate.r_hat
                     except (diagnostics.InsufficientTrace, diagnostics.RegionNotCertified):
                         pass
-        io.write_atlas_csv(outdir / "atlas.csv", rows)
+        with _writing(outdir):
+            io.write_atlas_csv(outdir / "atlas.csv", rows)
     print(f"{label}: swept {len(rows)} stepsize points")
     return EXIT_OK
 
@@ -343,8 +351,9 @@ def cmd_check(args) -> int:
         print(f"note: (tau, s) = ({config.tau}, {config.s}) outside the triangle region; "
               "definiteness not asserted "
               f"(lambda_min_G={mats.lambda_min_G:.3e})")
-    op = engine.Plan(problem, config, mats, None, engine.block_kernels(problem, config)).operator
-    if op is not None:  # every block is free-quadratic
+    if engine.all_free(problem):
+        steps = tuple(map(oracles.sweep_steps, problem.batches, engine.block_kernels(problem, config)))
+        op = engine.step_operator(problem, config, mats, steps)
         check("step-operator-identity", op.why is None, op.why or f"error={op.error:.3e}, bound={op.bound:.3e}")
     if w_star is not None:
         res = float(np.linalg.norm(diagnostics.error_map_residual(problem, w_star)))

@@ -162,11 +162,6 @@ def test_affine_solve_forms_no_group_product_or_prox_per_iteration(catalog, monk
 # solve against repeated single steps
 # ---------------------------------------------------------------------------
 
-def _all_free(problem) -> bool:
-    return all(isinstance(b.objective, Quadratic) and isinstance(b.set, Free)
-               for b in problem.x_blocks + problem.y_blocks)
-
-
 def _contract_record(trace, mats, w_star):
     """The equivalence contract's record of a trace (tools/contract.py)."""
     return {**contract.run_record(trace, w_star),
@@ -222,7 +217,7 @@ def test_solve_bit_identical_to_repeated_steps(case, catalog):
     assert (trace.termination == engine.CONVERGED) == (len(records) < cfg.max_iters)
     stepped_stats = [dataclasses.astuple(kernel.stats) for group in kernels for kernel in group]
     assert stepped_stats == [dataclasses.astuple(stats) for stats in trace.oracle_stats]
-    if _all_free(problem):
+    if engine.all_free(problem):
         assert trace.step_path == "affine"
         stepped = _stepped_trace(problem, cfg, final, records, kernels)
         assert contract.violations(_contract_record(trace, mats, w_star),
@@ -289,7 +284,7 @@ PER_BLOCK_CASES = {
 
 def _sweep_only(mp):
     """Make every solve step on the sweep, as if no instance were all-free."""
-    mp.setattr(engine, "step_operator", lambda *args: None)
+    mp.setattr(engine, "all_free", lambda problem: False)
 
 
 @pytest.mark.parametrize("case", PER_BLOCK_CASES)
@@ -324,7 +319,7 @@ def test_solve_bit_identical_to_per_block_reference(case, catalog, monkeypatch):
     assert fast.termination == ref.termination
     assert fast.oracle_stats == ref.oracle_stats
     assert ref.step_path == "sweep"
-    if _all_free(problem):
+    if engine.all_free(problem):
         assert fast.step_path == "affine"
         assert contract.violations(_contract_record(fast, mats, w_star), _contract_record(ref, mats, w_star)) == []
         return
@@ -367,6 +362,12 @@ def _exact_maps(problem, cfg):
     return T, P, M
 
 
+def _step_operator(problem, cfg, mats):
+    """The engine's step operator of an all-free instance."""
+    kernels = engine.block_kernels(problem, cfg)
+    return engine.step_operator(problem, cfg, mats, tuple(map(oracles.sweep_steps, problem.batches, kernels)))
+
+
 def test_step_operator_identity_exact_on_qp1(qp1):
     # T = I - M (I - P) with zero error in rational arithmetic, offsets
     # included; the engine's float maps and the structural M agree with the
@@ -376,22 +377,22 @@ def test_step_operator_identity_exact_on_qp1(qp1):
     eye = np.array([[Fraction(int(i == j)) for j in range(4)] for i in range(3)], dtype=object)
     assert (T == eye - M.dot(eye - P)).all()
     mats = g.assemble(problem, cfg)
-    plan = engine.Plan(problem, cfg, mats, None, engine.block_kernels(problem, cfg))
-    assert plan.path == "affine" and plan.operator.error <= plan.operator.bound
-    K = plan.operator.K
+    op = _step_operator(problem, cfg, mats)
+    assert op.why is None and op.error <= op.bound
+    K = np.column_stack((op.K, op.k0))
     assert np.abs(K[:3] - T.astype(float)).max() <= 1e-15
     assert np.abs(K[3] - P[2].astype(float)).max() <= 1e-15
     assert np.abs(mats.M - M.astype(float)).max() <= 1e-15
 
 
-def _assembled_plans(catalog):
-    """Plans of every all-free catalog instance under its default config, and
-    of every assembled point of the atlas's 11 x 11 stepsize grid."""
+def _assembled_operators(catalog):
+    """Step operators of every all-free catalog instance under its default
+    config, and of every assembled point of the atlas's 11 x 11 stepsize
+    grid."""
     for b in catalog:
-        if _all_free(b.problem):
+        if engine.all_free(b.problem):
             cfg = g.default_config(b.problem)
-            yield b.name, engine.Plan(b.problem, cfg, g.assemble(b.problem, cfg), None,
-                                      engine.block_kernels(b.problem, cfg))
+            yield b.name, _step_operator(b.problem, cfg, g.assemble(b.problem, cfg))
     bundle = g.gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42)
     for tau in np.linspace(-1.5, 1.5, 11):
         for s in np.linspace(-1.5, 1.5, 11):
@@ -400,26 +401,26 @@ def _assembled_plans(catalog):
                 mats = g.assemble(bundle.problem, cfg)
             except g.SingularM:
                 continue
-            yield f"atlas {tau:.2f} {s:.2f}", engine.Plan(bundle.problem, cfg, mats, None,
-                                                          engine.block_kernels(bundle.problem, cfg))
+            yield f"atlas {tau:.2f} {s:.2f}", _step_operator(bundle.problem, cfg, mats)
 
 
 def test_step_operator_identity_on_all_free_catalog_and_atlas(catalog):
     names = []
-    for name, plan in _assembled_plans(catalog):
-        op = plan.operator
-        assert plan.path == "affine" and plan.fallback is None, (name, op.why)
+    for name, op in _assembled_operators(catalog):
+        assert op.why is None, (name, op.why)
         assert op.error <= op.bound <= 1e-13, name
         names.append(name)
     assert len(names) == 6 + 116  # M is singular (tau + s = 0) at 5 grid points
 
 
 def test_mixed_instance_has_no_step_operator(catalog):
+    # the free-quadratic catalog instances take the affine step, every other
+    # one sweeps without a fallback to report
     for b in catalog:
-        if not _all_free(b.problem):
-            cfg = g.default_config(b.problem)
-            plan = engine.Plan(b.problem, cfg, g.assemble(b.problem, cfg), None, engine.block_kernels(b.problem, cfg))
-            assert (plan.operator, plan.path, plan.fallback) == (None, "sweep", None), b.name
+        assert engine.all_free(b.problem) == (b.name == "qp1" or b.name.startswith("quadratic-")), b.name
+        cfg = g.default_config(b.problem)
+        plan = engine.Plan(b.problem, cfg, g.assemble(b.problem, cfg), None, engine.block_kernels(b.problem, cfg))
+        assert plan.fallback is None and (plan.affine is None) != engine.all_free(b.problem), b.name
 
 
 def test_failed_operator_check_falls_back_to_sweep(catalog, monkeypatch):
@@ -448,7 +449,7 @@ def test_singular_free_kernel_falls_back_and_raises_unbounded():
     cfg = SolverConfig(sigma1=0.5, sigma2=0.5)
     mats = g.assemble(problem, cfg)
     plan = engine.Plan(problem, cfg, mats, None, engine.block_kernels(problem, cfg))
-    assert plan.path == "sweep" and plan.fallback.startswith("singular proximal system")
+    assert plan.affine is None and plan.fallback.startswith("singular proximal system")
     with pytest.raises(oracles.Unbounded):
         g.solve(problem, cfg, mats=mats, validate=False)
 

@@ -219,6 +219,26 @@ def test_unwritable_out_exits_one_with_one_line(tmp_path, capsys, monkeypatch, c
     assert capsys.readouterr().err == f"error: cannot write {out}: {strerror}\n"
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_failed_write_removes_the_output_directory(tmp_path, capsys, monkeypatch, command):
+    # a write that fails is reported as one, and the directory made for it
+    # goes; an OSError of the work itself is not reported as a write failure
+    out = tmp_path / "out"
+    argv = [command, "--generator", "qp1", "--out", str(out)] + (ONE_POINT_GRID if command == "sweep" else [])
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(io, "write_trace_csv" if command == "run" else "write_atlas_csv", refuse)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: Permission denied\n"
+    assert not out.exists()
+    monkeypatch.setattr(g.engine, "solve", refuse)
+    with pytest.raises(PermissionError):
+        main(argv)
+    assert not out.exists()
+
+
 # (command, instance, its linear term replaced by 1e308); the qp1 cases are
 # named by their command alone
 OVERFLOW_CASES = [pytest.param(command, document, old, id=command + suffix)

@@ -6,10 +6,7 @@ when `violations` finds nothing. The rules, by record key:
 
 - `exact`, `iters`, `termination` (or the NonFiniteIterate message, which
   names the iteration), `oracle` (each block's counters) and `flags` (every
-  verdict flag, or the exception a check raised): equal, except that
-  `rate.envelope_ok` is left out where r_hat reads 1 to 4 significant digits:
-  a run forced past convergence fits its roundoff floor, and which side of 1
-  its r_hat falls on, which decides the flag, is rounding noise;
+  verdict flag, or the exception a check raised): equal;
 - `r_hat`: equal to 4 significant digits;
 - `identity_ratio`, the C3 ratio max_k identity_error_k / (1e-10 (1 +
   ||w_k||)): at most 1 on both sides;
@@ -19,8 +16,7 @@ when `violations` finds nothing. The rules, by record key:
 - `w_final`: within 1e-12 `w_scale` in every component, where `w_scale` is
   1 + max(||w*||, ||w_final||): 1e-12 (1 + ||w*||) for a run that ends near
   w*, relative to ||w_final|| for one that grows away from it (outside the
-  stepsize regions; norms taken without overflow);
-- `dist_H`: at most 1e-8 on both sides.
+  stepsize regions; norms taken without overflow).
 
 Used by `tools/trace_digest.py --compare` and by the engine tests.
 """
@@ -34,7 +30,6 @@ import gsadmm as g
 IDENTITY_RTOL = 1e-10  # acceptance criterion C3
 SLACK_RTOL = 1e-8      # acceptance criterion C4
 W_RTOL = 1e-12
-DIST_TOL = 1e-8
 EXACT_KEYS = ("exact", "iters", "termination", "oracle")
 
 
@@ -99,10 +94,7 @@ def _sig4(x):
 def violations(a: dict, b: dict) -> list[str]:
     """The contract rules that records a and b of one case break."""
     out = [f"{key}: {a.get(key)!r} != {b.get(key)!r}" for key in EXACT_KEYS if a.get(key) != b.get(key)]
-    fa, fb = dict(a.get("flags", {})), dict(b.get("flags", {}))
-    if _sig4(a.get("r_hat")) == _sig4(b.get("r_hat")) == "1":
-        fa.pop("rate.envelope_ok", None)
-        fb.pop("rate.envelope_ok", None)
+    fa, fb = a.get("flags", {}), b.get("flags", {})
     out += [f"flag {name}: {fa.get(name)!r} != {fb.get(name)!r}"
             for name in fa.keys() | fb.keys() if fa.get(name) != fb.get(name)]
     if _sig4(a.get("r_hat")) != _sig4(b.get("r_hat")):
@@ -111,9 +103,6 @@ def violations(a: dict, b: dict) -> list[str]:
         ratio = rec.get("identity_ratio")
         if ratio is not None and not ratio <= 1.0:
             out.append(f"identity_ratio ({side}): {ratio:.2e} > 1")
-        dist = rec.get("dist_H")
-        if dist is not None and not dist <= DIST_TOL:
-            out.append(f"dist_H ({side}): {dist:.1e} > {DIST_TOL:.0e}")
     sa, sb = a.get("slack"), b.get("slack")
     if sa is not None or sb is not None:
         if sa is None or sb is None or len(sa) != len(sb):
