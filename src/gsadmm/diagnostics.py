@@ -5,15 +5,16 @@ structural matrices: the per-iteration residual vector d, the O(1/t)
 nonergodic envelope, the pointwise residual bound with its computable
 coefficient, the projection-based natural residual whose vanishing
 characterizes the solution set, the closed-form rate constants, and the
-empirical linear-rate fit. The contraction slack is computed inline by the
-engine (`IterationRecord.contraction_slack`).
+empirical linear-rate fit. The contraction slack is one of the record
+scalars that the engine's certification pass forms after each chunk of
+iterations (`engine.certify`, `IterationRecord.contraction_slack`).
 
 The checks read a trace's columns (`Trace.iterates`, `Trace.predictions`,
 `Trace.columns`) and evaluate each bound for all iterations at once. Every
 per-row product is a stacked matrix-vector product (`matvecs`,
-`structure.row_forms`), which runs the BLAS kernel of the 1-d product, and
-every expression keeps its association order, so each value has the bits the
-same formula gives one iteration at a time. The record-at-a-time reference
+`structure.row_forms`, `rows_dot`), which runs the BLAS kernel of the 1-d
+product, and every expression keeps its association order, so each value has
+the bits the same formula gives one iteration at a time. The record-at-a-time reference
 lives in tests/reference_verdict.py.
 """
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import BlockProblem, Iterate, L1, SolverConfig, block_sum, matvecs
+from .model import BlockProblem, Iterate, L1, SolverConfig, block_sum, matvecs, rows_dot
 from .oracles import l1_subgradient, project
 from .structure import row_forms
 
@@ -56,11 +57,6 @@ def _require_region(mats: "StructuralMatrices", what: str):
         raise RegionNotCertified(
             f"{what} requires (tau, s) in the triangle region; got ({mats.tau}, {mats.s})"
         )
-
-
-def _rows_dot(V: np.ndarray) -> np.ndarray:
-    """v @ v for each row v of V, as stacked (1 x N)(N x 1) products."""
-    return (V[:, None, :] @ V[:, :, None])[:, 0, 0]
 
 
 def _running_max(values: np.ndarray, start: float) -> float:
@@ -209,7 +205,7 @@ def pointwise_residual_check(problem: BlockProblem, config: SolverConfig,
     cols = trace.columns
     d_sq = cols["d_norm_sq"]
     dw = trace.iterates[:-1] - trace.predictions
-    bound = th * _rows_dot(dw) * (1.0 + ERROR_BOUND_RTOL) + 1e-300
+    bound = th * rows_dot(dw) * (1.0 + ERROR_BOUND_RTOL) + 1e-300
     ok = bool(np.all(np.isfinite(d_sq) & np.isfinite(bound) & (d_sq <= bound)))
     steps = np.arange(1.0, len(d_sq) + 1.0)  # k + 1
     # Python's float ** 2 (C pow) and numpy's square differ in the last bit
@@ -274,7 +270,7 @@ def error_bound_check(problem: BlockProblem, mats: "StructuralMatrices", trace: 
     W = trace.iterates[:-1]
     left = np.sum(error_map_rows(problem, trace.iterates[1:]) ** 2, axis=1)
     right = coef * row_forms(mats.G, W - trace.predictions)
-    bound = right * (1.0 + ERROR_BOUND_RTOL) + ERROR_BOUND_ABS_FLOOR * (1.0 + _rows_dot(W))
+    bound = right * (1.0 + ERROR_BOUND_RTOL) + ERROR_BOUND_ABS_FLOOR * (1.0 + rows_dot(W))
     ok = bool(np.all(left <= bound))
     positive = right > 0.0
     return ok, _running_max(left[positive] / right[positive], 0.0)

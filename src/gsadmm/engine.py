@@ -15,10 +15,10 @@ B y_k, A x+, B y+:
     r_new = A x+ + B y+ - c
     lambda+ = lambda_half - s beta r_new
 
-The predicted point is w~ = (x+, y+, lambda~). Each iteration verifies online
-that the computed step equals the linear correction w_k - M (w_k - w~_k),
-which cross-validates the engine against the structural matrices every
-iteration; r_new is also the feasibility residual of w~.
+The predicted point is w~ = (x+, y+, lambda~). Every iteration is certified
+against the linear correction w_k - M (w_k - w~_k), which cross-validates the
+engine against the structural matrices; r_new is also the feasibility
+residual of w~.
 
 `solve` iterates on the stacked point w = (x, y, lambda), the only form of
 an iterate inside the engine. Before the first iteration it builds a `Plan`
@@ -30,28 +30,36 @@ config's scalars and the step path, chosen from the block kinds alone
 
 - affine, when every block is free-quadratic: an iteration is an affine map
   of w, built once per solve and checked once as the operator identity
-  T = I - M (I - P) (`step_operator`); `affine_advance` is one stacked
-  matrix-vector product. A failed check, a singular kernel or an iterate
-  past HANDOVER_MAX (a diverging run) sends the solve to the sweep, and the
+  T = I - M (I - P) (`step_operator`); a step is one matrix-vector product
+  `K @ w_k + k0`. A failed check, a singular kernel or an iterate past
+  HANDOVER_MAX (a diverging run) sends the solve to the sweep, and the
   trace's `step_fallback` says why.
 - sweep, for every other instance: `advance` runs both group sweeps, each
-  block writing its prox answer into the row of w_{k+1}. It carries the
-  stacks of A_i x_i+ and B_j y_j+ and their sums into the next iteration, so
-  an iteration forms each group product once. Blocks go in batches
-  (`BlockProblem.batches`): one stacked call per batch for products, prox
-  points and free-quadratic solves, with the bits of the per-block iteration
-  in tests/reference_verdict.py.
+  block writing its prox answer into the row of w_{k+1}, and forms the d
+  vector and the feasibility residual that the stopping test reads. It
+  carries the stacks of A_i x_i+ and B_j y_j+ and their sums into the next
+  iteration, so an iteration forms each group product once. Blocks go in
+  batches (`BlockProblem.batches`): one stacked call per batch for products,
+  prox points and free-quadratic solves, with the bits of the per-block
+  iteration in tests/reference_verdict.py.
 
-Both read w_k from its trace row, write w_{k+1}, w~_k and the record scalars
-(`certify`) into the trace, and carry ||w_{k+1} - w*||_H^2 into the next
-iteration, so an iteration takes three H/G quadratic forms. `Trace.records`
-builds each `IterationRecord` on access.
+The loop only steps, CHUNK iterations at a time, each writing the solve row
+of w_{k+1} (the iterate, lambda~_k, r_k and d_k; see `Plan`). After a chunk,
+one stacked pass (`certify`) forms every record scalar of its rows: the
+identity gap, the H/G quadratic forms, the slack from the H-distances of
+consecutive rows, the norms and the residual. Each stacked product runs the
+BLAS kernel of its per-iteration form, so every value keeps the bits of the
+per-iteration certification in tests/reference_verdict.py. The affine step
+learns a chunk's residuals only after stepping it: rows past convergence or
+past a handover are discarded, and their floating-point events with them.
+`Trace.records` builds each `IterationRecord` on access.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from time import perf_counter
 
 import numpy as np
 
@@ -64,9 +72,12 @@ from .model import (
     Quadratic,
     SolverConfig,
     block_sum,
+    matvecs,
+    rows_dot,
     validate_config,
     validate_problem,
 )
+from .structure import row_forms
 from .oracles import OracleStats, ProxKernel, Unbounded, project, prox_solve, sweep_steps
 
 CONVERGED = "converged"
@@ -82,9 +93,8 @@ class NonFiniteIterate(RuntimeError):
 # arithmetic does.
 HANDOVER_MAX = 1e300
 
-
-class _Handover(Exception):
-    """The affine step's w_{k+1} is past HANDOVER_MAX or not finite."""
+# Iterations stepped between two certification passes (`solve`).
+CHUNK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +134,8 @@ class Trace:
     columns: dict[str, np.ndarray]
     step_path: str = "sweep"  # "affine" or "sweep" (see `Plan`)
     step_fallback: str | None = None  # why an all-free instance stepped on the sweep
+    step_s: float = 0.0      # wall seconds in the stepping loop
+    certify_s: float = 0.0   # wall seconds in the certification passes
 
     @property
     def w_final(self) -> Iterate:
@@ -255,15 +267,20 @@ class Plan:
     """What every iteration of one solve reads and none changes: the problem,
     the config and its scalars, the oracle kernels, the structural matrices,
     each group's sweep steps, the stacked reference point (None without
-    one), and the affine step: (K, k0, D) of `step_operator` and the d
-    vector as a matrix, or None on the sweep. `fallback` says why an all-free
-    instance steps on the sweep (None otherwise)."""
+    one), the layout of a solve row, and the affine step: (K, k0, D) of
+    `step_operator` and the d vector as a matrix, or None on the sweep.
+    `fallback` says why an all-free instance steps on the sweep (None
+    otherwise)."""
 
     def __init__(self, problem: BlockProblem, config: SolverConfig,
                  mats: structure.StructuralMatrices, w_star: Iterate | None, kernels):
         self.problem, self.config, self.mats, self.kernels = problem, config, mats, kernels
         self.steps = tuple(map(sweep_steps, problem.batches, kernels))
-        self.m = problem.total_dim - problem.n  # lambda is w[m:]
+        N, n = problem.total_dim, problem.n
+        self.N, self.m = N, N - n  # lambda is w[m:]
+        # row k + 1 of a solve is w_{k+1}, lambda~_k, r_k = A x+ + B y+ - c
+        # (together the output z of the affine step), then d_k
+        self.lam_tilde, self.r, self.d = slice(N, N + n), slice(N + n, N + 2 * n), slice(N + 2 * n, 2 * N + n)
         # tau beta and s beta, grouped as the dual updates evaluate them
         self.tau_beta, self.s_beta = config.tau * config.beta, config.s * config.beta
         self.in_D = mats.in_D
@@ -274,94 +291,84 @@ class Plan:
             self.fallback = op.why
             if op.why is None:
                 # the d vector of w~ - w, `d_components` as a matrix
-                D = np.column_stack([d_components(problem, config, e) for e in np.eye(problem.total_dim)])
+                D = np.column_stack([d_components(problem, config, e) for e in np.eye(N)])
                 self.affine = op.K, op.k0, D
-
-    def dist_sq(self, row: np.ndarray) -> float:
-        """||row - w*||_H^2, nan without w*."""
-        return float("nan") if self.ws is None else self.mats.h_norm_sq(row - self.ws)
 
     def start(self, row: np.ndarray) -> tuple:
         """The state `advance` reads for the stacked point row: the stacks of
-        A_i x_i and B_j y_j, A x, B y, and ||w - w*||_H^2 (nan without w*)."""
+        A_i x_i and B_j y_j, A x and B y."""
         AX, BY = self.problem.products(0, row), self.problem.products(1, row)
-        return AX, block_sum(AX), BY, block_sum(BY), self.dist_sq(row)
+        return AX, block_sum(AX), BY, block_sum(BY)
+
+    def predictions(self, rows: np.ndarray) -> np.ndarray:
+        """w~_k = (x+, y+, lambda~_k) of each solve row k + 1 in rows."""
+        return np.concatenate((rows[:, :self.m], rows[:, self.lam_tilde]), axis=1)
 
 
-def certify(plan: Plan, dist_sq: float, wk: np.ndarray, w_next: np.ndarray, w_tilde: np.ndarray,
-            r_new: np.ndarray, d_stack: np.ndarray, scalars: np.ndarray):
-    """The record scalars of iteration k (RECORD_SCALARS, then the residual)
-    into scalars, from w_k, w_{k+1}, w~_k, the feasibility residual and the d
-    vector of w~_k, and ||w_k - w*||_H^2. Returns ||w_{k+1} - w*||_H^2 and the
-    residual max(d_inf, feasibility_inf)."""
-    mats = plan.mats
-    dw = wk - w_tilde
-    mdw = mats.M @ dw
-    correction_residual = mats.h_norm_sq(mdw)
-    gap = w_next - (wk - mdw)
-    d_inf = float(np.abs(d_stack).max(initial=0.0))
+def certify(plan: Plan, block: np.ndarray, out: np.ndarray):
+    """The record scalars of consecutive iterations (RECORD_SCALARS, then the
+    residual max(d_inf, feasibility_inf)) into the rows of out, from a block
+    of solve rows: iteration i of the block goes from w_k in row i to row
+    i + 1 (see `Plan`).
 
-    dist_h = dist_next = slack = float("nan")
-    ws = plan.ws
-    if ws is not None:
-        dist_next = mats.h_norm_sq(w_next - ws)
-        dist_h = math.sqrt(max(dist_sq, 0.0))
+    Each product is stacked (`matvecs`, `structure.row_forms`, `rows_dot`),
+    so every value has the bits of the same formula taken one iteration at a
+    time, and the operations run in that formula's order. The slack is
+    h_k - h_{k+1} - ||w_k - w~_k||_G^2 with h_k = ||w_k - w*||_H^2, so no
+    distance is carried from one iteration to the next.
+    """
+    mats, N = plan.mats, plan.N
+    W, Wn = block[:-1, :N], block[1:, :N]
+    R, Dd = block[1:, plan.r], block[1:, plan.d]
+    DW = W - plan.predictions(block[1:])
+    MDW = matvecs(mats.M, DW)
+    correction_residual = row_forms(mats.H, MDW)
+    gap = Wn - (W - MDW)
+    d_inf = np.abs(Dd).max(axis=1, initial=0.0)
+    dist_h = slack = np.full(len(W), np.nan)
+    if plan.ws is not None:
+        h = row_forms(mats.H, block[:, :N] - plan.ws)
+        dist_h = np.sqrt(np.where(0.0 > h[:-1], 0.0, h[:-1]))  # Python's max(h, 0.0)
         if plan.in_D:
-            slack = dist_sq - dist_next - mats.g_norm_sq(dw)
+            g = row_forms(mats.G, DW)
+            with np.errstate(all="ignore"):  # the scalar formula's float arithmetic never traps
+                slack = h[:-1] - h[1:] - g
+    feasibility_inf = np.abs(R).max(axis=1, initial=0.0)
+    residual = np.where(feasibility_inf > d_inf, feasibility_inf, d_inf)  # Python's max(d_inf, ...)
+    out[:] = np.column_stack((np.sqrt(rows_dot(R)), feasibility_inf, correction_residual, rows_dot(Dd),
+                              d_inf, np.sqrt(rows_dot(gap)), dist_h, slack, residual))
 
-    feasibility_inf = float(np.abs(r_new).max(initial=0.0))
-    residual = max(d_inf, feasibility_inf)
-    scalars[:] = (math.sqrt(r_new @ r_new), feasibility_inf, correction_residual,
-                  float(d_stack @ d_stack), d_inf, math.sqrt(gap @ gap),
-                  dist_h, slack, residual)
-    return dist_next, residual
 
-
-def advance(plan: Plan, state: tuple, k: int, wk: np.ndarray, w_next: np.ndarray,
-            w_tilde: np.ndarray, scalars: np.ndarray):
+def advance(plan: Plan, state: tuple, k: int, wk: np.ndarray, z: np.ndarray):
     """Iteration k from the row wk and its `state` (see `Plan.start`), by the
     two group sweeps.
 
-    Writes w_{k+1} into the row w_next, w~_k into the row w_tilde, and the
-    record's scalars into scalars (`certify`). Returns the state of w_{k+1}
-    and the residual max(d_inf, feasibility_inf).
+    Writes the solve row of w_{k+1} into z (see `Plan`): the iterate,
+    lambda~_k, the feasibility residual and the d vector of w~_k. Returns
+    the state of w_{k+1} and the residual max(d_inf, feasibility_inf), which
+    is all the stopping test needs; `certify` forms the rest afterwards.
     """
-    AX, ax, BY, by, dist_sq = state
-    problem, config, c, m = plan.problem, plan.config, plan.problem.c, plan.m
+    AX, ax, BY, by = state
+    problem, config, c, m, N = plan.problem, plan.config, plan.problem.c, plan.m, plan.N
     beta = config.beta
     lam = wk[m:]
-    group_sweep(plan.steps[0], AX, ax, c - by + lam / beta, config.sigma1, w_next)
-    AX_new = problem.products(0, w_next)
+    group_sweep(plan.steps[0], AX, ax, c - by + lam / beta, config.sigma1, z)
+    AX_new = problem.products(0, z)
     ax_new = block_sum(AX_new)
     r_half = ax_new + by - c
     lambda_half = lam - plan.tau_beta * r_half
-    group_sweep(plan.steps[1], BY, by, c - ax_new + lambda_half / beta, config.sigma2, w_next)
-    BY_new = problem.products(1, w_next)
+    group_sweep(plan.steps[1], BY, by, c - ax_new + lambda_half / beta, config.sigma2, z)
+    BY_new = problem.products(1, z)
     by_new = block_sum(BY_new)
     r_new = ax_new + by_new - c
-    w_next[m:] = lambda_half - plan.s_beta * r_new
-    w_tilde[:m] = w_next[:m]
-    w_tilde[m:] = lam - beta * r_half
-    if not np.isfinite(w_next).all():
+    z[m:N] = lambda_half - plan.s_beta * r_new
+    z[plan.lam_tilde] = lam - beta * r_half
+    z[plan.r] = r_new
+    if not np.isfinite(z[:N]).all():
         raise NonFiniteIterate(f"non-finite iterate at iteration {k}")
-    d_stack = d_components(problem, config, w_tilde - wk)
-    dist_next, residual = certify(plan, dist_sq, wk, w_next, w_tilde, r_new, d_stack, scalars)
-    return (AX_new, ax_new, BY_new, by_new, dist_next), residual
-
-
-def affine_advance(plan: Plan, dist_sq: float, k: int, wk: np.ndarray, w_next: np.ndarray,
-                   w_tilde: np.ndarray, scalars: np.ndarray):
-    """`advance` on the affine step: one stacked matrix-vector product gives
-    w_{k+1}, lambda~_k and the feasibility residual, and the d vector is taken
-    of the difference w~_k - w_k as stored. The state is ||w_k - w*||_H^2."""
-    N, m, (K, k0, D) = wk.shape[0], plan.m, plan.affine
-    z = K @ wk + k0  # w_{k+1}, lambda~_k, r_new
-    w_next[:] = z[:N]
-    w_tilde[:m] = z[:m]
-    w_tilde[m:] = z[N:2 * N - m]
-    if not np.abs(w_next).max() <= HANDOVER_MAX:  # also when not finite
-        raise _Handover
-    return certify(plan, dist_sq, wk, w_next, w_tilde, z[2 * N - m:], D @ (w_tilde - wk), scalars)
+    d = z[plan.d] = d_components(problem, config, plan.predictions(z[None])[0] - wk)
+    return (AX_new, ax_new, BY_new, by_new), max(float(np.abs(d).max(initial=0.0)),
+                                                 float(np.abs(r_new).max(initial=0.0)))
 
 
 def initial_point(problem: BlockProblem, w0: Iterate | None = None) -> Iterate:
@@ -379,6 +386,54 @@ def _grown(rows: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
+def _caught(work):
+    """Run work() with every floating-point event that the caller's errstate
+    does not ignore recorded instead of raised or warned; returns work's
+    result and whether any such event occurred."""
+    events = []
+    modes = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
+    with np.errstate(call=lambda *_: events.append(True), **modes):
+        return work(), bool(events)
+
+
+def _replay(plan: Plan, rows: np.ndarray, lo: int, end: int, affine: bool = False, handover: bool = False):
+    """Iterations lo .. end - 1 once more, one at a time under the caller's
+    errstate, so that a floating-point event raises or warns at the
+    iteration, and in the order, where the per-iteration solve meets it: on
+    the affine step the step and the d vector, then `certify`; last the step
+    of iteration `end` when it handed over to the sweep. The values are those
+    already stored."""
+    N, (K, k0, D) = plan.N, plan.affine or (None, None, None)
+    scalars = np.empty((1, len(RECORD_SCALARS) + 1))
+    for k in range(lo, end):
+        if affine:
+            K @ rows[k, :N] + k0
+            D @ (plan.predictions(rows[k + 1:k + 2])[0] - rows[k, :N])
+        certify(plan, rows[k:k + 2], scalars)
+    if handover:
+        K @ rows[end, :N] + k0
+
+
+def _affine_chunk(plan: Plan, rows: np.ndarray, scalars: np.ndarray, lo: int, hi: int):
+    """Iterations lo .. hi - 1 on the affine step, each one `K @ w_k + k0`
+    into its solve row; then the d vectors and the record scalars
+    (`certify`) of those before the first iterate past HANDOVER_MAX, `stop`.
+    Returns stop and the time the stepping ended."""
+    N, (K, k0, D) = plan.N, plan.affine
+    W, Z = rows[:, :N], rows[:, :plan.d.start]
+    for k in range(lo, hi):
+        z = Z[k + 1]
+        np.matmul(K, W[k], out=z)
+        z += k0
+    stepped = perf_counter()
+    bad = np.flatnonzero(~(np.abs(W[lo + 1:hi + 1]).max(axis=1) <= HANDOVER_MAX))  # also when not finite
+    stop = lo + int(bad[0]) if len(bad) else hi
+    block = rows[lo:stop + 1]
+    block[1:, plan.d] = matvecs(D, plan.predictions(block[1:]) - block[:-1, :N])
+    certify(plan, block, scalars[lo:stop])
+    return stop, stepped
+
+
 def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None,
           w_star: Iterate | None = None,
           mats: structure.StructuralMatrices | None = None,
@@ -389,6 +444,12 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     to max_iters). Raises ValueError on validation failures unless
     validate=False (used by parameter sweeps that deliberately leave the
     certified stepsize regions).
+
+    Steps CHUNK iterations at a time and certifies each chunk afterwards
+    (see the module docstring). A floating-point event in a kept row raises
+    or warns under the caller's errstate as the per-iteration order meets it
+    (`_caught`, `_replay`); the trace records the seconds spent stepping and
+    certifying.
     """
     if validate:
         report = validate_problem(problem)
@@ -401,42 +462,60 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
         mats = structure.assemble(problem, config)
     kernels = block_kernels(problem, config)
     plan = Plan(problem, config, mats, w_star, kernels)
-    # row buffers, doubled when full: w_0 .. w_K, w~_0 .. w~_{K-1}, scalars
+    N, tol = plan.N, config.tol
+    # buffers, doubled when full: solve rows 0 .. K (see `Plan`), record scalars
     cap = min(config.max_iters, 1024)
-    iterates = np.empty((cap + 1, problem.total_dim))
-    predictions = np.empty((cap, problem.total_dim))
+    rows = np.empty((cap + 1, plan.d.stop))
     scalars = np.empty((cap, len(RECORD_SCALARS) + 1))
-    iterates[0] = initial_point(problem, w0).stack()
-    if plan.affine is not None:
-        step, state = affine_advance, plan.dist_sq(iterates[0])
-    else:
-        step, state = advance, plan.start(iterates[0])
+    rows[0, :N] = initial_point(problem, w0).stack()
+    state = None if plan.affine else plan.start(rows[0, :N])
     termination, count, affine_count, fallback = ITERATION_CAP, 0, 0, plan.fallback
-    for k in range(config.max_iters):
-        if k == cap:
-            cap *= 2
-            iterates, predictions, scalars = (
-                _grown(iterates, cap + 1), _grown(predictions, cap), _grown(scalars, cap))
-        rows = iterates[k], iterates[k + 1], predictions[k], scalars[k]
-        try:
-            state, residual = step(plan, state, k, *rows)
-        except _Handover:
-            affine_count, step = k, advance
-            fallback = f"iterate past {HANDOVER_MAX:g} at iteration {k}; the sweep from there"
-            state, residual = step(plan, plan.start(iterates[k]), k, *rows)
-        count = k + 1
-        if residual <= config.tol:
+    step_s = certify_s = 0.0
+    while count < config.max_iters and termination == ITERATION_CAP:
+        lo, hi = count, min(count + CHUNK, config.max_iters)
+        if hi > cap:
+            cap = min(2 * cap, config.max_iters)
+            rows, scalars = _grown(rows, cap + 1), _grown(scalars, cap)
+        start = perf_counter()
+        if state is None:  # the affine step
+            (stop, stepped), events = _caught(lambda: _affine_chunk(plan, rows, scalars, lo, hi))
+            done = np.flatnonzero(scalars[lo:stop, -1] <= tol)
+            end = lo + int(done[0]) + 1 if len(done) else stop
+            handover = end < hi and not len(done)  # an iterate past HANDOVER_MAX
+            if events:
+                _replay(plan, rows, lo, end, affine=True, handover=handover)
+            if handover:
+                affine_count = end
+                fallback = f"iterate past {HANDOVER_MAX:g} at iteration {end}; the sweep from there"
+                state = plan.start(rows[end, :N])
+        else:
+            end = lo
+            try:
+                for k in range(lo, hi):
+                    state, residual = advance(plan, state, k, rows[k, :N], rows[k + 1])
+                    end = k + 1
+                    if residual <= tol:
+                        break
+            finally:  # certify what was stepped, also when a step raised
+                stepped = perf_counter()
+                _, events = _caught(lambda: certify(plan, rows[lo:end + 1], scalars[lo:end]))
+                if events:
+                    _replay(plan, rows, lo, end)
+        step_s += stepped - start
+        certify_s += perf_counter() - stepped
+        count = end
+        if end > lo and scalars[end - 1, -1] <= tol:
             termination = CONVERGED
-            break
     if plan.affine is not None:  # one oracle call per block and iteration, as on the sweep
         for kernel in kernels[0] + kernels[1]:
-            kernel.stats.calls += count if step is affine_advance else affine_count
+            kernel.stats.calls += count if state is None else affine_count
     table = scalars[:count].T.copy()
-    arrays = (iterates[:count + 1].copy(), predictions[:count].copy(), table)
+    arrays = (rows[:count + 1, :N].copy(), plan.predictions(rows[1:count + 1]), table)
     for arr in arrays:
         arr.flags.writeable = False
     return Trace(problem=problem, config=config, termination=termination,
                  oracle_stats=tuple(kernel.stats for group in kernels for kernel in group),
                  iterates=arrays[0], predictions=arrays[1],
                  columns=dict(zip(RECORD_SCALARS + ("residual",), table)),
-                 step_path="sweep" if plan.affine is None else "affine", step_fallback=fallback)
+                 step_path="sweep" if plan.affine is None else "affine", step_fallback=fallback,
+                 step_s=step_s, certify_s=certify_s)

@@ -52,7 +52,7 @@ from ..model import (
 FORMAT_NAME = "gsadmm-instance"
 FORMAT_VERSION = 1
 
-TRACE_HEADER = "k,feasibility,correction_residual,d_norm_sq,contraction_slack,identity_error,dist_H"
+TRACE_HEADER = "k,feasibility,correction_residual,d_norm_sq,contraction_slack,identity_error,dist_H,d_inf,feasibility_inf"
 ATLAS_HEADER = "tau,s,in_G,in_D,lambda_min_G,lambda_min_H,xi,iters_to_tol,r_hat"
 
 
@@ -320,6 +320,8 @@ def report_entries(trace: Trace, spectra: dict | None = None,
     }
     if trace.step_fallback:
         entries["step_fallback"] = trace.step_fallback
+    entries["time.step_s"] = trace.step_s
+    entries["time.certify_s"] = trace.certify_s
     if len(trace.predictions):
         entries["final_feasibility"] = float(cols["feasibility"][-1])
         entries["final_d_inf"] = float(cols["d_inf"][-1])

@@ -57,6 +57,11 @@ def matvecs(mats: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return np.matmul(mats, Z[..., None])[..., 0]
 
 
+def rows_dot(V: np.ndarray) -> np.ndarray:
+    """v @ v for each row v of V, as stacked (1 x N)(N x 1) products."""
+    return (V[:, None, :] @ V[:, :, None])[:, 0, 0]
+
+
 def block_sum(rows: np.ndarray) -> np.ndarray:
     """The rows summed in order onto +0.0, as `zeros(n) += row` forms it."""
     return sum(rows, np.zeros(rows.shape[1]))

@@ -168,10 +168,6 @@ class StructuralMatrices:
         """Quadratic form v'Hv (a norm only where H is positive definite)."""
         return float(v @ self.H @ v)
 
-    def g_norm_sq(self, v: np.ndarray) -> float:
-        """Quadratic form v'Gv (a norm only where G is positive definite)."""
-        return float(v @ self.G @ v)
-
     def dist_H(self, v: np.ndarray, w: np.ndarray) -> float:
         return float(np.sqrt(max(self.h_norm_sq(v - w), 0.0)))
 

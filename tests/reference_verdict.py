@@ -1,20 +1,27 @@
 """Record-at-a-time reference for the engine and the post-hoc checks.
 
-`step` is one iteration as an (Iterate, IterationRecord) pair: one
-`engine.advance` (the sweep, on every instance) from a stacked start point,
-whose H-distance to w* it computes afresh. Repeated steps must reproduce
-`engine.solve` bit for bit where it sweeps, and keep the equivalence
-contract of `tools/contract.py` where it takes the affine step
+`solve` is `engine.solve` one iteration at a time, as it ran before the
+engine certified its iterations in stacked passes: the per-iteration
+`certify` and `affine_advance` (one `K @ w_k + k0`, with its HANDOVER_MAX
+test), `sweep_advance` (one `engine.advance`, then `certify`), the
+H-distance carried from one iteration to the next, and the residual test
+after every iteration. `engine.solve` must reproduce it bit for bit: rows,
+columns, termination, oracle counts and the step path with its fallback
 (`tests/test_engine.py`).
 
-`start` and `advance` are the iteration one block at a time, as the engine
-ran it before it batched blocks: `group_sweep` forms each block's product
-and prox point on its own and solves a free-quadratic block with its own
+`step` is one iteration as an (Iterate, IterationRecord) pair:
+`sweep_advance` (the sweep, on every instance) from a stacked start point,
+whose H-distance to w* it computes afresh. Repeated steps must reproduce
+`engine.solve` bit for bit where it sweeps, and keep the equivalence
+contract of `tools/contract.py` where it takes the affine step.
+
+`start` and `advance` are the sweep one block at a time, as the engine ran
+it before it batched blocks: `group_sweep` forms each block's product and
+prox point on its own and solves a free-quadratic block with its own
 `np.linalg.solve`, `d_components` loops over the blocks, and
 `apply_A`/`apply_B` sum the group products block by block. `engine.solve`
 driven by them (`engine.advance` and `engine.Plan.start` replaced, and the
-affine step turned off) must reproduce the batched sweep bit for bit, and
-the affine step within the contract (`tests/test_engine.py`).
+affine step turned off) must reproduce the batched sweep bit for bit.
 
 The checks below are the loops `diagnostics` ran over `trace.records` before
 the checks read the trace's columns: one `IterationRecord` at a time, 1-d
@@ -45,6 +52,106 @@ from gsadmm.model import L1, Free, Iterate, Quadratic
 from gsadmm.oracles import l1_subgradient, project, prox_solve
 
 
+def certify(plan, dist_sq, wk, w_next, w_tilde, r_new, d_stack, scalars):
+    """The record scalars of iteration k (RECORD_SCALARS, then the residual)
+    into scalars, from w_k, w_{k+1}, w~_k, the feasibility residual and the d
+    vector of w~_k, and ||w_k - w*||_H^2. Returns ||w_{k+1} - w*||_H^2 and the
+    residual max(d_inf, feasibility_inf)."""
+    mats = plan.mats
+    dw = wk - w_tilde
+    mdw = mats.M @ dw
+    correction_residual = mats.h_norm_sq(mdw)
+    gap = w_next - (wk - mdw)
+    d_inf = float(np.abs(d_stack).max(initial=0.0))
+
+    dist_h = dist_next = slack = float("nan")
+    ws = plan.ws
+    if ws is not None:
+        dist_next = mats.h_norm_sq(w_next - ws)
+        dist_h = math.sqrt(max(dist_sq, 0.0))
+        if plan.in_D:
+            slack = dist_sq - dist_next - float(dw @ mats.G @ dw)
+
+    feasibility_inf = float(np.abs(r_new).max(initial=0.0))
+    residual = max(d_inf, feasibility_inf)
+    scalars[:] = (math.sqrt(r_new @ r_new), feasibility_inf, correction_residual,
+                  float(d_stack @ d_stack), d_inf, math.sqrt(gap @ gap),
+                  dist_h, slack, residual)
+    return dist_next, residual
+
+
+class Handover(Exception):
+    """The affine step's w_{k+1} is past HANDOVER_MAX or not finite."""
+
+
+def affine_advance(plan, dist_sq, k, wk, w_next, w_tilde, scalars):
+    """One iteration on the affine step: one stacked matrix-vector product
+    gives w_{k+1}, lambda~_k and the feasibility residual, and the d vector is
+    taken of the difference w~_k - w_k as stored. The state is
+    ||w_k - w*||_H^2."""
+    N, m, (K, k0, D) = wk.shape[0], plan.m, plan.affine
+    z = K @ wk + k0  # w_{k+1}, lambda~_k, r_new
+    w_next[:] = z[:N]
+    w_tilde[:m] = z[:m]
+    w_tilde[m:] = z[N:2 * N - m]
+    if not np.abs(w_next).max() <= engine.HANDOVER_MAX:  # also when not finite
+        raise Handover
+    return certify(plan, dist_sq, wk, w_next, w_tilde, z[2 * N - m:], D @ (w_tilde - wk), scalars)
+
+
+def sweep_advance(plan, state, k, wk, w_next, w_tilde, scalars):
+    """One iteration on the sweep: `engine.advance`, then `certify`. The state
+    is `engine.Plan.start`'s, then ||w_k - w*||_H^2."""
+    *carried, dist_sq = state
+    z = np.empty(plan.d.stop)
+    carried, _ = engine.advance(plan, tuple(carried), k, wk, z)
+    w_next[:] = z[:plan.N]
+    w_tilde[:plan.m] = w_next[:plan.m]
+    w_tilde[plan.m:] = z[plan.lam_tilde]
+    dist_next, residual = certify(plan, dist_sq, wk, w_next, w_tilde, z[plan.r], z[plan.d], scalars)
+    return (*carried, dist_next), residual
+
+
+def _dist_sq(plan, row):
+    """||row - w*||_H^2, nan without w*."""
+    return float("nan") if plan.ws is None else plan.mats.h_norm_sq(row - plan.ws)
+
+
+def solve(problem, config, mats, w0=None, w_star=None):
+    """`engine.solve` (without validation) one iteration at a time."""
+    kernels = engine.block_kernels(problem, config)
+    plan = engine.Plan(problem, config, mats, w_star, kernels)
+    N = problem.total_dim
+    iterates, predictions, table = [engine.initial_point(problem, w0).stack()], [], []
+    affine = plan.affine is not None
+    state = _dist_sq(plan, iterates[0]) if affine else (*plan.start(iterates[0]), _dist_sq(plan, iterates[0]))
+    termination, affine_count, fallback = engine.ITERATION_CAP, 0, plan.fallback
+    for k in range(config.max_iters):
+        rows = np.empty(N), np.empty(N), np.empty(len(engine.RECORD_SCALARS) + 1)
+        try:
+            state, residual = (affine_advance if affine else sweep_advance)(plan, state, k, iterates[k], *rows)
+        except Handover:
+            affine, affine_count = False, k
+            fallback = f"iterate past {engine.HANDOVER_MAX:g} at iteration {k}; the sweep from there"
+            state = (*plan.start(iterates[k]), _dist_sq(plan, iterates[k]))
+            state, residual = sweep_advance(plan, state, k, iterates[k], *rows)
+        iterates.append(rows[0])
+        predictions.append(rows[1])
+        table.append(rows[2])
+        if residual <= config.tol:
+            termination = engine.CONVERGED
+            break
+    count = len(predictions)
+    if plan.affine is not None:  # one oracle call per block and iteration, as on the sweep
+        for kernel in kernels[0] + kernels[1]:
+            kernel.stats.calls += count if affine else affine_count
+    columns = np.array(table).reshape(count, len(engine.RECORD_SCALARS) + 1).T.copy()
+    return engine.Trace(problem, config, termination, tuple(kernel.stats for group in kernels for kernel in group),
+                        np.array(iterates), np.array(predictions).reshape(count, N),
+                        dict(zip(engine.RECORD_SCALARS + ("residual",), columns)),
+                        step_path="sweep" if plan.affine is None else "affine", step_fallback=fallback)
+
+
 def step(problem, config, state, mats=None, w_star=None, k=0, kernels=None):
     """One iteration from the Iterate state; returns (next Iterate, record).
 
@@ -59,7 +166,7 @@ def step(problem, config, state, mats=None, w_star=None, k=0, kernels=None):
     rows = np.empty((3, problem.total_dim))  # w_k, w_{k+1}, w~_k
     rows[0] = state.stack()
     scalars = np.empty(len(engine.RECORD_SCALARS) + 1)
-    engine.advance(plan, plan.start(rows[0]), k, rows[0], rows[1], rows[2], scalars)
+    sweep_advance(plan, (*plan.start(rows[0]), _dist_sq(plan, rows[0])), k, rows[0], rows[1], rows[2], scalars)
     record = engine.IterationRecord(k, state, Iterate.from_stack(problem, rows[2]), *scalars[:-1].tolist())
     return Iterate.from_stack(problem, rows[1]), record
 
@@ -118,53 +225,33 @@ def d_components(problem, config, delta):
 
 
 def start(plan, row):
-    """The state `advance` reads: (A x, B y, ||w - w*||_H^2 or nan)."""
-    problem = plan.problem
-    dist_sq = float("nan") if plan.ws is None else plan.mats.h_norm_sq(row - plan.ws)
-    return apply_A(problem, row), apply_B(problem, row), dist_sq
+    """The state `advance` reads: (A x, B y)."""
+    return apply_A(plan.problem, row), apply_B(plan.problem, row)
 
 
-def advance(plan, state, k, wk, w_next, w_tilde, scalars):
+def advance(plan, state, k, wk, z):
     """`engine.advance`, one block at a time."""
-    ax, by, dist_sq = state
-    problem, config, c, m = plan.problem, plan.config, plan.problem.c, plan.m
+    ax, by = state
+    problem, config, c, m, N = plan.problem, plan.config, plan.problem.c, plan.m, plan.N
     x_slices, y_slices = problem.block_slices[:problem.p], problem.block_slices[problem.p:]
     beta = config.beta
     lam = wk[m:]
     group_sweep(problem.x_blocks, plan.kernels[0], x_slices, wk, ax, c - by + lam / beta,
-                config.sigma1, w_next)
-    ax_new = apply_A(problem, w_next)
+                config.sigma1, z)
+    ax_new = apply_A(problem, z)
     r_half = ax_new + by - c
     lambda_half = lam - plan.tau_beta * r_half
     group_sweep(problem.y_blocks, plan.kernels[1], y_slices, wk, by, c - ax_new + lambda_half / beta,
-                config.sigma2, w_next)
-    by_new = apply_B(problem, w_next)
+                config.sigma2, z)
+    by_new = apply_B(problem, z)
     r_new = ax_new + by_new - c
-    w_next[m:] = lambda_half - plan.s_beta * r_new
-    w_tilde[:m] = w_next[:m]
-    w_tilde[m:] = lam - beta * r_half
-    if not np.isfinite(w_next).all():
+    z[m:N] = lambda_half - plan.s_beta * r_new
+    z[plan.lam_tilde] = lam - beta * r_half
+    z[plan.r] = r_new
+    if not np.isfinite(z[:N]).all():
         raise engine.NonFiniteIterate(f"non-finite iterate at iteration {k}")
-
-    mats = plan.mats
-    dw = wk - w_tilde
-    mdw = mats.M @ dw
-    correction_residual = mats.h_norm_sq(mdw)
-    gap = w_next - (wk - mdw)
-    d_stack = d_components(problem, config, w_tilde - wk)
-    d_inf = float(np.abs(d_stack).max(initial=0.0))
-    dist_h = dist_next = slack = float("nan")
-    if plan.ws is not None:
-        dist_next = mats.h_norm_sq(w_next - plan.ws)
-        dist_h = math.sqrt(max(dist_sq, 0.0))
-        if plan.in_D:
-            slack = dist_sq - dist_next - mats.g_norm_sq(dw)
-    feasibility_inf = float(np.abs(r_new).max(initial=0.0))
-    residual = max(d_inf, feasibility_inf)
-    scalars[:] = (math.sqrt(r_new @ r_new), feasibility_inf, correction_residual,
-                  float(d_stack @ d_stack), d_inf, math.sqrt(gap @ gap),
-                  dist_h, slack, residual)
-    return (ax_new, by_new, dist_next), residual
+    d = z[plan.d] = d_components(problem, config, np.concatenate((z[:m], z[plan.lam_tilde])) - wk)
+    return (ax_new, by_new), max(float(np.abs(d).max(initial=0.0)), float(np.abs(r_new).max(initial=0.0)))
 
 
 def residual(problem, xs, ys):
@@ -234,7 +321,7 @@ def error_bound_check(problem, mats, trace, constants):
         left = float(np.sum(error_map_residual(problem, wn) ** 2))
         wk = rec.w.stack()
         dw = wk - rec.w_tilde.stack()
-        right = coef * mats.g_norm_sq(dw)
+        right = coef * float(dw @ mats.G @ dw)
         bound = right * (1.0 + ERROR_BOUND_RTOL) + ERROR_BOUND_ABS_FLOOR * (1.0 + float(wk @ wk))
         ok = ok and left <= bound
         if right > 0.0:

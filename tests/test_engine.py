@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -170,8 +171,8 @@ def _contract_record(trace, mats, w_star):
 
 def _stepped(problem, cfg, w_star, mats):
     """The solve loop written with the test `step`, which computes each
-    H-distance afresh where `solve` carries it and always sweeps: final
-    iterate, records and the oracle kernels they shared."""
+    H-distance afresh and always sweeps: final iterate, records and the
+    oracle kernels they shared."""
     kernels = engine.block_kernels(problem, cfg)
     state, records = engine.initial_point(problem), []
     for k in range(cfg.max_iters):
@@ -329,6 +330,166 @@ def test_solve_bit_identical_to_per_block_reference(case, catalog, monkeypatch):
     assert fast.columns.keys() == ref.columns.keys()
     for name, column in fast.columns.items():
         assert column.tobytes() == ref.columns[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# solve against the per-row reference: batched certification, bit for bit
+# ---------------------------------------------------------------------------
+
+def _assert_same_run(fast, ref):
+    """Two solves, or the errors they raised, are the same bit for bit."""
+    if isinstance(ref, Exception):
+        assert type(fast) is type(ref) and str(fast) == str(ref)
+        return
+    assert not isinstance(fast, Exception), fast
+    assert (fast.termination, fast.step_path, fast.step_fallback) == (ref.termination, ref.step_path, ref.step_fallback)
+    assert fast.oracle_stats == ref.oracle_stats
+    assert fast.iterates.tobytes() == ref.iterates.tobytes()
+    assert fast.predictions.tobytes() == ref.predictions.tobytes()
+    assert fast.columns.keys() == ref.columns.keys()
+    for name, column in fast.columns.items():
+        assert column.tobytes() == ref.columns[name].tobytes(), name
+
+
+def _against_per_row(problem, cfg, w_star, **errstate):
+    """engine.solve and `reference_verdict.solve` of one instance under one
+    errstate (all ignored by default), each its trace or the error it raised."""
+    mats = g.assemble(problem, cfg)
+    runs = []
+    for run in (lambda: g.solve(problem, cfg, w_star=w_star, mats=mats, validate=False),
+                lambda: reference_verdict.solve(problem, cfg, mats, w_star=w_star)):
+        with np.errstate(**(errstate or {"all": "ignore"})):
+            try:
+                runs.append(run())
+            except (engine.NonFiniteIterate, FloatingPointError) as exc:
+                runs.append(exc)
+    return runs
+
+
+ALL_FREE = ("qp1", "quadratic-p1q1n2-s3", "quadratic-p2q1n3-s5", "quadratic-p2q2n3-s42",
+            "quadratic-p3q2n4-s7", "quadratic-p1q3n4-s11")
+# (catalog instance, config overrides, whether the run knows w*)
+PER_ROW_CASES = {
+    **{f"{name}-forced": (name, {"max_iters": 2000, "tol": -1.0}, True) for name in ALL_FREE},
+    **{f"{name}-tol": (name, {"tol": 1e-10}, True) for name in ALL_FREE},  # stops mid-chunk
+    "l1": ("l1-p1q2n2-s5", {"max_iters": 300, "tol": -1.0}, True),
+    "l1-tol": ("l1-p1q2n2-s5", {"tol": 1e-10}, True),
+    "boxqp-tol": ("boxqp-p2q1n3-s13", {"max_iters": 2000, "tol": 1e-10}, True),
+    "no-w-star": ("quadratic-p2q2n3-s42", {"max_iters": 300, "tol": 1e-10}, False),
+    "no-w-star-sweep": ("l1-p1q2n2-s5", {"max_iters": 300, "tol": 1e-10}, False),
+    "outside-D": ("qp1", {"tau": 1.5, "s": 0.3, "region_policy": "G", "max_iters": 300}, True),
+    "outside-D-sweep": ("l1-1d", {"tau": 1.5, "s": 0.3, "region_policy": "G", "max_iters": 300}, True),
+    **{f"max-iters-{n}{suffix}": (name, {"max_iters": n, "tol": -1.0}, True)
+       for n in (0, 1, engine.CHUNK - 1, engine.CHUNK, engine.CHUNK + 1)
+       for name, suffix in (("quadratic-p2q2n3-s42", ""), ("l1-p1q2n2-s5", "-sweep"))},
+}
+
+
+@pytest.mark.parametrize("case", PER_ROW_CASES)
+def test_solve_bit_identical_to_per_row_reference(case, catalog):
+    # the loop steps a chunk and certifies its rows afterwards in stacked
+    # calls; the per-row reference certifies each iteration as it goes
+    name, overrides, with_w_star = PER_ROW_CASES[case]
+    bundle = next(b for b in catalog if b.name == name)
+    cfg = g.default_config(bundle.problem, **overrides)
+    fast, ref = _against_per_row(bundle.problem, cfg, bundle.w_star if with_w_star else None)
+    _assert_same_run(fast, ref)
+    if case.endswith("-tol"):
+        assert ref.termination == engine.CONVERGED and len(ref.predictions) % engine.CHUNK
+    if with_w_star and cfg.max_iters:
+        assert np.isnan(ref.columns["contraction_slack"]).all() == ("outside" in case)
+    else:
+        assert np.isnan(ref.columns["dist_H"]).all()
+
+
+def test_solve_bit_identical_to_per_row_reference_on_atlas():
+    bundle, solved = g.gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42), 0
+    for tau in np.linspace(-1.5, 1.5, 11):
+        for s in np.linspace(-1.5, 1.5, 11):
+            cfg = g.default_config(bundle.problem, tau=float(tau), s=float(s), region_policy="G")
+            try:
+                g.assemble(bundle.problem, cfg)
+            except g.SingularM:
+                continue
+            _assert_same_run(*_against_per_row(bundle.problem, cfg, bundle.w_star))
+            solved += 1
+    assert solved == 116
+
+
+def test_handover_mid_chunk_matches_per_row_reference(qp1, monkeypatch):
+    # the affine chunk steps past the first iterate beyond HANDOVER_MAX; those
+    # rows are discarded and the sweep goes on from that iteration
+    problem, _, w_star = qp1
+    cfg = SolverConfig(tau=-0.5, s=-0.3, sigma1=0.5, sigma2=0.5, max_iters=300, tol=-1.0)
+    monkeypatch.setattr(engine, "HANDOVER_MAX", 1e3)
+    fast, ref = _against_per_row(problem, cfg, w_star)
+    _assert_same_run(fast, ref)
+    k = int(ref.step_fallback.split("at iteration ")[1].split(";")[0])
+    assert 0 < k < 300 and k % engine.CHUNK != 0
+    assert [s.calls for s in fast.oracle_stats] == [300, 300]
+
+
+@pytest.mark.parametrize("generator", ["qp1", "l1_1d"])
+def test_overflow_in_certification_raises_as_per_row(generator):
+    # beta = 1e200 overflows the record's quadratic forms: the batched pass
+    # raises the same error as the per-iteration certification
+    bundle = getattr(g.generators, generator)()
+    cfg = g.default_config(bundle.problem, beta=1e200)
+    fast, ref = _against_per_row(bundle.problem, cfg, bundle.w_star, over="raise", invalid="raise", divide="raise")
+    assert isinstance(ref, FloatingPointError) and str(ref).startswith("overflow")
+    _assert_same_run(fast, ref)
+
+
+SPECULATIVE_CASES = {
+    **{name: (name, {"tol": 1e-10}) for name in ALL_FREE},
+    # stops after one iteration; the 63 rows stepped past it overflow
+    "qp1-diverging": ("qp1", {"tau": -100.0, "s": -100.0, "tol": np.inf, "max_iters": 500}),
+}
+
+
+@pytest.mark.parametrize("case", SPECULATIVE_CASES)
+def test_rows_past_convergence_never_raise(case, catalog):
+    name, overrides = SPECULATIVE_CASES[case]
+    bundle = next(b for b in catalog if b.name == name)
+    cfg = dataclasses.replace(g.default_config(bundle.problem), **overrides)
+    mats = g.assemble(bundle.problem, cfg)
+    traces = []
+    for mode in ("raise", "ignore"):
+        with np.errstate(all=mode), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traces.append(g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats, validate=False))
+    assert traces[0].termination == engine.CONVERGED
+    _assert_same_run(*traces)
+
+
+def test_certify_block_matches_per_row_formula(catalog):
+    # one stacked pass over a block of rows against the per-iteration formula,
+    # with non-finite entries planted: Python's max keeps its first argument
+    # unless a later one is strictly greater, also with NaN
+    bundle = next(b for b in catalog if b.name == "l1-p1q2n2-s5")
+    problem = bundle.problem
+    cfg = g.default_config(problem, max_iters=8, tol=-1.0)
+    plan = engine.Plan(problem, cfg, g.assemble(problem, cfg), bundle.w_star, engine.block_kernels(problem, cfg))
+    block = np.empty((9, plan.d.stop))
+    block[0, :plan.N] = engine.initial_point(problem).stack()
+    state = plan.start(block[0, :plan.N])
+    for k in range(8):
+        state, _ = engine.advance(plan, state, k, block[k, :plan.N], block[k + 1])
+    # row k + 1 holds iteration k's r and d
+    block[2, plan.r] = np.nan           # iteration 1: feasibility NaN, d finite
+    block[3, plan.d] = np.nan           # iteration 2: d NaN, feasibility finite
+    block[4, plan.r.start] = np.inf
+    block[5, :plan.N] = bundle.w_star.stack()  # w_5 = w*
+    out = np.empty((8, len(engine.RECORD_SCALARS) + 1))
+    engine.certify(plan, block, out)
+    dist_sq = plan.mats.h_norm_sq(block[0, :plan.N] - plan.ws)
+    for k in range(8):
+        expected = np.empty(len(engine.RECORD_SCALARS) + 1)
+        w_tilde = plan.predictions(block[k + 1:k + 2])[0]
+        dist_sq, _ = reference_verdict.certify(plan, dist_sq, block[k, :plan.N], block[k + 1, :plan.N], w_tilde,
+                                               block[k + 1, plan.r], block[k + 1, plan.d], expected)
+        assert expected.tobytes() == out[k].tobytes(), k
+    assert np.isnan(out[1, 1]) and not np.isnan(out[1, -1]) and np.isnan(out[2, -1])
 
 
 # ---------------------------------------------------------------------------

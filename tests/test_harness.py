@@ -240,20 +240,26 @@ def test_failed_write_removes_the_output_directory(tmp_path, capsys, monkeypatch
 
 
 # (command, instance, its linear term replaced by 1e308); the qp1 cases are
-# named by their command alone
+# named by their command alone. The last case runs the generated qp1 with
+# beta = 1e200 instead.
 OVERFLOW_CASES = [pytest.param(command, document, old, id=command + suffix)
                   for document, old, suffix in ((qp1, "quad-r 1\n0\n", ""), (l1_1d, "quad-r 1\n-2\n", "-l1-1d"))
                   for command in ("run", "report", "check", "sweep")]
+OVERFLOW_CASES.append(pytest.param("run", None, None, id="run-beta-1e200"))
 
 
 @pytest.mark.parametrize("command, document, old", OVERFLOW_CASES)
 def test_overflow_is_a_runtime_failure(tmp_path, capsys, command, document, old):
     # a linear term of 1e308 overflows the iteration, the reference-point
-    # check and the sweep's rate check, which must fail the command instead
-    # of reporting inf
-    path = tmp_path / "huge.txt"
-    path.write_text(_document(document()).replace(old, "quad-r 1\n1e308\n", 1))
-    argv = _command_argv(command, path, tmp_path)
+    # check and the sweep's rate check, and beta = 1e200 overflows the
+    # certification's quadratic forms; each must fail the command instead of
+    # reporting inf
+    if document is None:
+        argv = [command, "--generator", "qp1", "--beta", "1e200", "--out", str(tmp_path / "out")]
+    else:
+        path = tmp_path / "huge.txt"
+        path.write_text(_document(document()).replace(old, "quad-r 1\n1e308\n", 1))
+        argv = _command_argv(command, path, tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv)
@@ -268,7 +274,8 @@ def test_cmd_run_qp1_defaults(tmp_path, capsys):
     code = main(["run", "--generator", "qp1", "--out", str(out)])
     assert code == 0
     trace_lines = (out / "trace.csv").read_text().splitlines()
-    assert trace_lines[0] == io.TRACE_HEADER
+    assert trace_lines[0] == io.TRACE_HEADER == (
+        "k,feasibility,correction_residual,d_norm_sq,contraction_slack,identity_error,dist_H,d_inf,feasibility_inf")
     assert len(trace_lines) - 1 <= 500
     final = trace_lines[-1].split(",")
     assert float(final[6]) <= 1e-8  # dist_H column
@@ -313,6 +320,7 @@ def test_report_names_the_step_path(capsys, name, path):
     report = dict(ln.split(" ", 1) for ln in capsys.readouterr().out.splitlines())
     assert report["step_path"] == path
     assert "step_fallback" not in report
+    assert float(report["time.step_s"]) > 0.0 and float(report["time.certify_s"]) > 0.0
 
 
 def test_report_says_why_the_affine_step_fell_back(capsys, monkeypatch):

@@ -98,7 +98,7 @@ def test_records_view_and_carried_distance():
     assert recs[-1].k == len(recs) - 1
     assert recs[-1].w.stack().tobytes() == trace.iterates[-2].tobytes()
     assert trace.iterates[-1].tobytes() == trace.w_final.stack().tobytes()
-    # the distance each step carries over equals a fresh computation, bit for bit
+    # each record's H-distance equals a fresh computation, bit for bit
     for rec in recs:
         assert rec.dist_H == mats.dist_H(rec.w.stack(), ws)
     assert [r.k for r in recs[2:5]] == [2, 3, 4]
