@@ -71,25 +71,27 @@ def _running_max(values: np.ndarray, start: float) -> float:
 
 def d_components(problem: BlockProblem, config: SolverConfig, delta: np.ndarray) -> np.ndarray:
     """Stacked optimality-shift vector d of the predicted point w~ (x blocks,
-    then y blocks), from the stacked difference delta = w~ - w.
+    then y blocks), from the stacked difference delta = w~ - w, or of each row
+    of a 2-d delta.
 
     x components:  beta A_i' ((sigma1 - 1) sum_l A_l dx_l + A_i dx_i)
     y components:  (sigma2 + 1) beta B_j'B_j dy_j - tau B_j' dlam
     with dx, dy, dlam the block slices of delta; the subtraction is
     elementwise, so each slice has the bits of its per-block difference.
-    One stacked product per batch (`BlockProblem.batches`) keeps those bits.
+    One stacked product per batch (`BlockProblem.batches`) keeps those bits,
+    also across the rows of a 2-d delta.
     """
     beta, sigma1, sigma2, tau = config.beta, config.sigma1, config.sigma2, config.tau
-    m = delta.shape[0] - problem.n
-    dlam = delta[m:]
-    out = np.empty(m)
+    m = delta.shape[-1] - problem.n
+    dlam = delta[..., None, m:]
+    out = np.empty(delta.shape[:-1] + (m,))
     AX = problem.products(0, delta)
-    shared = (sigma1 - 1.0) * block_sum(AX)
+    shared = (sigma1 - 1.0) * block_sum(AX)[..., None, :]
     for rows, cols, _, AT in problem.batches[0]:
-        out[cols] = beta * matvecs(AT, shared + AX[rows])
+        out[..., cols] = beta * matvecs(AT, shared + AX[..., rows, :])
     BY = problem.products(1, delta)
     for rows, cols, _, AT in problem.batches[1]:
-        out[cols] = (sigma2 + 1.0) * beta * matvecs(AT, BY[rows]) - tau * matvecs(AT, dlam)
+        out[..., cols] = (sigma2 + 1.0) * beta * matvecs(AT, BY[..., rows, :]) - tau * matvecs(AT, dlam)
     return out
 
 

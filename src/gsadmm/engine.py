@@ -25,33 +25,48 @@ an iterate inside the engine. Before the first iteration it builds a `Plan`
 of everything that stays fixed over the solve: one oracle kernel per block
 (the penalty rho of each group is fixed under one config), the structural
 matrices, each group's sweep steps, the stacked reference point, the
-config's scalars and the step path, chosen from the block kinds alone
-(`all_free`):
+config's scalars and the layout of a solve row. Every box, nonnegative and
+l1 block's answer has a pattern (`ProxKernel.pattern`: the active set, or
+the signs), and on a fixed pattern an iteration is an affine map of w. Each
+iteration takes one of two steps, chosen from the run's own patterns:
 
-- affine, when every block is free-quadratic: an iteration is an affine map
-  of w, built once per solve and checked once as the operator identity
-  T = I - M (I - P) (`step_operator`); a step is one matrix-vector product
-  `K @ w_k + k0`. A failed check, a singular kernel or an iterate past
-  HANDOVER_MAX (a diverging run) sends the solve to the sweep, and the
-  trace's `step_fallback` says why.
-- sweep, for every other instance: `advance` runs both group sweeps, each
-  block writing its prox answer into the row of w_{k+1}, and forms the d
-  vector and the feasibility residual that the stopping test reads. It
+- affine: one matrix-vector product `K @ w_k + k0` for w_{k+1}, lambda~_k,
+  the feasibility residual and the rows that each pattern's KKT test reads.
+  `step_operator` builds K for a pattern once per solve and checks it once:
+  the multiplier rows as the operator identity T = I - M (I - P), the primal
+  rows as each block's stationarity at w~ with `structure`'s Q. A pattern
+  whose operator fails a check (or whose kernel is singular) is never tried
+  again in that solve. After each chunk the rows are tested against their
+  pattern (`Plan.misses`); the first that fails, and every later one, is
+  discarded and its iteration redone on the sweep. An iterate past
+  HANDOVER_MAX (a diverging run) sends the rest of the solve to the sweep.
+  The trace's `step_fallback` says why an operator failed or the run handed
+  over.
+- sweep, the cold path and the reference: `advance` runs both group sweeps,
+  each block writing its prox answer into the row of w_{k+1}, and forms the
+  d vector and the feasibility residual that the stopping test reads. It
   carries the stacks of A_i x_i+ and B_j y_j+ and their sums into the next
   iteration, so an iteration forms each group product once. Blocks go in
   batches (`BlockProblem.batches`): one stacked call per batch for products,
   prox points and free-quadratic solves, with the bits of the per-block
-  iteration in tests/reference_verdict.py.
+  iteration in tests/reference_verdict.py. Once the run's pattern has held
+  for HOLD_ITERS consecutive sweep iterations the solve goes on by that
+  pattern's affine step.
+
+An all-free-quadratic instance has the empty pattern, which holds from the
+first iteration, so it steps on the affine map throughout unless its check
+fails.
 
 The loop only steps, CHUNK iterations at a time, each writing the solve row
-of w_{k+1} (the iterate, lambda~_k, r_k and d_k; see `Plan`). After a chunk,
-one stacked pass (`certify`) forms every record scalar of its rows: the
-identity gap, the H/G quadratic forms, the slack from the H-distances of
-consecutive rows, the norms and the residual. Each stacked product runs the
-BLAS kernel of its per-iteration form, so every value keeps the bits of the
-per-iteration certification in tests/reference_verdict.py. The affine step
-learns a chunk's residuals only after stepping it: rows past convergence or
-past a handover are discarded, and their floating-point events with them.
+of w_{k+1} (the iterate, lambda~_k, r_k, the test rows and d_k; see `Plan`).
+After a chunk, one stacked pass (`certify`) forms every record scalar of its
+rows: the identity gap, the H/G quadratic forms, the slack from the
+H-distances of consecutive rows, the norms and the residual. Each stacked
+product runs the BLAS kernel of its per-iteration form, so every value keeps
+the bits of the per-iteration certification in tests/reference_verdict.py.
+The affine step learns a chunk's residuals and pattern tests only after
+stepping it: rows past convergence, past a handover or past a miss are
+discarded, and their floating-point events with them.
 `Trace.records` builds each `IterationRecord` on access.
 """
 from __future__ import annotations
@@ -66,8 +81,8 @@ import numpy as np
 from . import structure
 from .diagnostics import d_components
 from .model import (
+    L1,
     BlockProblem,
-    Free,
     Iterate,
     Quadratic,
     SolverConfig,
@@ -78,7 +93,7 @@ from .model import (
     validate_problem,
 )
 from .structure import row_forms
-from .oracles import OracleStats, ProxKernel, Unbounded, project, prox_solve, sweep_steps
+from .oracles import FreeBatch, OracleStats, ProxKernel, Unbounded, bounds, project, prox_solve, sweep_steps
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
@@ -132,10 +147,17 @@ class Trace:
     iterates: np.ndarray      # (iterations + 1, N)
     predictions: np.ndarray   # (iterations, N)
     columns: dict[str, np.ndarray]
-    step_path: str = "sweep"  # "affine" or "sweep" (see `Plan`)
-    step_fallback: str | None = None  # why an all-free instance stepped on the sweep
+    step_path: str = "sweep"  # "affine" when a step operator passed its checks, else "sweep"
+    step_fallback: str | None = None  # the first failed operator check, or the handover
     step_s: float = 0.0      # wall seconds in the stepping loop
     certify_s: float = 0.0   # wall seconds in the certification passes
+    affine_rows: np.ndarray | None = None  # whether each iteration took the affine step
+    pattern_misses: tuple[int, ...] = ()   # iterations whose affine row failed its pattern
+    operators_built: int = 0  # step operators built, passed or not
+
+    @property
+    def affine_iters(self) -> int:
+        return 0 if self.affine_rows is None else int(self.affine_rows.sum())
 
     @property
     def w_final(self) -> Iterate:
@@ -189,110 +211,197 @@ def group_sweep(steps, AZ, own_sum, base, sigma, out):
         out[cols] = prox_solve(kernel, U[rows])
 
 
-# The step operator passes its check when ||T - (I - M (I - P))||_max is at
-# most OPERATOR_RTOL * N * scale (see `step_operator`).
+# The step operator passes its checks when ||T - (I - M (I - P))||_max and
+# the stationarity residual of its primal rows are each at most
+# OPERATOR_RTOL * N * scale (see `step_operator`).
 OPERATOR_RTOL = 10.0 * np.finfo(float).eps
 
-
-def all_free(problem: BlockProblem) -> bool:
-    """Whether every block is free-quadratic, which makes an iteration an
-    affine map of w (`step_operator`)."""
-    return all(isinstance(b.objective, Quadratic) and isinstance(b.set, Free)
-               for b in problem.x_blocks + problem.y_blocks)
+# The sweep builds the operator of a pattern once the pattern has held for
+# this many consecutive sweep iterations.
+HOLD_ITERS = 2
 
 
 @dataclass(frozen=True, eq=False)
 class StepOperator:
-    """One iteration of an all-free-quadratic instance as an affine map:
-    K @ w_k + k0 stacks w_{k+1}, lambda~_k and the feasibility residual
-    A x+ + B y+ - c (K and k0 are None when a kernel is singular). `error` is
-    the measured ||T - (I - M (I - P))||_max, `bound` its tolerance, and
-    `why` says why the engine does not step on K (None when it does)."""
+    """One iteration on a fixed pattern as an affine map: K @ w_k + k0 stacks
+    w_{k+1}, lambda~_k, the feasibility residual A x+ + B y+ - c and the test
+    rows of each patterned kernel (`ProxKernel.affine`; K and k0 are None
+    when a kernel is singular). `patterns` is the pattern of each kernel of
+    `Plan.patterned`. `error` is the measured ||T - (I - M (I - P))||_max,
+    `bound` its tolerance, and `why` says why the engine does not step on K
+    (None when it does)."""
 
     K: np.ndarray | None
     k0: np.ndarray | None
+    patterns: tuple
     error: float
     bound: float
     why: str | None
 
 
 def step_operator(problem: BlockProblem, config: SolverConfig,
-                  mats: structure.StructuralMatrices, steps) -> StepOperator:
-    """The affine step of an instance whose every block is free-quadratic
-    (`all_free`), composed from the kernels' affine answers as the x sweep,
-    half dual update, y sweep and full dual update, each an (N+1) x (N+1) map
-    of (w, 1), and checked once as an operator identity against the
-    structural M."""
+                  mats: structure.StructuralMatrices, steps, patterns: tuple = ()) -> StepOperator:
+    """The affine step of the pattern held by each patterned kernel
+    (`patterns`, in the order of `Plan.patterned`; empty when every block is
+    free-quadratic), composed from the kernels' affine answers
+    (`FreeBatch.affine`, `ProxKernel.affine`) as the x sweep, half dual
+    update, y sweep and full dual update, each an (N+1) x (N+1) map of
+    (w, 1), and checked once on every row.
+
+    The multiplier rows are checked as the paper's identity against the
+    structural M. The primal rows, where that identity holds whatever the
+    answers are, are checked as the blocks' optimality conditions at the
+    prediction w~ = P (w, 1): on every free (l1: nonzero) component the rows
+    of grad f(P) - A' lambda~ + Q (P - I) vanish, with Q from `structure`,
+    and every other component is the constant of its pattern.
+    """
     N, n, m, beta = problem.total_dim, problem.n, problem.total_dim - problem.n, config.beta
     R = np.zeros((n, N + 1))  # (w, 1) -> A x + B y - c
     for blk, sl in zip(problem.x_blocks + problem.y_blocks, problem.block_slices):
         R[:, sl] = blk.A
     R[:, N] = -problem.c
+    pending = iter(patterns)
+    answers, tests = [], ([], [])  # (cols, pattern) of every block; test rows by group
 
     def dual(coef):  # lambda <- lambda - coef (A x + B y - c)
         S = np.eye(N + 1)
         S[m:N] -= coef * R
         return S
 
-    def sweep(group_steps, sigma):  # z_i <- prox at u_i = (lambda/beta - R)/(1 + sigma) + A_i z_i
+    def sweep(group, sigma):  # z_i <- prox at u_i = (lambda/beta - R)/(1 + sigma) + A_i z_i
         S = np.eye(N + 1)
         shared = (S[m:N] / beta - R) / (1.0 + sigma)
-        for batch, _, cols in group_steps:
-            for kernel, L, c in zip(batch.kernels, batch.affine(), cols):
+        for kernel, _, cols in steps[group]:
+            if isinstance(kernel, FreeBatch):
+                items = ((kern, L, None, c, None) for kern, L, c in zip(kernel.kernels, kernel.affine(), cols))
+            else:
+                pattern = next(pending)
+                items = ((kernel, *kernel.affine(pattern), cols, pattern),)
+            for kern, L, V, c, pattern in items:
                 U = shared.copy()
-                U[:, c] += kernel.A
+                U[:, c] += kern.A
                 S[c] = L[:, :-1] @ U
                 S[c, N] += L[:, -1]
+                answers.append((c, pattern))
+                if V is not None:
+                    test = V[:, :-1] @ U
+                    test[:, N] += V[:, -1]
+                    tests[group].append(test)
         return S
 
     eye = np.eye(N, N + 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            X = sweep(steps[0], config.sigma1)
-            T = dual(config.s * beta) @ sweep(steps[1], config.sigma2) @ dual(config.tau * beta) @ X
+            X = sweep(0, config.sigma1)
+            Y = sweep(1, config.sigma2)
         except Unbounded as exc:
-            return StepOperator(None, None, math.inf, 0.0, str(exc))
+            return StepOperator(None, None, patterns, math.inf, 0.0, str(exc))
+        half = dual(config.tau * beta)
+        T = dual(config.s * beta) @ Y @ half @ X
         lam_tilde = X[m:N] - beta * (R @ X)
-        K = np.vstack((T[:N], lam_tilde, R @ T))
+        rows = [T[:N], lam_tilde, R @ T, *tests[0]]
+        if tests[1]:
+            rows.append(np.vstack(tests[1]) @ (half @ X))
+        K = np.vstack(rows)
         correction = eye - np.vstack((T[:m], lam_tilde))  # I - P
         error = float(np.abs(T[:N] - (eye - mats.M @ correction)).max())
         scale = max(1.0, float(np.abs(T).max()), float(np.abs(mats.M).max() * np.abs(correction).max()))
+        # the primal rows: stationarity of each block at w~
+        shift = -(mats.Q[:m] @ correction)  # Q (P - I)
+        residual, constant, grad_max, dual_max = np.zeros((m, N + 1)), True, 0.0, 0.0
+        for blk, (c, pattern) in zip(problem.x_blocks + problem.y_blocks, answers):
+            f, Z, free, fixed = blk.objective, T[c], np.ones(len(c), dtype=bool), np.zeros(len(c))
+            if isinstance(f, L1):
+                free = pattern != 0
+            elif pattern is not None:
+                free = pattern == 0
+                fixed = np.where(pattern == 1, *bounds(blk.set, len(c)))
+            # grad f(P) as a map of (w, 1); on an l1 block's nonzero components weight sign
+            grad = f.P @ Z if isinstance(f, Quadratic) else np.zeros_like(Z)
+            grad[:, N] += f.weight * pattern if isinstance(f, L1) else f.r
+            pull = blk.A.T @ lam_tilde
+            residual[c[free]] = (grad - pull + shift[c])[free]
+            grad_max = max(grad_max, float(np.abs(grad[free]).max(initial=0.0)))
+            dual_max = max(dual_max, float(np.abs(pull[free]).max(initial=0.0)))
+            constant = constant and not np.abs(Z[~free, :N]).any() and np.array_equal(Z[~free, N], fixed[~free])
+        stationarity = float(np.abs(residual).max())
+        primal_scale = max(1.0, grad_max, dual_max,
+                           float(np.abs(mats.Q[:m]).max() * np.abs(correction).max()))
     bound = OPERATOR_RTOL * N * scale
-    ok = error <= bound and np.isfinite(K).all()
-    return StepOperator(np.ascontiguousarray(K[:, :N]), K[:, N].copy(), error, bound,
-                        None if ok else f"step operator identity error {error:.3e} exceeds {bound:.3e}")
+    primal_bound = OPERATOR_RTOL * N * primal_scale
+    why = None
+    if not (error <= bound and np.isfinite(K).all()):
+        why = f"step operator identity error {error:.3e} exceeds {bound:.3e}"
+    elif not stationarity <= primal_bound:
+        why = f"step operator stationarity residual {stationarity:.3e} exceeds {primal_bound:.3e}"
+    elif not constant:
+        why = "step operator moves a component that its pattern holds constant"
+    return StepOperator(np.ascontiguousarray(K[:, :N]), K[:, N].copy(), patterns, error, bound, why)
+
+
+def _key(patterns) -> bytes:
+    return b"".join(p.tobytes() for p in patterns)
 
 
 class Plan:
-    """What every iteration of one solve reads and none changes: the problem,
-    the config and its scalars, the oracle kernels, the structural matrices,
-    each group's sweep steps, the stacked reference point (None without
-    one), the layout of a solve row, and the affine step: (K, k0, D) of
-    `step_operator` and the d vector as a matrix, or None on the sweep.
-    `fallback` says why an all-free instance steps on the sweep (None
-    otherwise)."""
+    """What every iteration of one solve reads: the problem, the config and
+    its scalars, the oracle kernels, the structural matrices, each group's
+    sweep steps, the stacked reference point (None without one), the layout
+    of a solve row, the patterned kernels (`patterned`: each box,
+    nonnegative and l1 kernel with its columns in w), and the step operators
+    of the patterns met so far.
+
+    `operator(patterns)` builds a pattern's `step_operator` once per solve
+    and returns it, or None when it failed a check; such a pattern is never
+    tried again. `fallback` is the first failed check's `why` (None
+    otherwise), `D` the d vector as a matrix, formed with the first operator
+    that passes."""
 
     def __init__(self, problem: BlockProblem, config: SolverConfig,
                  mats: structure.StructuralMatrices, w_star: Iterate | None, kernels):
         self.problem, self.config, self.mats, self.kernels = problem, config, mats, kernels
         self.steps = tuple(map(sweep_steps, problem.batches, kernels))
+        self.patterned = tuple((kernel, cols) for group in self.steps for kernel, _, cols in group
+                               if not isinstance(kernel, FreeBatch))
         N, n = problem.total_dim, problem.n
         self.N, self.m = N, N - n  # lambda is w[m:]
-        # row k + 1 of a solve is w_{k+1}, lambda~_k, r_k = A x+ + B y+ - c
-        # (together the output z of the affine step), then d_k
-        self.lam_tilde, self.r, self.d = slice(N, N + n), slice(N + n, N + 2 * n), slice(N + 2 * n, 2 * N + n)
+        # row k + 1 of a solve is w_{k+1}, lambda~_k, r_k = A x+ + B y+ - c and
+        # the test rows (together the output z of the affine step), then d_k
+        tests = N + 2 * n + sum(kernel.test_rows for kernel, _ in self.patterned)
+        self.lam_tilde, self.r = slice(N, N + n), slice(N + n, N + 2 * n)
+        self.tests, self.d = slice(N + 2 * n, tests), slice(tests, tests + N - n)
         # tau beta and s beta, grouped as the dual updates evaluate them
         self.tau_beta, self.s_beta = config.tau * config.beta, config.s * config.beta
         self.in_D = mats.in_D
         self.ws = None if w_star is None else w_star.stack()
-        self.affine = self.fallback = None
-        if all_free(problem):
-            op = step_operator(problem, config, mats, self.steps)
-            self.fallback = op.why
-            if op.why is None:
-                # the d vector of w~ - w, `d_components` as a matrix
-                D = np.column_stack([d_components(problem, config, e) for e in np.eye(N)])
-                self.affine = op.K, op.k0, D
+        self.operators: dict[bytes, StepOperator] = {}
+        self.fallback = self.D = None
+
+    def operator(self, patterns: tuple) -> StepOperator | None:
+        """The step operator of the patterns (see the class docstring)."""
+        key = _key(patterns)
+        op = self.operators.get(key)
+        if op is None:
+            op = self.operators[key] = step_operator(self.problem, self.config, self.mats, self.steps, patterns)
+            if op.why is not None:
+                self.fallback = self.fallback or op.why
+            elif self.D is None:  # the d vector of w~ - w, `d_components` as a matrix
+                self.D = np.ascontiguousarray(d_components(self.problem, self.config, np.eye(self.N)).T)
+        return op if op.why is None else None
+
+    def pattern(self, row: np.ndarray) -> tuple:
+        """The pattern of each patterned kernel's answer in the solve row just
+        written by the sweep (`ProxKernel.pattern`)."""
+        return tuple(kernel.pattern(row[cols]) for kernel, cols in self.patterned)
+
+    def misses(self, op: StepOperator, block: np.ndarray) -> np.ndarray:
+        """Whether each solve row of block, stepped on op, fails its pattern
+        (`ProxKernel.holds`)."""
+        ok, at = np.ones(len(block), dtype=bool), self.tests.start
+        for (kernel, cols), pattern in zip(self.patterned, op.patterns):
+            ok &= kernel.holds(pattern, block[:, cols], block[:, at:at + kernel.test_rows])
+            at += kernel.test_rows
+        return ~ok
 
     def start(self, row: np.ndarray) -> tuple:
         """The state `advance` reads for the stacked point row: the stacks of
@@ -381,7 +490,7 @@ def initial_point(problem: BlockProblem, w0: Iterate | None = None) -> Iterate:
 
 
 def _grown(rows: np.ndarray, count: int) -> np.ndarray:
-    out = np.empty((count,) + rows.shape[1:])
+    out = np.empty((count,) + rows.shape[1:], dtype=rows.dtype)
     out[:len(rows)] = rows
     return out
 
@@ -396,42 +505,49 @@ def _caught(work):
         return work(), bool(events)
 
 
-def _replay(plan: Plan, rows: np.ndarray, lo: int, end: int, affine: bool = False, handover: bool = False):
+def _replay(plan: Plan, op: StepOperator | None, rows: np.ndarray, lo: int, end: int, left: str | None = None):
     """Iterations lo .. end - 1 once more, one at a time under the caller's
     errstate, so that a floating-point event raises or warns at the
     iteration, and in the order, where the per-iteration solve meets it: on
-    the affine step the step and the d vector, then `certify`; last the step
-    of iteration `end` when it handed over to the sweep. The values are those
-    already stored."""
-    N, (K, k0, D) = plan.N, plan.affine or (None, None, None)
+    the affine step (op) the step, the pattern test and the d vector, then
+    `certify`; last the step of iteration `end` when it left the affine step
+    (`left`), and its pattern test when it left on a "miss" rather than a
+    "handover". The values are those already stored."""
+    N = plan.N
     scalars = np.empty((1, len(RECORD_SCALARS) + 1))
     for k in range(lo, end):
-        if affine:
-            K @ rows[k, :N] + k0
-            D @ (plan.predictions(rows[k + 1:k + 2])[0] - rows[k, :N])
+        if op is not None:
+            op.K @ rows[k, :N] + op.k0
+            plan.misses(op, rows[k + 1:k + 2])
+            plan.D @ (plan.predictions(rows[k + 1:k + 2])[0] - rows[k, :N])
         certify(plan, rows[k:k + 2], scalars)
-    if handover:
-        K @ rows[end, :N] + k0
+    if left:
+        op.K @ rows[end, :N] + op.k0
+    if left == "miss":
+        plan.misses(op, rows[end + 1:end + 2])
 
 
-def _affine_chunk(plan: Plan, rows: np.ndarray, scalars: np.ndarray, lo: int, hi: int):
+def _affine_chunk(plan: Plan, op: StepOperator, rows: np.ndarray, scalars: np.ndarray, lo: int, hi: int):
     """Iterations lo .. hi - 1 on the affine step, each one `K @ w_k + k0`
     into its solve row; then the d vectors and the record scalars
-    (`certify`) of those before the first iterate past HANDOVER_MAX, `stop`.
-    Returns stop and the time the stepping ended."""
-    N, (K, k0, D) = plan.N, plan.affine
+    (`certify`) of those before `stop`, the first whose iterate is past
+    HANDOVER_MAX or whose row fails its pattern (`Plan.misses`). Returns
+    stop, whether it is past HANDOVER_MAX, and the time the stepping ended."""
+    N = plan.N
     W, Z = rows[:, :N], rows[:, :plan.d.start]
     for k in range(lo, hi):
         z = Z[k + 1]
-        np.matmul(K, W[k], out=z)
-        z += k0
+        np.matmul(op.K, W[k], out=z)
+        z += op.k0
     stepped = perf_counter()
-    bad = np.flatnonzero(~(np.abs(W[lo + 1:hi + 1]).max(axis=1) <= HANDOVER_MAX))  # also when not finite
+    block = rows[lo + 1:hi + 1]
+    past = ~(np.abs(block[:, :N]).max(axis=1) <= HANDOVER_MAX)  # also when not finite
+    bad = np.flatnonzero(past | plan.misses(op, block)) if plan.patterned else np.flatnonzero(past)
     stop = lo + int(bad[0]) if len(bad) else hi
     block = rows[lo:stop + 1]
-    block[1:, plan.d] = matvecs(D, plan.predictions(block[1:]) - block[:-1, :N])
+    block[1:, plan.d] = matvecs(plan.D, plan.predictions(block[1:]) - block[:-1, :N])
     certify(plan, block, scalars[lo:stop])
-    return stop, stepped
+    return stop, len(bad) > 0 and bool(past[bad[0]]), stepped
 
 
 def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None,
@@ -449,7 +565,7 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     (see the module docstring). A floating-point event in a kept row raises
     or warns under the caller's errstate as the per-iteration order meets it
     (`_caught`, `_replay`); the trace records the seconds spent stepping and
-    certifying.
+    certifying, and which iterations took the affine step.
     """
     if validate:
         report = validate_problem(problem)
@@ -463,30 +579,41 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     kernels = block_kernels(problem, config)
     plan = Plan(problem, config, mats, w_star, kernels)
     N, tol = plan.N, config.tol
-    # buffers, doubled when full: solve rows 0 .. K (see `Plan`), record scalars
+    # buffers, doubled when full: solve rows 0 .. K (see `Plan`), record
+    # scalars, and whether each iteration took the affine step
     cap = min(config.max_iters, 1024)
     rows = np.empty((cap + 1, plan.d.stop))
     scalars = np.empty((cap, len(RECORD_SCALARS) + 1))
+    affine = np.empty(cap, dtype=bool)
     rows[0, :N] = initial_point(problem, w0).stack()
-    state = None if plan.affine else plan.start(rows[0, :N])
-    termination, count, affine_count, fallback = ITERATION_CAP, 0, 0, plan.fallback
+    op = None if plan.patterned else plan.operator(())  # the empty pattern holds from the start
+    state = None if op else plan.start(rows[0, :N])
+    termination, count, fallback, handed_over = ITERATION_CAP, 0, None, False
+    misses, held, run = [], None, 0  # the sweep's last pattern and for how many iterations it held
     step_s = certify_s = 0.0
     while count < config.max_iters and termination == ITERATION_CAP:
         lo, hi = count, min(count + CHUNK, config.max_iters)
         if hi > cap:
             cap = min(2 * cap, config.max_iters)
-            rows, scalars = _grown(rows, cap + 1), _grown(scalars, cap)
+            rows, scalars, affine = _grown(rows, cap + 1), _grown(scalars, cap), _grown(affine, cap)
         start = perf_counter()
-        if state is None:  # the affine step
-            (stop, stepped), events = _caught(lambda: _affine_chunk(plan, rows, scalars, lo, hi))
+        if op is not None:
+            (stop, past, stepped), events = _caught(lambda: _affine_chunk(plan, op, rows, scalars, lo, hi))
             done = np.flatnonzero(scalars[lo:stop, -1] <= tol)
             end = lo + int(done[0]) + 1 if len(done) else stop
-            handover = end < hi and not len(done)  # an iterate past HANDOVER_MAX
-            if events:
-                _replay(plan, rows, lo, end, affine=True, handover=handover)
-            if handover:
-                affine_count = end
-                fallback = f"iterate past {HANDOVER_MAX:g} at iteration {end}; the sweep from there"
+            left = ("handover" if past else "miss") if end < hi and not len(done) else None
+            if events:  # iteration `end`, if it left, goes to the sweep
+                _replay(plan, op, rows, lo, end, left)
+            affine[lo:end] = True
+            for kernel in kernels[0] + kernels[1]:  # one oracle call per block and iteration, as on the sweep
+                kernel.stats.calls += end - lo
+            if left:
+                if left == "handover":
+                    handed_over = True
+                    fallback = f"iterate past {HANDOVER_MAX:g} at iteration {end}; the sweep from there"
+                else:
+                    misses.append(end)
+                op, held, run = None, None, 0
                 state = plan.start(rows[end, :N])
         else:
             end = lo
@@ -496,26 +623,32 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
                     end = k + 1
                     if residual <= tol:
                         break
+                    if plan.patterned and not handed_over:
+                        pattern = plan.pattern(rows[k + 1])
+                        run = run + 1 if held is not None and _key(pattern) == _key(held) else 1
+                        held = pattern
+                        if run >= HOLD_ITERS and (op := plan.operator(pattern)) is not None:
+                            break
             finally:  # certify what was stepped, also when a step raised
+                affine[lo:end] = False
                 stepped = perf_counter()
                 _, events = _caught(lambda: certify(plan, rows[lo:end + 1], scalars[lo:end]))
                 if events:
-                    _replay(plan, rows, lo, end)
+                    _replay(plan, None, rows, lo, end)
         step_s += stepped - start
         certify_s += perf_counter() - stepped
         count = end
         if end > lo and scalars[end - 1, -1] <= tol:
             termination = CONVERGED
-    if plan.affine is not None:  # one oracle call per block and iteration, as on the sweep
-        for kernel in kernels[0] + kernels[1]:
-            kernel.stats.calls += count if state is None else affine_count
     table = scalars[:count].T.copy()
-    arrays = (rows[:count + 1, :N].copy(), plan.predictions(rows[1:count + 1]), table)
+    arrays = (rows[:count + 1, :N].copy(), plan.predictions(rows[1:count + 1]), table, affine[:count].copy())
     for arr in arrays:
         arr.flags.writeable = False
+    passed = any(built.why is None for built in plan.operators.values())
     return Trace(problem=problem, config=config, termination=termination,
                  oracle_stats=tuple(kernel.stats for group in kernels for kernel in group),
                  iterates=arrays[0], predictions=arrays[1],
                  columns=dict(zip(RECORD_SCALARS + ("residual",), table)),
-                 step_path="sweep" if plan.affine is None else "affine", step_fallback=fallback,
-                 step_s=step_s, certify_s=certify_s)
+                 step_path="affine" if passed else "sweep", step_fallback=fallback or plan.fallback,
+                 step_s=step_s, certify_s=certify_s, affine_rows=arrays[3], pattern_misses=tuple(misses),
+                 operators_built=len(plan.operators))

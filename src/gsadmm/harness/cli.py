@@ -15,11 +15,12 @@ import contextlib
 import dataclasses
 import shutil
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
-from .. import diagnostics, engine, generators, oracles, structure
+from .. import diagnostics, engine, generators, structure
 from ..model import SolverConfig, in_region_D, in_region_G, region_violation, validate_config, validate_problem
 from . import io
 
@@ -217,17 +218,21 @@ def cmd_run(args, print_report: bool = False) -> int:
     problem, w_star, label, config = _load(args)
     _validate_or_fail(problem, config)
     with contextlib.nullcontext() if print_report else _output_dir(args.out) as outdir:
+        start = time.perf_counter()
         try:
             mats = structure.assemble(problem, config)
         except (structure.SingularM, np.linalg.LinAlgError) as exc:
             raise CliFailure(EXIT_VALIDATION, f"violation: {exc}") from exc
+        assemble_s = time.perf_counter() - start
         try:
             trace = engine.solve(problem, config, w_star=w_star, mats=mats)
         except engine.NonFiniteIterate as exc:
             raise CliFailure(EXIT_RUNTIME, f"runtime failure: {exc}") from exc
+        start = time.perf_counter()
         spectra, nonergodic, pointwise, rate = _run_diagnostics(problem, config, mats, trace, w_star)
+        verdict_s = time.perf_counter() - start
         entries = {"instance": label}
-        entries.update(io.report_entries(trace, spectra, nonergodic, pointwise, rate))
+        entries.update(io.report_entries(trace, spectra, nonergodic, pointwise, rate, assemble_s, verdict_s))
         report_text = io.format_report(entries)
         if print_report:
             sys.stdout.write(report_text)
@@ -351,9 +356,9 @@ def cmd_check(args) -> int:
         print(f"note: (tau, s) = ({config.tau}, {config.s}) outside the triangle region; "
               "definiteness not asserted "
               f"(lambda_min_G={mats.lambda_min_G:.3e})")
-    if engine.all_free(problem):
-        steps = tuple(map(oracles.sweep_steps, problem.batches, engine.block_kernels(problem, config)))
-        op = engine.step_operator(problem, config, mats, steps)
+    plan = engine.Plan(problem, config, mats, None, engine.block_kernels(problem, config))
+    if not plan.patterned:  # the empty pattern, which holds from the first iteration
+        op = engine.step_operator(problem, config, mats, plan.steps)
         check("step-operator-identity", op.why is None, op.why or f"error={op.error:.3e}, bound={op.bound:.3e}")
     if w_star is not None:
         res = float(np.linalg.norm(diagnostics.error_map_residual(problem, w_star)))

@@ -302,8 +302,10 @@ def format_report(entries: dict) -> str:
 def report_entries(trace: Trace, spectra: dict | None = None,
                    nonergodic: NonergodicReport | None = None,
                    pointwise: PointwiseReport | None = None,
-                   rate: RateReport | None = None) -> dict:
-    """Assemble the flat report for one solver run."""
+                   rate: RateReport | None = None,
+                   assemble_s: float | None = None, verdict_s: float | None = None) -> dict:
+    """Assemble the flat report for one solver run; the wall seconds of
+    assembly and of the verdict are printed when given."""
     cols = trace.columns
     entries: dict[str, object] = {
         "p": trace.problem.p,
@@ -320,8 +322,15 @@ def report_entries(trace: Trace, spectra: dict | None = None,
     }
     if trace.step_fallback:
         entries["step_fallback"] = trace.step_fallback
+    entries["affine_iters"] = trace.affine_iters
+    entries["pattern_misses"] = len(trace.pattern_misses)
+    entries["operators_built"] = trace.operators_built
+    if assemble_s is not None:
+        entries["time.assemble_s"] = assemble_s
     entries["time.step_s"] = trace.step_s
     entries["time.certify_s"] = trace.certify_s
+    if verdict_s is not None:
+        entries["time.verdict_s"] = verdict_s
     if len(trace.predictions):
         entries["final_feasibility"] = float(cols["feasibility"][-1])
         entries["final_d_inf"] = float(cols["d_inf"][-1])

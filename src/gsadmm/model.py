@@ -63,8 +63,9 @@ def rows_dot(V: np.ndarray) -> np.ndarray:
 
 
 def block_sum(rows: np.ndarray) -> np.ndarray:
-    """The rows summed in order onto +0.0, as `zeros(n) += row` forms it."""
-    return sum(rows, np.zeros(rows.shape[1]))
+    """The rows (axis -2) summed in order onto +0.0, as `zeros(n) += row` forms
+    it, for each leading index."""
+    return sum((rows[..., i, :] for i in range(rows.shape[-2])), np.zeros(rows.shape[:-2] + rows.shape[-1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +245,11 @@ class BlockProblem:
 
     def products(self, group: int, w: np.ndarray) -> np.ndarray:
         """The (blocks, n) stack of A_i z_i over group 0 (x) or 1 (y), with z_i
-        block i's part of the stacked w; row i has the bits of A_i @ z_i."""
-        out = np.empty((self.q if group else self.p, self.n))
+        block i's part of the stacked w (or of each row of a 2-d w, one stack
+        per row); row i has the bits of A_i @ z_i."""
+        out = np.empty(w.shape[:-1] + (self.q if group else self.p, self.n))
         for rows, cols, A, _ in self.batches[group]:
-            out[rows] = matvecs(A, w[cols])
+            out[..., rows, :] = matvecs(A, w[..., cols])
         return out
 
 

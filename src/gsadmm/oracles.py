@@ -19,8 +19,17 @@ patterns.
 Free-quadratic blocks call the gesv gufunc of `np.linalg.solve`, with its bits
 but not its costly wrapper, several at once in a `FreeBatch`. gesv fails only
 on an exact zero pivot of Heff, so a probe at construction decides `Unbounded`.
-`FreeBatch.affine` gives the same answers as affine maps of u, for the
-engine's affine step.
+
+For the engine's affine step each kernel also gives its answer as an affine
+map of u: `FreeBatch.affine` for free-quadratic blocks, and for box,
+nonnegative and l1 blocks `ProxKernel.affine` on a fixed pattern
+(`ProxKernel.pattern`: the enumeration's winning pattern, or the signs of an
+l1 answer). On a box pattern the free components solve Heff[f, f] and the
+active ones are their bounds; on an l1 pattern the nonzero components are
+u/alpha - sign thresh and the others 0. `ProxKernel.holds` tests stacked
+answers against their pattern: the KKT test of the first tier with the
+scale of `_kkt_ok` (box), the closed form's signs (l1), each margin clear of
+the GUARD_REL band.
 
 Box and nonnegative blocks are solved by KKT pattern enumeration. Each
 component is interior, at its lower bound or at its upper bound; patterns are
@@ -150,7 +159,9 @@ class _PatternChunk:
             self.groups.append((rows, idx, Heff[idx[:, :, None], idx[:, None, :]], const))
 
     def first_pass(self, table: "_PatternTable", geff: np.ndarray, gmax: float,
-                   gtol_rel: float, stats: OracleStats) -> np.ndarray | None:
+                   gtol_rel: float, stats: OracleStats) -> tuple[np.ndarray, np.ndarray] | None:
+        """The first pattern of the chunk passing the KKT test at gtol_rel, as
+        (its solution, the pattern), or None."""
         Heff, lo, hi = table.Heff, table.lo, table.hi
         Z = self.Zb.copy()
         solved = np.ones(Z.shape[0], dtype=bool)
@@ -184,8 +195,8 @@ class _PatternChunk:
             stats.rechecks += 1
             z = Z[row].copy()
             if _kkt_ok(Heff, geff, lo, hi, self.pat[row], z, gtol_rel):
-                return z
-        return Z[first].copy() if first < Z.shape[0] else None
+                return z, self.pat[row]
+        return (Z[first].copy(), self.pat[first]) if first < Z.shape[0] else None
 
 
 class _PatternTable:
@@ -201,6 +212,7 @@ class _PatternTable:
         self.count = math.prod(s.size for s in self.states)
         self._cached: list[_PatternChunk] = []
         self._cached_stop = 0
+        self.last: np.ndarray | None = None  # the pattern of the last answer
 
     def _chunks(self):
         yield from self._cached
@@ -220,10 +232,11 @@ class _PatternTable:
         gmax = float(np.abs(geff).max(initial=0.0))
         for tier, gtol_rel in enumerate(KKT_TIERS):
             for chunk in self._chunks():
-                z = chunk.first_pass(self, geff, gmax, gtol_rel, stats)
-                if z is not None:
+                found = chunk.first_pass(self, geff, gmax, gtol_rel, stats)
+                if found is not None:
                     if tier:
                         stats.loose += 1
+                    z, self.last = found
                     return z
         raise Unbounded("no consistent KKT pattern; coupling matrix may be rank deficient")
 
@@ -233,7 +246,8 @@ class ProxKernel:
 
     Rejects a combination outside the catalog (`model.oracle_violation`) and
     computes everything that does not depend on u once; `solve(u)` does the
-    rest.
+    rest. A box, nonnegative or l1 kernel also answers on a fixed pattern
+    (`pattern`, `affine`, `holds`; see the module docstring).
     """
 
     def __init__(self, objective: Objective, fset: FeasibleSet, A, rho: float):
@@ -246,9 +260,11 @@ class ProxKernel:
         if why:
             raise UnsupportedCombination(why)
         self.stats = OracleStats(type(fset).__name__.lower(), self.dim)
+        self._table = None
         if isinstance(objective, L1):  # A = alpha I
-            alpha = float(self.A[0, 0])
-            thresh = objective.weight / (self.rho * alpha * alpha)
+            alpha = self._alpha = float(self.A[0, 0])
+            thresh = self._thresh = objective.weight / (self.rho * alpha * alpha)
+            self.test_rows = self.dim  # u / alpha
             if isinstance(fset, Free):
                 self._solve = lambda u: soft_threshold(u / alpha, thresh)
             else:
@@ -267,7 +283,8 @@ class ProxKernel:
                 self._singular = True
             self._solve = lambda u: _solve_free(self, u)
         else:
-            table = _PatternTable(self._Heff, *bounds(fset, self.dim))
+            table = self._table = _PatternTable(self._Heff, *bounds(fset, self.dim))
+            self.test_rows = 2 * self.dim  # r - rho A'u, then the gradient Heff z + r - rho A'u
             self._solve = lambda u: table.solve(_geff(self, u), self.stats)
 
     @property
@@ -278,6 +295,66 @@ class ProxKernel:
         self.stats.calls += 1
         return self._solve(np.asarray(u, dtype=float))
 
+    def pattern(self, z: np.ndarray) -> np.ndarray:
+        """The pattern of the answer z of the last `solve`: for a box or
+        nonnegative block the enumeration's winning pattern (0 free, 1 at the
+        lower bound, 2 at the upper bound), for an l1 block the sign of z."""
+        return self._table.last if self._table is not None else np.sign(z).astype(np.int8)
+
+    def affine(self, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The answer on a fixed pattern as an affine map of u, and the
+        `test_rows` rows that `holds` reads, each map as (rows, n + 1): the
+        value at u is item[:, :-1] @ u + item[:, -1].
+
+        Box and nonnegative: the free components solve Heff[f, f] (one gesv
+        with a matrix right-hand side), active ones are their bound; the test
+        rows are r - rho A'u and the gradient Heff z + r - rho A'u. l1: u/alpha
+        - sign thresh on the nonzero components, 0 on the others; the test rows
+        are u/alpha.
+        """
+        n = self.A.shape[0]
+        L = np.zeros((self.dim, n + 1))
+        if self._table is None:
+            scaled = np.hstack((np.eye(n) / self._alpha, np.zeros((n, 1))))
+            nonzero = pattern != 0
+            L[nonzero] = scaled[nonzero]
+            L[nonzero, n] = -self._thresh * pattern[nonzero]
+            return L, scaled
+        table, free = self._table, pattern == 0
+        at = np.where(pattern == 1, table.lo, np.where(pattern == 2, table.hi, 0.0))
+        geff = np.hstack((self._neg_rho * self._AT, self._r[:, None]))
+        L[~free, n] = at[~free]
+        if free.any():
+            rhs = -geff[free]
+            rhs[:, n] -= self._Heff[np.ix_(free, ~free)] @ at[~free]
+            try:
+                L[free] = np.linalg.solve(self._Heff[np.ix_(free, free)], rhs)
+            except np.linalg.LinAlgError as exc:
+                raise Unbounded("singular reduced system on the held pattern") from exc
+        return L, np.vstack((geff, self._Heff @ L + geff))
+
+    def holds(self, pattern: np.ndarray, Z: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Whether each row of Z, answers on the pattern, with V, their test
+        rows (`affine`), is the oracle's answer: for a box or nonnegative
+        block the KKT test at tier KKT_TIERS[0] with the scale of `_kkt_ok`,
+        for an l1 block the signs of the closed form. Either way every margin
+        must clear the GUARD_REL band, which covers the rounding of a
+        composed map; NaN fails."""
+        if self._table is None:
+            thresh = self._thresh
+            scale = 1.0 + np.abs(V).max(axis=1) + thresh
+            zero = thresh - (V if isinstance(self.set, Nonnegative) else np.abs(V))
+            margin = np.where(pattern == 0, zero, pattern * V - thresh)
+            return (margin >= (GUARD_REL * scale)[:, None]).all(axis=1)
+        table, d, gtol_rel = self._table, self.dim, KKT_TIERS[0]
+        geff, G = V[:, :d], V[:, d:]
+        zmax = np.abs(Z).max(axis=1)
+        scale = 1.0 + np.abs(geff).max(axis=1) + table.hmax * (1.0 + zmax)
+        band = ((gtol_rel - GUARD_REL) * scale)[:, None]
+        fband = ((gtol_rel - GUARD_REL) * (1.0 + zmax))[:, None]
+        free, lower, upper = pattern == 0, pattern == 1, pattern == 2
+        return ((Z[:, free] >= table.lo[free] - fband).all(axis=1) & (Z[:, free] <= table.hi[free] + fband).all(axis=1)
+                & (G[:, lower] >= -band).all(axis=1) & (G[:, upper] <= band).all(axis=1))
 
 
 class FreeBatch:

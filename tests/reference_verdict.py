@@ -1,13 +1,14 @@
 """Record-at-a-time reference for the engine and the post-hoc checks.
 
-`solve` is `engine.solve` one iteration at a time, as it ran before the
-engine certified its iterations in stacked passes: the per-iteration
-`certify` and `affine_advance` (one `K @ w_k + k0`, with its HANDOVER_MAX
-test), `sweep_advance` (one `engine.advance`, then `certify`), the
-H-distance carried from one iteration to the next, and the residual test
-after every iteration. `engine.solve` must reproduce it bit for bit: rows,
-columns, termination, oracle counts and the step path with its fallback
-(`tests/test_engine.py`).
+`solve` is `engine.solve` one iteration at a time, as it would run without
+chunks: the per-iteration `certify` and `affine_advance` (one
+`K @ w_k + k0`, with its HANDOVER_MAX test and its pattern test),
+`sweep_advance` (one `engine.advance`, then `certify`), the pattern held
+over consecutive sweep iterations, the H-distance carried from one iteration
+to the next, and the residual test after every iteration. `engine.solve`
+must reproduce it bit for bit: rows, columns, termination, oracle counts,
+the step path with its fallback, which iterations took the affine step and
+which missed their pattern (`tests/test_engine.py`).
 
 `step` is one iteration as an (Iterate, IterationRecord) pair:
 `sweep_advance` (the sweep, on every instance) from a stacked start point,
@@ -84,19 +85,26 @@ class Handover(Exception):
     """The affine step's w_{k+1} is past HANDOVER_MAX or not finite."""
 
 
-def affine_advance(plan, dist_sq, k, wk, w_next, w_tilde, scalars):
-    """One iteration on the affine step: one stacked matrix-vector product
-    gives w_{k+1}, lambda~_k and the feasibility residual, and the d vector is
-    taken of the difference w~_k - w_k as stored. The state is
-    ||w_k - w*||_H^2."""
-    N, m, (K, k0, D) = wk.shape[0], plan.m, plan.affine
-    z = K @ wk + k0  # w_{k+1}, lambda~_k, r_new
+class Miss(Exception):
+    """The affine step's row of w_{k+1} fails its pattern."""
+
+
+def affine_advance(plan, op, dist_sq, k, wk, w_next, w_tilde, scalars):
+    """One iteration on the affine step of op: one stacked matrix-vector
+    product gives w_{k+1}, lambda~_k, the feasibility residual and the test
+    rows, and the d vector is taken of the difference w~_k - w_k as stored.
+    The state is ||w_k - w*||_H^2."""
+    N, m = wk.shape[0], plan.m
+    z = np.empty(plan.d.stop)
+    z[:plan.d.start] = op.K @ wk + op.k0
     w_next[:] = z[:N]
     w_tilde[:m] = z[:m]
-    w_tilde[m:] = z[N:2 * N - m]
+    w_tilde[m:] = z[plan.lam_tilde]
     if not np.abs(w_next).max() <= engine.HANDOVER_MAX:  # also when not finite
         raise Handover
-    return certify(plan, dist_sq, wk, w_next, w_tilde, z[2 * N - m:], D @ (w_tilde - wk), scalars)
+    if plan.misses(op, z[None])[0]:
+        raise Miss
+    return certify(plan, dist_sq, wk, w_next, w_tilde, z[plan.r], plan.D @ (w_tilde - wk), scalars)
 
 
 def sweep_advance(plan, state, k, wk, w_next, w_tilde, scalars):
@@ -118,38 +126,60 @@ def _dist_sq(plan, row):
 
 
 def solve(problem, config, mats, w0=None, w_star=None):
-    """`engine.solve` (without validation) one iteration at a time."""
+    """`engine.solve` (without validation) one iteration at a time: on the
+    affine step of the held pattern while its rows pass, on the sweep
+    otherwise, entering a pattern once it has held for HOLD_ITERS sweep
+    iterations."""
     kernels = engine.block_kernels(problem, config)
     plan = engine.Plan(problem, config, mats, w_star, kernels)
     N = problem.total_dim
-    iterates, predictions, table = [engine.initial_point(problem, w0).stack()], [], []
-    affine = plan.affine is not None
-    state = _dist_sq(plan, iterates[0]) if affine else (*plan.start(iterates[0]), _dist_sq(plan, iterates[0]))
-    termination, affine_count, fallback = engine.ITERATION_CAP, 0, plan.fallback
+    iterates, predictions, table, affine = [engine.initial_point(problem, w0).stack()], [], [], []
+    op = None if plan.patterned else plan.operator(())
+    state = _dist_sq(plan, iterates[0]) if op else (*plan.start(iterates[0]), _dist_sq(plan, iterates[0]))
+    termination, fallback, handed_over, misses, held, run = engine.ITERATION_CAP, None, False, [], None, 0
     for k in range(config.max_iters):
         rows = np.empty(N), np.empty(N), np.empty(len(engine.RECORD_SCALARS) + 1)
-        try:
-            state, residual = (affine_advance if affine else sweep_advance)(plan, state, k, iterates[k], *rows)
-        except Handover:
-            affine, affine_count = False, k
-            fallback = f"iterate past {engine.HANDOVER_MAX:g} at iteration {k}; the sweep from there"
-            state = (*plan.start(iterates[k]), _dist_sq(plan, iterates[k]))
+        stepped = False
+        if op is not None:
+            try:
+                state, residual = affine_advance(plan, op, state, k, iterates[k], *rows)
+                stepped = True
+                for kernel in kernels[0] + kernels[1]:  # one oracle call per block and iteration
+                    kernel.stats.calls += 1
+            except (Handover, Miss) as exc:
+                if isinstance(exc, Handover):
+                    handed_over = True
+                    fallback = f"iterate past {engine.HANDOVER_MAX:g} at iteration {k}; the sweep from there"
+                else:
+                    misses.append(k)
+                op, held, run = None, None, 0
+                state = (*plan.start(iterates[k]), _dist_sq(plan, iterates[k]))
+        if not stepped:
             state, residual = sweep_advance(plan, state, k, iterates[k], *rows)
+            if residual > config.tol and plan.patterned and not handed_over:
+                pattern = plan.pattern(rows[0])
+                run = run + 1 if held is not None and engine._key(pattern) == engine._key(held) else 1
+                held = pattern
+                if run >= engine.HOLD_ITERS:
+                    op = plan.operator(pattern)
+                    if op is not None:
+                        state = state[-1]
         iterates.append(rows[0])
         predictions.append(rows[1])
         table.append(rows[2])
+        affine.append(stepped)
         if residual <= config.tol:
             termination = engine.CONVERGED
             break
     count = len(predictions)
-    if plan.affine is not None:  # one oracle call per block and iteration, as on the sweep
-        for kernel in kernels[0] + kernels[1]:
-            kernel.stats.calls += count if affine else affine_count
     columns = np.array(table).reshape(count, len(engine.RECORD_SCALARS) + 1).T.copy()
+    passed = any(o.why is None for o in plan.operators.values())
     return engine.Trace(problem, config, termination, tuple(kernel.stats for group in kernels for kernel in group),
                         np.array(iterates), np.array(predictions).reshape(count, N),
                         dict(zip(engine.RECORD_SCALARS + ("residual",), columns)),
-                        step_path="sweep" if plan.affine is None else "affine", step_fallback=fallback)
+                        step_path="affine" if passed else "sweep", step_fallback=fallback or plan.fallback,
+                        affine_rows=np.array(affine, dtype=bool), pattern_misses=tuple(misses),
+                        operators_built=len(plan.operators))
 
 
 def step(problem, config, state, mats=None, w_star=None, k=0, kernels=None):

@@ -136,6 +136,7 @@ def test_solve_forms_each_group_product_once_per_iteration(catalog, monkeypatch)
     cfg = g.default_config(bundle.problem, max_iters=7, tol=-1.0)
     mats = g.assemble(bundle.problem, cfg)
     calls = _count_group_products(monkeypatch)
+    _sweep_only(monkeypatch)
     trace = g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats)
     assert len(trace.records) == 7 and trace.step_path == "sweep"
     assert calls == {"x": 8, "y": 8}
@@ -163,10 +164,37 @@ def test_affine_solve_forms_no_group_product_or_prox_per_iteration(catalog, monk
 # solve against repeated single steps
 # ---------------------------------------------------------------------------
 
-def _contract_record(trace, mats, w_star):
-    """The equivalence contract's record of a trace (tools/contract.py)."""
-    return {**contract.run_record(trace, w_star),
-            **contract.verdict_record(trace.problem, trace.config, mats, trace, w_star)}
+def _contract_record(trace, mats, w_star, enumerations=True):
+    """The equivalence contract's record of a trace (tools/contract.py);
+    without the enumeration counters (`patterns`, `rechecks`, `loose`) of
+    each block when enumerations is False, for a run on the piecewise step,
+    which enumerates only on its sweep iterations."""
+    record = {**contract.run_record(trace, w_star),
+              **contract.verdict_record(trace.problem, trace.config, mats, trace, w_star)}
+    if not enumerations:
+        record["oracle"] = [counters[:3] for counters in record["oracle"]]
+    return record
+
+
+def _assert_piecewise_contract(piecewise, sweep, mats, w_star):
+    """A run on the piecewise step keeps the equivalence contract with the
+    same run forced onto the sweep: every contract rule, the same oracle
+    calls, and no more enumerated patterns."""
+    assert piecewise.affine_iters > 0 and sweep.affine_iters == 0
+    assert contract.violations(_contract_record(piecewise, mats, w_star, enumerations=False),
+                               _contract_record(sweep, mats, w_star, enumerations=False)) == []
+    for fast, ref in zip(piecewise.oracle_stats, sweep.oracle_stats):
+        assert fast.calls == ref.calls and fast.patterns <= ref.patterns
+
+
+def _free_block(blk) -> bool:
+    return isinstance(blk.objective, Quadratic) and isinstance(blk.set, Free)
+
+
+def _all_free(problem) -> bool:
+    """Whether every block is free-quadratic: the instance has no patterned
+    kernel, and its empty pattern holds from the first iteration."""
+    return all(map(_free_block, problem.x_blocks + problem.y_blocks))
 
 
 def _stepped(problem, cfg, w_star, mats):
@@ -203,10 +231,11 @@ STEPPED_CASES = {
 
 
 @pytest.mark.parametrize("case", STEPPED_CASES)
-def test_solve_bit_identical_to_repeated_steps(case, catalog):
-    # an instance with a non-free block steps on the sweep, as `step` does,
-    # and must match it bit for bit; an all-free one steps on the affine map,
-    # which rounds differently, and must keep the equivalence contract
+def test_solve_bit_identical_to_repeated_steps(case, catalog, monkeypatch):
+    # `step` always sweeps. Forced onto the sweep, the solve must match it
+    # bit for bit; on the affine step, which rounds differently, it must keep
+    # the equivalence contract (an all-free instance steps on the affine map
+    # from the first iteration, an l1 or box one once its pattern has held)
     name, overrides = STEPPED_CASES[case]
     bundle = next(b for b in catalog if b.name == name)
     problem, w_star = bundle.problem, bundle.w_star
@@ -216,15 +245,20 @@ def test_solve_bit_identical_to_repeated_steps(case, catalog):
     final, records, kernels = _stepped(problem, cfg, w_star, mats)
     assert len(records) == len(trace.predictions) > 0
     assert (trace.termination == engine.CONVERGED) == (len(records) < cfg.max_iters)
-    stepped_stats = [dataclasses.astuple(kernel.stats) for group in kernels for kernel in group]
-    assert stepped_stats == [dataclasses.astuple(stats) for stats in trace.oracle_stats]
-    if engine.all_free(problem):
-        assert trace.step_path == "affine"
-        stepped = _stepped_trace(problem, cfg, final, records, kernels)
+    stepped = _stepped_trace(problem, cfg, final, records, kernels)
+    assert trace.step_path == "affine"
+    if _all_free(problem):
+        stepped_stats = [dataclasses.astuple(kernel.stats) for group in kernels for kernel in group]
+        assert stepped_stats == [dataclasses.astuple(stats) for stats in trace.oracle_stats]
         assert contract.violations(_contract_record(trace, mats, w_star),
                                    _contract_record(stepped, mats, w_star)) == []
         return
+    _assert_piecewise_contract(trace, stepped, mats, w_star)
+    _sweep_only(monkeypatch)
+    trace = g.solve(problem, cfg, w_star=w_star, mats=mats)
     assert trace.step_path == "sweep"
+    stepped_stats = [dataclasses.astuple(kernel.stats) for group in kernels for kernel in group]
+    assert stepped_stats == [dataclasses.astuple(stats) for stats in trace.oracle_stats]
     for k, rec in enumerate(records):
         assert rec.w.stack().tobytes() == trace.iterates[k].tobytes(), k
         assert rec.w_tilde.stack().tobytes() == trace.predictions[k].tobytes(), k
@@ -284,8 +318,10 @@ PER_BLOCK_CASES = {
 
 
 def _sweep_only(mp):
-    """Make every solve step on the sweep, as if no instance were all-free."""
-    mp.setattr(engine, "all_free", lambda problem: False)
+    """Make every solve step on the sweep: no pattern gets a step operator,
+    the empty pattern of an all-free instance included."""
+    mp.setattr(engine.Plan, "operator", lambda plan, patterns: None)
+    mp.setattr(engine.Plan, "pattern", lambda plan, row: ())  # not read without an operator
 
 
 @pytest.mark.parametrize("case", PER_BLOCK_CASES)
@@ -301,11 +337,12 @@ def test_solve_bit_identical_to_per_block_reference(case, catalog, monkeypatch):
     problem, w_star = bundle.problem, bundle.w_star
     mats = g.assemble(problem, cfg)
 
-    def run(reference):
+    def run(reference, sweep_only=False):
         with monkeypatch.context() as mp:
             if reference:
                 mp.setattr(engine, "advance", reference_verdict.advance)
                 mp.setattr(engine.Plan, "start", reference_verdict.start)
+            if reference or sweep_only:
                 _sweep_only(mp)
             with np.errstate(all="ignore"):
                 try:
@@ -318,12 +355,15 @@ def test_solve_bit_identical_to_per_block_reference(case, catalog, monkeypatch):
         assert fast == ref and fast.startswith("non-finite iterate at iteration ")
         return
     assert fast.termination == ref.termination
-    assert fast.oracle_stats == ref.oracle_stats
-    assert ref.step_path == "sweep"
-    if engine.all_free(problem):
-        assert fast.step_path == "affine"
+    assert ref.step_path == "sweep" and fast.step_path == "affine"
+    if _all_free(problem):
+        assert fast.oracle_stats == ref.oracle_stats
         assert contract.violations(_contract_record(fast, mats, w_star), _contract_record(ref, mats, w_star)) == []
         return
+    # an l1 or box instance: the piecewise step under the contract, the sweep bit for bit
+    _assert_piecewise_contract(fast, ref, mats, w_star)
+    fast = run(False, sweep_only=True)
+    assert fast.oracle_stats == ref.oracle_stats
     assert fast.step_path == "sweep"
     assert fast.iterates.tobytes() == ref.iterates.tobytes()
     assert fast.predictions.tobytes() == ref.predictions.tobytes()
@@ -343,6 +383,8 @@ def _assert_same_run(fast, ref):
         return
     assert not isinstance(fast, Exception), fast
     assert (fast.termination, fast.step_path, fast.step_fallback) == (ref.termination, ref.step_path, ref.step_fallback)
+    assert (fast.pattern_misses, fast.operators_built) == (ref.pattern_misses, ref.operators_built)
+    assert fast.affine_rows.tobytes() == ref.affine_rows.tobytes()
     assert fast.oracle_stats == ref.oracle_stats
     assert fast.iterates.tobytes() == ref.iterates.tobytes()
     assert fast.predictions.tobytes() == ref.predictions.tobytes()
@@ -351,13 +393,13 @@ def _assert_same_run(fast, ref):
         assert column.tobytes() == ref.columns[name].tobytes(), name
 
 
-def _against_per_row(problem, cfg, w_star, **errstate):
+def _against_per_row(problem, cfg, w_star, w0=None, **errstate):
     """engine.solve and `reference_verdict.solve` of one instance under one
     errstate (all ignored by default), each its trace or the error it raised."""
     mats = g.assemble(problem, cfg)
     runs = []
-    for run in (lambda: g.solve(problem, cfg, w_star=w_star, mats=mats, validate=False),
-                lambda: reference_verdict.solve(problem, cfg, mats, w_star=w_star)):
+    for run in (lambda: g.solve(problem, cfg, w0=w0, w_star=w_star, mats=mats, validate=False),
+                lambda: reference_verdict.solve(problem, cfg, mats, w0=w0, w_star=w_star)):
         with np.errstate(**(errstate or {"all": "ignore"})):
             try:
                 runs.append(run())
@@ -441,7 +483,8 @@ def test_overflow_in_certification_raises_as_per_row(generator):
 
 
 SPECULATIVE_CASES = {
-    **{name: (name, {"tol": 1e-10}) for name in ALL_FREE},
+    **{name: (name, {"tol": 1e-10}) for name in ALL_FREE + ("l1-p1q2n2-s5",)},
+    "boxqp-p2q1n3-s13": ("boxqp-p2q1n3-s13", {"tol": 1e-10, "max_iters": 2000}),
     # stops after one iteration; the 63 rows stepped past it overflow
     "qp1-diverging": ("qp1", {"tau": -100.0, "s": -100.0, "tol": np.inf, "max_iters": 500}),
 }
@@ -496,31 +539,40 @@ def test_certify_block_matches_per_row_formula(catalog):
 # The affine step and its operator identity
 # ---------------------------------------------------------------------------
 
-def _exact_maps(problem, cfg):
-    """(T, P, M) of one iteration on a 1 x 1 instance (p = q = n = 1) as maps
-    of (x, y, lambda, 1), in exact arithmetic from the float data: each block
-    update solves its 1 x 1 optimality condition
-    (P_i + (1 + sigma) beta A_i^2) z+ = -r_i + beta A_i (c - A_o z_o + lambda/beta) + sigma beta A_i^2 z_i."""
+def _exact_maps(problem, cfg, pattern=None):
+    """(T, P, M, u) of one iteration on a 1 x 1 instance (p = q = n = 1) as
+    maps of (x, y, lambda, 1), in exact arithmetic from the float data, with
+    u the x block's prox point. Each block update solves its canonical prox
+    problem argmin f(z) + (rho/2) (a z - u)^2, rho = (1 + sigma) beta, with
+    u = (c - a_o z_o + lambda/beta + sigma a z)/(1 + sigma): a quadratic
+    block as (P + rho a^2) z+ = rho a u - r; a box or l1 x block on its held
+    pattern, at its bound when active, by the quadratic formula when free
+    (box), as u/a - pattern weight/(rho a^2) (l1)."""
     (bx,), (by,), c = problem.x_blocks, problem.y_blocks, Fraction(problem.c[0])
     beta, tau, s, sig1, sig2 = (Fraction(v) for v in (cfg.beta, cfg.tau, cfg.s, cfg.sigma1, cfg.sigma2))
     A, B = Fraction(bx.A[0, 0]), Fraction(by.A[0, 0])
     unit = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
     x, y, lam, one = (np.array(row, dtype=object) for row in unit)
 
-    def update(blk, a, z, other, mult, sigma):
+    def update(blk, a, u, sigma):
+        rho = (1 + sigma) * beta
+        if isinstance(blk.objective, g.L1):
+            return (u / a - pattern * Fraction(blk.objective.weight) / (rho * a * a) * one) if pattern else 0 * one
+        if pattern and blk is bx:
+            return Fraction((blk.set.lo if pattern == 1 else blk.set.hi)[0]) * one
         P, r = Fraction(blk.objective.P[0, 0]), Fraction(blk.objective.r[0])
-        rhs = -r * one + beta * a * (c * one - other + mult / beta) + sigma * beta * a * a * z
-        return rhs / (P + (1 + sigma) * beta * a * a)
+        return (rho * a * u - r * one) / (P + rho * a * a)
 
-    x_new = update(bx, A, x, B * y, lam, sig1)
+    u = (c * one - B * y + lam / beta + sig1 * A * x) / (1 + sig1)
+    x_new = update(bx, A, u, sig1)
     r_half = A * x_new + B * y - c * one
     lam_half = lam - tau * beta * r_half
-    y_new = update(by, B, y, A * x_new, lam_half, sig2)
+    y_new = update(by, B, (c * one - A * x_new + lam_half / beta + sig2 * B * y) / (1 + sig2), sig2)
     lam_new = lam_half - s * beta * (A * x_new + B * y_new - c * one)
     T = np.array([x_new, y_new, lam_new])
     P = np.array([x_new, y_new, lam - beta * r_half])
     M = np.array([[1, 0, 0], [0, 1, 0], [0, -s * beta * B, tau + s]], dtype=object)
-    return T, P, M
+    return T, P, M, u
 
 
 def _step_operator(problem, cfg, mats):
@@ -534,7 +586,7 @@ def test_step_operator_identity_exact_on_qp1(qp1):
     # included; the engine's float maps and the structural M agree with the
     # exact ones to rounding
     problem, cfg, _ = qp1
-    T, P, M = _exact_maps(problem, cfg)
+    T, P, M, _ = _exact_maps(problem, cfg)
     eye = np.array([[Fraction(int(i == j)) for j in range(4)] for i in range(3)], dtype=object)
     assert (T == eye - M.dot(eye - P)).all()
     mats = g.assemble(problem, cfg)
@@ -551,7 +603,7 @@ def _assembled_operators(catalog):
     config, and of every assembled point of the atlas's 11 x 11 stepsize
     grid."""
     for b in catalog:
-        if engine.all_free(b.problem):
+        if _all_free(b.problem):
             cfg = g.default_config(b.problem)
             yield b.name, _step_operator(b.problem, cfg, g.assemble(b.problem, cfg))
     bundle = g.gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42)
@@ -575,13 +627,46 @@ def test_step_operator_identity_on_all_free_catalog_and_atlas(catalog):
 
 
 def test_mixed_instance_has_no_step_operator(catalog):
-    # the free-quadratic catalog instances take the affine step, every other
-    # one sweeps without a fallback to report
+    # an instance with an l1 or box block has no step operator until its
+    # pattern has held: a one-iteration solve sweeps and builds none; a
+    # free-quadratic one has the empty pattern's operator from the start
     for b in catalog:
-        assert engine.all_free(b.problem) == (b.name == "qp1" or b.name.startswith("quadratic-")), b.name
+        cfg = g.default_config(b.problem, max_iters=1, tol=-1.0)
+        trace = g.solve(b.problem, cfg)
+        free = b.name == "qp1" or b.name.startswith("quadratic-")
+        assert _all_free(b.problem) == free, b.name
+        assert (trace.step_path, trace.operators_built, trace.affine_iters) == \
+            (("affine", 1, 1) if free else ("sweep", 0, 0)), b.name
+        assert trace.step_fallback is None, b.name
+
+
+def _solution_operator(bundle, cfg, mats):
+    """The plan of one solve and the step operator of the pattern that one
+    sweep iteration from w* holds."""
+    problem = bundle.problem
+    plan = engine.Plan(problem, cfg, mats, None, engine.block_kernels(problem, cfg))
+    row = np.empty(plan.d.stop)
+    start = bundle.w_star.stack()
+    engine.advance(plan, plan.start(start), 0, start, row)
+    return plan, engine.step_operator(problem, cfg, mats, plan.steps, plan.pattern(row))
+
+
+def test_every_catalog_pattern_at_the_solution_has_a_checked_operator(catalog):
+    # the box, nonnegative and l1 blocks are the patterned kernels; the
+    # operator of the pattern at w* passes the identity and stationarity
+    # checks, its rows reproduce one sweep iteration from w*, and w* is its
+    # fixed point
+    for b in catalog:
         cfg = g.default_config(b.problem)
-        plan = engine.Plan(b.problem, cfg, g.assemble(b.problem, cfg), None, engine.block_kernels(b.problem, cfg))
-        assert plan.fallback is None and (plan.affine is None) != engine.all_free(b.problem), b.name
+        mats = g.assemble(b.problem, cfg)
+        plan, op = _solution_operator(b, cfg, mats)
+        assert (plan.patterned == ()) == _all_free(b.problem), b.name
+        assert [kernel.set for kernel, _ in plan.patterned] == \
+            [blk.set for blk in b.problem.x_blocks + b.problem.y_blocks if not _free_block(blk)], b.name
+        assert op.why is None and op.error <= op.bound <= 1e-13, (b.name, op.why)
+        assert plan.misses(op, (op.K @ b.w_star.stack() + op.k0)[None]).tolist() == [False], b.name
+        ws = b.w_star.stack()
+        assert np.abs(op.K[:plan.N] @ ws + op.k0[:plan.N] - ws).max() <= 1e-12, b.name
 
 
 def test_failed_operator_check_falls_back_to_sweep(catalog, monkeypatch):
@@ -602,6 +687,96 @@ def test_failed_operator_check_falls_back_to_sweep(catalog, monkeypatch):
         assert column.tobytes() == ref.columns[name].tobytes(), name
 
 
+@pytest.mark.parametrize("name, held", [("boxqp-1d", 0), ("boxqp-1d", 2), ("l1-1d", 0), ("l1-1d", 1), ("l1-1d", -1)])
+def test_held_pattern_operator_exact(name, held):
+    # on a held pattern the iteration is affine: T = I - M (I - P) with zero
+    # error in rational arithmetic, and both blocks are stationary at w~,
+    # the x block only where its pattern leaves it free (with Q's shift);
+    # the engine's operator, its test rows included, agrees to rounding
+    bundle = getattr(g.generators, name.replace("-", "_"))()
+    problem, cfg = bundle.problem, g.default_config(bundle.problem)
+    (bx,), (by,) = problem.x_blocks, problem.y_blocks
+    T, P, M, u = _exact_maps(problem, cfg, held)
+    eye = np.array([[Fraction(int(i == j)) for j in range(4)] for i in range(3)], dtype=object)
+    assert (T == eye - M.dot(eye - P)).all()
+    beta, tau, sig1, sig2 = (Fraction(v) for v in (cfg.beta, cfg.tau, cfg.sigma1, cfg.sigma2))
+    A, B, zero = Fraction(bx.A[0, 0]), Fraction(by.A[0, 0]), Fraction(0)
+    Q = np.array([[sig1 * beta * A * A, zero, zero], [zero, (sig2 + 1) * beta * B * B, -tau * B],
+                  [zero, -B, 1 / beta]], dtype=object)
+    shift, one = Q.dot(P - eye), np.array([zero, zero, zero, Fraction(1)], dtype=object)
+    Py, ry = Fraction(by.objective.P[0, 0]), Fraction(by.objective.r[0])
+    assert (Py * P[1] + ry * one - B * P[2] + shift[1] == 0).all()
+    if isinstance(bx.objective, g.L1):
+        grad_x = held * Fraction(bx.objective.weight) * one
+    else:
+        grad_x = Fraction(bx.objective.P[0, 0]) * P[0] + Fraction(bx.objective.r[0]) * one
+    if held != 0 if isinstance(bx.objective, g.L1) else held == 0:
+        assert (grad_x - A * P[2] + shift[0] == 0).all()
+    else:  # an active or zero component is a constant
+        assert (P[0][:3] == 0).all()
+    mats = g.assemble(problem, cfg)
+    assert np.abs(mats.Q - Q.astype(float)).max() <= 1e-15
+    plan = engine.Plan(problem, cfg, mats, None, engine.block_kernels(problem, cfg))
+    op = engine.step_operator(problem, cfg, mats, plan.steps, (np.array([held], dtype=np.int8),))
+    assert op.why is None and op.error <= op.bound
+    K = np.column_stack((op.K, op.k0))
+    assert np.abs(K[:3] - T.astype(float)).max() <= 1e-15
+    assert np.abs(K[3] - P[2].astype(float)).max() <= 1e-15
+    tests = K[plan.tests]
+    rho = (1 + sig1) * beta
+    if isinstance(bx.objective, g.L1):
+        expected = [u / A]
+    else:
+        geff = Fraction(bx.objective.r[0]) * one - rho * A * u
+        expected = [geff, (Fraction(bx.objective.P[0, 0]) + rho * A * A) * P[0] + geff]
+    assert np.abs(tests - np.array(expected).astype(float)).max() <= 1e-15
+
+
+def _halved_answer(mp):
+    """A prox map error: the first block's affine answer (of its batch's
+    first kernel, or of every box or l1 kernel) responds to u by half."""
+    free, single = oracles.FreeBatch.affine, oracles.ProxKernel.affine
+
+    def halved_free(batch):
+        L = free(batch).copy()
+        L[0, :, :-1] *= 0.5
+        return L
+
+    def halved_single(kernel, pattern):
+        L, V = single(kernel, pattern)
+        L[:, :-1] *= 0.5
+        return L, V
+    mp.setattr(oracles.FreeBatch, "affine", halved_free)
+    mp.setattr(oracles.ProxKernel, "affine", halved_single)
+
+
+@pytest.mark.parametrize("name", ["quadratic-p2q2n3-s42", "l1-p1q2n2-s5", "boxqp-p2q1n3-s13"])
+def test_prox_map_error_fails_stationarity_and_sweeps(name, catalog, monkeypatch):
+    # the paper's identity cannot see an error in a block's answer; the
+    # stationarity check of the primal rows does, on the all-free operator
+    # and on the piecewise one, and the solve stays on the sweep, bit for bit,
+    # building each held pattern's operator once
+    bundle = next(b for b in catalog if b.name == name)
+    cfg = g.default_config(bundle.problem, max_iters=300, tol=-1.0)
+    mats = g.assemble(bundle.problem, cfg)
+    with monkeypatch.context() as mp:
+        _sweep_only(mp)
+        ref = g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats)
+    _halved_answer(monkeypatch)
+    _, op = _solution_operator(bundle, cfg, mats)
+    assert op.error <= op.bound and op.why.startswith("step operator stationarity residual ")
+    built, step_operator = [], engine.step_operator
+    monkeypatch.setattr(engine, "step_operator", lambda *args: built.append(engine._key(args[-1]))
+                        or step_operator(*args))
+    fell = g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats)
+    assert fell.step_path == "sweep" and fell.affine_iters == 0
+    assert fell.step_fallback.startswith("step operator stationarity residual ")
+    assert len(built) == len(set(built)) == fell.operators_built >= 1
+    assert fell.iterates.tobytes() == ref.iterates.tobytes()
+    for column, values in fell.columns.items():
+        assert values.tobytes() == ref.columns[column].tobytes(), column
+
+
 def test_singular_free_kernel_falls_back_and_raises_unbounded():
     # a rank-deficient free block (validation would reject it) has a singular
     # kernel: no affine step, and the sweep raises Unbounded as before
@@ -610,9 +785,89 @@ def test_singular_free_kernel_falls_back_and_raises_unbounded():
     cfg = SolverConfig(sigma1=0.5, sigma2=0.5)
     mats = g.assemble(problem, cfg)
     plan = engine.Plan(problem, cfg, mats, None, engine.block_kernels(problem, cfg))
-    assert plan.affine is None and plan.fallback.startswith("singular proximal system")
+    assert plan.operator(()) is None and plan.fallback.startswith("singular proximal system")
     with pytest.raises(oracles.Unbounded):
         g.solve(problem, cfg, mats=mats, validate=False)
+
+
+# ---------------------------------------------------------------------------
+# The piecewise-affine step: entering, missing and leaving a pattern
+# ---------------------------------------------------------------------------
+
+def _drawn_start(catalog, name, seed):
+    """A catalog instance and its start point as the benchmark's catalog
+    workload draws it for seed: SplitMix64(seed) normals in catalog order."""
+    rng = g.SplitMix64(seed)
+    for b in catalog:
+        w0 = Iterate.from_stack(b.problem, rng.normals(b.problem.total_dim))
+        if b.name == name:
+            return b, w0
+
+
+# runs whose pattern changes after an operator for it exists
+MISS_CASES = {
+    "l1-p1q2n2-s5-seed7": ("l1-p1q2n2-s5", 7, {"max_iters": 300, "tol": -1.0}),
+    "boxqp-p2q1n3-s13-seed7": ("boxqp-p2q1n3-s13", 7, {"max_iters": 300, "tol": -1.0}),
+    "boxqp-p1q1n5-s9": (None, None, {"max_iters": 2000, "tol": 1e-10}),
+}
+
+
+@pytest.mark.parametrize("case", MISS_CASES)
+def test_pattern_miss_goes_to_the_sweep_and_accepted_rows_pass_kkt(case, catalog, monkeypatch):
+    name, seed, overrides = MISS_CASES[case]
+    bundle, w0 = _drawn_start(catalog, name, seed) if name else (g.gen_box_qp(1, 1, [5], [3], 5, seed=9), None)
+    problem = bundle.problem
+    cfg = g.default_config(problem, **overrides)
+    mats = g.assemble(problem, cfg)
+    trace = g.solve(problem, cfg, w0=w0, w_star=bundle.w_star, mats=mats)
+    assert trace.pattern_misses and trace.operators_built >= 2 and trace.step_fallback is None
+    plan = engine.Plan(problem, cfg, mats, bundle.w_star, engine.block_kernels(problem, cfg))
+    points = {}
+    prox_solve = engine.prox_solve
+    monkeypatch.setattr(engine, "prox_solve", lambda kernel, u: points.__setitem__(id(kernel), u.copy())
+                        or prox_solve(kernel, u))
+    W, N, row = trace.iterates, plan.N, np.empty(plan.d.stop)
+    for k in range(len(trace.predictions)):
+        engine.advance(plan, plan.start(W[k]), k, W[k], row)
+        if k in trace.pattern_misses:  # stepped by the sweep, bit for bit
+            assert not trace.affine_rows[k]
+            assert row[:N].tobytes() == W[k + 1].tobytes(), k
+            assert plan.predictions(row[None])[0].tobytes() == trace.predictions[k].tobytes(), k
+        if not trace.affine_rows[k]:
+            continue
+        for kernel, cols in plan.patterned:  # the scalar KKT test of the sweep's prox point
+            u, z = points[id(kernel)], W[k + 1][cols]
+            if isinstance(kernel.objective, g.L1):
+                closed = kernel._solve(u)
+                assert np.array_equal(np.sign(z), np.sign(closed)), k
+                assert np.abs(z - closed).max() <= 1e-12 * (1.0 + np.abs(u).max()), k
+                continue
+            lo, hi = oracles.bounds(kernel.set, kernel.dim)
+            pattern = np.where(z == lo, 1, np.where(z == hi, 2, 0)).astype(np.int8)
+            assert oracles._kkt_ok(kernel._Heff, oracles._geff(kernel, u), lo, hi, pattern, z,
+                                   oracles.KKT_TIERS[0]), k
+
+
+@pytest.mark.parametrize("case", MISS_CASES)
+def test_pattern_misses_bit_identical_to_per_row_reference(case, catalog):
+    # a miss discards the rest of its chunk and redoes the iteration on the
+    # sweep, as the per-iteration solve does on meeting it
+    name, seed, overrides = MISS_CASES[case]
+    bundle, w0 = _drawn_start(catalog, name, seed) if name else (g.gen_box_qp(1, 1, [5], [3], 5, seed=9), None)
+    fast, ref = _against_per_row(bundle.problem, g.default_config(bundle.problem, **overrides), bundle.w_star, w0)
+    _assert_same_run(fast, ref)
+    assert ref.pattern_misses
+
+
+@pytest.mark.parametrize("name", [b.name for b in g.standard_catalog() if b.name.startswith(("l1", "boxqp"))])
+def test_catalog_pattern_instances_step_affine(name, catalog):
+    # from the zero start every l1 and box catalog instance settles its
+    # pattern within a few iterations and takes the affine step from there
+    bundle = next(b for b in catalog if b.name == name)
+    cfg = g.default_config(bundle.problem, max_iters=2000, tol=-1.0)
+    trace = g.solve(bundle.problem, cfg, w_star=bundle.w_star)
+    assert trace.step_path == "affine" and trace.affine_iters >= 1990, trace.affine_iters
+    assert trace.affine_rows[-1] and trace.operators_built <= len(trace.pattern_misses) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +989,14 @@ def _box_bundles():
 
 @pytest.mark.parametrize("bundle", _box_bundles(), ids=lambda b: b.name)
 def test_solve_bit_identical_to_reference_oracle(bundle, monkeypatch):
+    # C9 on the sweep, where every iteration calls the enumeration; the
+    # piecewise step keeps the equivalence contract with it
     cfg = g.default_config(bundle.problem, max_iters=2000, tol=1e-10)
     mats = g.assemble(bundle.problem, cfg)
+    piecewise = g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats)
+    _sweep_only(monkeypatch)
     fast = g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats)
+    _assert_piecewise_contract(piecewise, fast, mats, bundle.w_star)
     monkeypatch.setattr(engine, "prox_solve", reference_prox_solve)
     ref = g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats)
     assert len(fast.records) == len(ref.records)

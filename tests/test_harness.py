@@ -314,13 +314,20 @@ def test_cmd_run_region_policy_gate(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("name, path", [("qp1", "affine"), ("l1-1d", "sweep"), ("boxqp-1d", "sweep")])
-def test_report_names_the_step_path(capsys, name, path):
+@pytest.mark.parametrize("name, first", [("qp1", "affine"), ("l1-1d", "sweep"), ("boxqp-1d", "sweep")])
+def test_report_names_the_step_path(capsys, name, first):
+    # an all-free instance steps on the affine map from the first iteration;
+    # an l1 or box one starts on the sweep, and takes the affine step once
+    # its pattern has held for two iterations
     assert main(["report", "--generator", name]) == 0
     report = dict(ln.split(" ", 1) for ln in capsys.readouterr().out.splitlines())
-    assert report["step_path"] == path
+    assert report["step_path"] == "affine"
     assert "step_fallback" not in report
-    assert float(report["time.step_s"]) > 0.0 and float(report["time.certify_s"]) > 0.0
+    sweep_iters = g.engine.HOLD_ITERS if first == "sweep" else 0
+    assert int(report["affine_iters"]) == int(report["iterations"]) - sweep_iters
+    assert (report["pattern_misses"], report["operators_built"]) == ("0", "1")
+    for key in ("time.assemble_s", "time.step_s", "time.certify_s", "time.verdict_s"):
+        assert float(report[key]) > 0.0, key
 
 
 def test_report_says_why_the_affine_step_fell_back(capsys, monkeypatch):
@@ -352,7 +359,9 @@ def test_report_has_one_oracle_line_per_constrained_block(capsys):
     fields = dict(kv.split("=") for kv in oracle["oracle.x0"].split())
     assert fields["set"] == "box" and fields["dim"] == "2"
     assert int(fields["calls"]) == iterations
-    assert int(fields["patterns"]) >= iterations
+    # only the sweep's iterations enumerate patterns, at least one each
+    sweep_iters = iterations - int(report["affine_iters"])
+    assert 0 < sweep_iters < iterations and int(fields["patterns"]) >= sweep_iters
     assert fields["loose_tier"] == "0"
 
 

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -286,3 +287,58 @@ def test_oracle_counters():
     free = ProxKernel(Quadratic(np.eye(2), np.zeros(2)), Free(), np.eye(2), 1.0)
     prox_solve(free, np.ones(2))
     assert (free.stats.calls, free.stats.patterns) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Answers on a held pattern
+# ---------------------------------------------------------------------------
+
+def _on_pattern(kernel, pattern, U):
+    """The kernel's affine answers and test rows on the pattern at each row of U."""
+    L, V = kernel.affine(pattern)
+    return U @ L[:, :-1].T + L[:, -1], U @ V[:, :-1].T + V[:, -1]
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "quadratic-free"])
+def test_pattern_test_agrees_with_the_oracle(family):
+    # every pattern of random kernels at many points u: an answer that
+    # `holds` accepts passes the scalar KKT test at tier 1e-9 (box) or has
+    # the closed form's signs and value (l1); a box answer that passes with
+    # a margin wider than the guard band is accepted, and so are the l1
+    # closed form's own signs
+    rng = np.random.default_rng(17)
+    accepted = 0
+    for _ in range(4):
+        q = random_query(family, rng, dim=3)
+        kernel = ProxKernel(q.objective, q.set, q.A, q.rho)
+        U = rng.standard_normal((300, 3)) * rng.uniform(0.1, 10.0, (300, 1))
+        l1 = isinstance(q.objective, L1)
+        states = [(-1, 0, 1) if l1 and isinstance(q.set, Free) else (0, 1) if l1 else tuple(s)
+                  for s in getattr(kernel._table, "states", [None] * 3)]
+        for pattern in map(np.array, itertools.product(*states)):
+            pattern = pattern.astype(np.int8)
+            Z, V = _on_pattern(kernel, pattern, U)
+            held = kernel.holds(pattern, Z, V)
+            accepted += int(held.sum())
+            for u, z, ok in zip(U, Z, held):
+                if l1:
+                    closed = kernel._solve(u)
+                    same = np.array_equal(np.sign(closed), pattern)
+                    assert not ok or (same and np.abs(z - closed).max() <= 1e-12 * (1 + np.abs(u).max()))
+                    continue
+                lo, hi = oracles.bounds(q.set, 3)
+                geff = oracles._geff(kernel, u)
+                assert not ok or oracles._kkt_ok(kernel._Heff, geff, lo, hi, pattern, z, oracles.KKT_TIERS[0])
+                inner = oracles.KKT_TIERS[0] - 4 * oracles.GUARD_REL
+                assert ok or not oracles._kkt_ok(kernel._Heff, geff, lo, hi, pattern, z, inner)
+        if l1:  # the closed form's own signs hold (no margin here falls in the band)
+            for u in U:
+                pattern = kernel.pattern(prox_solve(kernel, u))
+                assert kernel.holds(pattern, *_on_pattern(kernel, pattern, u[None]))[0]
+            # at u/alpha = thresh + eps the positive pattern holds exactly when eps clears the band
+            alpha, thresh = q.A[0, 0], kernel._thresh
+            for eps in np.concatenate((-np.logspace(-14, -2, 7), np.logspace(-10, -2, 5))):
+                u = np.full(3, alpha * (thresh + eps))
+                pattern = np.ones(3, dtype=np.int8)
+                assert kernel.holds(pattern, *_on_pattern(kernel, pattern, u[None]))[0] == (eps > 0), eps
+    assert accepted > 0
