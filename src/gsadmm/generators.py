@@ -340,7 +340,14 @@ def _enumerate_box(problem: BlockProblem, margin: float = PATTERN_MARGIN) -> Ite
     """Reference point by enumerating lower/interior/upper patterns of every
     boxed component; free components stay interior. Multiplier signs and
     interior positions must clear the strict margin; exactly one pattern may
-    pass."""
+    pass.
+
+    A pattern's KKT matrix depends only on which components are active, so
+    each active mask is built and conditioned once, and the right-hand sides
+    of all its patterns go through one stacked solve. Every product keeps the
+    form of a one-pattern-at-a-time solve (`tests/gridsearch.py`), so w* has
+    the same bits.
+    """
     blocks = problem.x_blocks + problem.y_blocks
     P, r = _stack_dims(problem)
     total = r.shape[0]
@@ -357,58 +364,61 @@ def _enumerate_box(problem: BlockProblem, margin: float = PATTERN_MARGIN) -> Ite
     if boxed.size > PATTERN_DIM_CAP:
         raise PatternExplosion(f"boxed dimension {boxed.size} exceeds cap {PATTERN_DIM_CAP}")
 
+    # one row per pattern: 0 interior, 1 at lo, 2 at hi; infinite bounds
+    # cannot be active
+    digits = np.arange(3 ** boxed.size)[:, None] // 3 ** np.arange(boxed.size) % 3
+    digits = digits[~((digits == 1) & ~np.isfinite(lo[boxed])
+                      | (digits == 2) & ~np.isfinite(hi[boxed])).any(axis=1)]
+    states = np.zeros((digits.shape[0], total), dtype=int)
+    states[:, boxed] = digits
+    U = np.where(states == 1, np.where(np.isfinite(lo), lo, 0.0),
+                 np.where(states == 2, np.where(np.isfinite(hi), hi, 0.0), 0.0))
+    masks = (digits != 0) @ (1 << np.arange(boxed.size))
+
     accepted = []
-    for code in range(3 ** boxed.size):
-        state = np.zeros(total, dtype=int)  # 0 interior, 1 at lo, 2 at hi
-        cc = code
-        usable = True
-        for t, comp in enumerate(boxed):
-            st = cc % 3
-            cc //= 3
-            if st == 1 and not np.isfinite(lo[comp]):
-                usable = False
-                break
-            if st == 2 and not np.isfinite(hi[comp]):
-                usable = False
-                break
-            state[comp] = st
-        if not usable:
-            continue
-        active = state != 0
+    for mask in range(1 << boxed.size):  # every boxed component has a finite bound
+        rows = masks == mask
+        state, u = states[rows], U[rows]
+        active = state[0] != 0
         free = ~active
         nf = int(free.sum())
-        u = np.where(state == 1, np.where(np.isfinite(lo), lo, 0.0),
-                     np.where(state == 2, np.where(np.isfinite(hi), hi, 0.0), 0.0))
         # unknowns: u_free, lambda; equations: free stationarity + constraint
         size = nf + n
         K = np.zeros((size, size))
-        rhs = np.zeros(size)
         K[:nf, :nf] = P[np.ix_(free, free)]
         K[:nf, nf:] = -C.T[free]
-        rhs[:nf] = -r[free] - P[np.ix_(free, active)] @ u[active]
         K[nf:, :nf] = C[:, free]
-        rhs[nf:] = problem.c - C[:, active] @ u[active]
         try:
             if np.linalg.cond(K) > KKT_COND_CAP:
                 continue
-            sol = np.linalg.solve(K, rhs)
         except np.linalg.LinAlgError:
             continue
-        u[free] = sol[:nf]
-        lam = sol[nf:]
-        grad = P @ u + r - C.T @ lam
-        scale = 1.0 + float(np.abs(u).max(initial=0.0)) + float(np.abs(grad).max(initial=0.0))
-        eps = margin * scale
-        if np.any(u[free] < lo[free] + eps) or np.any(u[free] > hi[free] - eps):
+        P_fa, C_a = P[np.ix_(free, active)], C[:, active]
+        rhs = np.empty((u.shape[0], size))
+        for rhs_row, u_row in zip(rhs, u):
+            # 1-d products on a fresh contiguous u[active], as a one-pattern
+            # solve forms them: stacked products change the last bit of w*
+            u_act = u_row[active]
+            rhs_row[:nf] = -r[free] - P_fa @ u_act
+            rhs_row[nf:] = problem.c - C_a @ u_act
+        try:
+            # K's LU is the same for every row, so all rows solve or none do
+            sol = np.linalg.solve(K, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
             continue
-        if np.any(grad[state == 1] < eps) or np.any(grad[state == 2] > -eps):
-            continue
-        accepted.append(Iterate.from_stack(problem, np.concatenate([u, lam])))
-        if len(accepted) > 1:
-            raise NonUniqueSolution("two bound patterns pass the strict filter")
+        u[:, free] = sol[:, :nf]
+        lam = sol[:, nf:]
+        grad = np.matmul(P, u[:, :, None])[:, :, 0] + r - np.matmul(C.T, lam[:, :, None])[:, :, 0]
+        scale = 1.0 + np.abs(u).max(axis=1, initial=0.0) + np.abs(grad).max(axis=1, initial=0.0)
+        eps = (margin * scale)[:, None]
+        reject = ((u[:, free] < lo[free] + eps) | (u[:, free] > hi[free] - eps)).any(axis=1)
+        reject |= ((state == 1) & (grad < eps) | (state == 2) & (grad > -eps)).any(axis=1)
+        accepted += [np.concatenate([u_ok, lam_ok]) for u_ok, lam_ok in zip(u[~reject], lam[~reject])]
+    if len(accepted) > 1:
+        raise NonUniqueSolution("two bound patterns pass the strict filter")
     if not accepted:
         raise DegenerateInstance("no bound pattern passes the strict filter")
-    return accepted[0]
+    return Iterate.from_stack(problem, accepted[0])
 
 
 def gen_box_qp(p: int, q: int, x_dims, y_dims, n: int, seed: int) -> InstanceBundle:

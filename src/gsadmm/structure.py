@@ -13,6 +13,10 @@ every convergence diagnostic:
           (tau+s) I); invertible iff tau + s != 0
     G   : Q + Q' - M'Q, symmetric positive definite on the triangle region
     H   : Q M^{-1}, symmetric positive definite on the triangle region
+    xi  : smallest eigenvalue of the pencil (G, M'HM) in region D, nan outside
+          it or when M'HM is not positive definite; computed with numpy by
+          the Cholesky reduction LAPACK's sygvd makes: with M'HM = L L', the
+          smallest eigenvalue of L^{-1} G L^{-T} (`pencil_min_eig`)
 
 All matrices are dense double precision; instances are desk scale.
 """
@@ -21,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import BlockProblem, SolverConfig, in_region_D
 
@@ -61,8 +64,20 @@ def build_Qtilde(problem: BlockProblem, beta: float, sigma2: float, tau: float) 
     return out
 
 
+def _block_diag(*mats: np.ndarray) -> np.ndarray:
+    """Square matrices along the diagonal of a zero matrix."""
+    size = sum(mat.shape[0] for mat in mats)
+    out = np.zeros((size, size))
+    at = 0
+    for mat in mats:
+        k = mat.shape[0]
+        out[at:at + k, at:at + k] = mat
+        at += k
+    return out
+
+
 def build_Q(Hx: np.ndarray, Qtilde: np.ndarray) -> np.ndarray:
-    return scipy.linalg.block_diag(Hx, Qtilde)
+    return _block_diag(Hx, Qtilde)
 
 
 def build_M(problem: BlockProblem, beta: float, tau: float, s: float) -> np.ndarray:
@@ -105,7 +120,7 @@ def build_G_closed(problem: BlockProblem, beta: float, sigma1: float,
         Gt[offs[j]:offs[j + 1], -n:] = (s - 1.0) * bj.A.T
         Gt[-n:, offs[j]:offs[j + 1]] = (s - 1.0) * bj.A
     Gt[-n:, -n:] = (2.0 - tau - s) / beta * np.eye(n)
-    return scipy.linalg.block_diag(Hx, Gt)
+    return _block_diag(Hx, Gt)
 
 
 def m_inverse_closed(problem: BlockProblem, beta: float, tau: float, s: float) -> np.ndarray:
@@ -186,6 +201,20 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def pencil_min_eig(A: np.ndarray, B: np.ndarray) -> float:
+    """Smallest eigenvalue of the symmetric-definite pencil (A, B), by the
+    Cholesky reduction LAPACK's sygvd makes: with B = L L', the smallest
+    eigenvalue of L^{-1} A L^{-T}. nan when B is not positive definite or
+    an entry of A or B is not finite."""
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        return float("nan")
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(B))
+        return float(np.linalg.eigvalsh(L_inv @ A @ L_inv.T).min())
+    except np.linalg.LinAlgError:
+        return float("nan")
+
+
 def assemble(problem: BlockProblem, config: SolverConfig) -> StructuralMatrices:
     """Build every structural matrix and its spectral summary for a config."""
     beta, tau, s = config.beta, config.tau, config.s
@@ -201,17 +230,12 @@ def assemble(problem: BlockProblem, config: SolverConfig) -> StructuralMatrices:
     lambda_min_G = float(np.linalg.eigvalsh(G_s).min())
     lambda_min_H = float(np.linalg.eigvalsh(_symmetrize(H)).min())
     lambda_max_MTHM = float(np.linalg.eigvalsh(MTHM).max())
-    xi = float("nan")
-    if in_region_D(tau, s):
-        try:
-            xi = float(scipy.linalg.eigh(G_s, MTHM, eigvals_only=True).min())
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-            xi = float("nan")
     return StructuralMatrices(
         Hx=Hx, Qtilde=Qt, Q=Q, M=M, G=G, H=H,
         beta=beta, tau=tau, s=s, sigma1=config.sigma1, sigma2=config.sigma2,
         lambda_min_G=lambda_min_G, lambda_min_H=lambda_min_H,
-        lambda_max_MTHM=lambda_max_MTHM, xi=xi,
+        lambda_max_MTHM=lambda_max_MTHM,
+        xi=pencil_min_eig(G_s, MTHM) if in_region_D(tau, s) else float("nan"),
     )
 
 

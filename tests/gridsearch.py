@@ -8,7 +8,8 @@ coordinate stage globally convergent, so the pair (grid, polish) cannot be
 trapped away from the unique minimizer.
 
 `reference_prox_solve` is the plain one-pattern-at-a-time enumeration that
-the batched box/nonnegative oracle must reproduce bit for bit.
+the batched box/nonnegative oracle must reproduce bit for bit, and
+`reference_enumerate_box` the one that `generators._enumerate_box` must.
 
 A `ProxQuery` is one proximal subproblem with its point u; `solve_query`
 solves it through a `ProxKernel` built for it, and `optimality_residual`
@@ -19,7 +20,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gsadmm.model import BOX_ENUM_CAP, L1, Box, FeasibleSet, Free, Linear, Nonnegative, Objective, Quadratic
+from gsadmm.generators import (
+    KKT_COND_CAP,
+    PATTERN_DIM_CAP,
+    PATTERN_MARGIN,
+    DegenerateInstance,
+    NonUniqueSolution,
+    PatternExplosion,
+    _stack_dims,
+)
+from gsadmm.model import (
+    BOX_ENUM_CAP,
+    L1,
+    BlockProblem,
+    Box,
+    FeasibleSet,
+    Free,
+    Iterate,
+    Linear,
+    Nonnegative,
+    Objective,
+    Quadratic,
+)
 from gsadmm.oracles import (
     ProxKernel,
     Unbounded,
@@ -246,6 +268,81 @@ def reference_prox_solve(query, u=None) -> np.ndarray:
         Heff = Heff + obj.P
     geff = geff + obj.r
     return reference_bound_quadratic(Heff, geff, *bounds(fset, A.shape[1]))
+
+
+def reference_enumerate_box(problem: BlockProblem, margin: float = PATTERN_MARGIN) -> Iterate:
+    """`generators._enumerate_box` one pattern at a time: for each pattern
+    code in turn, build and condition its KKT matrix, solve, and filter. The
+    mask-grouped enumeration must return the same bytes or raise the same
+    exception type."""
+    blocks = problem.x_blocks + problem.y_blocks
+    P, r = _stack_dims(problem)
+    total = r.shape[0]
+    C = np.hstack([b.A for b in blocks])
+    n = problem.n
+
+    lo = np.full(total, -np.inf)
+    hi = np.full(total, np.inf)
+    for blk, sl in zip(blocks, problem.block_slices):
+        if isinstance(blk.set, Box):
+            lo[sl] = blk.set.lo
+            hi[sl] = blk.set.hi
+    boxed = np.flatnonzero(np.isfinite(lo) | np.isfinite(hi))
+    if boxed.size > PATTERN_DIM_CAP:
+        raise PatternExplosion(f"boxed dimension {boxed.size} exceeds cap {PATTERN_DIM_CAP}")
+
+    accepted = []
+    for code in range(3 ** boxed.size):
+        state = np.zeros(total, dtype=int)  # 0 interior, 1 at lo, 2 at hi
+        cc = code
+        usable = True
+        for t, comp in enumerate(boxed):
+            st = cc % 3
+            cc //= 3
+            if st == 1 and not np.isfinite(lo[comp]):
+                usable = False
+                break
+            if st == 2 and not np.isfinite(hi[comp]):
+                usable = False
+                break
+            state[comp] = st
+        if not usable:
+            continue
+        active = state != 0
+        free = ~active
+        nf = int(free.sum())
+        u = np.where(state == 1, np.where(np.isfinite(lo), lo, 0.0),
+                     np.where(state == 2, np.where(np.isfinite(hi), hi, 0.0), 0.0))
+        # unknowns: u_free, lambda; equations: free stationarity + constraint
+        size = nf + n
+        K = np.zeros((size, size))
+        rhs = np.zeros(size)
+        K[:nf, :nf] = P[np.ix_(free, free)]
+        K[:nf, nf:] = -C.T[free]
+        rhs[:nf] = -r[free] - P[np.ix_(free, active)] @ u[active]
+        K[nf:, :nf] = C[:, free]
+        rhs[nf:] = problem.c - C[:, active] @ u[active]
+        try:
+            if np.linalg.cond(K) > KKT_COND_CAP:
+                continue
+            sol = np.linalg.solve(K, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        u[free] = sol[:nf]
+        lam = sol[nf:]
+        grad = P @ u + r - C.T @ lam
+        scale = 1.0 + float(np.abs(u).max(initial=0.0)) + float(np.abs(grad).max(initial=0.0))
+        eps = margin * scale
+        if np.any(u[free] < lo[free] + eps) or np.any(u[free] > hi[free] - eps):
+            continue
+        if np.any(grad[state == 1] < eps) or np.any(grad[state == 2] > -eps):
+            continue
+        accepted.append(Iterate.from_stack(problem, np.concatenate([u, lam])))
+        if len(accepted) > 1:
+            raise NonUniqueSolution("two bound patterns pass the strict filter")
+    if not accepted:
+        raise DegenerateInstance("no bound pattern passes the strict filter")
+    return accepted[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gridsearch import reference_enumerate_box
 from gsadmm import generators
 from gsadmm.generators import SplitMix64
 from gsadmm.model import Block, BlockProblem, Box, Free, L1, Quadratic
@@ -146,6 +147,75 @@ def test_boxqp_generated_instance():
     bundle = generators.gen_box_qp(1, 1, [2], [2], 2, seed=11)
     assert bundle.kkt_residual() <= 1e-10
     assert bundle.certificate == "unique-active-set"
+
+
+def _enumeration_outcome(enumerate_box, problem, margin):
+    """The bytes of w*, or the name of the exception the enumeration raised."""
+    try:
+        return enumerate_box(problem, margin).stack().tobytes()
+    except (generators.DegenerateInstance, generators.NonUniqueSolution) as exc:
+        return type(exc).__name__
+
+
+def _generated_box_problems(monkeypatch, shape, seeds):
+    """The problem gen_box_qp hands to the enumeration, for each seed."""
+    problems = []
+    enumerate_box = generators._enumerate_box
+
+    def capture(problem, margin=generators.PATTERN_MARGIN):
+        problems.append(problem)
+        return enumerate_box(problem, margin)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(generators, "_enumerate_box", capture)
+        for seed in seeds:
+            try:
+                generators.gen_box_qp(*shape, seed=seed)
+            except (generators.DegenerateInstance, generators.NonUniqueSolution):
+                pass
+    assert len(problems) == len(seeds)
+    return problems
+
+
+def _box_problem(lo, hi, c=2.0, r=0.0):
+    """min x^2 + y^2 + r x s.t. x + y = c, x in [lo, hi]."""
+    return BlockProblem(
+        (Block(Quadratic([[2.0]], [r]), [[1.0]], Box([lo], [hi])),),
+        (Block(Quadratic([[2.0]], [0.0]), [[1.0]], Free()),),
+        [c],
+    )
+
+
+@pytest.mark.parametrize("shape, seeds", [
+    ((1, 1, [5], [3], 5), range(1, 41)),
+    ((1, 1, [3], [2], 3), range(1, 31)),
+    ((2, 1, [3, 2], [2], 4), range(1, 16)),
+    # three equality rows and two unknowns: every KKT matrix is singular
+    ((1, 1, [1], [1], 3), range(1, 4)),
+])
+def test_enumerate_box_matches_one_pattern_at_a_time(monkeypatch, shape, seeds):
+    for problem in _generated_box_problems(monkeypatch, shape, list(seeds)):
+        for margin in (generators.PATTERN_MARGIN, -1e-6):
+            assert _enumeration_outcome(generators._enumerate_box, problem, margin) == \
+                _enumeration_outcome(reference_enumerate_box, problem, margin), (shape, margin)
+
+
+def test_enumerate_box_matches_one_pattern_at_a_time_on_hand_problems(catalog):
+    problems = [b.problem for b in catalog if b.name.startswith("boxqp")]
+    problems += [
+        generators.boxqp_1d().problem,
+        _box_problem(-np.inf, np.inf),      # every bound infinite
+        _box_problem(0.0, np.inf, r=10.0),  # half-infinite, active at lo
+        _box_problem(-np.inf, 0.3),         # half-infinite, active at hi
+        _box_problem(0.0, 1.0, c=0.0),      # x = 0 at lo with a zero multiplier
+    ]
+    outcomes = set()
+    for problem in problems:
+        for margin in (generators.PATTERN_MARGIN, -1e-6):
+            new = _enumeration_outcome(generators._enumerate_box, problem, margin)
+            assert new == _enumeration_outcome(reference_enumerate_box, problem, margin)
+            outcomes.add(new if isinstance(new, str) else "w*")
+    assert outcomes == {"w*", "DegenerateInstance", "NonUniqueSolution"}
 
 
 def test_catalog_size_and_names(catalog):

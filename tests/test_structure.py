@@ -1,8 +1,16 @@
+import dataclasses
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gsadmm as g
-from gsadmm import structure
+from gsadmm import generators, structure
 from gsadmm.model import Block, BlockProblem, Free, Quadratic, SolverConfig
 
 
@@ -201,7 +209,6 @@ def test_xi_bounds_g_norm_against_mthm_norm(golden):
 
 def test_xi_extremal_vector_attains_equality(golden):
     _, _, mats = golden
-    import scipy.linalg
     mthm = 0.5 * (mats.M.T @ mats.H @ mats.M + (mats.M.T @ mats.H @ mats.M).T)
     g_sym = 0.5 * (mats.G + mats.G.T)
     vals, vecs = scipy.linalg.eigh(g_sym, mthm)
@@ -219,7 +226,6 @@ def test_xi_is_one_when_m_identity_and_q_symmetric():
     h_mat = structure.build_H(q_mat, m_mat, tau=0.5, s=0.5)
     assert np.allclose(g_mat, q_mat, atol=1e-15)
     assert np.allclose(h_mat, q_mat, atol=1e-15)
-    import scipy.linalg
     vals = scipy.linalg.eigh(g_mat, m_mat.T @ h_mat @ m_mat, eigvals_only=True)
     assert vals.min() == pytest.approx(1.0, rel=1e-12)
 
@@ -232,3 +238,75 @@ def test_spectral_summary_fields(golden):
     assert summary["lambda_min_H"] == pytest.approx(0.5, abs=1e-12)
     assert summary["xi"] > 0
 
+
+# ---------------------------------------------------------------------------
+# xi without scipy: scipy.linalg.eigh stays the independent reference
+# ---------------------------------------------------------------------------
+
+def _pencil(mats):
+    """(G_s, M'HM) exactly as assemble symmetrizes them."""
+    mthm = mats.M.T @ mats.H @ mats.M
+    return 0.5 * (mats.G + mats.G.T), 0.5 * (mthm + mthm.T)
+
+
+def _grid_configs(bundle, count):
+    base = generators.default_config(bundle.problem)
+    for tau, s in itertools.product(np.linspace(-1.5, 1.5, count), repeat=2):
+        yield bundle.problem, dataclasses.replace(base, tau=float(tau), s=float(s))
+
+
+def test_xi_matches_scipy_generalized_eigh(catalog):
+    """The catalog, the box-enum instances, the atlas grid and the qp1 grid."""
+    cases = [(b.problem, generators.default_config(b.problem)) for b in catalog]
+    for seed in range(1, 11):
+        bundle = generators.gen_box_qp(1, 1, [5], [3], 5, seed=seed)
+        cases.append((bundle.problem, generators.default_config(bundle.problem)))
+    cases += _grid_configs(generators.gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42), 11)
+    cases += _grid_configs(generators.qp1(), 21)
+    compared = 0
+    for problem, config in cases:
+        try:
+            mats = structure.assemble(problem, config)
+        except structure.SingularM:
+            continue
+        if not mats.in_D:
+            assert np.isnan(mats.xi)
+            continue
+        ref = float(scipy.linalg.eigh(*_pencil(mats), eigvals_only=True).min())
+        assert abs(mats.xi - ref) <= 1e-12 * abs(ref), (config.tau, config.s, mats.xi, ref)
+        compared += 1
+    assert compared == 13 + 10 + 21 + 78
+
+
+def test_xi_is_nan_where_scipy_gave_none(golden):
+    # M'HM not positive definite: sigma1 = 0 with p = 2 makes Hx, hence H, indefinite
+    bundle = generators.gen_quadratic(2, 1, [2, 2], [3], 3, seed=5)
+    mats = structure.assemble(bundle.problem, SolverConfig(beta=1.0, tau=0.3, s=0.4, sigma1=0.0, sigma2=0.5))
+    assert mats.in_D and np.isnan(mats.xi)
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.eigh(*_pencil(mats), eigvals_only=True)
+    # non-finite entries, which scipy refused with ValueError
+    for bad, which in itertools.product((np.inf, -np.inf, np.nan), (0, 1)):
+        pencil = [mat.copy() for mat in _pencil(golden[2])]
+        pencil[which][0, 0] = bad
+        assert np.isnan(structure.pencil_min_eig(*pencil))
+        with pytest.raises(ValueError):
+            scipy.linalg.eigh(*pencil, eigvals_only=True)
+    # outside region D
+    problem = golden[0]
+    assert np.isnan(structure.assemble(problem, dataclasses.replace(GOLDEN_CONFIG, tau=1.2)).xi)
+
+
+def test_import_and_assemble_load_no_scipy():
+    code = (
+        "import sys\n"
+        "import gsadmm, gsadmm.harness.cli\n"
+        "bundle = gsadmm.generators.qp1()\n"
+        "gsadmm.structure.assemble(bundle.problem, gsadmm.default_config(bundle.problem))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(g.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
