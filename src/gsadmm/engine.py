@@ -68,6 +68,18 @@ The affine step learns a chunk's residuals and pattern tests only after
 stepping it: rows past convergence, past a handover or past a miss are
 discarded, and their floating-point events with them.
 `Trace.records` builds each `IterationRecord` on access.
+
+A run forced past convergence reaches the roundoff floor long before its
+cap, and there the affine step starts to reproduce its own input. After an
+affine chunk lo .. hi - 1 that kept every row, met neither the tolerance
+nor a floating-point event and ends before the cap, `_repeat` looks for the
+last w_j of the chunk with the bits of w_hi. The step, the pattern test, D
+and `certify` read only w_k and the row of w_{k+1}, so the run is periodic
+from there with period p = hi - j: row t > hi is row j + 1 + (t - j - 1) % p,
+and the record scalars of iteration k >= hi are those of iteration
+j + (k - j) % p. The rest of the run is copied from those rows, bit for bit
+what stepping it would write, and counted as affine iterations and oracle
+calls; `Trace.repeat` is (j, p).
 """
 from __future__ import annotations
 
@@ -103,7 +115,7 @@ class NonFiniteIterate(RuntimeError):
     """NaN or infinity in an iterate; bad conditioning or an invalid config."""
 
 
-# An all-free solve whose iterate grows past this hands over to the sweep, so
+# An affine solve whose iterate grows past this hands over to the sweep, so
 # that a diverging run overflows at the iteration where the sweep's own
 # arithmetic does.
 HANDOVER_MAX = 1e300
@@ -154,6 +166,7 @@ class Trace:
     affine_rows: np.ndarray | None = None  # whether each iteration took the affine step
     pattern_misses: tuple[int, ...] = ()   # iterations whose affine row failed its pattern
     operators_built: int = 0  # step operators built, passed or not
+    repeat: tuple[int, int] | None = None  # (j, period) when w_{j+period} repeated w_j and the rest was copied
 
     @property
     def affine_iters(self) -> int:
@@ -527,6 +540,15 @@ def _replay(plan: Plan, op: StepOperator | None, rows: np.ndarray, lo: int, end:
         plan.misses(op, rows[end + 1:end + 2])
 
 
+def _repeat(rows: np.ndarray, N: int, lo: int, hi: int) -> int | None:
+    """The last j in lo .. hi - 1 whose iterate w_j has the bits of w_hi, or
+    None. Each iterate is compared as one string of bytes, so -0.0 and 0.0
+    differ."""
+    w = rows[lo:hi + 1, :N].view(f"V{rows.itemsize * N}")[:, 0]
+    match = np.flatnonzero(w[:-1] == w[-1])
+    return lo + int(match[-1]) if len(match) else None
+
+
 def _affine_chunk(plan: Plan, op: StepOperator, rows: np.ndarray, scalars: np.ndarray, lo: int, hi: int):
     """Iterations lo .. hi - 1 on the affine step, each one `K @ w_k + k0`
     into its solve row; then the d vectors and the record scalars
@@ -565,7 +587,10 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     (see the module docstring). A floating-point event in a kept row raises
     or warns under the caller's errstate as the per-iteration order meets it
     (`_caught`, `_replay`); the trace records the seconds spent stepping and
-    certifying, and which iterations took the affine step.
+    certifying, and which iterations took the affine step. Once an affine
+    iterate repeats an earlier one of its chunk bit for bit, the rest of the
+    run is copied from the cycle instead of stepped (`Trace.repeat`); the
+    search and the copy count in `certify_s`.
     """
     if validate:
         report = validate_problem(problem)
@@ -588,7 +613,7 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     rows[0, :N] = initial_point(problem, w0).stack()
     op = None if plan.patterned else plan.operator(())  # the empty pattern holds from the start
     state = None if op else plan.start(rows[0, :N])
-    termination, count, fallback, handed_over = ITERATION_CAP, 0, None, False
+    termination, count, fallback, handed_over, repeat = ITERATION_CAP, 0, None, False, None
     misses, held, run = [], None, 0  # the sweep's last pattern and for how many iterations it held
     step_s = certify_s = 0.0
     while count < config.max_iters and termination == ITERATION_CAP:
@@ -604,6 +629,15 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
             left = ("handover" if past else "miss") if end < hi and not len(done) else None
             if events:  # iteration `end`, if it left, goes to the sweep
                 _replay(plan, op, rows, lo, end, left)
+            elif end == hi < config.max_iters and not len(done) and (j := _repeat(rows, N, lo, hi)) is not None:
+                # w_hi = w_j, so iteration k >= hi repeats iteration src and row k + 1 is row src + 1
+                end, repeat = config.max_iters, (j, hi - j)
+                if cap < end:
+                    cap = end
+                    rows, scalars, affine = _grown(rows, cap + 1), _grown(scalars, cap), _grown(affine, cap)
+                src = j + (np.arange(hi, end) - j) % (hi - j)
+                rows[hi + 1:end + 1] = rows[src + 1]
+                scalars[hi:end] = scalars[src]
             affine[lo:end] = True
             for kernel in kernels[0] + kernels[1]:  # one oracle call per block and iteration, as on the sweep
                 kernel.stats.calls += end - lo
@@ -651,4 +685,4 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
                  columns=dict(zip(RECORD_SCALARS + ("residual",), table)),
                  step_path="affine" if passed else "sweep", step_fallback=fallback or plan.fallback,
                  step_s=step_s, certify_s=certify_s, affine_rows=arrays[3], pattern_misses=tuple(misses),
-                 operators_built=len(plan.operators))
+                 operators_built=len(plan.operators), repeat=repeat)

@@ -325,6 +325,7 @@ def report_entries(trace: Trace, spectra: dict | None = None,
     entries["affine_iters"] = trace.affine_iters
     entries["pattern_misses"] = len(trace.pattern_misses)
     entries["operators_built"] = trace.operators_built
+    entries["repeat_from"], entries["repeat_period"] = trace.repeat or (-1, 0)
     if assemble_s is not None:
         entries["time.assemble_s"] = assemble_s
     entries["time.step_s"] = trace.step_s

@@ -436,6 +436,8 @@ def test_solve_bit_identical_to_per_row_reference(case, catalog):
     cfg = g.default_config(bundle.problem, **overrides)
     fast, ref = _against_per_row(bundle.problem, cfg, bundle.w_star if with_w_star else None)
     _assert_same_run(fast, ref)
+    # only the forced runs long enough to reach their cycle copy its rows
+    assert (fast.repeat is not None) == (case.endswith("-forced") or case == "l1")
     if case.endswith("-tol"):
         assert ref.termination == engine.CONVERGED and len(ref.predictions) % engine.CHUNK
     if with_w_star and cfg.max_iters:
@@ -445,7 +447,7 @@ def test_solve_bit_identical_to_per_row_reference(case, catalog):
 
 
 def test_solve_bit_identical_to_per_row_reference_on_atlas():
-    bundle, solved = g.gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42), 0
+    bundle, solved, filled = g.gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42), 0, []
     for tau in np.linspace(-1.5, 1.5, 11):
         for s in np.linspace(-1.5, 1.5, 11):
             cfg = g.default_config(bundle.problem, tau=float(tau), s=float(s), region_policy="G")
@@ -453,9 +455,15 @@ def test_solve_bit_identical_to_per_row_reference_on_atlas():
                 g.assemble(bundle.problem, cfg)
             except g.SingularM:
                 continue
-            _assert_same_run(*_against_per_row(bundle.problem, cfg, bundle.w_star))
+            fast, ref = _against_per_row(bundle.problem, cfg, bundle.w_star)
+            _assert_same_run(fast, ref)
+            if not isinstance(fast, Exception) and fast.repeat is not None:
+                filled.append((round(float(tau), 2), round(float(s), 2)))
             solved += 1
     assert solved == 116
+    # the one grid point whose iterate repeats: tau + s = 0 up to rounding, so
+    # the two dual updates cancel and the run stalls at residual 1.94
+    assert filled == [(-0.9, 0.9)]
 
 
 def test_handover_mid_chunk_matches_per_row_reference(qp1, monkeypatch):
@@ -469,6 +477,41 @@ def test_handover_mid_chunk_matches_per_row_reference(qp1, monkeypatch):
     k = int(ref.step_fallback.split("at iteration ")[1].split(";")[0])
     assert 0 < k < 300 and k % engine.CHUNK != 0
     assert [s.calls for s in fast.oracle_stats] == [300, 300]
+    assert fast.repeat is None
+
+
+def _cycle_entry(trace, period):
+    """The start of the trace's last run of affine iterations, and the first
+    iteration e from there on with w_e = w_{e+period} bit for bit."""
+    sweep = np.flatnonzero(~trace.affine_rows)
+    start = int(sweep[-1]) + 1 if len(sweep) else 0
+    bits = trace.iterates.view(np.uint64)
+    same = (bits[start:-period] == bits[start + period:]).all(axis=1)
+    assert same.any()
+    return start, start + int(np.argmax(same))
+
+
+@pytest.mark.parametrize("seed", [None, 3], ids=["zero", "seed3"])
+@pytest.mark.parametrize("name", [b.name for b in g.standard_catalog()])
+def test_repeat_fill_bit_identical_to_per_row_reference(name, seed, catalog, monkeypatch):
+    # every forced catalog run reaches an iterate that repeats an earlier one
+    # bit for bit, and the solve copies the rest of the run from that cycle;
+    # the per-row reference steps and certifies every row. With the chunk
+    # ending on the cycle's first repeated row, the rows j and j + 1 differ
+    # outside w, so a fill that starts from row j shows
+    bundle, w0 = _drawn_start(catalog, name, seed) if seed else (next(b for b in catalog if b.name == name), None)
+    cfg = g.default_config(bundle.problem, max_iters=2000, tol=-1.0)
+    mats = g.assemble(bundle.problem, cfg)
+    ref = reference_verdict.solve(bundle.problem, cfg, mats, w0=w0, w_star=bundle.w_star)
+    period = 7 if (name, seed) == ("quadratic-p2q2n3-s42", 3) else 1
+    start, entry = _cycle_entry(ref, period)
+    first = entry + period - start  # the chunk that ends on the first repeated row
+    for chunk, j in ((engine.CHUNK, None), (first, entry), (first + 1, entry + 1)):
+        monkeypatch.setattr(engine, "CHUNK", chunk)
+        fast = g.solve(bundle.problem, cfg, w0=w0, w_star=bundle.w_star, mats=mats)
+        _assert_same_run(fast, ref)
+        assert fast.repeat is not None and fast.repeat[1] == period, (chunk, fast.repeat)
+        assert j is None or fast.repeat[0] == j, (chunk, fast.repeat)
 
 
 @pytest.mark.parametrize("generator", ["qp1", "l1_1d"])
@@ -857,6 +900,7 @@ def test_pattern_misses_bit_identical_to_per_row_reference(case, catalog):
     fast, ref = _against_per_row(bundle.problem, g.default_config(bundle.problem, **overrides), bundle.w_star, w0)
     _assert_same_run(fast, ref)
     assert ref.pattern_misses
+    assert fast.repeat is None or fast.repeat[0] > ref.pattern_misses[-1]  # no copy reaches back past a miss
 
 
 @pytest.mark.parametrize("name", [b.name for b in g.standard_catalog() if b.name.startswith(("l1", "boxqp"))])

@@ -326,8 +326,18 @@ def test_report_names_the_step_path(capsys, name, first):
     sweep_iters = g.engine.HOLD_ITERS if first == "sweep" else 0
     assert int(report["affine_iters"]) == int(report["iterations"]) - sweep_iters
     assert (report["pattern_misses"], report["operators_built"]) == ("0", "1")
+    assert (report["repeat_from"], report["repeat_period"]) == ("-1", "0")  # converged before repeating
     for key in ("time.assemble_s", "time.step_s", "time.certify_s", "time.verdict_s"):
         assert float(report[key]) > 0.0, key
+
+
+def test_forced_report_names_the_repeat(capsys):
+    # forced past convergence, qp1 reaches a fixed point bit for bit; the
+    # report says where, and the rows after it were copied
+    assert main(["report", "--generator", "qp1", "--tol", "-1", "--max-iters", "2000"]) == 0
+    report = dict(ln.split(" ", 1) for ln in capsys.readouterr().out.splitlines())
+    assert (report["termination"], report["iterations"], report["affine_iters"]) == ("iteration-cap", "2000", "2000")
+    assert (report["repeat_from"], report["repeat_period"]) == ("127", "1")
 
 
 def test_report_says_why_the_affine_step_fell_back(capsys, monkeypatch):
