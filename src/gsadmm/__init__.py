@@ -25,7 +25,6 @@ from .diagnostics import (
 from .engine import (
     CONVERGED,
     ITERATION_CAP,
-    IterationRecord,
     NonFiniteIterate,
     Trace,
     solve,

@@ -70,14 +70,18 @@ def _running_max(values: np.ndarray, start: float) -> float:
 # ---------------------------------------------------------------------------
 
 def d_components(problem: BlockProblem, config: SolverConfig, delta: np.ndarray) -> np.ndarray:
-    """Stacked optimality-shift vector d of the predicted point w~ (x blocks,
-    then y blocks), from the stacked difference delta = w~ - w, or of each row
-    of a 2-d delta.
+    """Stacked d vector of the stopping rule, C6 and `theta_hat` (x blocks,
+    then y blocks), from the stacked difference delta = w~ - w, or of each
+    row of a 2-d delta.
 
     x components:  beta A_i' ((sigma1 - 1) sum_l A_l dx_l + A_i dx_i)
     y components:  (sigma2 + 1) beta B_j'B_j dy_j - tau B_j' dlam
     with dx, dy, dlam the block slices of delta; the subtraction is
     elementwise, so each slice has the bits of its per-block difference.
+    For p = 1 this is the optimality shift (Q delta)[:m] of w~; for p >= 2,
+    `structure`'s Q has -beta A_i'A_l off the x diagonal where this has
+    (sigma1 - 1) beta A_i'A_l, and max|d - (Q delta)[:m]| / max|d| over a
+    run is 0.17-0.47 on the p >= 2 catalog instances (ROADMAP item 2).
     One stacked product per batch (`BlockProblem.batches`) keeps those bits,
     also across the rows of a 2-d delta.
     """

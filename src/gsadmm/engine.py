@@ -59,27 +59,27 @@ fails.
 
 The loop only steps, CHUNK iterations at a time, each writing the solve row
 of w_{k+1} (the iterate, lambda~_k, r_k, the test rows and d_k; see `Plan`).
-After a chunk, one stacked pass (`certify`) forms every record scalar of its
-rows: the identity gap, the H/G quadratic forms, the slack from the
-H-distances of consecutive rows, the norms and the residual. Each stacked
+After a chunk, one stacked pass (`residuals`, `certify`) forms every record
+scalar of its rows: the identity gap, the H/G quadratic forms, the slack from
+the H-distances of consecutive rows, the norms and the residual. Each stacked
 product runs the BLAS kernel of its per-iteration form, so every value keeps
 the bits of the per-iteration certification in tests/reference_verdict.py.
 The affine step learns a chunk's residuals and pattern tests only after
-stepping it: rows past convergence, past a handover or past a miss are
-discarded, and their floating-point events with them.
-`Trace.records` builds each `IterationRecord` on access.
+stepping it, and discards the rows past convergence, a handover or a miss.
+Arithmetic on rows that may be discarded runs under np.errstate(all="ignore");
+the rows kept are certified once, in one stacked call, under the caller's
+errstate. `Trace.records` builds each `IterationRecord` on access.
 
-A run forced past convergence reaches the roundoff floor long before its
-cap, and there the affine step starts to reproduce its own input. After an
-affine chunk lo .. hi - 1 that kept every row, met neither the tolerance
-nor a floating-point event and ends before the cap, `_repeat` looks for the
-last w_j of the chunk with the bits of w_hi. The step, the pattern test, D
-and `certify` read only w_k and the row of w_{k+1}, so the run is periodic
-from there with period p = hi - j: row t > hi is row j + 1 + (t - j - 1) % p,
-and the record scalars of iteration k >= hi are those of iteration
-j + (k - j) % p. The rest of the run is copied from those rows, bit for bit
-what stepping it would write, and counted as affine iterations and oracle
-calls; `Trace.repeat` is (j, p).
+A run forced past convergence reaches the roundoff floor long before its cap,
+and there the affine step starts to reproduce its own input. After an affine
+chunk lo .. hi - 1 that kept every row, did not meet the tolerance and ends
+before the cap, `_repeat` looks for the last w_j of the chunk with the bits
+of w_hi. The step, the pattern test, D and the certification read only w_k
+and the row of w_{k+1}, so the run is periodic from there with period
+p = hi - j: row t > hi is row j + 1 + (t - j - 1) % p, and the record scalars
+of iteration k >= hi are those of iteration j + (k - j) % p. The rest of the
+run is copied from those rows, bit for bit what stepping it would write, and
+counted as affine iterations and oracle calls; `Trace.repeat` is (j, p).
 """
 from __future__ import annotations
 
@@ -427,11 +427,20 @@ class Plan:
         return np.concatenate((rows[:, :self.m], rows[:, self.lam_tilde]), axis=1)
 
 
+def residuals(plan: Plan, block: np.ndarray, out: np.ndarray):
+    """feasibility_inf, d_inf and the residual max(d_inf, feasibility_inf) of
+    each iteration of a block of solve rows (see `certify`) into out."""
+    feasibility_inf = np.abs(block[1:, plan.r]).max(axis=1, initial=0.0)
+    d_inf = np.abs(block[1:, plan.d]).max(axis=1, initial=0.0)
+    out[:, 1], out[:, 4] = feasibility_inf, d_inf
+    out[:, -1] = np.where(feasibility_inf > d_inf, feasibility_inf, d_inf)  # Python's max(d_inf, ...)
+
+
 def certify(plan: Plan, block: np.ndarray, out: np.ndarray):
     """The record scalars of consecutive iterations (RECORD_SCALARS, then the
-    residual max(d_inf, feasibility_inf)) into the rows of out, from a block
-    of solve rows: iteration i of the block goes from w_k in row i to row
-    i + 1 (see `Plan`).
+    residual) but those of `residuals` into the rows of out, from a block of
+    solve rows: iteration i of the block goes from w_k in row i to row i + 1
+    (see `Plan`).
 
     Each product is stacked (`matvecs`, `structure.row_forms`, `rows_dot`),
     so every value has the bits of the same formula taken one iteration at a
@@ -446,7 +455,6 @@ def certify(plan: Plan, block: np.ndarray, out: np.ndarray):
     MDW = matvecs(mats.M, DW)
     correction_residual = row_forms(mats.H, MDW)
     gap = Wn - (W - MDW)
-    d_inf = np.abs(Dd).max(axis=1, initial=0.0)
     dist_h = slack = np.full(len(W), np.nan)
     if plan.ws is not None:
         h = row_forms(mats.H, block[:, :N] - plan.ws)
@@ -455,10 +463,8 @@ def certify(plan: Plan, block: np.ndarray, out: np.ndarray):
             g = row_forms(mats.G, DW)
             with np.errstate(all="ignore"):  # the scalar formula's float arithmetic never traps
                 slack = h[:-1] - h[1:] - g
-    feasibility_inf = np.abs(R).max(axis=1, initial=0.0)
-    residual = np.where(feasibility_inf > d_inf, feasibility_inf, d_inf)  # Python's max(d_inf, ...)
-    out[:] = np.column_stack((np.sqrt(rows_dot(R)), feasibility_inf, correction_residual, rows_dot(Dd),
-                              d_inf, np.sqrt(rows_dot(gap)), dist_h, slack, residual))
+    out[:, [0, 2, 3, 5, 6, 7]] = np.column_stack((np.sqrt(rows_dot(R)), correction_residual, rows_dot(Dd),
+                                                  np.sqrt(rows_dot(gap)), dist_h, slack))
 
 
 def advance(plan: Plan, state: tuple, k: int, wk: np.ndarray, z: np.ndarray):
@@ -508,38 +514,6 @@ def _grown(rows: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _caught(work):
-    """Run work() with every floating-point event that the caller's errstate
-    does not ignore recorded instead of raised or warned; returns work's
-    result and whether any such event occurred."""
-    events = []
-    modes = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
-    with np.errstate(call=lambda *_: events.append(True), **modes):
-        return work(), bool(events)
-
-
-def _replay(plan: Plan, op: StepOperator | None, rows: np.ndarray, lo: int, end: int, left: str | None = None):
-    """Iterations lo .. end - 1 once more, one at a time under the caller's
-    errstate, so that a floating-point event raises or warns at the
-    iteration, and in the order, where the per-iteration solve meets it: on
-    the affine step (op) the step, the pattern test and the d vector, then
-    `certify`; last the step of iteration `end` when it left the affine step
-    (`left`), and its pattern test when it left on a "miss" rather than a
-    "handover". The values are those already stored."""
-    N = plan.N
-    scalars = np.empty((1, len(RECORD_SCALARS) + 1))
-    for k in range(lo, end):
-        if op is not None:
-            op.K @ rows[k, :N] + op.k0
-            plan.misses(op, rows[k + 1:k + 2])
-            plan.D @ (plan.predictions(rows[k + 1:k + 2])[0] - rows[k, :N])
-        certify(plan, rows[k:k + 2], scalars)
-    if left:
-        op.K @ rows[end, :N] + op.k0
-    if left == "miss":
-        plan.misses(op, rows[end + 1:end + 2])
-
-
 def _repeat(rows: np.ndarray, N: int, lo: int, hi: int) -> int | None:
     """The last j in lo .. hi - 1 whose iterate w_j has the bits of w_hi, or
     None. Each iterate is compared as one string of bytes, so -0.0 and 0.0
@@ -549,27 +523,36 @@ def _repeat(rows: np.ndarray, N: int, lo: int, hi: int) -> int | None:
     return lo + int(match[-1]) if len(match) else None
 
 
-def _affine_chunk(plan: Plan, op: StepOperator, rows: np.ndarray, scalars: np.ndarray, lo: int, hi: int):
+def _affine_chunk(plan: Plan, op: StepOperator, rows: np.ndarray, scalars: np.ndarray, lo: int, hi: int, tol: float):
     """Iterations lo .. hi - 1 on the affine step, each one `K @ w_k + k0`
-    into its solve row; then the d vectors and the record scalars
-    (`certify`) of those before `stop`, the first whose iterate is past
-    HANDOVER_MAX or whose row fails its pattern (`Plan.misses`). Returns
-    stop, whether it is past HANDOVER_MAX, and the time the stepping ended."""
+    into its solve row; then, under np.errstate(all="ignore"), the d vectors
+    and `residuals` of those before `stop`, the first whose iterate is past
+    HANDOVER_MAX or whose row fails its pattern (`Plan.misses`). Returns end,
+    one past the last iteration kept (the first residual at most tol, else
+    stop - 1), why iteration end leaves the affine step (None, "handover" or
+    "miss") and the time the stepping ended."""
     N = plan.N
     W, Z = rows[:, :N], rows[:, :plan.d.start]
-    for k in range(lo, hi):
-        z = Z[k + 1]
-        np.matmul(op.K, W[k], out=z)
-        z += op.k0
-    stepped = perf_counter()
-    block = rows[lo + 1:hi + 1]
-    past = ~(np.abs(block[:, :N]).max(axis=1) <= HANDOVER_MAX)  # also when not finite
-    bad = np.flatnonzero(past | plan.misses(op, block)) if plan.patterned else np.flatnonzero(past)
-    stop = lo + int(bad[0]) if len(bad) else hi
-    block = rows[lo:stop + 1]
-    block[1:, plan.d] = matvecs(plan.D, plan.predictions(block[1:]) - block[:-1, :N])
-    certify(plan, block, scalars[lo:stop])
-    return stop, len(bad) > 0 and bool(past[bad[0]]), stepped
+    with np.errstate(all="ignore"):
+        for k in range(lo, hi):
+            z = Z[k + 1]
+            np.matmul(op.K, W[k], out=z)
+            z += op.k0
+        stepped = perf_counter()
+        block = rows[lo + 1:hi + 1]
+        past = ~(np.abs(block[:, :N]).max(axis=1) <= HANDOVER_MAX)  # also when not finite
+        bad = np.flatnonzero(past | plan.misses(op, block)) if plan.patterned else np.flatnonzero(past)
+        stop = lo + int(bad[0]) if len(bad) else hi
+        block = rows[lo:stop + 1]
+        block[1:, plan.d] = matvecs(plan.D, plan.predictions(block[1:]) - block[:-1, :N])
+        residuals(plan, block, scalars[lo:stop])
+    done = np.flatnonzero(scalars[lo:stop, -1] <= tol)
+    end = lo + int(done[0]) + 1 if len(done) else stop
+    kept = rows[lo:end + 1]
+    if not np.isfinite(kept[1:, plan.d]).all():  # under the caller's errstate, as the per-row product
+        matvecs(plan.D, plan.predictions(kept[1:]) - kept[:-1, :N])
+    left = None if len(done) or end == hi else "handover" if past[end - lo] else "miss"
+    return end, left, stepped
 
 
 def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None,
@@ -584,13 +567,13 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     certified stepsize regions).
 
     Steps CHUNK iterations at a time and certifies each chunk afterwards
-    (see the module docstring). A floating-point event in a kept row raises
-    or warns under the caller's errstate as the per-iteration order meets it
-    (`_caught`, `_replay`); the trace records the seconds spent stepping and
-    certifying, and which iterations took the affine step. Once an affine
-    iterate repeats an earlier one of its chunk bit for bit, the rest of the
-    run is copied from the cycle instead of stepped (`Trace.repeat`); the
-    search and the copy count in `certify_s`.
+    (see the module docstring): arithmetic on rows that may be discarded
+    runs under np.errstate(all="ignore"), the kept rows are certified once
+    under the caller's errstate. The trace records the seconds spent
+    stepping and certifying, and which iterations took the affine step.
+    Once an affine iterate repeats an earlier one of its chunk bit for bit,
+    the rest of the run is copied from the cycle instead of stepped
+    (`Trace.repeat`); the search and the copy count in `certify_s`.
     """
     if validate:
         report = validate_problem(problem)
@@ -613,7 +596,7 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     rows[0, :N] = initial_point(problem, w0).stack()
     op = None if plan.patterned else plan.operator(())  # the empty pattern holds from the start
     state = None if op else plan.start(rows[0, :N])
-    termination, count, fallback, handed_over, repeat = ITERATION_CAP, 0, None, False, None
+    termination, count, fallback, repeat = ITERATION_CAP, 0, None, None  # fallback: why the run handed over
     misses, held, run = [], None, 0  # the sweep's last pattern and for how many iterations it held
     step_s = certify_s = 0.0
     while count < config.max_iters and termination == ITERATION_CAP:
@@ -621,59 +604,53 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
         if hi > cap:
             cap = min(2 * cap, config.max_iters)
             rows, scalars, affine = _grown(rows, cap + 1), _grown(scalars, cap), _grown(affine, cap)
-        start = perf_counter()
-        if op is not None:
-            (stop, past, stepped), events = _caught(lambda: _affine_chunk(plan, op, rows, scalars, lo, hi))
-            done = np.flatnonzero(scalars[lo:stop, -1] <= tol)
-            end = lo + int(done[0]) + 1 if len(done) else stop
-            left = ("handover" if past else "miss") if end < hi and not len(done) else None
-            if events:  # iteration `end`, if it left, goes to the sweep
-                _replay(plan, op, rows, lo, end, left)
-            elif end == hi < config.max_iters and not len(done) and (j := _repeat(rows, N, lo, hi)) is not None:
-                # w_hi = w_j, so iteration k >= hi repeats iteration src and row k + 1 is row src + 1
-                end, repeat = config.max_iters, (j, hi - j)
-                if cap < end:
-                    cap = end
-                    rows, scalars, affine = _grown(rows, cap + 1), _grown(scalars, cap), _grown(affine, cap)
-                src = j + (np.arange(hi, end) - j) % (hi - j)
-                rows[hi + 1:end + 1] = rows[src + 1]
-                scalars[hi:end] = scalars[src]
-            affine[lo:end] = True
-            for kernel in kernels[0] + kernels[1]:  # one oracle call per block and iteration, as on the sweep
-                kernel.stats.calls += end - lo
-            if left:
-                if left == "handover":
-                    handed_over = True
-                    fallback = f"iterate past {HANDOVER_MAX:g} at iteration {end}; the sweep from there"
-                else:
-                    misses.append(end)
-                op, held, run = None, None, 0
-                state = plan.start(rows[end, :N])
-        else:
-            end = lo
-            try:
+        start, end = perf_counter(), lo
+        try:
+            if op is not None:
+                end, left, stepped = _affine_chunk(plan, op, rows, scalars, lo, hi, tol)
+                affine[lo:end] = True
+                if left:  # iteration `end` goes to the sweep
+                    if left == "handover":
+                        fallback = f"iterate past {HANDOVER_MAX:g} at iteration {end}; the sweep from there"
+                    else:
+                        misses.append(end)
+                    op, held, run = None, None, 0
+                    state = plan.start(rows[end, :N])
+            else:
                 for k in range(lo, hi):
                     state, residual = advance(plan, state, k, rows[k, :N], rows[k + 1])
                     end = k + 1
                     if residual <= tol:
                         break
-                    if plan.patterned and not handed_over:
+                    if plan.patterned and fallback is None:
                         pattern = plan.pattern(rows[k + 1])
                         run = run + 1 if held is not None and _key(pattern) == _key(held) else 1
                         held = pattern
                         if run >= HOLD_ITERS and (op := plan.operator(pattern)) is not None:
                             break
-            finally:  # certify what was stepped, also when a step raised
-                affine[lo:end] = False
                 stepped = perf_counter()
-                _, events = _caught(lambda: certify(plan, rows[lo:end + 1], scalars[lo:end]))
-                if events:
-                    _replay(plan, None, rows, lo, end)
+                affine[lo:end] = False
+                residuals(plan, rows[lo:end + 1], scalars[lo:end])
+        finally:  # certify the kept rows, also when a step raised
+            certify(plan, rows[lo:end + 1], scalars[lo:end])
+        if (end == hi < config.max_iters and affine[lo] and not scalars[end - 1, -1] <= tol
+                and (j := _repeat(rows, N, lo, hi)) is not None):
+            # w_hi = w_j, so iteration k >= hi repeats iteration src and row k + 1 is row src + 1
+            end, repeat = config.max_iters, (j, hi - j)
+            if cap < end:
+                cap = end
+                rows, scalars, affine = _grown(rows, cap + 1), _grown(scalars, cap), _grown(affine, cap)
+            src = j + (np.arange(hi, end) - j) % (hi - j)
+            rows[hi + 1:end + 1] = rows[src + 1]
+            scalars[hi:end] = scalars[src]
+            affine[hi:end] = True
         step_s += stepped - start
         certify_s += perf_counter() - stepped
         count = end
         if end > lo and scalars[end - 1, -1] <= tol:
             termination = CONVERGED
+    for kernel in kernels[0] + kernels[1]:  # one oracle call per block and affine iteration, as on the sweep
+        kernel.stats.calls += int(affine[:count].sum())
     table = scalars[:count].T.copy()
     arrays = (rows[:count + 1, :N].copy(), plan.predictions(rows[1:count + 1]), table, affine[:count].copy())
     for arr in arrays:

@@ -514,14 +514,57 @@ def test_repeat_fill_bit_identical_to_per_row_reference(name, seed, catalog, mon
         assert j is None or fast.repeat[0] == j, (chunk, fast.repeat)
 
 
-@pytest.mark.parametrize("generator", ["qp1", "l1_1d"])
-def test_overflow_in_certification_raises_as_per_row(generator):
-    # beta = 1e200 overflows the record's quadratic forms: the batched pass
-    # raises the same error as the per-iteration certification
-    bundle = getattr(g.generators, generator)()
-    cfg = g.default_config(bundle.problem, beta=1e200)
+def _scale_D(monkeypatch, factor):
+    """Scale each solve's d matrix `Plan.D` by factor once it is formed."""
+    operator = engine.Plan.operator
+
+    def scaled(plan, patterns):
+        fresh = plan.D is None
+        op = operator(plan, patterns)
+        if fresh and plan.D is not None:
+            with np.errstate(all="ignore"):
+                plan.D = plan.D * factor
+        return op
+
+    monkeypatch.setattr(engine.Plan, "operator", scaled)
+
+
+# (catalog instance, beta, stepsizes)
+OVERFLOW_CASES = {
+    f"{name}-beta{beta:g}{suffix}": (name, beta, steps)
+    for name in ("qp1", "l1-1d", "l1-p1q2n2-s5", "boxqp-p2q1n3-s13")
+    for beta in (1e100, 1e200, 1e250)
+    for suffix, steps in (("", {}), ("-diverging", {"tau": -0.5, "s": -0.3}))
+}
+# the first two cases keep their ids
+OVERFLOW_CASES["qp1"] = OVERFLOW_CASES.pop("qp1-beta1e+200")
+OVERFLOW_CASES["l1_1d"] = OVERFLOW_CASES.pop("l1-1d-beta1e+200")
+
+
+@pytest.mark.parametrize("case", OVERFLOW_CASES)
+def test_overflow_in_certification_raises_as_per_row(case, catalog):
+    # a large beta overflows the record's quadratic forms or the step: the
+    # batched pass raises the same error as the per-iteration certification
+    name, beta, steps = OVERFLOW_CASES[case]
+    bundle = next(b for b in catalog if b.name == name)
+    cfg = g.default_config(bundle.problem, beta=beta, **steps)
     fast, ref = _against_per_row(bundle.problem, cfg, bundle.w_star, over="raise", invalid="raise", divide="raise")
-    assert isinstance(ref, FloatingPointError) and str(ref).startswith("overflow")
+    if (beta, steps) == (1e100, {}):  # nothing overflows before the cap
+        assert ref.termination == engine.ITERATION_CAP
+    else:
+        assert isinstance(ref, FloatingPointError) and str(ref).startswith("overflow")
+    _assert_same_run(fast, ref)
+
+
+def test_non_finite_D_raises_as_per_row(catalog, monkeypatch):
+    # every d is NaN, so no row converges and every row is kept: their D
+    # product is formed once more under the caller's errstate and raises as
+    # the per-iteration product does
+    bundle = next(b for b in catalog if b.name == "qp1")
+    _scale_D(monkeypatch, np.inf)
+    cfg = g.default_config(bundle.problem)
+    fast, ref = _against_per_row(bundle.problem, cfg, bundle.w_star, over="raise", invalid="raise", divide="raise")
+    assert isinstance(ref, FloatingPointError) and str(ref) == "invalid value encountered in matmul"
     _assert_same_run(fast, ref)
 
 
@@ -530,22 +573,27 @@ SPECULATIVE_CASES = {
     "boxqp-p2q1n3-s13": ("boxqp-p2q1n3-s13", {"tol": 1e-10, "max_iters": 2000}),
     # stops after one iteration; the 63 rows stepped past it overflow
     "qp1-diverging": ("qp1", {"tau": -100.0, "s": -100.0, "tol": np.inf, "max_iters": 500}),
+    # as above, and the d vectors of those rows overflow too
+    "qp1-diverging-D1e150": ("qp1", {"tau": -100.0, "s": -100.0, "tol": np.inf, "max_iters": 500}, 1e150),
 }
 
 
 @pytest.mark.parametrize("case", SPECULATIVE_CASES)
-def test_rows_past_convergence_never_raise(case, catalog):
-    name, overrides = SPECULATIVE_CASES[case]
+def test_rows_past_convergence_never_raise(case, catalog, monkeypatch):
+    name, overrides, *scale = SPECULATIVE_CASES[case]
     bundle = next(b for b in catalog if b.name == name)
     cfg = dataclasses.replace(g.default_config(bundle.problem), **overrides)
     mats = g.assemble(bundle.problem, cfg)
+    if scale:
+        _scale_D(monkeypatch, *scale)
     traces = []
-    for mode in ("raise", "ignore"):
+    for mode in ("raise", "warn", "ignore"):
         with np.errstate(all=mode), warnings.catch_warnings():
             warnings.simplefilter("error")
             traces.append(g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats, validate=False))
     assert traces[0].termination == engine.CONVERGED
-    _assert_same_run(*traces)
+    for trace in traces[1:]:
+        _assert_same_run(traces[0], trace)
 
 
 def test_certify_block_matches_per_row_formula(catalog):
@@ -567,6 +615,7 @@ def test_certify_block_matches_per_row_formula(catalog):
     block[4, plan.r.start] = np.inf
     block[5, :plan.N] = bundle.w_star.stack()  # w_5 = w*
     out = np.empty((8, len(engine.RECORD_SCALARS) + 1))
+    engine.residuals(plan, block, out)
     engine.certify(plan, block, out)
     dist_sq = plan.mats.h_norm_sq(block[0, :plan.N] - plan.ws)
     for k in range(8):
