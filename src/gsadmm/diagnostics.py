@@ -72,18 +72,17 @@ def _running_max(values: np.ndarray, start: float) -> float:
 def d_components(problem: BlockProblem, config: SolverConfig, delta: np.ndarray) -> np.ndarray:
     """Stacked d vector of the stopping rule, C6 and `theta_hat` (x blocks,
     then y blocks), from the stacked difference delta = w~ - w, or of each
-    row of a 2-d delta.
+    row of a 2-d delta; the one statement of d's coefficients.
 
     x components:  beta A_i' ((sigma1 - 1) sum_l A_l dx_l + A_i dx_i)
     y components:  (sigma2 + 1) beta B_j'B_j dy_j - tau B_j' dlam
-    with dx, dy, dlam the block slices of delta; the subtraction is
-    elementwise, so each slice has the bits of its per-block difference.
-    For p = 1 this is the optimality shift (Q delta)[:m] of w~; for p >= 2,
-    `structure`'s Q has -beta A_i'A_l off the x diagonal where this has
-    (sigma1 - 1) beta A_i'A_l, and max|d - (Q delta)[:m]| / max|d| over a
-    run is 0.17-0.47 on the p >= 2 catalog instances (ROADMAP item 2).
-    One stacked product per batch (`BlockProblem.batches`) keeps those bits,
-    also across the rows of a 2-d delta.
+    with dx, dy, dlam the block slices of delta. For p = 1 this is the
+    optimality shift (Q delta)[:m] of w~; for p >= 2, `structure`'s Q has
+    -beta A_i'A_l off the x diagonal where this has (sigma1 - 1) beta A_i'A_l,
+    and max|d - (Q delta)[:m]| / max|d| over a run is 0.17-0.47 on the
+    p >= 2 catalog instances (ROADMAP item 2). Applied to the rows of the
+    identity it gives d as one matrix: `engine.Plan.D`, which both of the
+    engine's steps multiply, and the matrix whose blocks `theta_hat` sums.
     """
     beta, sigma1, sigma2, tau = config.beta, config.sigma1, config.sigma2, config.tau
     m = delta.shape[-1] - problem.n
@@ -100,21 +99,14 @@ def d_components(problem: BlockProblem, config: SolverConfig, delta: np.ndarray)
 
 
 def theta_hat(problem: BlockProblem, config: SolverConfig) -> float:
-    """Computable coefficient with ||d||^2 <= theta_hat ||w - w~||^2.
-
-    Sum over components of the squared spectral norms of the coefficient
-    matrices in the d formula (Cauchy-Schwarz over the block partition).
-    """
-    beta, sigma1, sigma2, tau = config.beta, config.sigma1, config.sigma2, config.tau
-    total = 0.0
-    for i, bi in enumerate(problem.x_blocks):
-        for l, bl in enumerate(problem.x_blocks):
-            coef = sigma1 if l == i else sigma1 - 1.0
-            total += (beta * coef * np.linalg.norm(bi.A.T @ bl.A, 2)) ** 2
-    for bj in problem.y_blocks:
-        total += ((sigma2 + 1.0) * beta * np.linalg.norm(bj.A.T @ bj.A, 2)) ** 2
-        total += (tau * np.linalg.norm(bj.A, 2)) ** 2
-    return float(total)
+    """Computable coefficient with ||d||^2 <= theta_hat ||w - w~||^2: the sum
+    of the squared spectral norms of the nonzero blocks (rows by block,
+    columns by block and lambda) of the d matrix, by Cauchy-Schwarz."""
+    N = problem.total_dim
+    D = d_components(problem, config, np.eye(N)).T
+    cols = problem.block_slices + (slice(N - problem.n, N),)
+    return float(sum(np.linalg.norm(block, 2) ** 2 for rows in problem.block_slices for sl in cols
+                     if (block := D[rows, sl]).any()))
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,13 @@ iteration takes one of two steps, chosen from the run's own patterns:
   HANDOVER_MAX (a diverging run) sends the rest of the solve to the sweep.
   The trace's `step_fallback` says why an operator failed or the run handed
   over.
-- sweep, the cold path and the reference: `advance` runs both group sweeps,
-  each block writing its prox answer into the row of w_{k+1}, and forms the
-  d vector and the feasibility residual that the stopping test reads. It
-  carries the stacks of A_i x_i+ and B_j y_j+ and their sums into the next
-  iteration, so an iteration forms each group product once. Blocks go in
-  batches (`BlockProblem.batches`): one stacked call per batch for products,
-  prox points and free-quadratic solves, with the bits of the per-block
+- sweep, the cold path and the reference: `advance` runs both group sweeps
+  from the row of w_k alone, each block writing its prox answer into the
+  row of w_{k+1}, and forms the feasibility residual and the d vector with
+  the same `Plan.D` product as the affine step; the stopping test reads
+  them through `residuals`, one row at a time. Blocks go in batches
+  (`BlockProblem.batches`): one stacked call per batch for products, prox
+  points and free-quadratic solves, with the bits of the per-block
   iteration in tests/reference_verdict.py. Once the run's pattern has held
   for HOLD_ITERS consecutive sweep iterations the solve goes on by that
   pattern's affine step.
@@ -183,7 +183,8 @@ class Trace:
 
 class Records(Sequence):
     """Read-only sequence of a trace's IterationRecords, each built on access;
-    its `w` and `w_tilde` parts are views of the trace's rows."""
+    its `w` and `w_tilde` parts are views of the trace's rows. Lazy, so that
+    `len` builds none: a list built up front costs about a second a catalog pass."""
 
     def __init__(self, trace: Trace):
         self._trace = trace
@@ -361,14 +362,14 @@ class Plan:
     its scalars, the oracle kernels, the structural matrices, each group's
     sweep steps, the stacked reference point (None without one), the layout
     of a solve row, the patterned kernels (`patterned`: each box,
-    nonnegative and l1 kernel with its columns in w), and the step operators
-    of the patterns met so far.
+    nonnegative and l1 kernel with its columns in w), the step operators of
+    the patterns met so far, and `D`, the d vector of w~ - w as a matrix
+    (`d_components` of the identity's rows), which both steps multiply.
 
     `operator(patterns)` builds a pattern's `step_operator` once per solve
     and returns it, or None when it failed a check; such a pattern is never
     tried again. `fallback` is the first failed check's `why` (None
-    otherwise), `D` the d vector as a matrix, formed with the first operator
-    that passes."""
+    otherwise)."""
 
     def __init__(self, problem: BlockProblem, config: SolverConfig,
                  mats: structure.StructuralMatrices, w_star: Iterate | None, kernels):
@@ -387,8 +388,9 @@ class Plan:
         self.tau_beta, self.s_beta = config.tau * config.beta, config.s * config.beta
         self.in_D = mats.in_D
         self.ws = None if w_star is None else w_star.stack()
+        self.D = np.ascontiguousarray(d_components(problem, config, np.eye(N)).T)
         self.operators: dict[bytes, StepOperator] = {}
-        self.fallback = self.D = None
+        self.fallback = None
 
     def operator(self, patterns: tuple) -> StepOperator | None:
         """The step operator of the patterns (see the class docstring)."""
@@ -398,8 +400,6 @@ class Plan:
             op = self.operators[key] = step_operator(self.problem, self.config, self.mats, self.steps, patterns)
             if op.why is not None:
                 self.fallback = self.fallback or op.why
-            elif self.D is None:  # the d vector of w~ - w, `d_components` as a matrix
-                self.D = np.ascontiguousarray(d_components(self.problem, self.config, np.eye(self.N)).T)
         return op if op.why is None else None
 
     def pattern(self, row: np.ndarray) -> tuple:
@@ -415,12 +415,6 @@ class Plan:
             ok &= kernel.holds(pattern, block[:, cols], block[:, at:at + kernel.test_rows])
             at += kernel.test_rows
         return ~ok
-
-    def start(self, row: np.ndarray) -> tuple:
-        """The state `advance` reads for the stacked point row: the stacks of
-        A_i x_i and B_j y_j, A x and B y."""
-        AX, BY = self.problem.products(0, row), self.problem.products(1, row)
-        return AX, block_sum(AX), BY, block_sum(BY)
 
     def predictions(self, rows: np.ndarray) -> np.ndarray:
         """w~_k = (x+, y+, lambda~_k) of each solve row k + 1 in rows."""
@@ -467,36 +461,30 @@ def certify(plan: Plan, block: np.ndarray, out: np.ndarray):
                                                   np.sqrt(rows_dot(gap)), dist_h, slack))
 
 
-def advance(plan: Plan, state: tuple, k: int, wk: np.ndarray, z: np.ndarray):
-    """Iteration k from the row wk and its `state` (see `Plan.start`), by the
-    two group sweeps.
+def advance(plan: Plan, k: int, wk: np.ndarray, z: np.ndarray):
+    """Iteration k from the row wk, by the two group sweeps.
 
     Writes the solve row of w_{k+1} into z (see `Plan`): the iterate,
-    lambda~_k, the feasibility residual and the d vector of w~_k. Returns
-    the state of w_{k+1} and the residual max(d_inf, feasibility_inf), which
-    is all the stopping test needs; `certify` forms the rest afterwards.
+    lambda~_k, the feasibility residual and the d vector `D @ (w~_k - w_k)`.
+    `residuals` and `certify` form the record scalars from it afterwards.
     """
-    AX, ax, BY, by = state
     problem, config, c, m, N = plan.problem, plan.config, plan.problem.c, plan.m, plan.N
     beta = config.beta
     lam = wk[m:]
-    group_sweep(plan.steps[0], AX, ax, c - by + lam / beta, config.sigma1, z)
-    AX_new = problem.products(0, z)
-    ax_new = block_sum(AX_new)
+    AX, BY = problem.products(0, wk), problem.products(1, wk)
+    by = block_sum(BY)
+    group_sweep(plan.steps[0], AX, block_sum(AX), c - by + lam / beta, config.sigma1, z)
+    ax_new = block_sum(problem.products(0, z))
     r_half = ax_new + by - c
     lambda_half = lam - plan.tau_beta * r_half
     group_sweep(plan.steps[1], BY, by, c - ax_new + lambda_half / beta, config.sigma2, z)
-    BY_new = problem.products(1, z)
-    by_new = block_sum(BY_new)
-    r_new = ax_new + by_new - c
+    r_new = ax_new + block_sum(problem.products(1, z)) - c
     z[m:N] = lambda_half - plan.s_beta * r_new
     z[plan.lam_tilde] = lam - beta * r_half
     z[plan.r] = r_new
     if not np.isfinite(z[:N]).all():
         raise NonFiniteIterate(f"non-finite iterate at iteration {k}")
-    d = z[plan.d] = d_components(problem, config, plan.predictions(z[None])[0] - wk)
-    return (AX_new, ax_new, BY_new, by_new), max(float(np.abs(d).max(initial=0.0)),
-                                                 float(np.abs(r_new).max(initial=0.0)))
+    z[plan.d] = plan.D @ (plan.predictions(z[None])[0] - wk)
 
 
 def initial_point(problem: BlockProblem, w0: Iterate | None = None) -> Iterate:
@@ -595,7 +583,6 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     affine = np.empty(cap, dtype=bool)
     rows[0, :N] = initial_point(problem, w0).stack()
     op = None if plan.patterned else plan.operator(())  # the empty pattern holds from the start
-    state = None if op else plan.start(rows[0, :N])
     termination, count, fallback, repeat = ITERATION_CAP, 0, None, None  # fallback: why the run handed over
     misses, held, run = [], None, 0  # the sweep's last pattern and for how many iterations it held
     step_s = certify_s = 0.0
@@ -615,12 +602,12 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
                     else:
                         misses.append(end)
                     op, held, run = None, None, 0
-                    state = plan.start(rows[end, :N])
             else:
                 for k in range(lo, hi):
-                    state, residual = advance(plan, state, k, rows[k, :N], rows[k + 1])
+                    advance(plan, k, rows[k, :N], rows[k + 1])
                     end = k + 1
-                    if residual <= tol:
+                    residuals(plan, rows[k:k + 2], scalars[k:k + 1])
+                    if scalars[k, -1] <= tol:
                         break
                     if plan.patterned and fallback is None:
                         pattern = plan.pattern(rows[k + 1])
@@ -630,7 +617,6 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
                             break
                 stepped = perf_counter()
                 affine[lo:end] = False
-                residuals(plan, rows[lo:end + 1], scalars[lo:end])
         finally:  # certify the kept rows, also when a step raised
             certify(plan, rows[lo:end + 1], scalars[lo:end])
         if (end == hi < config.max_iters and affine[lo] and not scalars[end - 1, -1] <= tol

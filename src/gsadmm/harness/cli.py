@@ -428,6 +428,9 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"runtime failure: floating-point {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OverflowError as exc:  # Python float arithmetic, such as rate_constants' beta ** 2
+        print(f"runtime failure: floating-point overflow ({exc.args[-1]})", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -16,13 +16,15 @@ whose H-distance to w* it computes afresh. Repeated steps must reproduce
 `engine.solve` bit for bit where it sweeps, and keep the equivalence
 contract of `tools/contract.py` where it takes the affine step.
 
-`start` and `advance` are the sweep one block at a time, as the engine ran
-it before it batched blocks: `group_sweep` forms each block's product and
-prox point on its own and solves a free-quadratic block with its own
-`np.linalg.solve`, `d_components` loops over the blocks, and
-`apply_A`/`apply_B` sum the group products block by block. `engine.solve`
-driven by them (`engine.advance` and `engine.Plan.start` replaced, and the
-affine step turned off) must reproduce the batched sweep bit for bit.
+`advance` is the sweep one block at a time, as the engine ran it before it
+batched blocks: `group_sweep` forms each block's product and prox point on
+its own and solves a free-quadratic block with its own `np.linalg.solve`,
+and `apply_A`/`apply_B` sum the group products block by block. `engine.solve`
+driven by it (`engine.advance` replaced, and the affine step turned off)
+must reproduce the batched sweep bit for bit. `d_components` loops over the
+blocks; every column of `engine.Plan.D` must have its bits on the unit
+vector of that column. `closed_form_theta_hat` is the coefficient sum that
+`diagnostics.theta_hat` replaced by the blocks of `Plan.D`.
 
 The checks below are the loops `diagnostics` ran over `trace.records` before
 the checks read the trace's columns: one `IterationRecord` at a time, 1-d
@@ -107,17 +109,15 @@ def affine_advance(plan, op, dist_sq, k, wk, w_next, w_tilde, scalars):
     return certify(plan, dist_sq, wk, w_next, w_tilde, z[plan.r], plan.D @ (w_tilde - wk), scalars)
 
 
-def sweep_advance(plan, state, k, wk, w_next, w_tilde, scalars):
+def sweep_advance(plan, dist_sq, k, wk, w_next, w_tilde, scalars):
     """One iteration on the sweep: `engine.advance`, then `certify`. The state
-    is `engine.Plan.start`'s, then ||w_k - w*||_H^2."""
-    *carried, dist_sq = state
+    is ||w_k - w*||_H^2."""
     z = np.empty(plan.d.stop)
-    carried, _ = engine.advance(plan, tuple(carried), k, wk, z)
+    engine.advance(plan, k, wk, z)
     w_next[:] = z[:plan.N]
     w_tilde[:plan.m] = w_next[:plan.m]
     w_tilde[plan.m:] = z[plan.lam_tilde]
-    dist_next, residual = certify(plan, dist_sq, wk, w_next, w_tilde, z[plan.r], z[plan.d], scalars)
-    return (*carried, dist_next), residual
+    return certify(plan, dist_sq, wk, w_next, w_tilde, z[plan.r], z[plan.d], scalars)
 
 
 def _dist_sq(plan, row):
@@ -135,7 +135,7 @@ def solve(problem, config, mats, w0=None, w_star=None):
     N = problem.total_dim
     iterates, predictions, table, affine = [engine.initial_point(problem, w0).stack()], [], [], []
     op = None if plan.patterned else plan.operator(())
-    state = _dist_sq(plan, iterates[0]) if op else (*plan.start(iterates[0]), _dist_sq(plan, iterates[0]))
+    state = _dist_sq(plan, iterates[0])
     termination, fallback, handed_over, misses, held, run = engine.ITERATION_CAP, None, False, [], None, 0
     for k in range(config.max_iters):
         rows = np.empty(N), np.empty(N), np.empty(len(engine.RECORD_SCALARS) + 1)
@@ -153,7 +153,6 @@ def solve(problem, config, mats, w0=None, w_star=None):
                 else:
                     misses.append(k)
                 op, held, run = None, None, 0
-                state = (*plan.start(iterates[k]), _dist_sq(plan, iterates[k]))
         if not stepped:
             state, residual = sweep_advance(plan, state, k, iterates[k], *rows)
             if residual > config.tol and plan.patterned and not handed_over:
@@ -162,8 +161,6 @@ def solve(problem, config, mats, w0=None, w_star=None):
                 held = pattern
                 if run >= engine.HOLD_ITERS:
                     op = plan.operator(pattern)
-                    if op is not None:
-                        state = state[-1]
         iterates.append(rows[0])
         predictions.append(rows[1])
         table.append(rows[2])
@@ -196,7 +193,7 @@ def step(problem, config, state, mats=None, w_star=None, k=0, kernels=None):
     rows = np.empty((3, problem.total_dim))  # w_k, w_{k+1}, w~_k
     rows[0] = state.stack()
     scalars = np.empty(len(engine.RECORD_SCALARS) + 1)
-    sweep_advance(plan, (*plan.start(rows[0]), _dist_sq(plan, rows[0])), k, rows[0], rows[1], rows[2], scalars)
+    sweep_advance(plan, _dist_sq(plan, rows[0]), k, rows[0], rows[1], rows[2], scalars)
     record = engine.IterationRecord(k, state, Iterate.from_stack(problem, rows[2]), *scalars[:-1].tolist())
     return Iterate.from_stack(problem, rows[1]), record
 
@@ -254,18 +251,28 @@ def d_components(problem, config, delta):
     return np.concatenate(parts)
 
 
-def start(plan, row):
-    """The state `advance` reads: (A x, B y)."""
-    return apply_A(plan.problem, row), apply_B(plan.problem, row)
+def closed_form_theta_hat(problem, config):
+    """The coefficient of `diagnostics.theta_hat` from d's closed form: the
+    squared spectral norm of each coefficient matrix of the d formula."""
+    beta, sigma1, sigma2, tau = config.beta, config.sigma1, config.sigma2, config.tau
+    total = 0.0
+    for i, bi in enumerate(problem.x_blocks):
+        for l, bl in enumerate(problem.x_blocks):
+            coef = sigma1 if l == i else sigma1 - 1.0
+            total += (beta * coef * np.linalg.norm(bi.A.T @ bl.A, 2)) ** 2
+    for bj in problem.y_blocks:
+        total += ((sigma2 + 1.0) * beta * np.linalg.norm(bj.A.T @ bj.A, 2)) ** 2
+        total += (tau * np.linalg.norm(bj.A, 2)) ** 2
+    return float(total)
 
 
-def advance(plan, state, k, wk, z):
+def advance(plan, k, wk, z):
     """`engine.advance`, one block at a time."""
-    ax, by = state
     problem, config, c, m, N = plan.problem, plan.config, plan.problem.c, plan.m, plan.N
     x_slices, y_slices = problem.block_slices[:problem.p], problem.block_slices[problem.p:]
     beta = config.beta
     lam = wk[m:]
+    ax, by = apply_A(problem, wk), apply_B(problem, wk)
     group_sweep(problem.x_blocks, plan.kernels[0], x_slices, wk, ax, c - by + lam / beta,
                 config.sigma1, z)
     ax_new = apply_A(problem, z)
@@ -280,8 +287,7 @@ def advance(plan, state, k, wk, z):
     z[plan.r] = r_new
     if not np.isfinite(z[:N]).all():
         raise engine.NonFiniteIterate(f"non-finite iterate at iteration {k}")
-    d = z[plan.d] = d_components(problem, config, np.concatenate((z[:m], z[plan.lam_tilde])) - wk)
-    return (ax_new, by_new), max(float(np.abs(d).max(initial=0.0)), float(np.abs(r_new).max(initial=0.0)))
+    z[plan.d] = plan.D @ (np.concatenate((z[:m], z[plan.lam_tilde])) - wk)
 
 
 def residual(problem, xs, ys):

@@ -4,7 +4,7 @@ import pytest
 import gsadmm as g
 from gsadmm import diagnostics
 from gsadmm.model import Block, BlockProblem, Free, Iterate, L1, Quadratic, SolverConfig
-from reference_verdict import step
+from reference_verdict import closed_form_theta_hat, step
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +54,23 @@ def test_theta_hat_bounds_d_norm(catalog_runs):
         report = g.pointwise_residual_check(bundle.problem, cfg, trace)
         assert report.theta_hat_ok, bundle.name
         assert report.theta_hat > 0
+
+
+def test_theta_hat_matches_the_closed_form(catalog):
+    # the blocks of the d matrix and the coefficients of d's closed form give
+    # theta_hat to within a few roundoffs: on the catalog, the box-enum
+    # instances and the 11 x 11 atlas grid
+    cases = [(b.problem, g.default_config(b.problem)) for b in catalog]
+    for seed in range(1, 11):
+        problem = g.gen_box_qp(1, 1, [5], [3], 5, seed=seed).problem
+        cases.append((problem, g.default_config(problem)))
+    atlas = g.gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42).problem
+    grid = np.linspace(-1.5, 1.5, 11)
+    cases += [(atlas, g.default_config(atlas, tau=float(tau), s=float(s))) for tau in grid for s in grid]
+    assert len(cases) == 144
+    for problem, cfg in cases:
+        th, ref = diagnostics.theta_hat(problem, cfg), closed_form_theta_hat(problem, cfg)
+        assert abs(th - ref) <= 4 * np.finfo(float).eps * ref, (cfg.tau, cfg.s, th, ref)
 
 
 def test_pointwise_sups_on_constant_trace(qp1_bundle):

@@ -9,7 +9,7 @@ import pytest
 
 import gsadmm as g
 from gsadmm import engine, oracles
-from gsadmm.model import Block, BlockProblem, Free, Iterate, Quadratic, SolverConfig
+from gsadmm.model import Block, BlockProblem, Free, Iterate, Quadratic, SolverConfig, matvecs, rows_dot
 from gridsearch import reference_prox_solve
 import reference_verdict
 from reference_verdict import feasibility_decomposition_error, residual, step
@@ -98,8 +98,9 @@ def test_prediction_scales_with_beta(qp1):
 
 def _count_group_products(monkeypatch) -> dict:
     """Counts of `BlockProblem.products` calls by group ("x", "y"), leaving out
-    the d vector's products of w~ - w inside `engine.d_components`."""
-    calls = {"x": 0, "y": 0}
+    the products inside `engine.d_components`, and of `engine.d_components`
+    calls ("d")."""
+    calls = {"x": 0, "y": 0, "d": 0}
     in_d = []
     products, d_components = BlockProblem.products, engine.d_components
 
@@ -109,6 +110,7 @@ def _count_group_products(monkeypatch) -> dict:
         return products(self, group, w)
 
     def uncounted_d(*args):
+        calls["d"] += 1
         in_d.append(True)
         try:
             return d_components(*args)
@@ -125,13 +127,13 @@ def test_step_forms_each_group_product_twice(qp1, monkeypatch):
     kernels = engine.block_kernels(problem, cfg)
     calls = _count_group_products(monkeypatch)
     step(problem, cfg, Iterate.zeros(problem), mats=mats, w_star=w_star, kernels=kernels)
-    assert calls == {"x": 2, "y": 2}
+    assert calls == {"x": 2, "y": 2, "d": 1}
 
 
-def test_solve_forms_each_group_product_once_per_iteration(catalog, monkeypatch):
-    # the stacks of A_i x_i and B_j y_j are carried from the previous
-    # iteration's x+ and y+; only the start point's are formed before the
-    # first iteration, by `Plan.start` with the same per-block product call
+def test_solve_forms_each_group_product_twice_per_iteration(catalog, monkeypatch):
+    # a sweep iteration forms the stacks of A_i x_i and B_j y_j of w_k and of
+    # w_{k+1} from their rows, and carries nothing; d is one matrix, formed
+    # by a single `d_components` call per solve
     bundle = next(b for b in catalog if b.name == "l1-p1q2n2-s5")
     cfg = g.default_config(bundle.problem, max_iters=7, tol=-1.0)
     mats = g.assemble(bundle.problem, cfg)
@@ -139,7 +141,7 @@ def test_solve_forms_each_group_product_once_per_iteration(catalog, monkeypatch)
     _sweep_only(monkeypatch)
     trace = g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats)
     assert len(trace.records) == 7 and trace.step_path == "sweep"
-    assert calls == {"x": 8, "y": 8}
+    assert calls == {"x": 14, "y": 14, "d": 1}
 
 
 @pytest.mark.parametrize("iterations", [7, 14])
@@ -156,7 +158,7 @@ def test_affine_solve_forms_no_group_product_or_prox_per_iteration(catalog, monk
     monkeypatch.setattr(engine, "prox_solve", lambda *args: prox_calls.append(1) or prox_solve(*args))
     trace = g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats)
     assert len(trace.records) == iterations and trace.step_path == "affine"
-    assert calls == {"x": 0, "y": 0} and prox_calls == []
+    assert calls == {"x": 0, "y": 0, "d": 1} and prox_calls == []
     assert [s.calls for s in trace.oracle_stats] == [iterations] * 5
 
 
@@ -341,7 +343,6 @@ def test_solve_bit_identical_to_per_block_reference(case, catalog, monkeypatch):
         with monkeypatch.context() as mp:
             if reference:
                 mp.setattr(engine, "advance", reference_verdict.advance)
-                mp.setattr(engine.Plan, "start", reference_verdict.start)
             if reference or sweep_only:
                 _sweep_only(mp)
             with np.errstate(all="ignore"):
@@ -370,6 +371,63 @@ def test_solve_bit_identical_to_per_block_reference(case, catalog, monkeypatch):
     assert fast.columns.keys() == ref.columns.keys()
     for name, column in fast.columns.items():
         assert column.tobytes() == ref.columns[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# One d matrix for both steps
+# ---------------------------------------------------------------------------
+
+def _box_enum(seed):
+    return g.gen_box_qp(1, 1, [5], [3], 5, seed=seed)
+
+
+def test_every_row_d_is_the_plan_matrix_product(catalog):
+    # sweep and affine rows alike, d_k is `Plan.D @ (w~_k - w_k)` of the
+    # stored rows, so both steps give the same bits for the same difference
+    bundles = [(b.name, b) for b in catalog] + [(f"box-enum-{seed}", _box_enum(seed)) for seed in (1, 2, 3, 9)]
+    mixed = 0
+    for name, b in bundles:
+        cfg = g.default_config(b.problem, max_iters=2000, tol=1e-10)
+        mats = g.assemble(b.problem, cfg)
+        trace = g.solve(b.problem, cfg, w_star=b.w_star, mats=mats)
+        plan = engine.Plan(b.problem, cfg, mats, None, engine.block_kernels(b.problem, cfg))
+        d = matvecs(plan.D, trace.predictions - trace.iterates[:-1])
+        assert trace.columns["d_norm_sq"].tobytes() == rows_dot(d).tobytes(), name
+        assert trace.columns["d_inf"].tobytes() == np.abs(d).max(axis=1).tobytes(), name
+        mixed += 0 < trace.affine_iters < len(trace.predictions)
+    assert mixed >= 4  # runs that take both steps, on the l1 and box instances
+
+
+def test_plan_D_columns_are_the_per_block_d(catalog):
+    # column k of the one d matrix has the bits of the per-block d formula
+    # on the k-th unit vector
+    p3 = next(b for b in catalog if b.name == "quadratic-p3q2n4-s7").problem
+    problems = [(b.name, b.problem) for b in catalog]
+    problems += [(f"box-enum-{seed}", _box_enum(seed).problem) for seed in (1, 2, 3, 9)]
+    cases = [(name, problem, g.default_config(problem)) for name, problem in problems]
+    for case in ("atlas-D", "atlas-G", "atlas-diverging"):
+        tau, s, overrides = PER_BLOCK_CASES[case]
+        bundle, cfg = _atlas(tau, s, **overrides)
+        cases.append((case, bundle.problem, cfg))
+    cases.append(("p3q2n4-s7-sigma", p3, g.default_config(p3, sigma1=3.0, sigma2=2.0)))
+    assert len(cases) == 21
+    for name, problem, cfg in cases:
+        plan = engine.Plan(problem, cfg, g.assemble(problem, cfg), None, engine.block_kernels(problem, cfg))
+        assert plan.D.shape == (plan.m, plan.N), name
+        for k, unit in enumerate(np.eye(plan.N)):
+            ref = reference_verdict.d_components(problem, cfg, unit)
+            assert plan.D[:, k].tobytes() == ref.tobytes(), (name, k)
+
+
+def test_records_build_one_record_per_access(qp1_run, monkeypatch):
+    # `len(trace.records)` builds no record, so callers may take it on long
+    # runs inside timed code; indexing builds exactly the record it returns
+    built = []
+    record = engine.IterationRecord
+    monkeypatch.setattr(engine, "IterationRecord", lambda *args: built.append(args[0]) or record(*args))
+    trace = qp1_run[3]
+    assert len(trace.records) == len(trace.predictions) > 3 and built == []
+    assert trace.records[3].k == 3 and built == [3]
 
 
 # ---------------------------------------------------------------------------
@@ -516,17 +574,14 @@ def test_repeat_fill_bit_identical_to_per_row_reference(name, seed, catalog, mon
 
 def _scale_D(monkeypatch, factor):
     """Scale each solve's d matrix `Plan.D` by factor once it is formed."""
-    operator = engine.Plan.operator
+    init = engine.Plan.__init__
 
-    def scaled(plan, patterns):
-        fresh = plan.D is None
-        op = operator(plan, patterns)
-        if fresh and plan.D is not None:
-            with np.errstate(all="ignore"):
-                plan.D = plan.D * factor
-        return op
+    def scaled(plan, *args):
+        init(plan, *args)
+        with np.errstate(all="ignore"):
+            plan.D = plan.D * factor
 
-    monkeypatch.setattr(engine.Plan, "operator", scaled)
+    monkeypatch.setattr(engine.Plan, "__init__", scaled)
 
 
 # (catalog instance, beta, stepsizes)
@@ -606,9 +661,8 @@ def test_certify_block_matches_per_row_formula(catalog):
     plan = engine.Plan(problem, cfg, g.assemble(problem, cfg), bundle.w_star, engine.block_kernels(problem, cfg))
     block = np.empty((9, plan.d.stop))
     block[0, :plan.N] = engine.initial_point(problem).stack()
-    state = plan.start(block[0, :plan.N])
     for k in range(8):
-        state, _ = engine.advance(plan, state, k, block[k, :plan.N], block[k + 1])
+        engine.advance(plan, k, block[k, :plan.N], block[k + 1])
     # row k + 1 holds iteration k's r and d
     block[2, plan.r] = np.nan           # iteration 1: feasibility NaN, d finite
     block[3, plan.d] = np.nan           # iteration 2: d NaN, feasibility finite
@@ -739,7 +793,7 @@ def _solution_operator(bundle, cfg, mats):
     plan = engine.Plan(problem, cfg, mats, None, engine.block_kernels(problem, cfg))
     row = np.empty(plan.d.stop)
     start = bundle.w_star.stack()
-    engine.advance(plan, plan.start(start), 0, start, row)
+    engine.advance(plan, 0, start, row)
     return plan, engine.step_operator(problem, cfg, mats, plan.steps, plan.pattern(row))
 
 
@@ -920,7 +974,7 @@ def test_pattern_miss_goes_to_the_sweep_and_accepted_rows_pass_kkt(case, catalog
                         or prox_solve(kernel, u))
     W, N, row = trace.iterates, plan.N, np.empty(plan.d.stop)
     for k in range(len(trace.predictions)):
-        engine.advance(plan, plan.start(W[k]), k, W[k], row)
+        engine.advance(plan, k, W[k], row)
         if k in trace.pattern_misses:  # stepped by the sweep, bit for bit
             assert not trace.affine_rows[k]
             assert row[:N].tobytes() == W[k + 1].tobytes(), k

@@ -245,17 +245,20 @@ def test_failed_write_removes_the_output_directory(tmp_path, capsys, monkeypatch
 OVERFLOW_CASES = [pytest.param(command, document, old, id=command + suffix)
                   for document, old, suffix in ((qp1, "quad-r 1\n0\n", ""), (l1_1d, "quad-r 1\n-2\n", "-l1-1d"))
                   for command in ("run", "report", "check", "sweep")]
-OVERFLOW_CASES.append(pytest.param("run", None, None, id="run-beta-1e200"))
+OVERFLOW_CASES += [pytest.param(command, None, beta, id=f"{command}-beta-{beta}")
+                   for command, beta in (("run", "1e200"), ("sweep", "1e160"))]
 
 
 @pytest.mark.parametrize("command, document, old", OVERFLOW_CASES)
 def test_overflow_is_a_runtime_failure(tmp_path, capsys, command, document, old):
     # a linear term of 1e308 overflows the iteration, the reference-point
-    # check and the sweep's rate check, and beta = 1e200 overflows the
-    # certification's quadratic forms; each must fail the command instead of
-    # reporting inf
+    # check and the sweep's rate check, beta = 1e200 overflows the
+    # certification's quadratic forms, and beta = 1e160 the sweep's rate
+    # constants in Python float arithmetic (OverflowError, not numpy's
+    # FloatingPointError); each must fail the command instead of reporting
+    # inf or a traceback
     if document is None:
-        argv = [command, "--generator", "qp1", "--beta", "1e200", "--out", str(tmp_path / "out")]
+        argv = [command, "--generator", "qp1", "--beta", old, "--out", str(tmp_path / "out")]
     else:
         path = tmp_path / "huge.txt"
         path.write_text(_document(document()).replace(old, "quad-r 1\n1e308\n", 1))
