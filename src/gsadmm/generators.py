@@ -1,10 +1,11 @@
 """Reproducible test instances with independently computed reference points.
 
 Every generator returns an InstanceBundle whose reference point w* is
-produced by a solver-independent oracle (a dense KKT solve for smooth
-instances, an exhaustive active-pattern enumeration for l1 and box
-instances) and then verified through the diagnostics error map, so the
-bundles double as ground truth for the convergence checks.
+produced by a solver-independent oracle, an enumeration of the pieces and
+kinks of every component (sign patterns for l1 instances, bound patterns for
+box instances, and for smooth instances one pattern: a dense KKT solve), and
+then verified through the diagnostics error map, so the bundles double as
+ground truth for the convergence checks.
 
 Randomness comes from a splitmix-style 64-bit generator so the same seed
 reproduces the same instance bit for bit on any platform. The stream is
@@ -158,7 +159,7 @@ def default_config(problem: BlockProblem, **overrides) -> SolverConfig:
 
 
 # ---------------------------------------------------------------------------
-# Smooth quadratic instances (dense KKT oracle)
+# Reference points (piece enumeration oracle)
 # ---------------------------------------------------------------------------
 
 def _stack_dims(problem: BlockProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -173,177 +174,22 @@ def _stack_dims(problem: BlockProblem) -> tuple[np.ndarray, np.ndarray]:
     return P, r
 
 
-def _kkt_solve(problem: BlockProblem) -> Iterate:
-    """Solve [blkdiag(P), -C'; C, 0] (u; lambda) = (-r; c) densely."""
-    P, r = _stack_dims(problem)
-    C = np.hstack([b.A for b in problem.x_blocks] + [b.A for b in problem.y_blocks])
-    total = C.shape[1]
-    n = problem.n
-    K = np.zeros((total + n, total + n))
-    K[:total, :total] = P
-    K[:total, total:] = -C.T
-    K[total:, :total] = C
-    rhs = np.concatenate([-r, problem.c])
-    cond = np.linalg.cond(K)
-    if not cond <= KKT_COND_CAP:
-        raise DegenerateInstance(f"KKT matrix condition number {cond:.3e} exceeds {KKT_COND_CAP:.0e}")
-    return Iterate.from_stack(problem, np.linalg.solve(K, rhs))
+def _enumerate_pieces(problem: BlockProblem, margin: float = PATTERN_MARGIN) -> Iterate:
+    """Reference point by enumerating the pieces of every component.
 
+    Each component's subdifferential is piecewise linear, so w* sits on one
+    piece or kink per component and solves that pattern's linear KKT system.
+    A free quadratic component has one piece; a boxed one its interior and a
+    kink at each finite bound; an l1 one the pieces z < 0 and z > 0 and a
+    kink at 0. A component on a kink is fixed at the kink's value; one on a
+    piece is an unknown, and the piece's slope joins its linear term. A
+    pattern passes when every unknown lies strictly inside its piece and
+    every kink's -grad strictly inside the kink's subdifferential: by
+    margin * scale, except that an l1 kink needs |grad| <= weight
+    (1 - margin) + 1e-13. Exactly one pattern may pass.
 
-def _quadratic_block(rng: SplitMix64, d: int, n: int) -> Block:
-    """A free block with a strictly convex quadratic objective; draws P, then
-    r, then the n x d coupling matrix."""
-    return Block(Quadratic(spd_matrix(rng, d), 0.5 * rng.normals(d)), full_rank_matrix(rng, n, d), Free())
-
-
-def gen_quadratic(p: int, q: int, x_dims, y_dims, n: int, seed: int) -> InstanceBundle:
-    """Strictly convex quadratics over free blocks; oracle = dense KKT solve."""
-    if len(x_dims) != p or len(y_dims) != q:
-        raise ValueError("x_dims/y_dims lengths must match p and q")
-    if any(d > n for d in list(x_dims) + list(y_dims)):
-        raise ValueError("block dimension exceeds n; full column rank is impossible")
-    rng = SplitMix64(seed)
-    x_blocks = tuple(_quadratic_block(rng, d, n) for d in x_dims)
-    y_blocks = tuple(_quadratic_block(rng, d, n) for d in y_dims)
-    c = rng.normals(n)
-    problem = BlockProblem(x_blocks, y_blocks, c)
-    w_star = _kkt_solve(problem)
-    return _verify_bundle(InstanceBundle(
-        name=f"quadratic-p{p}q{q}n{n}-s{seed}", problem=problem, w_star=w_star,
-        provenance="dense KKT linear solve", seed=seed, certificate="strongly-convex",
-    ))
-
-
-# ---------------------------------------------------------------------------
-# l1 instances (sign-pattern enumeration oracle)
-# ---------------------------------------------------------------------------
-
-def _enumerate_l1(problem: BlockProblem, margin: float = PATTERN_MARGIN) -> Iterate:
-    """Reference point by enumerating sign patterns of all l1 components.
-
-    Every l1 block must couple through alpha I. For each pattern in
-    {-1, 0, +1}^dim the reduced square KKT system (multiplier pinning on the
-    support, stationarity of the smooth blocks, the equality constraint) is
-    solved; a pattern is accepted when the support signs are strict and the
-    zero components satisfy |alpha lambda| <= weight with margin. Exactly one
-    pattern may pass.
-    """
-    l1_meta = []  # (block index, alpha, weight)
-    for i, blk in enumerate(problem.x_blocks):
-        if not isinstance(blk.objective, L1):
-            raise DegenerateInstance("enumeration expects every x block to be l1")
-        alpha = float(blk.A[0, 0])
-        l1_meta.append((i, alpha, blk.objective.weight))
-    n = problem.n
-    total_l1 = problem.p * n
-    if total_l1 > PATTERN_DIM_CAP:
-        raise PatternExplosion(f"total l1 dimension {total_l1} exceeds cap {PATTERN_DIM_CAP}")
-
-    y_dim = sum(problem.y_dims)
-    y_off = np.concatenate([[0], np.cumsum(problem.y_dims)]).astype(int)
-    accepted = []
-    for code in range(3 ** total_l1):
-        signs = np.zeros(total_l1, dtype=int)
-        cc = code
-        for t in range(total_l1):
-            signs[t] = (cc % 3) - 1  # -1, 0, +1
-            cc //= 3
-        support = np.flatnonzero(signs != 0)
-        ns = support.size
-        size = ns + y_dim + n
-        K = np.zeros((size, size))
-        rhs = np.zeros(size)
-        # multiplier pinning on the support: alpha_i lambda_c = weight_i sign
-        for row, t in enumerate(support):
-            i, alpha, weight = l1_meta[t // n]
-            comp = t % n
-            K[row, ns + y_dim + comp] = alpha
-            rhs[row] = weight * signs[t]
-        # stationarity of the smooth y blocks: P_j y_j - B_j' lambda = -r_j
-        for j, blk in enumerate(problem.y_blocks):
-            rows = slice(ns + y_off[j], ns + y_off[j + 1])
-            cols = slice(ns + y_off[j], ns + y_off[j + 1])
-            K[rows, cols] = blk.objective.P
-            K[rows, ns + y_dim:] = -blk.A.T
-            rhs[rows] = -blk.objective.r
-        # equality constraint: sum_i alpha_i x_i + sum_j B_j y_j = c
-        for row in range(n):
-            for col, t in enumerate(support):
-                i, alpha, _ = l1_meta[t // n]
-                if t % n == row:
-                    K[ns + y_dim + row, col] += alpha
-            K[ns + y_dim + row, ns:ns + y_dim] = np.concatenate(
-                [blk.A[row] for blk in problem.y_blocks]
-            )
-        rhs[ns + y_dim:] = problem.c
-        try:
-            if np.linalg.cond(K) > KKT_COND_CAP:
-                continue
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        z_s, yvec, lam = sol[:ns], sol[ns:ns + y_dim], sol[ns + y_dim:]
-        scale = 1.0 + float(np.abs(sol).max(initial=0.0))
-        if np.any(z_s * signs[support] < margin * scale):
-            continue
-        ok = True
-        for t in range(total_l1):
-            if signs[t] != 0:
-                continue
-            i, alpha, weight = l1_meta[t // n]
-            if abs(alpha * lam[t % n]) > weight * (1.0 - margin) + 1e-13:
-                ok = False
-                break
-        if not ok:
-            continue
-        xs = [np.zeros(n) for _ in range(problem.p)]
-        for col, t in enumerate(support):
-            xs[t // n][t % n] = z_s[col]
-        ys = [yvec[y_off[j]:y_off[j + 1]] for j in range(problem.q)]
-        accepted.append((signs.copy(), Iterate(tuple(xs), tuple(ys), lam)))
-        if len(accepted) > 1:
-            raise NonUniqueSolution("two sign patterns pass the strict filter")
-    if not accepted:
-        raise DegenerateInstance("no sign pattern passes the strict filter")
-    return accepted[0][1]
-
-
-def gen_l1(p: int, q: int, y_dims, n: int, seed: int) -> InstanceBundle:
-    """l1 x-blocks coupled through alpha I plus strictly convex quadratic
-    y-blocks; oracle = sign-pattern enumeration."""
-    if len(y_dims) != q:
-        raise ValueError("y_dims length must match q")
-    if any(d > n for d in y_dims):
-        raise ValueError("block dimension exceeds n; full column rank is impossible")
-    if p * n > PATTERN_DIM_CAP:
-        raise PatternExplosion(f"total l1 dimension {p * n} exceeds cap {PATTERN_DIM_CAP}")
-    rng = SplitMix64(seed)
-    x_blocks = tuple(
-        Block(L1(rng.uniform_in(0.5, 1.5)), rng.uniform_in(0.6, 1.4) * np.eye(n), Free())
-        for _ in range(p)
-    )
-    y_blocks = tuple(_quadratic_block(rng, d, n) for d in y_dims)
-    c = rng.normals(n)
-    problem = BlockProblem(x_blocks, y_blocks, c)
-    w_star = _enumerate_l1(problem)
-    return _verify_bundle(InstanceBundle(
-        name=f"l1-p{p}q{q}n{n}-s{seed}", problem=problem, w_star=w_star,
-        provenance="sign-pattern enumeration", seed=seed, certificate="unique-pattern",
-    ))
-
-
-# ---------------------------------------------------------------------------
-# Box-constrained quadratic instances (bound-pattern enumeration oracle)
-# ---------------------------------------------------------------------------
-
-def _enumerate_box(problem: BlockProblem, margin: float = PATTERN_MARGIN) -> Iterate:
-    """Reference point by enumerating lower/interior/upper patterns of every
-    boxed component; free components stay interior. Multiplier signs and
-    interior positions must clear the strict margin; exactly one pattern may
-    pass.
-
-    A pattern's KKT matrix depends only on which components are active, so
-    each active mask is built and conditioned once, and the right-hand sides
+    A pattern's KKT matrix depends only on which components sit on kinks, so
+    each such mask is built and conditioned once, and the right-hand sides
     of all its patterns go through one stacked solve. Every product keeps the
     form of a one-pattern-at-a-time solve (`tests/gridsearch.py`), so w* has
     the same bits.
@@ -354,32 +200,46 @@ def _enumerate_box(problem: BlockProblem, margin: float = PATTERN_MARGIN) -> Ite
     C = np.hstack([b.A for b in blocks])
     n = problem.n
 
-    lo = np.full(total, -np.inf)
-    hi = np.full(total, np.inf)
+    # Three options per component, each a piece or a kink, in five tables:
+    # a kink's value (nan on a piece; an infinite bound is no option), a
+    # piece's slope, and the interval [lo, hi] that u on a piece, or -grad on
+    # a kink, must lie inside, by margin * scale where `strict` is 1.
+    options = np.empty((5, total, 3))
+    options[:] = np.array([np.nan, 0.0, -np.inf, np.inf, 1.0])[:, None, None]
+    value, slope, lo, hi, strict = options
     for blk, sl in zip(blocks, problem.block_slices):
-        if isinstance(blk.set, Box):
-            lo[sl] = blk.set.lo
-            hi[sl] = blk.set.hi
-    boxed = np.flatnonzero(np.isfinite(lo) | np.isfinite(hi))
-    if boxed.size > PATTERN_DIM_CAP:
-        raise PatternExplosion(f"boxed dimension {boxed.size} exceeds cap {PATTERN_DIM_CAP}")
+        if isinstance(blk.set, Box):  # interior, at lo, at hi
+            lo[sl, 0], hi[sl, 0] = blk.set.lo, blk.set.hi
+            value[sl, 1], hi[sl, 1] = blk.set.lo, 0.0
+            value[sl, 2], lo[sl, 2] = blk.set.hi, 0.0
+        elif isinstance(blk.objective, L1):  # at 0, below 0, above 0
+            weight = blk.objective.weight
+            value[sl, 0], strict[sl, 0] = 0.0, 0.0
+            hi[sl, 0] = weight * (1.0 - margin) + 1e-13
+            lo[sl, 0] = -hi[sl, 0]
+            slope[sl, 1], hi[sl, 1] = -weight, 0.0
+            slope[sl, 2], lo[sl, 2] = weight, 0.0
+    kinked = np.flatnonzero(np.isfinite(value).any(axis=1))
+    if kinked.size > PATTERN_DIM_CAP:
+        raise PatternExplosion(f"enumerated dimension {kinked.size} exceeds cap {PATTERN_DIM_CAP}")
 
-    # one row per pattern: 0 interior, 1 at lo, 2 at hi; infinite bounds
-    # cannot be active
-    digits = np.arange(3 ** boxed.size)[:, None] // 3 ** np.arange(boxed.size) % 3
-    digits = digits[~((digits == 1) & ~np.isfinite(lo[boxed])
-                      | (digits == 2) & ~np.isfinite(hi[boxed])).any(axis=1)]
-    states = np.zeros((digits.shape[0], total), dtype=int)
-    states[:, boxed] = digits
-    U = np.where(states == 1, np.where(np.isfinite(lo), lo, 0.0),
-                 np.where(states == 2, np.where(np.isfinite(hi), hi, 0.0), 0.0))
-    masks = (digits != 0) @ (1 << np.arange(boxed.size))
+    # one option per component and pattern (0 off the kinked components);
+    # from here on each table has one row per pattern
+    digits = np.arange(3 ** kinked.size)[:, None] // 3 ** np.arange(kinked.size) % 3
+    digits = digits[~np.isinf(value[kinked, digits]).any(axis=1)]
+    option = np.zeros((digits.shape[0], total), dtype=int)
+    option[:, kinked] = digits
+    value, slope, lo, hi, strict = options[:, np.arange(total), option]
+    on_kink = ~np.isnan(value)
+    U = np.where(on_kink, value, 0.0)
+    lin = -r - slope
+    masks = on_kink[:, kinked] @ (1 << np.arange(kinked.size))
 
     accepted = []
-    for mask in range(1 << boxed.size):  # every boxed component has a finite bound
+    for mask in range(1 << kinked.size):  # every kinked component has a kink
         rows = masks == mask
-        state, u = states[rows], U[rows]
-        active = state[0] != 0
+        u, kink = U[rows], on_kink[rows]
+        active = kink[0]
         free = ~active
         nf = int(free.sum())
         # unknowns: u_free, lambda; equations: free stationarity + constraint
@@ -395,11 +255,11 @@ def _enumerate_box(problem: BlockProblem, margin: float = PATTERN_MARGIN) -> Ite
             continue
         P_fa, C_a = P[np.ix_(free, active)], C[:, active]
         rhs = np.empty((u.shape[0], size))
-        for rhs_row, u_row in zip(rhs, u):
+        for rhs_row, u_row, lin_row in zip(rhs, u, lin[rows]):
             # 1-d products on a fresh contiguous u[active], as a one-pattern
             # solve forms them: stacked products change the last bit of w*
             u_act = u_row[active]
-            rhs_row[:nf] = -r[free] - P_fa @ u_act
+            rhs_row[:nf] = lin_row[free] - P_fa @ u_act
             rhs_row[nf:] = problem.c - C_a @ u_act
         try:
             # K's LU is the same for every row, so all rows solve or none do
@@ -410,24 +270,79 @@ def _enumerate_box(problem: BlockProblem, margin: float = PATTERN_MARGIN) -> Ite
         lam = sol[:, nf:]
         grad = np.matmul(P, u[:, :, None])[:, :, 0] + r - np.matmul(C.T, lam[:, :, None])[:, :, 0]
         scale = 1.0 + np.abs(u).max(axis=1, initial=0.0) + np.abs(grad).max(axis=1, initial=0.0)
-        eps = (margin * scale)[:, None]
-        reject = ((u[:, free] < lo[free] + eps) | (u[:, free] > hi[free] - eps)).any(axis=1)
-        reject |= ((state == 1) & (grad < eps) | (state == 2) & (grad > -eps)).any(axis=1)
+        tol = (margin * scale)[:, None] * strict[rows]
+        inside = np.where(kink, -grad, u)
+        reject = ((inside < lo[rows] + tol) | (inside > hi[rows] - tol)).any(axis=1)
         accepted += [np.concatenate([u_ok, lam_ok]) for u_ok, lam_ok in zip(u[~reject], lam[~reject])]
     if len(accepted) > 1:
-        raise NonUniqueSolution("two bound patterns pass the strict filter")
+        raise NonUniqueSolution("two patterns pass the strict filter")
     if not accepted:
-        raise DegenerateInstance("no bound pattern passes the strict filter")
+        raise DegenerateInstance("no pattern passes the condition cap and the strict filter")
     return Iterate.from_stack(problem, accepted[0])
+
+
+def _check_shape(p: int, q: int, x_dims, y_dims, n: int) -> None:
+    """Raise ValueError unless there are p >= 1 x-blocks and q >= 1 y-blocks
+    of the given dims, each dim in 1..n (full column rank needs d <= n)."""
+    if len(x_dims) != p or len(y_dims) != q:
+        raise ValueError("x_dims/y_dims lengths must match p and q")
+    if min(p, q, n, *x_dims, *y_dims) < 1:
+        raise ValueError("p, q, n and every block dimension must be at least 1")
+    if max([*x_dims, *y_dims]) > n:
+        raise ValueError("block dimension exceeds n; full column rank is impossible")
+
+
+# ---------------------------------------------------------------------------
+# Instance families: free quadratics, l1 x-blocks, boxed quadratics
+# ---------------------------------------------------------------------------
+
+def _quadratic_block(rng: SplitMix64, d: int, n: int) -> Block:
+    """A free block with a strictly convex quadratic objective; draws P, then
+    r, then the n x d coupling matrix."""
+    return Block(Quadratic(spd_matrix(rng, d), 0.5 * rng.normals(d)), full_rank_matrix(rng, n, d), Free())
+
+
+def gen_quadratic(p: int, q: int, x_dims, y_dims, n: int, seed: int) -> InstanceBundle:
+    """Strictly convex quadratics over free blocks; oracle = dense KKT solve
+    (the enumeration's one pattern)."""
+    _check_shape(p, q, x_dims, y_dims, n)
+    rng = SplitMix64(seed)
+    x_blocks = tuple(_quadratic_block(rng, d, n) for d in x_dims)
+    y_blocks = tuple(_quadratic_block(rng, d, n) for d in y_dims)
+    c = rng.normals(n)
+    problem = BlockProblem(x_blocks, y_blocks, c)
+    w_star = _enumerate_pieces(problem)
+    return _verify_bundle(InstanceBundle(
+        name=f"quadratic-p{p}q{q}n{n}-s{seed}", problem=problem, w_star=w_star,
+        provenance="dense KKT linear solve", seed=seed, certificate="strongly-convex",
+    ))
+
+
+def gen_l1(p: int, q: int, y_dims, n: int, seed: int) -> InstanceBundle:
+    """l1 x-blocks coupled through alpha I plus strictly convex quadratic
+    y-blocks; oracle = sign-pattern enumeration."""
+    _check_shape(p, q, [n] * p, y_dims, n)
+    if p * n > PATTERN_DIM_CAP:
+        raise PatternExplosion(f"total l1 dimension {p * n} exceeds cap {PATTERN_DIM_CAP}")
+    rng = SplitMix64(seed)
+    x_blocks = tuple(
+        Block(L1(rng.uniform_in(0.5, 1.5)), rng.uniform_in(0.6, 1.4) * np.eye(n), Free())
+        for _ in range(p)
+    )
+    y_blocks = tuple(_quadratic_block(rng, d, n) for d in y_dims)
+    c = rng.normals(n)
+    problem = BlockProblem(x_blocks, y_blocks, c)
+    w_star = _enumerate_pieces(problem)
+    return _verify_bundle(InstanceBundle(
+        name=f"l1-p{p}q{q}n{n}-s{seed}", problem=problem, w_star=w_star,
+        provenance="sign-pattern enumeration", seed=seed, certificate="unique-pattern",
+    ))
 
 
 def gen_box_qp(p: int, q: int, x_dims, y_dims, n: int, seed: int) -> InstanceBundle:
     """Strictly convex quadratics with boxed x-blocks and free y-blocks;
     oracle = bound-pattern enumeration."""
-    if len(x_dims) != p or len(y_dims) != q:
-        raise ValueError("x_dims/y_dims lengths must match p and q")
-    if any(d > n for d in list(x_dims) + list(y_dims)):
-        raise ValueError("block dimension exceeds n; full column rank is impossible")
+    _check_shape(p, q, x_dims, y_dims, n)
     if sum(x_dims) > PATTERN_DIM_CAP:
         raise PatternExplosion(f"boxed dimension {sum(x_dims)} exceeds cap {PATTERN_DIM_CAP}")
     rng = SplitMix64(seed)
@@ -449,7 +364,7 @@ def gen_box_qp(p: int, q: int, x_dims, y_dims, n: int, seed: int) -> InstanceBun
     for blk in y_blocks:
         c += blk.A @ rng.normals(blk.dim)
     problem = BlockProblem(x_blocks, y_blocks, c)
-    w_star = _enumerate_box(problem)
+    w_star = _enumerate_pieces(problem)
     return _verify_bundle(InstanceBundle(
         name=f"boxqp-p{p}q{q}n{n}-s{seed}", problem=problem, w_star=w_star,
         provenance="bound-pattern enumeration", seed=seed, certificate="unique-active-set",

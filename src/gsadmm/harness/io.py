@@ -167,6 +167,14 @@ class _Lines:
             raise ParseError(f"expected {count} floats, got {len(vals)}")
         return np.asarray(vals)
 
+    def vector(self, key: str, *shape: int) -> np.ndarray:
+        """The floats under a `key <shape...>` line, which must name `shape`
+        (a block's index and dim, or lambda's n); the last entry counts them."""
+        got = self.expect(key, len(shape))
+        if [int(v) for v in got] != list(shape):
+            raise ParseError(f"expected '{key} {' '.join(map(str, shape))}', got '{key} {' '.join(got)}'")
+        return self.floats(shape[-1])
+
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         return np.vstack([self.floats(cols) for _ in range(rows)]) if rows else np.zeros((0, cols))
 
@@ -225,15 +233,9 @@ def parse_instance(text: str):
     meta: dict[str, object] = {}
     if lines.peek() == "solution":
         lines.next()
-        xs = []
-        for i in range(p):
-            _, dim = lines.expect("x", 2)
-            xs.append(lines.floats(int(dim)))
-        ys = []
-        for j in range(q):
-            _, dim = lines.expect("y", 2)
-            ys.append(lines.floats(int(dim)))
-        lam = lines.floats(int(lines.expect("lambda")[0]))
+        xs = [lines.vector("x", i, blk.dim) for i, blk in enumerate(x_blocks)]
+        ys = [lines.vector("y", j, blk.dim) for j, blk in enumerate(y_blocks)]
+        lam = lines.vector("lambda", n)
         while (ln := lines.next()) != "end":
             key, _, rest = ln.partition(" ")
             meta[key] = rest

@@ -8,8 +8,11 @@ coordinate stage globally convergent, so the pair (grid, polish) cannot be
 trapped away from the unique minimizer.
 
 `reference_prox_solve` is the plain one-pattern-at-a-time enumeration that
-the batched box/nonnegative oracle must reproduce bit for bit, and
-`reference_enumerate_box` the one that `generators._enumerate_box` must.
+the batched box/nonnegative oracle must reproduce bit for bit.
+`reference_enumerate_l1` (sign patterns) and `reference_enumerate_box`
+(bound patterns) are the one-pattern-at-a-time enumerations that the
+mask-grouped `generators._enumerate_pieces` must reproduce bit for bit on l1
+and box problems.
 
 A `ProxQuery` is one proximal subproblem with its point u; `solve_query`
 solves it through a `ProxKernel` built for it, and `optimality_residual`
@@ -270,11 +273,103 @@ def reference_prox_solve(query, u=None) -> np.ndarray:
     return reference_bound_quadratic(Heff, geff, *bounds(fset, A.shape[1]))
 
 
+def reference_enumerate_l1(problem: BlockProblem, margin: float = PATTERN_MARGIN) -> Iterate:
+    """Reference point by enumerating sign patterns of all l1 components, one
+    pattern at a time; `generators._enumerate_pieces` must return the same
+    bytes or raise the same exception type on l1 problems.
+
+    Every l1 block must couple through alpha I. For each pattern in
+    {-1, 0, +1}^dim the reduced square KKT system (multiplier pinning on the
+    support, stationarity of the smooth blocks, the equality constraint) is
+    solved; a pattern is accepted when the support signs are strict and the
+    zero components satisfy |alpha lambda| <= weight with margin. Exactly one
+    pattern may pass.
+    """
+    l1_meta = []  # (block index, alpha, weight)
+    for i, blk in enumerate(problem.x_blocks):
+        if not isinstance(blk.objective, L1):
+            raise DegenerateInstance("enumeration expects every x block to be l1")
+        alpha = float(blk.A[0, 0])
+        l1_meta.append((i, alpha, blk.objective.weight))
+    n = problem.n
+    total_l1 = problem.p * n
+    if total_l1 > PATTERN_DIM_CAP:
+        raise PatternExplosion(f"total l1 dimension {total_l1} exceeds cap {PATTERN_DIM_CAP}")
+
+    y_dim = sum(problem.y_dims)
+    y_off = np.concatenate([[0], np.cumsum(problem.y_dims)]).astype(int)
+    accepted = []
+    for code in range(3 ** total_l1):
+        signs = np.zeros(total_l1, dtype=int)
+        cc = code
+        for t in range(total_l1):
+            signs[t] = (cc % 3) - 1  # -1, 0, +1
+            cc //= 3
+        support = np.flatnonzero(signs != 0)
+        ns = support.size
+        size = ns + y_dim + n
+        K = np.zeros((size, size))
+        rhs = np.zeros(size)
+        # multiplier pinning on the support: alpha_i lambda_c = weight_i sign
+        for row, t in enumerate(support):
+            i, alpha, weight = l1_meta[t // n]
+            comp = t % n
+            K[row, ns + y_dim + comp] = alpha
+            rhs[row] = weight * signs[t]
+        # stationarity of the smooth y blocks: P_j y_j - B_j' lambda = -r_j
+        for j, blk in enumerate(problem.y_blocks):
+            rows = slice(ns + y_off[j], ns + y_off[j + 1])
+            cols = slice(ns + y_off[j], ns + y_off[j + 1])
+            K[rows, cols] = blk.objective.P
+            K[rows, ns + y_dim:] = -blk.A.T
+            rhs[rows] = -blk.objective.r
+        # equality constraint: sum_i alpha_i x_i + sum_j B_j y_j = c
+        for row in range(n):
+            for col, t in enumerate(support):
+                i, alpha, _ = l1_meta[t // n]
+                if t % n == row:
+                    K[ns + y_dim + row, col] += alpha
+            K[ns + y_dim + row, ns:ns + y_dim] = np.concatenate(
+                [blk.A[row] for blk in problem.y_blocks]
+            )
+        rhs[ns + y_dim:] = problem.c
+        try:
+            if np.linalg.cond(K) > KKT_COND_CAP:
+                continue
+            sol = np.linalg.solve(K, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        z_s, yvec, lam = sol[:ns], sol[ns:ns + y_dim], sol[ns + y_dim:]
+        scale = 1.0 + float(np.abs(sol).max(initial=0.0))
+        if np.any(z_s * signs[support] < margin * scale):
+            continue
+        ok = True
+        for t in range(total_l1):
+            if signs[t] != 0:
+                continue
+            i, alpha, weight = l1_meta[t // n]
+            if abs(alpha * lam[t % n]) > weight * (1.0 - margin) + 1e-13:
+                ok = False
+                break
+        if not ok:
+            continue
+        xs = [np.zeros(n) for _ in range(problem.p)]
+        for col, t in enumerate(support):
+            xs[t // n][t % n] = z_s[col]
+        ys = [yvec[y_off[j]:y_off[j + 1]] for j in range(problem.q)]
+        accepted.append((signs.copy(), Iterate(tuple(xs), tuple(ys), lam)))
+        if len(accepted) > 1:
+            raise NonUniqueSolution("two sign patterns pass the strict filter")
+    if not accepted:
+        raise DegenerateInstance("no sign pattern passes the strict filter")
+    return accepted[0][1]
+
+
 def reference_enumerate_box(problem: BlockProblem, margin: float = PATTERN_MARGIN) -> Iterate:
-    """`generators._enumerate_box` one pattern at a time: for each pattern
-    code in turn, build and condition its KKT matrix, solve, and filter. The
-    mask-grouped enumeration must return the same bytes or raise the same
-    exception type."""
+    """Bound-pattern enumeration one pattern at a time: for each pattern code
+    in turn, build and condition its KKT matrix, solve, and filter.
+    `generators._enumerate_pieces` must return the same bytes or raise the
+    same exception type on box problems."""
     blocks = problem.x_blocks + problem.y_blocks
     P, r = _stack_dims(problem)
     total = r.shape[0]

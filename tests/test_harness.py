@@ -64,6 +64,19 @@ def test_round_trip_preserves_sets_and_infinities(tmp_path):
     assert parsed.x_blocks[0].objective.weight == 0.75
 
 
+@pytest.mark.parametrize("old, new", [
+    ("x 0 1\n0.5\n", "x 0 2\n0.5 0.5\n"),
+    ("y 0 1\n0.5\n", "y 0 3\n0.5 0.5 0.5\n"),
+    ("y 0 1\n", "y 1 1\n"),
+    ("lambda 1\n1\n", "lambda 2\n1 1\n"),
+])
+def test_parse_rejects_solution_that_does_not_fit_the_blocks(old, new):
+    text = _document(qp1())
+    assert old in text
+    with pytest.raises(io.ParseError, match="expected '"):
+        io.parse_instance(text.replace(old, new, 1))
+
+
 def test_parse_rejects_malformed_document():
     with pytest.raises(io.ParseError):
         io.parse_instance("not-an-instance 1\n")
@@ -108,6 +121,11 @@ CORRUPTIONS = {
     "l1-coupling-inf": (l1_1d, "coupling 1 1\n1\n", "coupling 1 1\ninf\n",
                         "x[0]: coupling matrix has non-finite entries"),
     "solution-nan": (qp1, "x 0 1\n0.5\n", "x 0 1\nnan\n", "solution has non-finite entries"),
+    # a solution section that does not fit the blocks
+    "solution-x-dim": (qp1, "x 0 1\n0.5\n", "x 0 2\n0.5 0.5\n", "expected 'x 0 1', got 'x 0 2'"),
+    "solution-x-index": (qp1, "x 0 1\n", "x 1 1\n", "expected 'x 0 1', got 'x 1 1'"),
+    "solution-y-dim": (qp1, "y 0 1\n0.5\n", "y 0 2\n0.5 0.5\n", "expected 'y 0 1', got 'y 0 2'"),
+    "solution-lambda-n": (qp1, "lambda 1\n1\n", "lambda 2\n1 1\n", "expected 'lambda 1', got 'lambda 2'"),
 }
 
 
@@ -570,7 +588,7 @@ def test_cmd_check_fails_on_corrupted_file(tmp_path, capsys):
         code = main(["check", "--instance", _corrupted(tmp_path, case)])
         captured = capsys.readouterr()
         assert code == 1, case
-        if case == "solution-nan":  # rejected by the parser
+        if case.startswith("solution-"):  # rejected by the parser
             assert captured.err == f"error: {needle}\n"
         else:
             assert f"check problem-valid: FAIL ({needle})" in captured.out, captured.out
@@ -668,6 +686,20 @@ def test_cmd_gen_roundtrip_and_check(tmp_path, capsys):
     assert main(["check", "--instance", str(path)]) == 0
     out = capsys.readouterr().out
     assert "reference-point-kkt: pass" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["quadratic", "--p", "0"],
+    ["quadratic", "--x-dims", "0"],
+    ["l1", "--p", "0"],
+    ["boxqp", "--y-dims", "0"],
+])
+def test_cmd_gen_empty_shape_exits_one_with_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "x.txt"
+    assert main(["gen", "--generator", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: p, q, n and every block dimension must be at least 1\n", err
+    assert not out.exists()
 
 
 def test_cmd_gen_pattern_explosion_exits_three(tmp_path, capsys):

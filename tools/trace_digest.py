@@ -7,7 +7,10 @@ imports `gsadmm` from CHECKOUT/src and the benchmark workloads from
 CHECKOUT/bench, and prints one line per case. First the generated instances:
 a SHA-256 prefix of the instance document (`harness.io.serialize_problem`,
 reference point included) of every catalog instance, every box-enum instance
-and the atlas instance of seeds 0 and 1, and for each catalog instance a
+and the atlas instance of seeds 0 and 1; the same prefix, or the name of the
+exception the generator raised, for a generator sweep (`SWEEP`: 5
+`gen_quadratic`, 8 `gen_l1` and 5 `gen_box_qp` shapes, seeds 0-49 each,
+which covers the reference-point enumeration); and for each catalog instance a
 SHA-256 prefix over the bytes of its structural matrices Hx, Qtilde, Q, M,
 G, H and its four spectral scalars under the default config. Then the
 solves: a SHA-256 prefix over every record's `w`, `w~` and scalars plus
@@ -18,7 +21,8 @@ zero and from a SplitMix64 seed-3 start) and for `gen_box_qp(1, 1, [5], [3],
 seeds 0 and 1; and every `certified` line of the atlas (seeds 0, 1), catalog
 (seeds 0, 1) and box-enum workloads.
 Two checkouts agree bit for bit when their outputs compare equal (`cmp`).
-Takes about a minute.
+Takes 5-15 s on a 2-vCPU machine with one BLAS thread, of which the
+generator sweep takes 3-4 s.
 
 --verdict prints instead the `repr` of every field of the four post-hoc
 reports (pointwise, nonergodic, error bound, linear rate), or the name of the
@@ -72,6 +76,15 @@ from gsadmm.model import Iterate  # noqa: E402
 
 SCALARS = ("k", "feasibility", "feasibility_inf", "correction_residual", "d_norm_sq",
            "d_inf", "identity_error", "dist_H", "contraction_slack")
+# The generator sweep: each generator's shapes, each at seeds 0-49.
+SWEEP = (
+    (g.gen_quadratic, [(1, 1, [2], [2], 2), (2, 1, [2, 2], [3], 3), (2, 2, [2, 2], [2, 2], 3),
+                       (3, 2, [1, 2, 2], [2, 1], 4), (1, 3, [3], [2, 2, 1], 4)]),
+    (g.gen_l1, [(1, 1, [1], 1), (1, 1, [2], 2), (1, 2, [2, 1], 2), (2, 1, [2], 2), (1, 1, [3], 3),
+                (2, 2, [1, 2], 2), (3, 1, [1], 1), (3, 1, [2], 2)]),
+    (g.gen_box_qp, [(1, 1, [2], [2], 2), (2, 1, [2, 1], [2], 3), (1, 1, [3], [2], 3),
+                    (2, 1, [3, 2], [2], 4), (1, 1, [1], [1], 3)]),
+)
 
 
 def trace_digest(trace) -> str:
@@ -98,6 +111,25 @@ def sha(chunks) -> str:
     return h.hexdigest()[:16]
 
 
+def document(b) -> str:
+    return io.serialize_problem(b.problem, b.w_star, b.provenance, b.certificate, b.seed)
+
+
+def sweep_lines() -> list[str]:
+    """The instance document digest of each generator sweep case, or the
+    name of the exception its generator raised."""
+    out = []
+    for gen, shapes in SWEEP:
+        for shape in shapes:
+            for seed in range(50):
+                try:
+                    outcome = sha([document(gen(*shape, seed=seed)).encode()])
+                except workloads.GEN_ERRORS as exc:
+                    outcome = type(exc).__name__
+                out.append(f"instance sweep {gen.__name__}{shape} s{seed} {outcome}".replace(", ", ","))
+    return out
+
+
 def instance_lines(catalog) -> list[str]:
     """Digests of the generated instance documents, and of the structural
     matrices and spectral scalars of each catalog instance."""
@@ -110,10 +142,8 @@ def instance_lines(catalog) -> list[str]:
         atlas.build()
         atlas_seed = int(atlas.argv[atlas.argv.index("--seed") + 1])
         bundles.append((f"atlas{seed}", g.gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=atlas_seed)))
-    out = []
-    for label, b in bundles:
-        doc = io.serialize_problem(b.problem, b.w_star, b.provenance, b.certificate, b.seed)
-        out.append(f"instance {label} {b.name} {sha([doc.encode()])}")
+    out = [f"instance {label} {b.name} {sha([document(b).encode()])}" for label, b in bundles]
+    out += sweep_lines()
     for b in catalog:
         mats = g.assemble(b.problem, g.default_config(b.problem))
         chunks = [getattr(mats, name).tobytes() for name in ("Hx", "Qtilde", "Q", "M", "G", "H")]
