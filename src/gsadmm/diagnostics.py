@@ -86,15 +86,14 @@ def d_components(problem: BlockProblem, config: SolverConfig, delta: np.ndarray)
     """
     beta, sigma1, sigma2, tau = config.beta, config.sigma1, config.sigma2, config.tau
     m = delta.shape[-1] - problem.n
-    dlam = delta[..., None, m:]
+    dlam = delta[..., m:]
     out = np.empty(delta.shape[:-1] + (m,))
-    AX = problem.products(0, delta)
-    shared = (sigma1 - 1.0) * block_sum(AX)[..., None, :]
-    for rows, cols, _, AT in problem.batches[0]:
-        out[..., cols] = beta * matvecs(AT, shared + AX[..., rows, :])
-    BY = problem.products(1, delta)
-    for rows, cols, _, AT in problem.batches[1]:
-        out[..., cols] = (sigma2 + 1.0) * beta * matvecs(AT, BY[..., rows, :]) - tau * matvecs(AT, dlam)
+    AX, BY = problem.products(0, delta), problem.products(1, delta)
+    shared = (sigma1 - 1.0) * block_sum(AX)
+    for i, (blk, sl) in enumerate(zip(problem.x_blocks, problem.block_slices)):
+        out[..., sl] = beta * matvecs(blk.A.T, shared + AX[..., i, :])
+    for j, (blk, sl) in enumerate(zip(problem.y_blocks, problem.block_slices[problem.p:])):
+        out[..., sl] = (sigma2 + 1.0) * beta * matvecs(blk.A.T, BY[..., j, :]) - tau * matvecs(blk.A.T, dlam)
     return out
 
 

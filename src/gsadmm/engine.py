@@ -46,11 +46,8 @@ iteration takes one of two steps, chosen from the run's own patterns:
   from the row of w_k alone, each block writing its prox answer into the
   row of w_{k+1}, and forms the feasibility residual and the d vector with
   the same `Plan.D` product as the affine step; the stopping test reads
-  them through `residuals`, one row at a time. Blocks go in batches
-  (`BlockProblem.batches`): one stacked call per batch for products, prox
-  points and free-quadratic solves, with the bits of the per-block
-  iteration in tests/reference_verdict.py. Once the run's pattern has held
-  for HOLD_ITERS consecutive sweep iterations the solve goes on by that
+  them through `residuals`, one row at a time. Once the run's pattern has
+  held for HOLD_ITERS consecutive sweep iterations the solve goes on by that
   pattern's affine step.
 
 An all-free-quadratic instance has the empty pattern, which holds from the
@@ -105,7 +102,7 @@ from .model import (
     validate_problem,
 )
 from .structure import row_forms
-from .oracles import FreeBatch, OracleStats, ProxKernel, Unbounded, bounds, project, prox_solve, sweep_steps
+from .oracles import OracleStats, ProxKernel, Unbounded, bounds, project, prox_solve
 
 CONVERGED = "converged"
 ITERATION_CAP = "iteration-cap"
@@ -218,11 +215,12 @@ def group_sweep(steps, AZ, own_sum, base, sigma, out):
 
     Row i of AZ is A_i z_i and own_sum their sum; all prox points
     u_i = (base - (own_sum - A_i z_i) + sigma A_i z_i) / (1 + sigma) are formed
-    at once, and each step of `sweep_steps` writes its answers into out[cols].
+    at once, and step i, block i's (kernel, slice of w), writes its answer
+    at u_i into out.
     """
     U = (base - (own_sum - AZ) + sigma * AZ) / (1.0 + sigma)
-    for kernel, rows, cols in steps:
-        out[cols] = prox_solve(kernel, U[rows])
+    for (kernel, cols), u in zip(steps, U):
+        out[cols] = prox_solve(kernel, u)
 
 
 # The step operator passes its checks when ||T - (I - M (I - P))||_max and
@@ -258,9 +256,9 @@ def step_operator(problem: BlockProblem, config: SolverConfig,
     """The affine step of the pattern held by each patterned kernel
     (`patterns`, in the order of `Plan.patterned`; empty when every block is
     free-quadratic), composed from the kernels' affine answers
-    (`FreeBatch.affine`, `ProxKernel.affine`) as the x sweep, half dual
-    update, y sweep and full dual update, each an (N+1) x (N+1) map of
-    (w, 1), and checked once on every row.
+    (`ProxKernel.affine`) as the x sweep, half dual update, y sweep and full
+    dual update, each an (N+1) x (N+1) map of (w, 1), and checked once on
+    every row.
 
     The multiplier rows are checked as the paper's identity against the
     structural M. The primal rows, where that identity holds whatever the
@@ -285,22 +283,18 @@ def step_operator(problem: BlockProblem, config: SolverConfig,
     def sweep(group, sigma):  # z_i <- prox at u_i = (lambda/beta - R)/(1 + sigma) + A_i z_i
         S = np.eye(N + 1)
         shared = (S[m:N] / beta - R) / (1.0 + sigma)
-        for kernel, _, cols in steps[group]:
-            if isinstance(kernel, FreeBatch):
-                items = ((kern, L, None, c, None) for kern, L, c in zip(kernel.kernels, kernel.affine(), cols))
-            else:
-                pattern = next(pending)
-                items = ((kernel, *kernel.affine(pattern), cols, pattern),)
-            for kern, L, V, c, pattern in items:
-                U = shared.copy()
-                U[:, c] += kern.A
-                S[c] = L[:, :-1] @ U
-                S[c, N] += L[:, -1]
-                answers.append((c, pattern))
-                if V is not None:
-                    test = V[:, :-1] @ U
-                    test[:, N] += V[:, -1]
-                    tests[group].append(test)
+        for kernel, c in steps[group]:
+            pattern = next(pending) if kernel.patterned else None
+            L, V = kernel.affine(pattern)
+            U = shared.copy()
+            U[:, c] += kernel.A
+            S[c] = L[:, :-1] @ U
+            S[c, N] += L[:, -1]
+            answers.append((c, pattern))
+            if V is not None:
+                test = V[:, :-1] @ U
+                test[:, N] += V[:, -1]
+                tests[group].append(test)
         return S
 
     eye = np.eye(N, N + 1)
@@ -324,17 +318,17 @@ def step_operator(problem: BlockProblem, config: SolverConfig,
         shift = -(mats.Q[:m] @ correction)  # Q (P - I)
         residual, constant, grad_max, dual_max = np.zeros((m, N + 1)), True, 0.0, 0.0
         for blk, (c, pattern) in zip(problem.x_blocks + problem.y_blocks, answers):
-            f, Z, free, fixed = blk.objective, T[c], np.ones(len(c), dtype=bool), np.zeros(len(c))
+            f, Z, free, fixed = blk.objective, T[c], np.ones(blk.dim, dtype=bool), np.zeros(blk.dim)
             if isinstance(f, L1):
                 free = pattern != 0
             elif pattern is not None:
                 free = pattern == 0
-                fixed = np.where(pattern == 1, *bounds(blk.set, len(c)))
+                fixed = np.where(pattern == 1, *bounds(blk.set, blk.dim))
             # grad f(P) as a map of (w, 1); on an l1 block's nonzero components weight sign
             grad = f.P @ Z if isinstance(f, Quadratic) else np.zeros_like(Z)
             grad[:, N] += f.weight * pattern if isinstance(f, L1) else f.r
             pull = blk.A.T @ lam_tilde
-            residual[c[free]] = (grad - pull + shift[c])[free]
+            residual[c][free] = (grad - pull + shift[c])[free]
             grad_max = max(grad_max, float(np.abs(grad[free]).max(initial=0.0)))
             dual_max = max(dual_max, float(np.abs(pull[free]).max(initial=0.0)))
             constant = constant and not np.abs(Z[~free, :N]).any() and np.array_equal(Z[~free, N], fixed[~free])
@@ -359,12 +353,13 @@ def _key(patterns) -> bytes:
 
 class Plan:
     """What every iteration of one solve reads: the problem, the config and
-    its scalars, the oracle kernels, the structural matrices, each group's
-    sweep steps, the stacked reference point (None without one), the layout
-    of a solve row, the patterned kernels (`patterned`: each box,
-    nonnegative and l1 kernel with its columns in w), the step operators of
-    the patterns met so far, and `D`, the d vector of w~ - w as a matrix
-    (`d_components` of the identity's rows), which both steps multiply.
+    its scalars, the oracle kernels, each group's sweep steps (every block's
+    kernel with its slice of w), the structural matrices, the stacked
+    reference point (None without one), the layout of a solve row, the
+    patterned kernels (`patterned`: the steps whose kernel is
+    `ProxKernel.patterned`), the step operators of the patterns met so far,
+    and `D`, the d vector of w~ - w as a matrix (`d_components` of the
+    identity's rows), which both steps multiply.
 
     `operator(patterns)` builds a pattern's `step_operator` once per solve
     and returns it, or None when it failed a check; such a pattern is never
@@ -374,9 +369,9 @@ class Plan:
     def __init__(self, problem: BlockProblem, config: SolverConfig,
                  mats: structure.StructuralMatrices, w_star: Iterate | None, kernels):
         self.problem, self.config, self.mats, self.kernels = problem, config, mats, kernels
-        self.steps = tuple(map(sweep_steps, problem.batches, kernels))
-        self.patterned = tuple((kernel, cols) for group in self.steps for kernel, _, cols in group
-                               if not isinstance(kernel, FreeBatch))
+        slices = problem.block_slices
+        self.steps = (tuple(zip(kernels[0], slices[:problem.p])), tuple(zip(kernels[1], slices[problem.p:])))
+        self.patterned = tuple(step for group in self.steps for step in group if step[0].patterned)
         N, n = problem.total_dim, problem.n
         self.N, self.m = N, N - n  # lambda is w[m:]
         # row k + 1 of a solve is w_{k+1}, lambda~_k, r_k = A x+ + B y+ - c and

@@ -431,6 +431,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:  # Python float arithmetic, such as rate_constants' beta ** 2
         print(f"runtime failure: floating-point overflow ({exc.args[-1]})", file=sys.stderr)
         return EXIT_RUNTIME
+    except ZeroDivisionError as exc:  # Python float arithmetic, such as 2 / beta ** 2 once beta ** 2 underflows
+        print(f"runtime failure: floating-point division by zero ({exc})", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

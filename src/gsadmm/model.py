@@ -12,7 +12,6 @@ subdifferential is a piecewise linear multifunction.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -225,31 +224,14 @@ class BlockProblem:
         """Stacked dimension of w = (x, y, lambda)."""
         return sum(self.x_dims) + sum(self.y_dims) + self.n
 
-    @cached_property
-    def batches(self) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
-        """Each group's blocks (x, then y) as batches, the maximal runs of k
-        consecutive blocks with one dimension d, objective type and set type,
-        each as (rows: a slice of the group, cols: (k, d) positions in w,
-        A: (k, n, d) coupling matrices, AT: its (k, d, n) transposed view)."""
-        groups, offset = [], 0
-        for blocks in (self.x_blocks, self.y_blocks):
-            batches, i = [], 0
-            for _, run in itertools.groupby(blocks, lambda b: (b.dim, type(b.objective), type(b.set))):
-                A = np.stack([blk.A for blk in run])
-                k, _, d = A.shape
-                cols = offset + np.arange(k * d).reshape(k, d)
-                batches.append((slice(i, i + k), cols, A, A.transpose(0, 2, 1)))
-                i, offset = i + k, offset + k * d
-            groups.append(tuple(batches))
-        return tuple(groups)
-
     def products(self, group: int, w: np.ndarray) -> np.ndarray:
         """The (blocks, n) stack of A_i z_i over group 0 (x) or 1 (y), with z_i
         block i's part of the stacked w (or of each row of a 2-d w, one stack
         per row); row i has the bits of A_i @ z_i."""
-        out = np.empty(w.shape[:-1] + (self.q if group else self.p, self.n))
-        for rows, cols, A, _ in self.batches[group]:
-            out[..., rows, :] = matvecs(A, w[..., cols])
+        blocks, slices = (self.y_blocks, self.block_slices[self.p:]) if group else (self.x_blocks, self.block_slices)
+        out = np.empty(w.shape[:-1] + (len(blocks), self.n))
+        for i, (blk, sl) in enumerate(zip(blocks, slices)):
+            out[..., i, :] = matvecs(blk.A, w[..., sl])
         return out
 
 

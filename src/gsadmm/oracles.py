@@ -17,16 +17,16 @@ constant for l1 blocks, and for box and nonnegative blocks a table of active
 patterns.
 
 Free-quadratic blocks call the gesv gufunc of `np.linalg.solve`, with its bits
-but not its costly wrapper, several at once in a `FreeBatch`. gesv fails only
-on an exact zero pivot of Heff, so a probe at construction decides `Unbounded`.
+but not its costly wrapper. gesv fails only on an exact zero pivot of Heff, so
+a probe at construction decides `Unbounded`.
 
 For the engine's affine step each kernel also gives its answer as an affine
-map of u: `FreeBatch.affine` for free-quadratic blocks, and for box,
-nonnegative and l1 blocks `ProxKernel.affine` on a fixed pattern
-(`ProxKernel.pattern`: the enumeration's winning pattern, or the signs of an
-l1 answer). On a box pattern the free components solve Heff[f, f] and the
-active ones are their bounds; on an l1 pattern the nonzero components are
-u/alpha - sign thresh and the others 0. `ProxKernel.holds` tests stacked
+map of u, `ProxKernel.affine`: Heff^{-1} [rho A', -r] for a free-quadratic
+block, and for box, nonnegative and l1 blocks (`ProxKernel.patterned`) the
+answer on a fixed pattern (`ProxKernel.pattern`: the enumeration's winning
+pattern, or the signs of an l1 answer). On a box pattern the free
+components solve Heff[f, f] and the active ones are their bounds; on an l1
+pattern the nonzero components are u/alpha - sign thresh and the others 0. `ProxKernel.holds` tests stacked
 answers against their pattern: the KKT test of the first tier with the
 scale of `_kkt_ok` (box), the closed form's signs (l1), each margin clear of
 the GUARD_REL band.
@@ -246,7 +246,8 @@ class ProxKernel:
 
     Rejects a combination outside the catalog (`model.oracle_violation`) and
     computes everything that does not depend on u once; `solve(u)` does the
-    rest. A box, nonnegative or l1 kernel also answers on a fixed pattern
+    rest. `affine` gives the answer as an affine map of u; a box,
+    nonnegative or l1 kernel (`patterned`) gives it on a fixed pattern
     (`pattern`, `affine`, `holds`; see the module docstring).
     """
 
@@ -261,6 +262,7 @@ class ProxKernel:
             raise UnsupportedCombination(why)
         self.stats = OracleStats(type(fset).__name__.lower(), self.dim)
         self._table = None
+        self.patterned = not (isinstance(objective, Quadratic) and isinstance(fset, Free))
         if isinstance(objective, L1):  # A = alpha I
             alpha = self._alpha = float(self.A[0, 0])
             thresh = self._thresh = objective.weight / (self.rho * alpha * alpha)
@@ -301,18 +303,23 @@ class ProxKernel:
         lower bound, 2 at the upper bound), for an l1 block the sign of z."""
         return self._table.last if self._table is not None else np.sign(z).astype(np.int8)
 
-    def affine(self, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def affine(self, pattern: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
         """The answer on a fixed pattern as an affine map of u, and the
         `test_rows` rows that `holds` reads, each map as (rows, n + 1): the
         value at u is item[:, :-1] @ u + item[:, -1].
 
-        Box and nonnegative: the free components solve Heff[f, f] (one gesv
-        with a matrix right-hand side), active ones are their bound; the test
-        rows are r - rho A'u and the gradient Heff z + r - rho A'u. l1: u/alpha
-        - sign thresh on the nonzero components, 0 on the others; the test rows
-        are u/alpha.
+        Free quadratic (pattern None): Heff^{-1} [rho A', -r], one gesv with
+        a matrix right-hand side, and no test rows. Box and nonnegative: the
+        free components solve Heff[f, f] (one gesv with a matrix right-hand
+        side), active ones are their bound; the test rows are r - rho A'u and
+        the gradient Heff z + r - rho A'u. l1: u/alpha - sign thresh on the
+        nonzero components, 0 on the others; the test rows are u/alpha.
         """
         n = self.A.shape[0]
+        if not self.patterned:
+            if self._singular:
+                raise Unbounded("singular proximal system; coupling matrix rank deficient")
+            return np.linalg.solve(self._Heff, np.hstack((-self._neg_rho * self._AT, -self._r[:, None]))), None
         L = np.zeros((self.dim, n + 1))
         if self._table is None:
             scaled = np.hstack((np.eye(n) / self._alpha, np.zeros((n, 1))))
@@ -357,52 +364,12 @@ class ProxKernel:
                 & (G[:, lower] >= -band).all(axis=1) & (G[:, upper] <= band).all(axis=1))
 
 
-class FreeBatch:
-    """Free-quadratic kernels of one dimension and rho (with their `objective`,
-    `set`, `dim`): one stacked gesv answers row i of U for kernels[i]."""
-
-    def __init__(self, kernels):
-        first = kernels[0]
-        self.kernels, self.objective, self.set, self.dim = kernels, first.objective, first.set, first.dim
-        # a view of the stacked A, so each item has the layout of a kernel's A'
-        self._AT, self._neg_rho = np.stack([k.A for k in kernels]).transpose(0, 2, 1), first._neg_rho
-        self._r, self._Heff = np.stack([k._r for k in kernels]), np.stack([k._Heff for k in kernels])
-        self._singular = any(k._singular for k in kernels)
-
-    def solve(self, U: np.ndarray) -> np.ndarray:
-        for kernel in self.kernels:
-            kernel.stats.calls += 1
-        return _solve_free(self, U)
-
-    def affine(self) -> np.ndarray:
-        """The answers as affine maps of u: item i is Heff_i^{-1} [rho A_i', -r_i],
-        so kernel i's answer at u is item[:, :-1] @ u + item[:, -1]. One gesv
-        with a matrix right-hand side."""
-        if self._singular:
-            raise Unbounded("singular proximal system; coupling matrix rank deficient")
-        rhs = np.concatenate((-self._neg_rho * self._AT, -self._r[:, :, None]), axis=2)
-        return np.linalg.solve(self._Heff, rhs)
-
-
-def sweep_steps(batches, kernels) -> tuple:
-    """One group's solves as (kernel, rows, cols) for `BlockProblem.batches`: a
-    batch of free-quadratic blocks is one FreeBatch, any other block alone."""
-    steps = []
-    for rows, cols, _, _ in batches:
-        run = kernels[rows]
-        if isinstance(run[0].objective, Quadratic) and isinstance(run[0].set, Free):
-            steps.append((FreeBatch(run), rows, cols))
-        else:
-            steps += zip(run, range(rows.start, rows.stop), cols)
-    return tuple(steps)
-
-
-def _geff(kernel: ProxKernel | FreeBatch, u: np.ndarray) -> np.ndarray:
-    """Linear term of the reduced quadratic, r - rho A'u, at u or each row of U."""
+def _geff(kernel: ProxKernel, u: np.ndarray) -> np.ndarray:
+    """Linear term of the reduced quadratic, r - rho A'u."""
     return kernel._neg_rho * matvecs(kernel._AT, u) + kernel._r
 
 
-def _solve_free(kernel: ProxKernel | FreeBatch, u: np.ndarray) -> np.ndarray:
+def _solve_free(kernel: ProxKernel, u: np.ndarray) -> np.ndarray:
     if kernel._singular:
         raise Unbounded("singular proximal system; coupling matrix rank deficient")
     return _gesv(kernel._Heff, -_geff(kernel, u))

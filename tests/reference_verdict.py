@@ -16,12 +16,12 @@ whose H-distance to w* it computes afresh. Repeated steps must reproduce
 `engine.solve` bit for bit where it sweeps, and keep the equivalence
 contract of `tools/contract.py` where it takes the affine step.
 
-`advance` is the sweep one block at a time, as the engine ran it before it
-batched blocks: `group_sweep` forms each block's product and prox point on
-its own and solves a free-quadratic block with its own `np.linalg.solve`,
-and `apply_A`/`apply_B` sum the group products block by block. `engine.solve`
-driven by it (`engine.advance` replaced, and the affine step turned off)
-must reproduce the batched sweep bit for bit. `d_components` loops over the
+`advance` is the sweep one block at a time: `group_sweep` forms each
+block's product and prox point on its own and solves a free-quadratic block
+with its own `np.linalg.solve`, and `apply_A`/`apply_B` sum the group
+products block by block. `engine.solve` driven by it (`engine.advance`
+replaced, and the affine step turned off) must reproduce the engine's sweep,
+whose prox points and group sums are stacked, bit for bit. `d_components` loops over the
 blocks; every column of `engine.Plan.D` must have its bits on the unit
 vector of that column. `closed_form_theta_hat` is the coefficient sum that
 `diagnostics.theta_hat` replaced by the blocks of `Plan.D`.

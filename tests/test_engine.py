@@ -723,8 +723,8 @@ def _exact_maps(problem, cfg, pattern=None):
 
 def _step_operator(problem, cfg, mats):
     """The engine's step operator of an all-free instance."""
-    kernels = engine.block_kernels(problem, cfg)
-    return engine.step_operator(problem, cfg, mats, tuple(map(oracles.sweep_steps, problem.batches, kernels)))
+    plan = engine.Plan(problem, cfg, mats, None, engine.block_kernels(problem, cfg))
+    return engine.step_operator(problem, cfg, mats, plan.steps)
 
 
 def test_step_operator_identity_exact_on_qp1(qp1):
@@ -879,21 +879,15 @@ def test_held_pattern_operator_exact(name, held):
 
 
 def _halved_answer(mp):
-    """A prox map error: the first block's affine answer (of its batch's
-    first kernel, or of every box or l1 kernel) responds to u by half."""
-    free, single = oracles.FreeBatch.affine, oracles.ProxKernel.affine
+    """A prox map error: every block's affine answer (free-quadratic, box or
+    l1) responds to u by half."""
+    affine = oracles.ProxKernel.affine
 
-    def halved_free(batch):
-        L = free(batch).copy()
-        L[0, :, :-1] *= 0.5
-        return L
-
-    def halved_single(kernel, pattern):
-        L, V = single(kernel, pattern)
+    def halved(kernel, pattern):
+        L, V = affine(kernel, pattern)
         L[:, :-1] *= 0.5
         return L, V
-    mp.setattr(oracles.FreeBatch, "affine", halved_free)
-    mp.setattr(oracles.ProxKernel, "affine", halved_single)
+    mp.setattr(oracles.ProxKernel, "affine", halved)
 
 
 @pytest.mark.parametrize("name", ["quadratic-p2q2n3-s42", "l1-p1q2n2-s5", "boxqp-p2q1n3-s13"])
@@ -1047,7 +1041,7 @@ def test_group_update_reads_snapshot_only():
         kernels = engine.block_kernels(prob, cfg)[0]
         wk, out = state.stack(), np.zeros(prob.total_dim)
         base = prob.c - reference_verdict.apply_B(prob, wk) + state.lam / cfg.beta
-        steps = oracles.sweep_steps(prob.batches[0], kernels)
+        steps = tuple(zip(kernels, prob.block_slices[:prob.p]))
         engine.group_sweep(steps, prob.products(0, wk), reference_verdict.apply_A(prob, wk), base, cfg.sigma1, out)
         return [out[sl] for sl in prob.block_slices[:prob.p]]
 

@@ -257,36 +257,44 @@ def test_failed_write_removes_the_output_directory(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-# (command, instance, its linear term replaced by 1e308); the qp1 cases are
-# named by their command alone. The last case runs the generated qp1 with
-# beta = 1e200 instead.
-OVERFLOW_CASES = [pytest.param(command, document, old, id=command + suffix)
+# (command, instance, the line replaced by its linear term 1e308, beta,
+# the error); the qp1 cases are named by their command alone. The generated
+# qp1 runs with beta = 1e200 or 1e160 instead, and beta = 1e-170 (generated)
+# or 1e-300 (a document) underflows beta ** 2 to 0.
+OVERFLOW_CASES = [pytest.param(command, document, old, None, "overflow", id=command + suffix)
                   for document, old, suffix in ((qp1, "quad-r 1\n0\n", ""), (l1_1d, "quad-r 1\n-2\n", "-l1-1d"))
                   for command in ("run", "report", "check", "sweep")]
-OVERFLOW_CASES += [pytest.param(command, None, beta, id=f"{command}-beta-{beta}")
+OVERFLOW_CASES += [pytest.param(command, None, None, beta, "overflow", id=f"{command}-beta-{beta}")
                    for command, beta in (("run", "1e200"), ("sweep", "1e160"))]
+OVERFLOW_CASES += [pytest.param(command, document, None, beta, "division by zero", id=f"{command}{suffix}-beta-{beta}")
+                   for command, document, suffix, beta in (("run", None, "", "1e-170"), ("report", None, "", "1e-170"),
+                                                           ("report", qp1, "-qp1", "1e-300"))]
 
 
-@pytest.mark.parametrize("command, document, old", OVERFLOW_CASES)
-def test_overflow_is_a_runtime_failure(tmp_path, capsys, command, document, old):
+@pytest.mark.parametrize("command, document, old, beta, error", OVERFLOW_CASES)
+def test_overflow_is_a_runtime_failure(tmp_path, capsys, command, document, old, beta, error):
     # a linear term of 1e308 overflows the iteration, the reference-point
     # check and the sweep's rate check, beta = 1e200 overflows the
     # certification's quadratic forms, and beta = 1e160 the sweep's rate
     # constants in Python float arithmetic (OverflowError, not numpy's
-    # FloatingPointError); each must fail the command instead of reporting
-    # inf or a traceback
+    # FloatingPointError); a tiny beta divides by beta ** 2 = 0 in the rate
+    # constants (ZeroDivisionError); each must fail the command instead of
+    # reporting inf or a traceback
     if document is None:
-        argv = [command, "--generator", "qp1", "--beta", old, "--out", str(tmp_path / "out")]
+        argv = [command, "--generator", "qp1"] + (["--out", str(tmp_path / "out")] if command != "report" else [])
     else:
         path = tmp_path / "huge.txt"
-        path.write_text(_document(document()).replace(old, "quad-r 1\n1e308\n", 1))
+        text = _document(document())
+        path.write_text(text.replace(old, "quad-r 1\n1e308\n", 1) if old else text)
         argv = _command_argv(command, path, tmp_path)
+    if beta is not None:
+        argv += ["--beta", beta]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.count("\n") == 1 and err.startswith("runtime failure: floating-point overflow"), err
+    assert err.count("\n") == 1 and err.startswith(f"runtime failure: floating-point {error}"), err
     assert not (tmp_path / "out").exists()
 
 

@@ -133,20 +133,20 @@ def test_unbounded_face_raises():
 
 def test_singular_free_kernel_raises_unbounded():
     # Heff = A'A = [[1, 1], [1, 1]] has an exact zero pivot. The probe at
-    # construction finds it, and each call raises Unbounded, alone or in a
-    # batch, with no floating-point error or warning; a batch that does not
-    # fail leaves no floating-point flag either
+    # construction finds it, and each call raises Unbounded, with no
+    # floating-point error or warning; a regular kernel leaves no
+    # floating-point flag either, and its answer has the bits of
+    # np.linalg.solve
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
         singular = ProxKernel(Quadratic(np.zeros((2, 2)), np.zeros(2)), Free(), [[1.0, 1.0]], 1.0)
         regular = ProxKernel(Quadratic(np.eye(2), np.zeros(2)), Free(), [[1.0, 1.0]], 1.0)
-        with pytest.raises(Unbounded):
-            prox_solve(singular, np.ones(1))
-        with pytest.raises(Unbounded):
-            prox_solve(oracles.FreeBatch([regular, singular]), np.ones((2, 1)))
-        z = prox_solve(oracles.FreeBatch([regular, regular]), np.array([[1.0], [2.0]]))
-        assert z.tobytes() == np.stack([prox_solve(regular, np.ones(1)), prox_solve(regular, [2.0])]).tobytes()
-    assert (singular.stats.calls, regular.stats.calls) == (2, 5)
+        for u in (np.ones(1), np.array([2.0])):
+            with pytest.raises(Unbounded):
+                prox_solve(singular, u)
+            z = prox_solve(regular, u)
+            assert z.tobytes() == np.linalg.solve(np.eye(2) + 1.0, np.array([1.0, 1.0]) * u).tobytes()
+    assert (singular.stats.calls, regular.stats.calls) == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +297,25 @@ def _on_pattern(kernel, pattern, U):
     """The kernel's affine answers and test rows on the pattern at each row of U."""
     L, V = kernel.affine(pattern)
     return U @ L[:, :-1].T + L[:, -1], U @ V[:, :-1].T + V[:, -1]
+
+
+def test_free_affine_map_is_the_oracle():
+    # a free-quadratic kernel has no pattern: affine(None) is its answer as
+    # a map of u, with no test rows, and evaluated at u it is prox_solve's
+    # answer; a singular kernel raises Unbounded there as in solve
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        q = random_query("quadratic-free", rng, dim=int(rng.integers(1, 5)))
+        kernel = ProxKernel(q.objective, q.set, q.A, q.rho)
+        L, V = kernel.affine(None)
+        assert not kernel.patterned and V is None and L.shape == (q.dim, q.A.shape[0] + 1)
+        U = rng.standard_normal((50, q.A.shape[0])) * rng.uniform(0.1, 10.0, (50, 1))
+        for u in U:
+            z = prox_solve(kernel, u)
+            assert np.abs(L[:, :-1] @ u + L[:, -1] - z).max() <= 1e-12 * (1.0 + np.abs(z).max())
+    singular = ProxKernel(Quadratic(np.zeros((2, 2)), np.zeros(2)), Free(), [[1.0, 1.0]], 1.0)
+    with pytest.raises(Unbounded):
+        singular.affine(None)
 
 
 @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "quadratic-free"])
