@@ -1,5 +1,1 @@
 """CLI, persistence, and experiment orchestration."""
-
-from . import cli, io
-
-__all__ = ["cli", "io"]

@@ -344,7 +344,7 @@ def report_entries(trace: Trace, spectra: dict | None = None,
             block = f"x{idx}" if idx < trace.problem.p else f"y{idx - trace.problem.p}"
             entries[f"oracle.{block}"] = (
                 f"set={stats.set} dim={stats.dim} calls={stats.calls} patterns={stats.patterns} "
-                f"rechecks={stats.rechecks} loose_tier={stats.loose}")
+                f"loose_tier={stats.loose}")
     if spectra:
         entries.update(spectra)
     if nonergodic is not None:

@@ -28,8 +28,8 @@ pattern, or the signs of an l1 answer). On a box pattern the free
 components solve Heff[f, f] and the active ones are their bounds; on an l1
 pattern the nonzero components are u/alpha - sign thresh and the others 0. `ProxKernel.holds` tests stacked
 answers against their pattern: the KKT test of the first tier with the
-scale of `_kkt_ok` (box), the closed form's signs (l1), each margin clear of
-the GUARD_REL band.
+enumeration's tolerances (box), the closed form's signs (l1), each margin
+clear of the GUARD_REL band.
 
 Box and nonnegative blocks are solved by KKT pattern enumeration. Each
 component is interior, at its lower bound or at its upper bound; patterns are
@@ -38,16 +38,12 @@ feasibility and multiplier-sign tests wins, at relative tolerance 1e-9 and
 then, only if no pattern passes, at 1e-6. The table stores, per pattern, the
 free indices, Heff[free, free] and the constant Heff[free, ~free] z[~free],
 built lazily in lexicographic chunks. A call solves all patterns of a chunk
-with the same free count in one stacked `np.linalg.solve` and screens them
+with the same free count in one stacked `np.linalg.solve` and tests them
 together. The answer has the same bits as trying the patterns one at a time:
-
-- the stacked solve runs the same LAPACK gesv on the same matrix and
-  right-hand side for every item, so each candidate z is bit-identical;
-- the feasibility test compares those candidates elementwise, exactly as the
-  scalar test does;
-- only the batched gradient Z Heff' may differ from the scalar Heff z, by a
-  rounding error below dim^2 eps scale. A pattern whose multiplier margin lies
-  within GUARD_REL * scale of the tolerance is decided by the scalar test.
+the stacked solve runs the same LAPACK gesv on the same matrix and right-hand
+side for every item, and the gradient Heff z + geff of every candidate is a
+stacked matrix-vector product, which for the C-contiguous Heff has the bits of
+the 1-d product, so each test compares the same numbers.
 """
 from __future__ import annotations
 
@@ -61,8 +57,8 @@ from .model import L1, Box, FeasibleSet, Free, Nonnegative, Objective, Quadratic
 
 # Relative KKT tolerances, tried in order.
 KKT_TIERS = (1e-9, 1e-6)
-# Multiplier margins closer than this (times the scale) to the tolerance are
-# re-tested with the scalar gradient; the batched one is within dim^2 eps.
+# A held pattern's margins must clear the tolerance by this much (times the
+# scale), which covers the rounding of a composed affine map.
 GUARD_REL = 1e-12
 # Lexicographic chunks grow threefold from FIRST_CHUNK to MAX_CHUNK patterns,
 # so an early winner costs a small chunk. A table keeps the chunks within its
@@ -114,23 +110,8 @@ class OracleStats:
     set: str
     dim: int
     calls: int = 0
-    patterns: int = 0   # active patterns solved and screened
-    rechecks: int = 0   # patterns inside the guard band, decided by the scalar test
+    patterns: int = 0   # active patterns solved and tested
     loose: int = 0      # answers that only the 1e-6 tier accepted
-
-
-def _kkt_ok(Heff: np.ndarray, geff: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            pat: np.ndarray, z: np.ndarray, gtol_rel: float) -> bool:
-    """Scalar feasibility and multiplier-sign test of one candidate."""
-    free = pat == 0
-    grad = Heff @ z + geff
-    scale = 1.0 + float(np.abs(geff).max(initial=0.0)) + \
-        float(np.abs(Heff).max()) * (1.0 + float(np.abs(z).max(initial=0.0)))
-    gtol = gtol_rel * scale
-    ftol = gtol_rel * (1.0 + float(np.abs(z).max(initial=0.0)))
-    if free.any() and (np.any(z[free] < lo[free] - ftol) or np.any(z[free] > hi[free] + ftol)):
-        return False
-    return not (np.any(grad[pat == 1] < -gtol) or np.any(grad[pat == 2] > gtol))
 
 
 class _PatternChunk:
@@ -162,7 +143,6 @@ class _PatternChunk:
                    gtol_rel: float, stats: OracleStats) -> tuple[np.ndarray, np.ndarray] | None:
         """The first pattern of the chunk passing the KKT test at gtol_rel, as
         (its solution, the pattern), or None."""
-        Heff, lo, hi = table.Heff, table.lo, table.hi
         Z = self.Zb.copy()
         solved = np.ones(Z.shape[0], dtype=bool)
         for rows, idx, Hff, const in self.groups:
@@ -177,26 +157,14 @@ class _PatternChunk:
                     except np.linalg.LinAlgError:
                         solved[row] = False
         stats.patterns += Z.shape[0]
-        zmax = np.abs(Z).max(axis=1)
-        scale = 1.0 + gmax + table.hmax * (1.0 + zmax)
-        gtol = (gtol_rel * scale)[:, None]
-        guard = (GUARD_REL * scale)[:, None]
-        ftol = (gtol_rel * (1.0 + zmax))[:, None]
-        infeasible = (self.free & ((Z < lo - ftol) | (Z > hi + ftol))).any(axis=1)
-        G = Z @ Heff.T + geff
-        fails = ~solved | infeasible | (self.lower & (G < -gtol - guard)).any(axis=1) \
-            | (self.upper & (G > gtol + guard)).any(axis=1)
-        # NaN margins are never sure and go to the scalar test
-        sure = ~(self.lower & ~(G >= guard - gtol)).any(axis=1) \
-            & ~(self.upper & ~(G <= gtol - guard)).any(axis=1)
-        passes = ~fails & sure
-        first = int(passes.argmax()) if passes.any() else Z.shape[0]
-        for row in np.flatnonzero(~fails[:first] & ~sure[:first]):
-            stats.rechecks += 1
-            z = Z[row].copy()
-            if _kkt_ok(Heff, geff, lo, hi, self.pat[row], z, gtol_rel):
-                return z, self.pat[row]
-        return (Z[first].copy(), self.pat[first]) if first < Z.shape[0] else None
+        gtol, ftol = table.tolerances(gmax, np.abs(Z).max(axis=1), gtol_rel)
+        G = matvecs(table.Heff, Z) + geff
+        # NaN passes every test, as in the one-at-a-time enumeration, so a
+        # diverging run ends in NonFiniteIterate rather than Unbounded
+        fails = ~solved | (self.free & ((Z < table.lo - ftol) | (Z > table.hi + ftol))).any(axis=1) \
+            | (self.lower & (G < -gtol)).any(axis=1) | (self.upper & (G > gtol)).any(axis=1)
+        first = int(fails.argmin())
+        return None if fails[first] else (Z[first].copy(), self.pat[first])
 
 
 class _PatternTable:
@@ -213,6 +181,13 @@ class _PatternTable:
         self._cached: list[_PatternChunk] = []
         self._cached_stop = 0
         self.last: np.ndarray | None = None  # the pattern of the last answer
+
+    def tolerances(self, gmax: float | np.ndarray, zmax: np.ndarray, rel: float) -> tuple[np.ndarray, np.ndarray]:
+        """The multiplier and feasibility tolerances of the KKT test at
+        relative tolerance rel, as columns, for candidates z of largest
+        magnitude zmax with linear terms of largest magnitude gmax:
+        rel (1 + gmax + max|Heff| (1 + zmax)) and rel (1 + zmax)."""
+        return (rel * (1.0 + gmax + self.hmax * (1.0 + zmax)))[:, None], (rel * (1.0 + zmax))[:, None]
 
     def _chunks(self):
         yield from self._cached
@@ -343,25 +318,21 @@ class ProxKernel:
     def holds(self, pattern: np.ndarray, Z: np.ndarray, V: np.ndarray) -> np.ndarray:
         """Whether each row of Z, answers on the pattern, with V, their test
         rows (`affine`), is the oracle's answer: for a box or nonnegative
-        block the KKT test at tier KKT_TIERS[0] with the scale of `_kkt_ok`,
-        for an l1 block the signs of the closed form. Either way every margin
-        must clear the GUARD_REL band, which covers the rounding of a
-        composed map; NaN fails."""
+        block the KKT test at tier KKT_TIERS[0] with the enumeration's
+        tolerances (`_PatternTable.tolerances`), for an l1 block the signs of
+        the closed form. Either way every margin must clear the GUARD_REL
+        band, which covers the rounding of a composed map; NaN fails."""
         if self._table is None:
             thresh = self._thresh
             scale = 1.0 + np.abs(V).max(axis=1) + thresh
             zero = thresh - (V if isinstance(self.set, Nonnegative) else np.abs(V))
             margin = np.where(pattern == 0, zero, pattern * V - thresh)
             return (margin >= (GUARD_REL * scale)[:, None]).all(axis=1)
-        table, d, gtol_rel = self._table, self.dim, KKT_TIERS[0]
+        table, d, free = self._table, self.dim, pattern == 0
         geff, G = V[:, :d], V[:, d:]
-        zmax = np.abs(Z).max(axis=1)
-        scale = 1.0 + np.abs(geff).max(axis=1) + table.hmax * (1.0 + zmax)
-        band = ((gtol_rel - GUARD_REL) * scale)[:, None]
-        fband = ((gtol_rel - GUARD_REL) * (1.0 + zmax))[:, None]
-        free, lower, upper = pattern == 0, pattern == 1, pattern == 2
-        return ((Z[:, free] >= table.lo[free] - fband).all(axis=1) & (Z[:, free] <= table.hi[free] + fband).all(axis=1)
-                & (G[:, lower] >= -band).all(axis=1) & (G[:, upper] <= band).all(axis=1))
+        gtol, ftol = table.tolerances(np.abs(geff).max(axis=1), np.abs(Z).max(axis=1), KKT_TIERS[0] - GUARD_REL)
+        return ((Z[:, free] >= table.lo[free] - ftol).all(axis=1) & (Z[:, free] <= table.hi[free] + ftol).all(axis=1)
+                & (G[:, pattern == 1] >= -gtol).all(axis=1) & (G[:, pattern == 2] <= gtol).all(axis=1))
 
 
 def _geff(kernel: ProxKernel, u: np.ndarray) -> np.ndarray:

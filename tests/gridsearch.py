@@ -204,6 +204,23 @@ def brute_force_min(query: ProxQuery):
 # Reference enumeration for bound-constrained blocks
 # ---------------------------------------------------------------------------
 
+def kkt_ok(Heff: np.ndarray, geff: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+           pat: np.ndarray, z: np.ndarray, gtol_rel: float) -> bool:
+    """The feasibility and multiplier-sign test of one candidate z of
+    min 0.5 z'Hz + g'z over [lo, hi] on the pattern pat (0 free, 1 at the
+    lower bound, 2 at the upper bound), at relative tolerance gtol_rel; NaN
+    passes."""
+    free = pat == 0
+    grad = Heff @ z + geff
+    scale = 1.0 + float(np.abs(geff).max(initial=0.0)) + \
+        float(np.abs(Heff).max()) * (1.0 + float(np.abs(z).max(initial=0.0)))
+    gtol = gtol_rel * scale
+    ftol = gtol_rel * (1.0 + float(np.abs(z).max(initial=0.0)))
+    if free.any() and (np.any(z[free] < lo[free] - ftol) or np.any(z[free] > hi[free] + ftol)):
+        return False
+    return not (np.any(grad[pat == 1] < -gtol) or np.any(grad[pat == 2] > gtol))
+
+
 def reference_bound_quadratic(Heff: np.ndarray, geff: np.ndarray,
                               lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Minimize 0.5 z'Hz + g'z over [lo, hi]: try the KKT patterns one at a
@@ -237,16 +254,8 @@ def reference_bound_quadratic(Heff: np.ndarray, geff: np.ndarray,
                     z[free] = np.linalg.solve(Heff[np.ix_(free, free)], rhs)
                 except np.linalg.LinAlgError:
                     continue
-            grad = Heff @ z + geff
-            scale = 1.0 + float(np.abs(geff).max(initial=0.0)) + \
-                float(np.abs(Heff).max()) * (1.0 + float(np.abs(z).max(initial=0.0)))
-            gtol = gtol_rel * scale
-            ftol = gtol_rel * (1.0 + float(np.abs(z).max(initial=0.0)))
-            if nf and (np.any(z[free] < lo[free] - ftol) or np.any(z[free] > hi[free] + ftol)):
-                continue
-            if np.any(grad[pat == 1] < -gtol) or np.any(grad[pat == 2] > gtol):
-                continue
-            return z
+            if kkt_ok(Heff, geff, lo, hi, pat, z, gtol_rel):
+                return z
         return None
 
     for gtol_rel in (1e-9, 1e-6):

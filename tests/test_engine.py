@@ -9,8 +9,8 @@ import pytest
 
 import gsadmm as g
 from gsadmm import engine, oracles
-from gsadmm.model import Block, BlockProblem, Free, Iterate, Quadratic, SolverConfig, matvecs, rows_dot
-from gridsearch import reference_prox_solve
+from gsadmm.model import Block, BlockProblem, Box, Free, Iterate, Quadratic, SolverConfig, matvecs, rows_dot
+from gridsearch import kkt_ok, reference_prox_solve
 import reference_verdict
 from reference_verdict import feasibility_decomposition_error, residual, step
 
@@ -168,13 +168,13 @@ def test_affine_solve_forms_no_group_product_or_prox_per_iteration(catalog, monk
 
 def _contract_record(trace, mats, w_star, enumerations=True):
     """The equivalence contract's record of a trace (tools/contract.py);
-    without the enumeration counters (`patterns`, `rechecks`, `loose`) of
+    without the enumeration counters (`patterns`, `loose`) of
     each block when enumerations is False, for a run on the piecewise step,
     which enumerates only on its sweep iterations."""
     record = {**contract.run_record(trace, w_star),
               **contract.verdict_record(trace.problem, trace.config, mats, trace, w_star)}
     if not enumerations:
-        record["oracle"] = [counters[:3] for counters in record["oracle"]]
+        record["oracle"] = [counters[:1] for counters in record["oracle"]]
     return record
 
 
@@ -984,8 +984,7 @@ def test_pattern_miss_goes_to_the_sweep_and_accepted_rows_pass_kkt(case, catalog
                 continue
             lo, hi = oracles.bounds(kernel.set, kernel.dim)
             pattern = np.where(z == lo, 1, np.where(z == hi, 2, 0)).astype(np.int8)
-            assert oracles._kkt_ok(kernel._Heff, oracles._geff(kernel, u), lo, hi, pattern, z,
-                                   oracles.KKT_TIERS[0]), k
+            assert kkt_ok(kernel._Heff, oracles._geff(kernel, u), lo, hi, pattern, z, oracles.KKT_TIERS[0]), k
 
 
 @pytest.mark.parametrize("case", MISS_CASES)
@@ -1114,6 +1113,28 @@ def test_non_finite_iterate_raises(qp1):
     cfg = SolverConfig(tau=-0.5, s=-0.3, sigma1=0.5, sigma2=0.5, max_iters=5000, tol=-1.0)
     with pytest.raises(engine.NonFiniteIterate), np.errstate(all="ignore"):
         g.solve(problem, cfg, validate=False)
+
+
+# boxqp_1d, whose box block is the x block, and a 2-dim box y block, which
+# sees the overflowed x block of its own iteration
+NON_FINITE_BOX_CASES = {
+    "boxqp-1d": (lambda: g.generators.boxqp_1d().problem, 3087),
+    "y-box": (lambda: BlockProblem(
+        (Block(Quadratic(2.0 * np.eye(2), [0.0, 0.0]), [[1.0, 2.0], [0.0, 1.0]], Free()),),
+        (Block(Quadratic(2.0 * np.eye(2), [0.0, 0.0]), [[1.0, 1.0], [1.0, -1.0]], Box([-1.0, -1.0], [1.0, 1.0])),),
+        [1.0, 0.5]), 1674),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_BOX_CASES)
+def test_non_finite_box_iterate_raises(case):
+    # a diverging run through the box enumeration: non-finite points pass
+    # the enumeration's tests as in the reference, so the solve stops with
+    # NonFiniteIterate rather than Unbounded
+    problem, k = NON_FINITE_BOX_CASES[case]
+    cfg = SolverConfig(tau=-0.5, s=-0.3, sigma1=0.5, sigma2=0.5, max_iters=5000, tol=-1.0)
+    with pytest.raises(engine.NonFiniteIterate, match=f"at iteration {k}$"), np.errstate(all="ignore"):
+        g.solve(problem(), cfg, validate=False)
 
 
 def test_identity_error_bound_on_catalog(catalog_runs):

@@ -1,5 +1,8 @@
 import contextlib
 import io as textio
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -296,6 +299,19 @@ def test_overflow_is_a_runtime_failure(tmp_path, capsys, command, document, old,
     assert code == 2
     assert err.count("\n") == 1 and err.startswith(f"runtime failure: floating-point {error}"), err
     assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_point_writes_one_stderr_line(tmp_path):
+    # `python -m gsadmm.harness.cli` runs the module as __main__; the
+    # package must not have imported it already, or runpy warns on stderr
+    # before the failure line
+    src = str(Path(g.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "gsadmm.harness.cli", "report", "--generator", "qp1",
+                          "--beta", "1e-170"], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert out.returncode == 2
+    assert out.stderr.count("\n") == 1 and out.stderr.startswith("runtime failure: floating-point division by zero"), \
+        out.stderr
 
 
 def test_cmd_run_qp1_defaults(tmp_path, capsys):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from gsadmm import oracles
-from gsadmm.model import Box, Free, L1, Linear, Nonnegative, Quadratic
+from gsadmm.model import Box, Free, L1, Linear, Nonnegative, Quadratic, matvecs
 from gsadmm.oracles import ProxKernel, Unbounded, UnsupportedCombination, project, prox_solve
 from gridsearch import (
     FAMILIES,
     ProxQuery,
     brute_force_min,
+    kkt_ok,
     optimality_residual,
     random_query,
     reference_prox_solve,
@@ -251,14 +252,39 @@ def test_bound_oracle_loose_tier_only():
     assert kernel.stats.loose == 1
 
 
-def test_bound_oracle_scalar_recheck_path(monkeypatch):
-    # a guard band wider than every margin sends each candidate to the scalar test
-    monkeypatch.setattr(oracles, "GUARD_REL", 1e3)
-    rng = np.random.default_rng(4)
+def test_stacked_gradient_has_the_bits_of_the_1d_product():
+    # the enumeration tests a chunk's gradients as one stacked matrix-vector
+    # product per pattern, where the one-at-a-time reference forms the 1-d
+    # Heff @ z; for a C-contiguous Heff the two are the same bytes
+    rng = np.random.default_rng(31)
     for family in BOUND_FAMILIES:
-        q = random_query(family, rng, dim=4)
-        kernel = _assert_same_bits(q)
-        assert kernel.stats.rechecks > 0
+        for dim in range(1, 13):
+            q = random_query(family, rng, dim=dim)
+            kernel = ProxKernel(q.objective, q.set, q.A, q.rho)
+            Heff, geff = kernel._Heff, oracles._geff(kernel, q.u)
+            assert Heff.flags.c_contiguous
+            for chunk in itertools.islice(kernel._table._chunks(), 3):  # up to 243 + 729 + 2187 patterns
+                scale = 10.0 ** rng.integers(-3, 4, (chunk.Zb.shape[0], 1))
+                Z = np.where(chunk.free, scale * rng.standard_normal(chunk.Zb.shape), chunk.Zb)
+                G = matvecs(Heff, Z) + geff
+                for i in range(Z.shape[0]):
+                    assert G[i].tobytes() == (Heff @ Z[i].copy() + geff).tobytes(), (family, dim, i)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_bound_oracle_non_finite_point_gives_non_finite_answer(bad):
+    # NaN passes the enumeration's tests, as in the reference, so a kernel at
+    # a non-finite point answers with a non-finite z instead of raising
+    # Unbounded, and a diverging solve ends in NonFiniteIterate
+    rng = np.random.default_rng(6)
+    for family in BOUND_FAMILIES:
+        q = random_query(family, rng, dim=3)
+        kernel = ProxKernel(q.objective, q.set, q.A, q.rho)
+        u = q.u.copy()
+        u[1] = bad
+        with np.errstate(all="ignore"):
+            z = prox_solve(kernel, u)
+        assert not np.isfinite(z).all(), (family, z)
 
 
 def test_bound_oracle_singular_patterns_fall_back():
@@ -283,7 +309,7 @@ def test_oracle_counters():
     stats = kernel.stats
     assert (stats.set, stats.dim, stats.calls) == ("box", 2, 3)
     assert stats.patterns == 3 * 9  # one chunk of all 3^2 patterns per call
-    assert stats.rechecks == 0 and stats.loose == 0
+    assert stats.loose == 0
     free = ProxKernel(Quadratic(np.eye(2), np.zeros(2)), Free(), np.eye(2), 1.0)
     prox_solve(free, np.ones(2))
     assert (free.stats.calls, free.stats.patterns) == (1, 0)
@@ -347,9 +373,9 @@ def test_pattern_test_agrees_with_the_oracle(family):
                     continue
                 lo, hi = oracles.bounds(q.set, 3)
                 geff = oracles._geff(kernel, u)
-                assert not ok or oracles._kkt_ok(kernel._Heff, geff, lo, hi, pattern, z, oracles.KKT_TIERS[0])
+                assert not ok or kkt_ok(kernel._Heff, geff, lo, hi, pattern, z, oracles.KKT_TIERS[0])
                 inner = oracles.KKT_TIERS[0] - 4 * oracles.GUARD_REL
-                assert ok or not oracles._kkt_ok(kernel._Heff, geff, lo, hi, pattern, z, inner)
+                assert ok or not kkt_ok(kernel._Heff, geff, lo, hi, pattern, z, inner)
         if l1:  # the closed form's own signs hold (no margin here falls in the band)
             for u in U:
                 pattern = kernel.pattern(prox_solve(kernel, u))

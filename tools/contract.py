@@ -5,8 +5,9 @@ A run is reduced to a record of plain JSON values (`run_record`, and
 when `violations` finds nothing. The rules, by record key:
 
 - `exact`, `iters`, `termination` (or the NonFiniteIterate message, which
-  names the iteration), `oracle` (each block's counters) and `flags` (every
-  verdict flag, or the exception a check raised): equal;
+  names the iteration), `oracle` (each block's counters `calls`, `patterns`
+  and `loose`) and `flags` (every verdict flag, or the exception a check
+  raised): equal;
 - `r_hat`: equal to 4 significant digits;
 - `identity_ratio`, the C3 ratio max_k identity_error_k / (1e-10 (1 +
   ||w_k||)): at most 1 on both sides;
@@ -49,7 +50,7 @@ def run_record(trace, w_star=None) -> dict:
     return {
         "iters": len(trace.predictions),
         "termination": trace.termination,
-        "oracle": [list(dataclasses.astuple(s)) for s in trace.oracle_stats],
+        "oracle": [[s.calls, s.patterns, s.loose] for s in trace.oracle_stats],
         "identity_ratio": _plain(identity.max(initial=0.0)),
         "slack": [_plain(v) for v in slack.tolist()],
         "w_final": w_final.tolist(),

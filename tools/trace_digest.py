@@ -15,7 +15,7 @@ SHA-256 prefix over the bytes of its structural matrices Hx, Qtilde, Q, M,
 G, H and its four spectral scalars under the default config. Then the
 solves: a SHA-256 prefix over every record's `w`, `w~` and scalars plus
 `w_final`, followed by each block's oracle counters (calls, patterns,
-rechecks, loose), for the 13 catalog instances (2000 forced iterations, from
+loose), for the 13 catalog instances (2000 forced iterations, from
 zero and from a SplitMix64 seed-3 start) and for `gen_box_qp(1, 1, [5], [3],
 5)` seeds 1-3 at tol 1e-10; the digest of the atlas workload's atlas.csv for
 seeds 0 and 1; and every `certified` line of the atlas (seeds 0, 1), catalog
@@ -100,8 +100,9 @@ def trace_digest(trace) -> str:
 
 
 def oracle_counters(trace) -> str:
-    """Each block's oracle counters, x blocks then y blocks."""
-    return "oracle=" + ";".join(f"{s.calls},{s.patterns},{s.rechecks},{s.loose}" for s in trace.oracle_stats)
+    """Each block's oracle counters `calls`, `patterns` and `loose`, x blocks
+    then y blocks."""
+    return "oracle=" + ";".join(f"{s.calls},{s.patterns},{s.loose}" for s in trace.oracle_stats)
 
 
 def sha(chunks) -> str:
