@@ -10,12 +10,15 @@ scalars that the engine's certification pass forms after each chunk of
 iterations (`engine.certify`, `IterationRecord.contraction_slack`).
 
 The checks read a trace's columns (`Trace.iterates`, `Trace.predictions`,
-`Trace.columns`) and evaluate each bound for all iterations at once. Every
-per-row product is a stacked matrix-vector product (`matvecs`,
+`Trace.columns`) and its `repeat`, and evaluate each bound for all iterations
+at once. Every per-row product is a stacked matrix-vector product (`matvecs`,
 `structure.row_forms`, `rows_dot`), which runs the BLAS kernel of the 1-d
 product, and every expression keeps its association order, so each value has
-the bits the same formula gives one iteration at a time. The record-at-a-time reference
-lives in tests/reference_verdict.py.
+the bits the same formula gives one iteration at a time. On a trace filled
+from `repeat` = (j, p), iteration k repeats iteration `copy_source(k)`: the
+per-row values are formed on iterations 0 .. j + p - 1 only, and a maximum of
+(k + 1) v_k also reads the last period (`_scaled`). The record-at-a-time
+reference lives in tests/reference_verdict.py.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from .model import BlockProblem, Iterate, L1, SolverConfig, block_sum, matvecs, 
 from .oracles import l1_subgradient, project
 from .structure import row_forms
 
-if TYPE_CHECKING:  # avoid a runtime cycle; traces are duck-typed
+if TYPE_CHECKING:  # avoid a runtime cycle; traces are duck-typed (the columns and `repeat`)
     from .engine import Trace
     from .structure import StructuralMatrices
 
@@ -63,6 +66,30 @@ def _running_max(values: np.ndarray, start: float) -> float:
     """max(start, v_0, v_1, ...) as Python's max takes it: the first of the
     largest, NaNs skipped after the first element."""
     return max([start, *values.tolist()])
+
+
+def copy_source(k: np.ndarray, repeat: tuple[int, int]) -> np.ndarray:
+    """The iteration that iteration k of a run filled from `repeat` = (j, p)
+    repeats, rows and scalars alike; the one statement of the copy map."""
+    j, p = repeat
+    return np.where(k < j, k, j + (k - j) % p)
+
+
+def _distinct(trace: "Trace") -> int:
+    """n such that iterations 0 .. n - 1 hold every value of the trace."""
+    return len(trace.predictions) if trace.repeat is None else sum(trace.repeat)
+
+
+def _scaled(trace: "Trace", v: np.ndarray) -> np.ndarray:
+    """(k + 1) v_k, k in order, on every iteration that can hold its maximum:
+    all, or on a filled trace (v on the distinct ones) those and the last
+    period. The rounded (k + 1) v does not decrease in k for v >= 0, so a copy
+    peaks at its last iteration; for v < 0 at its first, a distinct one."""
+    scaled = np.arange(1.0, len(v) + 1.0) * v
+    if trace.repeat is None:
+        return scaled
+    last = np.arange(max(len(v), len(trace.predictions) - trace.repeat[1]), len(trace.predictions))
+    return np.concatenate((scaled, (last + 1.0) * v[copy_source(last, trace.repeat)]))
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +131,8 @@ def theta_hat(problem: BlockProblem, config: SolverConfig) -> float:
     N = problem.total_dim
     D = d_components(problem, config, np.eye(N)).T
     cols = problem.block_slices + (slice(N - problem.n, N),)
-    return float(sum(np.linalg.norm(block, 2) ** 2 for rows in problem.block_slices for sl in cols
-                     if (block := D[rows, sl]).any()))
+    return float(sum(np.linalg.svd(block, compute_uv=False)[0] ** 2 for rows in problem.block_slices
+                     for sl in cols if (block := D[rows, sl]).any()))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +196,7 @@ def nonergodic_check(mats: "StructuralMatrices", trace: "Trace",
     monotone_ok = bool(np.all(ms[1:] <= ms[:-1] + MONOTONE_RTOL * (1.0 + m0)))
     h0 = mats.h_norm_sq(trace.iterates[0] - w_star.stack())
     steps = np.arange(1.0, len(ms) + 1.0)  # k + 1
-    envelope = max((steps * ms).tolist())
+    envelope = max(_scaled(trace, ms[:_distinct(trace)]).tolist())
     xi = mats.xi
     xi_bound_ok = (
         math.isfinite(xi)
@@ -199,16 +226,15 @@ def pointwise_residual_check(problem: BlockProblem, config: SolverConfig,
     the bound to inf while its iterates stay finite, and inf <= inf holds.
     """
     th = theta_hat(problem, config)
-    cols = trace.columns
-    d_sq = cols["d_norm_sq"]
-    dw = trace.iterates[:-1] - trace.predictions
+    n = _distinct(trace)
+    d_sq = trace.columns["d_norm_sq"][:n]
+    dw = trace.iterates[:n] - trace.predictions[:n]
     bound = th * rows_dot(dw) * (1.0 + ERROR_BOUND_RTOL) + 1e-300
     ok = bool(np.all(np.isfinite(d_sq) & np.isfinite(bound) & (d_sq <= bound)))
-    steps = np.arange(1.0, len(d_sq) + 1.0)  # k + 1
     # Python's float ** 2 (C pow) and numpy's square differ in the last bit
     # on about 1 value in 1000, so the squares are taken one by one
-    feas_sq = np.array([f ** 2 for f in cols["feasibility"].tolist()])
-    return PointwiseReport(_running_max(steps * d_sq, 0.0), _running_max(steps * feas_sq, 0.0), th, ok)
+    feas_sq = np.array([f ** 2 for f in trace.columns["feasibility"][:n].tolist()])
+    return PointwiseReport(*(_running_max(_scaled(trace, v), 0.0) for v in (d_sq, feas_sq)), th, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +290,10 @@ def error_bound_check(problem: BlockProblem, mats: "StructuralMatrices", trace: 
     _require_region(mats, "projection-residual bound")
     coef = constants.delta * max(max(constants.mu_tilde), max(constants.nu_tilde), 1.0)
     coef /= mats.lambda_min_G
-    W = trace.iterates[:-1]
-    left = np.sum(error_map_rows(problem, trace.iterates[1:]) ** 2, axis=1)
-    right = coef * row_forms(mats.G, W - trace.predictions)
+    n = _distinct(trace)
+    W = trace.iterates[:n]
+    left = np.sum(error_map_rows(problem, trace.iterates[1:n + 1]) ** 2, axis=1)
+    right = coef * row_forms(mats.G, W - trace.predictions[:n])
     bound = right * (1.0 + ERROR_BOUND_RTOL) + ERROR_BOUND_ABS_FLOOR * (1.0 + rows_dot(W))
     ok = bool(np.all(left <= bound))
     positive = right > 0.0
@@ -303,13 +330,19 @@ def linear_rate_check(mats: "StructuralMatrices", trace: "Trace", w_star: Iterat
     t_conv = int(reached[0]) if len(reached) else iters - 1
     start = t_conv // 2
     ws = w_star.stack()
-    h = row_forms(mats.H, trace.iterates[start:t_conv + 1] - ws)
+    rows, at = (slice(start, t_conv + 1), None) if trace.repeat is None else np.unique(
+        copy_source(np.arange(start, t_conv + 1), trace.repeat), return_inverse=True)
+    h = row_forms(mats.H, trace.iterates[rows] - ws)
     dists = np.sqrt(np.where(0.0 > h, 0.0, h))  # mats.dist_H per row
-    ks, logs = [], []
-    for k, dh in enumerate(dists.tolist(), start):
-        if dh > 0.0 and math.isfinite(dh):
-            ks.append(k)
-            logs.append(math.log(dh))
+    if at is None:
+        ks, logs = [], []
+        for k, dh in enumerate(dists.tolist(), start):
+            if dh > 0.0 and math.isfinite(dh):
+                ks.append(k)
+                logs.append(math.log(dh))
+    else:  # the log of each distinct row, NaN where not usable, gathered back by `at`
+        lg = np.array([math.log(dh) if 0.0 < dh < math.inf else math.nan for dh in dists.tolist()])[at]
+        ks, logs = (np.flatnonzero(lg == lg) + start).tolist(), lg[lg == lg].tolist()
     if len(ks) < 20:
         raise InsufficientTrace(
             f"fit window [{start}, {t_conv}] has {len(ks)} usable points; need at least 20"

@@ -73,10 +73,10 @@ chunk lo .. hi - 1 that kept every row, did not meet the tolerance and ends
 before the cap, `_repeat` looks for the last w_j of the chunk with the bits
 of w_hi. The step, the pattern test, D and the certification read only w_k
 and the row of w_{k+1}, so the run is periodic from there with period
-p = hi - j: row t > hi is row j + 1 + (t - j - 1) % p, and the record scalars
-of iteration k >= hi are those of iteration j + (k - j) % p. The rest of the
-run is copied from those rows, bit for bit what stepping it would write, and
-counted as affine iterations and oracle calls; `Trace.repeat` is (j, p).
+p = hi - j: iteration k >= hi repeats iteration `diagnostics.copy_source(k)`
+= j + (k - j) % p, its record scalars and its row k + 1 alike. The rest of the
+run is copied, bit for bit what stepping it would write, and counted as affine
+iterations and oracle calls; `Trace.repeat` is (j, p).
 """
 from __future__ import annotations
 
@@ -88,7 +88,7 @@ from time import perf_counter
 import numpy as np
 
 from . import structure
-from .diagnostics import d_components
+from .diagnostics import copy_source, d_components
 from .model import (
     L1,
     BlockProblem,
@@ -621,7 +621,7 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
             if cap < end:
                 cap = end
                 rows, scalars, affine = _grown(rows, cap + 1), _grown(scalars, cap), _grown(affine, cap)
-            src = j + (np.arange(hi, end) - j) % (hi - j)
+            src = copy_source(np.arange(hi, end), repeat)
             rows[hi + 1:end + 1] = rows[src + 1]
             scalars[hi:end] = scalars[src]
             affine[hi:end] = True

@@ -20,10 +20,13 @@ After one untimed pass per side, each workload runs PAIRS = 20 pairs in
 ABBA order: the change first in even pairs, the parent first in odd ones.
 It prints one line per workload: the median change/parent ratio of the
 pairs' times, its 10th and 90th percentiles, the pairs the change won
-(ratio < 1), and both sides' median pass times. With one BLAS thread a run
-takes 30-40 s on a 2-vCPU machine. Both sides run in one process, so the
-machine's drift between processes does not enter the ratios. Where REV's
-package is the working tree's (an A=A run), they show the noise left.
+(ratio < 1), and both sides' median pass times. For catalog and box-enum it
+also prints the median ratios of the pass's solve seconds and of its verdict
+seconds (the four post-hoc checks), so that a change to one of them reads
+apart from the other. With one BLAS thread a run takes 30-40 s on a 2-vCPU
+machine. Both sides run in one process, so the machine's drift between
+processes does not enter the ratios. Where REV's package is the working
+tree's (an A=A run), they show the noise left.
 """
 from __future__ import annotations
 
@@ -66,23 +69,26 @@ def import_parent(rev: str, into: Path):
 
 
 def certified_pass(pkg, runs):
-    """One pass of solves and post-hoc checks; returns its package seconds."""
-    elapsed = 0.0
+    """One pass of solves and post-hoc checks; returns its package seconds
+    in the solves and in the checks."""
+    solve_s = verdict_s = 0.0
     for problem, config, mats, w_star in runs:
         start = perf_counter()
         trace = pkg.engine.solve(problem, config, w_star=w_star, mats=mats)
+        solved = perf_counter()
         pkg.diagnostics.pointwise_residual_check(problem, config, trace)
         pkg.diagnostics.nonergodic_check(mats, trace, w_star)
         constants = pkg.diagnostics.rate_constants(problem, config)
         with contextlib.suppress(pkg.diagnostics.InsufficientTrace):
             pkg.diagnostics.linear_rate_check(mats, trace, w_star, constants)
-        elapsed += perf_counter() - start
-    return elapsed
+        solve_s += solved - start
+        verdict_s += perf_counter() - solved
+    return solve_s, verdict_s
 
 
 def build(pkg, workload: str, out: Path):
     """The workload on pkg as a function that runs one pass and returns its
-    package seconds."""
+    package seconds as (solve, verdict); an atlas pass gives (all of it, 0)."""
     gen = pkg.generators
     if workload == "atlas":
         rng, bundle = gen.SplitMix64(0), None
@@ -100,7 +106,7 @@ def build(pkg, workload: str, out: Path):
                 elapsed = perf_counter() - start
             if status != 0:
                 raise RuntimeError(f"{pkg.__name__}: sweep exited {status}")
-            return elapsed
+            return elapsed, 0.0
         return sweep
     if workload == "catalog":
         bundles, overrides = gen.standard_catalog(), {"max_iters": 2000, "tol": -1.0}
@@ -131,16 +137,19 @@ def main(argv=None) -> int:
             sides = [build(pkg, workload, Path(tmp) / f"out-{i}") for i, pkg in enumerate((change, parent))]
             for run in sides:  # untimed warm-up
                 run()
-            times = np.empty((PAIRS, 2))
+            parts = np.empty((PAIRS, 2, 2))  # pair, side, (solve, verdict); an atlas pass is one part
             for pair in range(PAIRS):
                 order = (0, 1) if pair % 2 == 0 else (1, 0)
                 for side in order:
                     gc.collect()
-                    times[pair, side] = sides[side]()
+                    parts[pair, side] = sides[side]()
+            times = parts.sum(axis=2)
             ratio = times[:, 0] / times[:, 1]
             p10, p50, p90 = np.percentile(ratio, [10, 50, 90])
+            split = "" if workload == "atlas" else "  solve {:.3f} verdict {:.3f}".format(
+                *np.median(parts[:, 0] / parts[:, 1], axis=0))
             print(f"{workload:8s} change/parent median {p50:.3f} p10 {p10:.3f} p90 {p90:.3f} "
-                  f"won {int((ratio < 1.0).sum())}/{PAIRS}  "
+                  f"won {int((ratio < 1.0).sum())}/{PAIRS}{split}  "
                   f"change {np.median(times[:, 0]) * 1e3:.1f} ms parent {np.median(times[:, 1]) * 1e3:.1f} ms")
     return 0
 
