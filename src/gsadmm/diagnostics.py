@@ -16,9 +16,10 @@ at once. Every per-row product is a stacked matrix-vector product (`matvecs`,
 product, and every expression keeps its association order, so each value has
 the bits the same formula gives one iteration at a time. On a trace filled
 from `repeat` = (j, p), iteration k repeats iteration `copy_source(k)`: the
-per-row values are formed on iterations 0 .. j + p - 1 only, and a maximum of
-(k + 1) v_k also reads the last period (`_scaled`). The record-at-a-time
-reference lives in tests/reference_verdict.py.
+per-row values are formed on iterations 0 .. j + p - 1 only, a maximum or bound
+of (k + 1) v_k also reads the last period (`_scaled`), and the monotone test
+also reads the pair (j + p - 1, j + p), whose second is a copy of j. The
+record-at-a-time reference lives in tests/reference_verdict.py.
 """
 from __future__ import annotations
 
@@ -80,16 +81,16 @@ def _distinct(trace: "Trace") -> int:
     return len(trace.predictions) if trace.repeat is None else sum(trace.repeat)
 
 
-def _scaled(trace: "Trace", v: np.ndarray) -> np.ndarray:
-    """(k + 1) v_k, k in order, on every iteration that can hold its maximum:
-    all, or on a filled trace (v on the distinct ones) those and the last
-    period. The rounded (k + 1) v does not decrease in k for v >= 0, so a copy
-    peaks at its last iteration; for v < 0 at its first, a distinct one."""
-    scaled = np.arange(1.0, len(v) + 1.0) * v
+def _scaled(trace: "Trace", v: np.ndarray, c: float = 1.0) -> np.ndarray:
+    """(k + 1) c v_k, k in order, c > 0, on every iteration that can hold its
+    maximum: all, or on a filled trace (v on the distinct ones) those and the
+    last period. The rounded (k + 1) c v does not decrease in k for v >= 0, so
+    a copy peaks at its last iteration; for v < 0 at its first, a distinct one."""
+    scaled = np.arange(1.0, len(v) + 1.0) * c * v
     if trace.repeat is None:
         return scaled
     last = np.arange(max(len(v), len(trace.predictions) - trace.repeat[1]), len(trace.predictions))
-    return np.concatenate((scaled, (last + 1.0) * v[copy_source(last, trace.repeat)]))
+    return np.concatenate((scaled, (last + 1.0) * c * v[copy_source(last, trace.repeat)]))
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +194,16 @@ def nonergodic_check(mats: "StructuralMatrices", trace: "Trace",
     if not len(ms):
         return NonergodicReport(True, True, 0.0)
     m0 = float(ms[0])
-    monotone_ok = bool(np.all(ms[1:] <= ms[:-1] + MONOTONE_RTOL * (1.0 + m0)))
+    n = _distinct(trace)
+    seq = ms[:n + 1]  # on a filled trace iteration n repeats j: each pair of neighbours once
+    monotone_ok = bool(np.all(seq[1:] <= seq[:-1] + MONOTONE_RTOL * (1.0 + m0)))
     h0 = mats.h_norm_sq(trace.iterates[0] - w_star.stack())
-    steps = np.arange(1.0, len(ms) + 1.0)  # k + 1
-    envelope = max(_scaled(trace, ms[:_distinct(trace)]).tolist())
+    envelope = max(_scaled(trace, ms[:n]).tolist())
     xi = mats.xi
     xi_bound_ok = (
         math.isfinite(xi)
         and xi > 0.0
-        and bool(np.all(steps * xi * ms <= h0 * (1.0 + XI_BOUND_RTOL)))
+        and bool(np.all(_scaled(trace, ms[:n], xi) <= h0 * (1.0 + XI_BOUND_RTOL)))
     )
     return NonergodicReport(monotone_ok, xi_bound_ok, envelope)
 
@@ -330,19 +332,13 @@ def linear_rate_check(mats: "StructuralMatrices", trace: "Trace", w_star: Iterat
     t_conv = int(reached[0]) if len(reached) else iters - 1
     start = t_conv // 2
     ws = w_star.stack()
-    rows, at = (slice(start, t_conv + 1), None) if trace.repeat is None else np.unique(
+    rows, at = (slice(start, t_conv + 1), slice(None)) if trace.repeat is None else np.unique(
         copy_source(np.arange(start, t_conv + 1), trace.repeat), return_inverse=True)
     h = row_forms(mats.H, trace.iterates[rows] - ws)
     dists = np.sqrt(np.where(0.0 > h, 0.0, h))  # mats.dist_H per row
-    if at is None:
-        ks, logs = [], []
-        for k, dh in enumerate(dists.tolist(), start):
-            if dh > 0.0 and math.isfinite(dh):
-                ks.append(k)
-                logs.append(math.log(dh))
-    else:  # the log of each distinct row, NaN where not usable, gathered back by `at`
-        lg = np.array([math.log(dh) if 0.0 < dh < math.inf else math.nan for dh in dists.tolist()])[at]
-        ks, logs = (np.flatnonzero(lg == lg) + start).tolist(), lg[lg == lg].tolist()
+    # the log of each distinct row, NaN where not usable, gathered back to the window by `at`
+    lg = np.array([math.log(dh) if 0.0 < dh < math.inf else math.nan for dh in dists.tolist()])[at]
+    ks, logs = (np.flatnonzero(lg == lg) + start).tolist(), lg[lg == lg].tolist()
     if len(ks) < 20:
         raise InsufficientTrace(
             f"fit window [{start}, {t_conv}] has {len(ks)} usable points; need at least 20"

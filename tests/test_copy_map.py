@@ -130,6 +130,28 @@ def test_scaled_sups_of_a_filled_trace_equal_every_row(special, period_7):
         assert repr(nonergodic[1]) == repr(ref.nonergodic_check(mats, filled, bundle.w_star))
 
 
+def test_nonergodic_flags_of_a_filled_trace_read_the_wrap_pair_and_the_last_period(period_7):
+    # monotone_ok fails only on the pair (j + p - 1, j + p), where the cycle
+    # starts again; xi_bound_ok fails only in the last period
+    bundle, cfg, mats, trace = period_7
+    j, p = trace.repeat
+    n, iters = j + p, len(trace.predictions)
+    assert n + p < iters
+    h0 = mats.h_norm_sq(trace.iterates[0] - bundle.w_star.stack())
+    wrap = np.linspace(2.0, 1.0, n)  # decreasing over the distinct iterations
+    late = np.full(n, h0 / (mats.xi * (iters - p // 2)))  # (k + 1) xi v passes h0 from k = iters - 3
+    for distinct, flag in ((wrap, "monotone_ok"), (late, "xi_bound_ok")):
+        ms = np.concatenate((distinct, distinct[j:][np.arange(iters - n) % p]))
+        filled = dataclasses.replace(trace, columns=dict(trace.columns, correction_residual=ms))
+        full = dataclasses.replace(filled, repeat=None)
+        reports = [g.nonergodic_check(mats, t, bundle.w_star) for t in (filled, full)]
+        assert not getattr(reports[1], flag)
+        assert repr(reports[0]) == repr(reports[1]) == repr(ref.nonergodic_check(mats, filled, bundle.w_star))
+        # the distinct iterations alone would pass the flag
+        head = dataclasses.replace(full, columns=dict(full.columns, correction_residual=ms[:n]))
+        assert getattr(g.nonergodic_check(mats, head, bundle.w_star), flag)
+
+
 def test_theta_hat_block_norm_is_first_singular_value(catalog):
     # norm(block, 2) takes the largest of the same singular values that
     # theta_hat reads first
