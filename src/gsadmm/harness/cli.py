@@ -35,6 +35,16 @@ FIXED_INSTANCES = {
     "boxqp-1d": generators.boxqp_1d,
 }
 
+# The largest generated shape: at it `gen` takes under a second, the slowest
+# case being a boxqp instance whose reference point enumerates 3^8 bound
+# patterns of its KKT system (0.8 s on 2 vCPU). A block dim, at most n, has
+# n's bound.
+SHAPE_MAX = {"p": 4, "q": 4, "n": 12}
+
+# The most (tau, s) points of a sweep, each an assembly and a solve of up to
+# max_iters iterations; the default grid has 441.
+GRID_POINTS_MAX = 10_000
+
 GEN_ERRORS = (
     generators.DegenerateInstance,
     generators.NonUniqueSolution,
@@ -83,17 +93,23 @@ def _add_config_args(sub):
     sub.add_argument("--sigma2", type=float)
     sub.add_argument("--max-iters", type=int)
     sub.add_argument("--tol", type=float)
-    sub.add_argument("--policy", choices=["D", "G"])
+    sub.add_argument("--policy", choices=["D", "G"], dest="region_policy")
 
 
 def _generate(args):
     """The generated bundle; failures raise CliFailure."""
     name = args.generator
+    if name in FIXED_INSTANCES:
+        return FIXED_INSTANCES[name]()
+    sizes = [(f"--{key}", getattr(args, key), bound) for key, bound in SHAPE_MAX.items()]
+    sizes += [(flag, dim, SHAPE_MAX["n"]) for flag, dims in (("--x-dims", args.x_dims), ("--y-dims", args.y_dims))
+              for dim in dims or ()]
+    for flag, size, bound in sizes:  # before anything is drawn
+        if size > bound:
+            raise CliFailure(EXIT_VALIDATION, f"error: {flag} {size} exceeds the largest generated size {bound}")
     x_dims = args.x_dims if args.x_dims is not None else [1] * args.p
     y_dims = args.y_dims if args.y_dims is not None else [1] * args.q
     try:
-        if name in FIXED_INSTANCES:
-            return FIXED_INSTANCES[name]()
         if name == "quadratic":
             return generators.gen_quadratic(args.p, args.q, x_dims, y_dims, args.n, args.seed)
         if name == "l1":
@@ -138,9 +154,8 @@ def _read_config(path, values: dict) -> None:
         key = {"policy": "region_policy"}.get(key, key.replace("-", "_"))
         if key not in values:
             raise CliFailure(EXIT_VALIDATION, f"error: unknown config key {key!r} in {path}")
-        convert = {"region_policy": str.strip, "max_iters": int}.get(key, float)
         try:
-            values[key] = convert(val)
+            values[key] = type(values[key])(val.strip())  # each key has the type of its default
         except ValueError as exc:
             raise CliFailure(EXIT_VALIDATION, f"error: config key {key!r} in {path}: "
                              f"invalid value {val.strip()!r}") from exc
@@ -150,14 +165,9 @@ def _resolve_config(args, problem) -> SolverConfig:
     values = dataclasses.asdict(generators.default_config(problem))
     if args.config:
         _read_config(args.config, values)
-    for key in ("beta", "tau", "s", "sigma1", "sigma2", "tol"):
-        flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
-    if args.max_iters is not None:
-        values["max_iters"] = args.max_iters
-    if args.policy is not None:
-        values["region_policy"] = args.policy
+    for key in values:  # each flag's dest is its SolverConfig field
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
     return SolverConfig(**values)
 
 
@@ -197,20 +207,21 @@ def _validate_or_fail(problem, config) -> None:
         raise CliFailure(EXIT_VALIDATION, "violation: " + "; ".join(violations))
 
 
-def _run_diagnostics(problem, config, mats, trace, w_star):
-    """(spectra, nonergodic, pointwise, rate); entries None when uncertified."""
-    spectra = structure.spectral_summary(mats)
-    pointwise = diagnostics.pointwise_residual_check(problem, config, trace)
-    nonergodic = None
-    rate = None
-    if w_star is not None and mats.in_D:
-        nonergodic = diagnostics.nonergodic_check(mats, trace, w_star)
-        try:
-            constants = diagnostics.rate_constants(problem, config)
-            rate = diagnostics.linear_rate_check(mats, trace, w_star, constants)
-        except diagnostics.InsufficientTrace:
-            rate = None
-    return spectra, nonergodic, pointwise, rate
+def _certified(mats, w_star) -> bool:
+    """Whether the nonergodic and R-linear checks apply: a reference point
+    and (tau, s) in the triangle region D."""
+    return w_star is not None and mats.in_D
+
+
+def _rate(problem, config, mats, trace, w_star):
+    """The R-linear fit of a run, or None when it is not certified or its
+    trace is too short to fit."""
+    if not _certified(mats, w_star):
+        return None
+    try:
+        return diagnostics.linear_rate_check(mats, trace, w_star, diagnostics.rate_constants(problem, config))
+    except diagnostics.InsufficientTrace:
+        return None
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
@@ -229,10 +240,13 @@ def cmd_run(args, print_report: bool = False) -> int:
         except engine.NonFiniteIterate as exc:
             raise CliFailure(EXIT_RUNTIME, f"runtime failure: {exc}") from exc
         start = time.perf_counter()
-        spectra, nonergodic, pointwise, rate = _run_diagnostics(problem, config, mats, trace, w_star)
+        pointwise = diagnostics.pointwise_residual_check(problem, config, trace)
+        nonergodic = diagnostics.nonergodic_check(mats, trace, w_star) if _certified(mats, w_star) else None
+        rate = _rate(problem, config, mats, trace, w_star)
         verdict_s = time.perf_counter() - start
         entries = {"instance": label}
-        entries.update(io.report_entries(trace, spectra, nonergodic, pointwise, rate, assemble_s, verdict_s))
+        entries.update(io.report_entries(trace, structure.spectral_summary(mats), nonergodic, pointwise, rate,
+                                         assemble_s, verdict_s))
         report_text = io.format_report(entries)
         if print_report:
             sys.stdout.write(report_text)
@@ -250,21 +264,26 @@ def cmd_report(args) -> int:
     return cmd_run(args, print_report=True)
 
 
-def _grid(flag: str, spec) -> np.ndarray:
-    """The points of a MIN MAX COUNT grid; bad bounds or counts raise CliFailure."""
-    lo, hi, count = spec
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise CliFailure(EXIT_VALIDATION, f"error: {flag} bounds must be finite, got {lo} and {hi}")
-    if not (count >= 1 and float(count).is_integer()):
-        raise CliFailure(EXIT_VALIDATION, f"error: {flag} count must be a whole number >= 1, got {count}")
-    return np.linspace(lo, hi, int(count))
+def _grids(args) -> list[np.ndarray]:
+    """The tau and s points of the MIN MAX COUNT grids; bad bounds or counts,
+    or more than GRID_POINTS_MAX points, raise CliFailure."""
+    specs = {"--tau-grid": args.tau_grid, "--s-grid": args.s_grid}
+    for flag, (lo, hi, count) in specs.items():
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise CliFailure(EXIT_VALIDATION, f"error: {flag} bounds must be finite, got {lo} and {hi}")
+        if not (count >= 1 and float(count).is_integer()):
+            raise CliFailure(EXIT_VALIDATION, f"error: {flag} count must be a whole number >= 1, got {count}")
+    tau_count, s_count = args.tau_grid[2], args.s_grid[2]
+    if tau_count * s_count > GRID_POINTS_MAX:
+        raise CliFailure(EXIT_VALIDATION, f"error: the sweep grid has {tau_count:g} x {s_count:g} points, "
+                         f"more than {GRID_POINTS_MAX}")
+    return [np.linspace(lo, hi, int(count)) for lo, hi, count in specs.values()]
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def cmd_sweep(args) -> int:
     problem, w_star, label, base = _load(args)
-    taus = _grid("--tau-grid", args.tau_grid)
-    ss = _grid("--s-grid", args.s_grid)
+    taus, ss = _grids(args)
     _validate_or_fail(problem, base)
     rows = []
     with _output_dir(args.out) as outdir:
@@ -293,13 +312,8 @@ def cmd_sweep(args) -> int:
                     continue
                 if trace.termination == engine.CONVERGED:
                     row["iters_to_tol"] = len(trace.predictions)
-                if w_star is not None and mats.in_D:
-                    try:
-                        constants = diagnostics.rate_constants(problem, config)
-                        rate = diagnostics.linear_rate_check(mats, trace, w_star, constants)
-                        row["r_hat"] = rate.r_hat
-                    except (diagnostics.InsufficientTrace, diagnostics.RegionNotCertified):
-                        pass
+                if (rate := _rate(problem, config, mats, trace, w_star)) is not None:
+                    row["r_hat"] = rate.r_hat
         with _writing(outdir):
             io.write_atlas_csv(outdir / "atlas.csv", rows)
     print(f"{label}: swept {len(rows)} stepsize points")
@@ -433,6 +447,9 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     except ZeroDivisionError as exc:  # Python float arithmetic, such as 2 / beta ** 2 once beta ** 2 underflows
         print(f"runtime failure: floating-point division by zero ({exc})", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # a buffer larger than memory, such as a repeat fill to max_iters + 1 rows
+        print("runtime failure: out of memory" + (f" ({exc})" if str(exc) else ""), file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -9,9 +9,9 @@ Instance document (line oriented, whitespace separated, floats printed with
     n <int>
     block x <index>
     objective quadratic|l1|linear
-    <objective payload>          # quad-P/quad-r/quad-t, l1-weight, lin-r
+    <objective payload>
     set free|box|nonnegative
-    <set payload>                # box-lo / box-hi
+    <set payload>
     coupling <rows> <cols>
     <rows lines of cols floats>
     end
@@ -26,8 +26,14 @@ Instance document (line oriented, whitespace separated, floats printed with
     seed <int>
     end
 
-Infinities serialize as inf/-inf. Trace and atlas files are plain CSV with
-fixed headers; the report is a flat "key value" document.
+`VARIANTS` is the payload grammar: each objective and set variant's line
+groups. A group is a matrix (`key rows cols`, then a line per row), a vector
+(`key n`, then one line) or a scalar (`key value`); `coupling`, `rhs` and
+`lambda` are groups too. One writer (`_group`) and one reader
+(`_Lines.group`) handle every group, which keeps the serialized form
+canonical: serialize(parse(text)) == text. Infinities serialize as
+inf/-inf. Trace and atlas files are plain CSV with fixed headers; the
+report is a flat "key value" document.
 """
 from __future__ import annotations
 
@@ -52,6 +58,22 @@ from ..model import (
 FORMAT_NAME = "gsadmm-instance"
 FORMAT_VERSION = 1
 
+# Each Block field's variants by their document name: the class, and its
+# payload as (line key, class field, ndim) groups, ndim 2 for a matrix, 1 for
+# a vector and 0 for a scalar.
+VARIANTS = {
+    "objective": {
+        "quadratic": (Quadratic, (("quad-P", "P", 2), ("quad-r", "r", 1), ("quad-t", "t", 0))),
+        "l1": (L1, (("l1-weight", "weight", 0),)),
+        "linear": (Linear, (("lin-r", "r", 1),)),
+    },
+    "set": {
+        "free": (Free, ()),
+        "box": (Box, (("box-lo", "lo", 1), ("box-hi", "hi", 1))),
+        "nonnegative": (Nonnegative, ()),
+    },
+}
+
 TRACE_HEADER = "k,feasibility,correction_residual,d_norm_sq,contraction_slack,identity_error,dist_H,d_inf,feasibility_inf"
 ATLAS_HEADER = "tau,s,in_G,in_D,lambda_min_G,lambda_min_H,xi,iters_to_tol,r_hat"
 
@@ -68,73 +90,42 @@ def _fmt_vec(v: np.ndarray) -> str:
     return " ".join(_fmt(x) for x in v)
 
 
+def _group(key: str, value) -> list[str]:
+    """The lines of one payload group: `key value` for a scalar, `key <shape>`
+    and then a line per matrix row, or one line for a vector."""
+    if np.ndim(value) == 0:
+        return [f"{key} {_fmt(value)}"]
+    rows = value if value.ndim == 2 else [value]
+    return [f"{key} {' '.join(map(str, value.shape))}", *map(_fmt_vec, rows)]
+
+
+def _variant(key: str, value) -> list[str]:
+    """The `key <name>` line of a block field's variant, then its payload."""
+    for name, (cls, groups) in VARIANTS[key].items():
+        if isinstance(value, cls):
+            return [f"{key} {name}", *(ln for gkey, field, _ in groups for ln in _group(gkey, getattr(value, field)))]
+    raise ParseError(f"unknown {key} variant {type(value).__name__}")
+
+
 def serialize_problem(problem: BlockProblem, w_star: Iterate | None = None,
                       provenance: str = "", certificate: str = "", seed: int = 0) -> str:
-    lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
-    lines.append(f"p {problem.p}")
-    lines.append(f"q {problem.q}")
-    lines.append(f"n {problem.n}")
-
-    def emit_block(kind: str, idx: int, blk: Block):
-        lines.append(f"block {kind} {idx}")
-        obj = blk.objective
-        if isinstance(obj, Quadratic):
-            lines.append("objective quadratic")
-            lines.append(f"quad-P {obj.P.shape[0]} {obj.P.shape[1]}")
-            for row in obj.P:
-                lines.append(_fmt_vec(row))
-            lines.append(f"quad-r {obj.r.shape[0]}")
-            lines.append(_fmt_vec(obj.r))
-            lines.append(f"quad-t {_fmt(obj.t)}")
-        elif isinstance(obj, L1):
-            lines.append("objective l1")
-            lines.append(f"l1-weight {_fmt(obj.weight)}")
-        elif isinstance(obj, Linear):
-            lines.append("objective linear")
-            lines.append(f"lin-r {obj.r.shape[0]}")
-            lines.append(_fmt_vec(obj.r))
-        else:
-            raise ParseError(f"unknown objective variant {type(obj).__name__}")
-        fset = blk.set
-        if isinstance(fset, Free):
-            lines.append("set free")
-        elif isinstance(fset, Nonnegative):
-            lines.append("set nonnegative")
-        elif isinstance(fset, Box):
-            lines.append("set box")
-            lines.append(f"box-lo {fset.lo.shape[0]}")
-            lines.append(_fmt_vec(fset.lo))
-            lines.append(f"box-hi {fset.hi.shape[0]}")
-            lines.append(_fmt_vec(fset.hi))
-        else:
-            raise ParseError(f"unknown set variant {type(fset).__name__}")
-        lines.append(f"coupling {blk.A.shape[0]} {blk.A.shape[1]}")
-        for row in blk.A:
-            lines.append(_fmt_vec(row))
-        lines.append("end")
-
-    for i, blk in enumerate(problem.x_blocks):
-        emit_block("x", i, blk)
-    for j, blk in enumerate(problem.y_blocks):
-        emit_block("y", j, blk)
-    lines.append(f"rhs {problem.n}")
-    lines.append(_fmt_vec(problem.c))
+    lines = [f"{FORMAT_NAME} {FORMAT_VERSION}", f"p {problem.p}", f"q {problem.q}", f"n {problem.n}"]
+    for kind, blocks in (("x", problem.x_blocks), ("y", problem.y_blocks)):
+        for idx, blk in enumerate(blocks):
+            lines.append(f"block {kind} {idx}")
+            for key in VARIANTS:  # the Block field of each variant is named by its key
+                lines += _variant(key, getattr(blk, key))
+            lines += [*_group("coupling", blk.A), "end"]
+    lines += _group("rhs", problem.c)
     if w_star is not None:
         lines.append("solution")
-        for i, xi in enumerate(w_star.x):
-            lines.append(f"x {i} {xi.shape[0]}")
-            lines.append(_fmt_vec(xi))
-        for j, yj in enumerate(w_star.y):
-            lines.append(f"y {j} {yj.shape[0]}")
-            lines.append(_fmt_vec(yj))
-        lines.append(f"lambda {w_star.lam.shape[0]}")
-        lines.append(_fmt_vec(w_star.lam))
-        if provenance:
-            lines.append(f"provenance {provenance}")
-        if certificate:
-            lines.append(f"certificate {certificate}")
-        lines.append(f"seed {seed}")
-        lines.append("end")
+        for kind, parts in (("x", w_star.x), ("y", w_star.y)):
+            for idx, part in enumerate(parts):
+                lines += _group(f"{kind} {idx}", part)
+        lines += _group("lambda", w_star.lam)
+        lines += [f"{key} {value}" for key, value in (("provenance", provenance), ("certificate", certificate))
+                  if value]
+        lines += [f"seed {seed}", "end"]
     return "\n".join(lines) + "\n"
 
 
@@ -167,6 +158,22 @@ class _Lines:
             raise ParseError(f"expected {count} floats, got {len(vals)}")
         return np.asarray(vals)
 
+    def group(self, key: str, ndim: int):
+        """One payload group of `ndim` (see `_group`)."""
+        head = self.expect(key, max(ndim, 1))
+        if ndim < 2:
+            return self.floats(int(head[0])) if ndim else float(head[0])
+        rows, cols = (int(v) for v in head)
+        return np.vstack([self.floats(cols) for _ in range(rows)]) if rows else np.zeros((0, cols))
+
+    def variant(self, key: str):
+        """A block field's variant: its `key <name>` line, then its payload."""
+        name = self.expect(key)[0]
+        if name not in VARIANTS[key]:
+            raise ParseError(f"unknown {key} variant '{name}'")
+        cls, groups = VARIANTS[key][name]
+        return cls(**{field: self.group(gkey, ndim) for gkey, field, ndim in groups})
+
     def vector(self, key: str, *shape: int) -> np.ndarray:
         """The floats under a `key <shape...>` line, which must name `shape`
         (a block's index and dim, or lambda's n); the last entry counts them."""
@@ -174,9 +181,6 @@ class _Lines:
         if [int(v) for v in got] != list(shape):
             raise ParseError(f"expected '{key} {' '.join(map(str, shape))}', got '{key} {' '.join(got)}'")
         return self.floats(shape[-1])
-
-    def matrix(self, rows: int, cols: int) -> np.ndarray:
-        return np.vstack([self.floats(cols) for _ in range(rows)]) if rows else np.zeros((0, cols))
 
 
 def parse_instance(text: str):
@@ -193,38 +197,14 @@ def parse_instance(text: str):
         kind, idx = lines.expect("block", 2)
         if kind != expected_kind or int(idx) != expected_idx:
             raise ParseError(f"expected block {expected_kind} {expected_idx}, got {kind} {idx}")
-        variant = lines.expect("objective")[0]
-        if variant == "quadratic":
-            rows, cols = (int(v) for v in lines.expect("quad-P", 2))
-            P = lines.matrix(rows, cols)
-            r = lines.floats(int(lines.expect("quad-r")[0]))
-            t = float(lines.expect("quad-t")[0])
-            obj = Quadratic(P, r, t)
-        elif variant == "l1":
-            obj = L1(float(lines.expect("l1-weight")[0]))
-        elif variant == "linear":
-            obj = Linear(lines.floats(int(lines.expect("lin-r")[0])))
-        else:
-            raise ParseError(f"unknown objective variant '{variant}'")
-        set_variant = lines.expect("set")[0]
-        if set_variant == "free":
-            fset = Free()
-        elif set_variant == "nonnegative":
-            fset = Nonnegative()
-        elif set_variant == "box":
-            lo = lines.floats(int(lines.expect("box-lo")[0]))
-            hi = lines.floats(int(lines.expect("box-hi")[0]))
-            fset = Box(lo, hi)
-        else:
-            raise ParseError(f"unknown set variant '{set_variant}'")
-        rows, cols = (int(v) for v in lines.expect("coupling", 2))
-        A = lines.matrix(rows, cols)
+        fields = {key: lines.variant(key) for key in VARIANTS}
+        A = lines.group("coupling", 2)
         lines.expect("end", 0)
-        return Block(obj, A, fset)
+        return Block(A=A, **fields)
 
     x_blocks = tuple(parse_block("x", i) for i in range(p))
     y_blocks = tuple(parse_block("y", j) for j in range(q))
-    c = lines.floats(int(lines.expect("rhs")[0]))
+    c = lines.group("rhs", 1)
     if c.shape[0] != n:
         raise ParseError(f"rhs has length {c.shape[0]}, header says n={n}")
     problem = BlockProblem(x_blocks, y_blocks, c)
@@ -301,13 +281,11 @@ def format_report(entries: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_entries(trace: Trace, spectra: dict | None = None,
-                   nonergodic: NonergodicReport | None = None,
-                   pointwise: PointwiseReport | None = None,
-                   rate: RateReport | None = None,
-                   assemble_s: float | None = None, verdict_s: float | None = None) -> dict:
-    """Assemble the flat report for one solver run; the wall seconds of
-    assembly and of the verdict are printed when given."""
+def report_entries(trace: Trace, spectra: dict, nonergodic: NonergodicReport | None,
+                   pointwise: PointwiseReport, rate: RateReport | None,
+                   assemble_s: float, verdict_s: float) -> dict:
+    """Assemble the flat report for one solver run; `nonergodic` and `rate`
+    are None when the run is not certified, and their lines are left out."""
     cols = trace.columns
     entries: dict[str, object] = {
         "p": trace.problem.p,
@@ -328,12 +306,10 @@ def report_entries(trace: Trace, spectra: dict | None = None,
     entries["pattern_misses"] = len(trace.pattern_misses)
     entries["operators_built"] = trace.operators_built
     entries["repeat_from"], entries["repeat_period"] = trace.repeat or (-1, 0)
-    if assemble_s is not None:
-        entries["time.assemble_s"] = assemble_s
+    entries["time.assemble_s"] = assemble_s
     entries["time.step_s"] = trace.step_s
     entries["time.certify_s"] = trace.certify_s
-    if verdict_s is not None:
-        entries["time.verdict_s"] = verdict_s
+    entries["time.verdict_s"] = verdict_s
     if len(trace.predictions):
         entries["final_feasibility"] = float(cols["feasibility"][-1])
         entries["final_d_inf"] = float(cols["d_inf"][-1])
@@ -345,17 +321,15 @@ def report_entries(trace: Trace, spectra: dict | None = None,
             entries[f"oracle.{block}"] = (
                 f"set={stats.set} dim={stats.dim} calls={stats.calls} patterns={stats.patterns} "
                 f"loose_tier={stats.loose}")
-    if spectra:
-        entries.update(spectra)
+    entries.update(spectra)
     if nonergodic is not None:
         entries["monotone_ok"] = nonergodic.monotone_ok
         entries["xi_bound_ok"] = nonergodic.xi_bound_ok
         entries["sublinear_envelope"] = nonergodic.sublinear_envelope
-    if pointwise is not None:
-        entries["theta_hat"] = pointwise.theta_hat
-        entries["theta_hat_ok"] = pointwise.theta_hat_ok
-        entries["sup_scaled_d_sq"] = pointwise.sup_scaled_d_sq
-        entries["sup_scaled_feasibility_sq"] = pointwise.sup_scaled_feasibility_sq
+    entries["theta_hat"] = pointwise.theta_hat
+    entries["theta_hat_ok"] = pointwise.theta_hat_ok
+    entries["sup_scaled_d_sq"] = pointwise.sup_scaled_d_sq
+    entries["sup_scaled_feasibility_sq"] = pointwise.sup_scaled_feasibility_sq
     if rate is not None:
         entries["linear_ratio_fit"] = rate.linear_ratio_fit
         entries["r_hat"] = rate.r_hat

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io as textio
 import os
 import subprocess
@@ -16,7 +17,7 @@ import gsadmm as g
 from gsadmm.generators import boxqp_1d, gen_box_qp, gen_l1, gen_quadratic, l1_1d, qp1
 from gsadmm.harness import io
 from gsadmm.harness.cli import main
-from gsadmm.model import Box, Nonnegative
+from gsadmm.model import Box, Free, Nonnegative, oracle_violation
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +29,8 @@ from gsadmm.model import Box, Nonnegative
     lambda: gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42),
     lambda: gen_l1(1, 1, [2], 2, seed=7),
     lambda: gen_box_qp(1, 1, [2], [2], 2, seed=11),
+    # a solution section without provenance or certificate lines
+    lambda: dataclasses.replace(boxqp_1d(), provenance="", certificate="", seed=3),
 ])
 def test_round_trip_is_canonical(bundle_fn):
     bundle = bundle_fn()
@@ -44,27 +47,48 @@ def test_round_trip_is_canonical(bundle_fn):
         assert np.array_equal(blk_a.A, blk_b.A)
     assert np.array_equal(problem.c, bundle.problem.c)
     assert np.array_equal(w_star.stack(), bundle.w_star.stack())
-    assert meta["provenance"] == bundle.provenance
+    assert meta.get("provenance", "") == bundle.provenance
+    assert meta.get("certificate", "") == bundle.certificate
     assert meta["seed"] == bundle.seed
 
 
+# One instance of each objective and set variant, by its name in the document.
+OBJECTIVES = {"quadratic": g.Quadratic([[2.0, 0.5], [0.5, 1.0]], [0.1, -0.3], 0.7), "l1": g.L1(0.75),
+              "linear": g.Linear([1.0, -2.5])}
+SETS = {"free": Free(), "box": Box([-np.inf, -1.0], [0.5, np.inf]), "nonnegative": Nonnegative()}
+
+
 def test_round_trip_preserves_sets_and_infinities(tmp_path):
-    problem = g.BlockProblem(
-        (g.Block(g.L1(0.75), np.eye(2), Nonnegative()),),
-        (g.Block(g.Quadratic(np.eye(2), [0.5, -0.5]), np.eye(2),
-                 Box([-np.inf, 0.0], [1.0, np.inf])),),
-        [0.25, -0.75],
-    )
-    path = tmp_path / "instance.txt"
-    io.write_instance(path, problem)
-    parsed, w_star, _ = io.read_instance(path)
-    assert w_star is None
-    fset = parsed.y_blocks[0].set
-    assert isinstance(fset, Box)
-    assert np.array_equal(fset.lo, [-np.inf, 0.0])
-    assert np.array_equal(fset.hi, [1.0, np.inf])
-    assert isinstance(parsed.x_blocks[0].set, Nonnegative)
-    assert parsed.x_blocks[0].objective.weight == 0.75
+    # every objective and set pair that has an exact oracle, as the x block
+    # of a document without a solution section
+    pairs = [(obj, fset) for obj in OBJECTIVES for fset in SETS
+             if oracle_violation(OBJECTIVES[obj], SETS[fset], np.eye(2)) is None]
+    assert len(pairs) == 7 and ("l1", "nonnegative") in pairs
+    for obj, fset in pairs:
+        problem = g.BlockProblem(
+            (g.Block(OBJECTIVES[obj], np.eye(2), SETS[fset]),),
+            (g.Block(g.Quadratic(np.eye(2), [0.5, -0.5]), np.eye(2),
+                     Box([-np.inf, 0.0], [1.0, np.inf])),),
+            [0.25, -0.75],
+        )
+        path = tmp_path / "instance.txt"
+        io.write_instance(path, problem)
+        text = path.read_text()
+        parsed, w_star, meta = io.read_instance(path)
+        assert w_star is None and meta == {}
+        assert io.serialize_problem(parsed) == text
+        fset_y = parsed.y_blocks[0].set
+        assert isinstance(fset_y, Box)
+        assert np.array_equal(fset_y.lo, [-np.inf, 0.0])
+        assert np.array_equal(fset_y.hi, [1.0, np.inf])
+        for got, want in ((parsed.x_blocks[0].objective, OBJECTIVES[obj]), (parsed.x_blocks[0].set, SETS[fset])):
+            assert type(got) is type(want), (obj, fset)
+            for field in dataclasses.fields(want):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), (obj, fset, field.name)
+        # the first objective and set lines are the x block's
+        for key, name in (("objective", obj), ("set", fset)):
+            with pytest.raises(io.ParseError, match=f"unknown {key} variant 'cubic'"):
+                io.parse_instance(text.replace(f"{key} {name}\n", f"{key} cubic\n", 1))
 
 
 @pytest.mark.parametrize("old, new", [

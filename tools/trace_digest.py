@@ -13,7 +13,8 @@ exception the generator raised, for a generator sweep (`SWEEP`: 5
 which covers the reference-point enumeration); and for each catalog instance a
 SHA-256 prefix over the bytes of its structural matrices Hx, Qtilde, Q, M,
 G, H and its four spectral scalars under the default config. Then the
-solves: a SHA-256 prefix over every record's `w`, `w~` and scalars plus
+solves: a SHA-256 prefix over each iteration's row of `trace.iterates` and
+of `trace.predictions`, its number k and its `trace.columns` scalars, plus
 `w_final`, followed by each block's oracle counters (calls, patterns,
 loose), for the 13 catalog instances (2000 forced iterations, from
 zero and from a SplitMix64 seed-3 start) and for `gen_box_qp(1, 1, [5], [3],
@@ -31,7 +32,8 @@ SplitMix64 seed-3 start, each forced (2000 iterations) and at tol 1e-10;
 `gen_box_qp(1, 1, [5], [3], 5)` seeds 1-10 at tol 1e-10; and an 11 x 11
 (tau, s) grid on `gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42)` with the
 sweep's settings; each run's first line also carries its oracle counters. It
-uses only the package's public API, so it runs against older checkouts too.
+uses only the package's public API and the columnar `Trace`, so it runs
+against older checkouts that have it.
 Takes one to two minutes.
 
 --contract prints, for the same cases, one JSON record per case instead of
@@ -74,7 +76,7 @@ import workloads  # noqa: E402
 from gsadmm.harness import io  # noqa: E402
 from gsadmm.model import Iterate  # noqa: E402
 
-SCALARS = ("k", "feasibility", "feasibility_inf", "correction_residual", "d_norm_sq",
+SCALARS = ("feasibility", "feasibility_inf", "correction_residual", "d_norm_sq",
            "d_inf", "identity_error", "dist_H", "contraction_slack")
 # The generator sweep: each generator's shapes, each at seeds 0-49.
 SWEEP = (
@@ -89,11 +91,12 @@ SWEEP = (
 
 def trace_digest(trace) -> str:
     h = hashlib.sha256()
-    for rec in trace.records:
-        h.update(rec.w.stack().tobytes())
-        h.update(rec.w_tilde.stack().tobytes())
+    for k, (w, w_tilde) in enumerate(zip(trace.iterates, trace.predictions)):
+        h.update(w.tobytes())
+        h.update(w_tilde.tobytes())
+        h.update(np.float64(k).tobytes())
         for name in SCALARS:
-            h.update(np.float64(getattr(rec, name)).tobytes())
+            h.update(np.float64(trace.columns[name][k]).tobytes())
     h.update(trace.w_final.stack().tobytes())
     h.update(trace.termination.encode())
     return h.hexdigest()[:16]
@@ -163,7 +166,7 @@ def solve_line(label, bundle, w0, **overrides) -> str:
     trace = g.solve(bundle.problem, cfg, w0=w0, w_star=bundle.w_star, mats=g.assemble(bundle.problem, cfg))
     if args.contract:
         return record(f"{label} {bundle.name}", **contract.run_record(trace, bundle.w_star))
-    return f"{label} {bundle.name} {len(trace.records)} {trace_digest(trace)} {oracle_counters(trace)}"
+    return f"{label} {bundle.name} {len(trace.predictions)} {trace_digest(trace)} {oracle_counters(trace)}"
 
 
 def verdict_lines(label, problem, config, w0, w_star) -> list[str]:
@@ -190,7 +193,7 @@ def verdict_lines(label, problem, config, w0, w_star) -> list[str]:
         "error_bound": lambda: g.diagnostics.error_bound_check(problem, mats, trace, constants),
         "rate": lambda: g.linear_rate_check(mats, trace, w_star, constants),
     }
-    out = [f"{label} iters={len(trace.records)} {trace.termination} {oracle_counters(trace)}"]
+    out = [f"{label} iters={len(trace.predictions)} {trace.termination} {oracle_counters(trace)}"]
     for name, check in checks.items():
         try:
             # a diverged run overflows the checks' products as it does the solve
