@@ -54,18 +54,21 @@ An all-free-quadratic instance has the empty pattern, which holds from the
 first iteration, so it steps on the affine map throughout unless its check
 fails.
 
-The loop only steps, CHUNK iterations at a time, each writing the solve row
-of w_{k+1} (the iterate, lambda~_k, r_k, the test rows and d_k; see `Plan`).
-After a chunk, one stacked pass (`residuals`, `certify`) forms every record
-scalar of its rows: the identity gap, the H/G quadratic forms, the slack from
-the H-distances of consecutive rows, the norms and the residual. Each stacked
-product runs the BLAS kernel of its per-iteration form, so every value keeps
-the bits of the per-iteration certification in tests/reference_verdict.py.
-The affine step learns a chunk's residuals and pattern tests only after
-stepping it, and discards the rows past convergence, a handover or a miss.
-Arithmetic on rows that may be discarded runs under np.errstate(all="ignore");
-the rows kept are certified once, in one stacked call, under the caller's
-errstate. `Trace.records` builds each `IterationRecord` on access.
+The loop steps CHUNK iterations at a time, each writing the solve row of
+w_{k+1} (the iterate, lambda~_k, r_k, the test rows and d_k; see `Plan`),
+and then only decides: `residuals` gives the stopping test, the affine step
+its pattern tests and handover (it discards the rows past convergence, a
+handover or a miss), and `_repeat` looks for a cycle. Arithmetic on rows that
+may be discarded runs under np.errstate(all="ignore"). The other record
+scalars are formed once per kept row by `certify`, in one stacked call under
+the caller's errstate over the rows kept since the last: before a buffer
+grows (its temporaries stay within the old size), before a repeat fill (it
+copies certified scalars) and at the end, also when a step raised. Each
+stacked product runs the BLAS kernel of its per-iteration form, so every
+value keeps the bits of the per-iteration certification in
+tests/reference_verdict.py. A buffer that would grow, with the trace's
+copies, past TRACE_BYTES_MAX bytes raises MemoryError instead.
+`Trace.records` builds each `IterationRecord` on access.
 
 A run forced past convergence reaches the roundoff floor long before its cap,
 and there the affine step starts to reproduce its own input. After an affine
@@ -117,8 +120,13 @@ class NonFiniteIterate(RuntimeError):
 # arithmetic does.
 HANDOVER_MAX = 1e300
 
-# Iterations stepped between two certification passes (`solve`).
+# Iterations stepped between two decisions of the loop (`solve`).
 CHUNK = 64
+
+# A solve's buffers and its trace's copies of them take at most this many
+# bytes together; a buffer that would grow past it raises MemoryError
+# before anything is allocated (`_grown`).
+TRACE_BYTES_MAX = 2 * 1024 ** 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,8 +166,8 @@ class Trace:
     columns: dict[str, np.ndarray]
     step_path: str = "sweep"  # "affine" when a step operator passed its checks, else "sweep"
     step_fallback: str | None = None  # the first failed operator check, or the handover
-    step_s: float = 0.0      # wall seconds in the stepping loop
-    certify_s: float = 0.0   # wall seconds in the certification passes
+    step_s: float = 0.0      # wall seconds stepping, affine rows and sweeps
+    certify_s: float = 0.0   # the loop's other wall seconds: chunk tails, certification, fill, growth
     affine_rows: np.ndarray | None = None  # whether each iteration took the affine step
     pattern_misses: tuple[int, ...] = ()   # iterations whose affine row failed its pattern
     operators_built: int = 0  # step operators built, passed or not
@@ -272,21 +280,22 @@ def step_operator(problem: BlockProblem, config: SolverConfig,
     for blk, sl in zip(problem.x_blocks + problem.y_blocks, problem.block_slices):
         R[:, sl] = blk.A
     R[:, N] = -problem.c
+    I = np.eye(N + 1)
+    lam = I[m:N] / beta - R  # lambda/beta - (A x + B y - c)
     pending = iter(patterns)
     answers, tests = [], ([], [])  # (cols, pattern) of every block; test rows by group
 
     def dual(coef):  # lambda <- lambda - coef (A x + B y - c)
-        S = np.eye(N + 1)
+        S = I.copy()
         S[m:N] -= coef * R
         return S
 
     def sweep(group, sigma):  # z_i <- prox at u_i = (lambda/beta - R)/(1 + sigma) + A_i z_i
-        S = np.eye(N + 1)
-        shared = (S[m:N] / beta - R) / (1.0 + sigma)
+        S = I.copy()
         for kernel, c in steps[group]:
             pattern = next(pending) if kernel.patterned else None
             L, V = kernel.affine(pattern)
-            U = shared.copy()
+            U = lam / (1.0 + sigma)
             U[:, c] += kernel.A
             S[c] = L[:, :-1] @ U
             S[c, N] += L[:, -1]
@@ -297,7 +306,6 @@ def step_operator(problem: BlockProblem, config: SolverConfig,
                 tests[group].append(test)
         return S
 
-    eye = np.eye(N, N + 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             X = sweep(0, config.sigma1)
@@ -311,30 +319,28 @@ def step_operator(problem: BlockProblem, config: SolverConfig,
         if tests[1]:
             rows.append(np.vstack(tests[1]) @ (half @ X))
         K = np.vstack(rows)
-        correction = eye - np.vstack((T[:m], lam_tilde))  # I - P
-        error = float(np.abs(T[:N] - (eye - mats.M @ correction)).max())
-        scale = max(1.0, float(np.abs(T).max()), float(np.abs(mats.M).max() * np.abs(correction).max()))
+        correction = I[:N] - np.vstack((T[:m], lam_tilde))  # I - P
+        correction_max = float(np.abs(correction).max())
+        error = float(np.abs(T[:N] - (I[:N] - mats.M @ correction)).max())
+        scale = max(1.0, float(np.abs(T).max()), float(np.abs(mats.M).max() * correction_max))
         # the primal rows: stationarity of each block at w~
         shift = -(mats.Q[:m] @ correction)  # Q (P - I)
         residual, constant, grad_max, dual_max = np.zeros((m, N + 1)), True, 0.0, 0.0
         for blk, (c, pattern) in zip(problem.x_blocks + problem.y_blocks, answers):
-            f, Z, free, fixed = blk.objective, T[c], np.ones(blk.dim, dtype=bool), np.zeros(blk.dim)
-            if isinstance(f, L1):
-                free = pattern != 0
-            elif pattern is not None:
-                free = pattern == 0
-                fixed = np.where(pattern == 1, *bounds(blk.set, blk.dim))
+            f, Z = blk.objective, T[c]
             # grad f(P) as a map of (w, 1); on an l1 block's nonzero components weight sign
             grad = f.P @ Z if isinstance(f, Quadratic) else np.zeros_like(Z)
             grad[:, N] += f.weight * pattern if isinstance(f, L1) else f.r
             pull = blk.A.T @ lam_tilde
+            free = slice(None) if pattern is None else pattern != 0 if isinstance(f, L1) else pattern == 0
             residual[c][free] = (grad - pull + shift[c])[free]
             grad_max = max(grad_max, float(np.abs(grad[free]).max(initial=0.0)))
             dual_max = max(dual_max, float(np.abs(pull[free]).max(initial=0.0)))
-            constant = constant and not np.abs(Z[~free, :N]).any() and np.array_equal(Z[~free, N], fixed[~free])
+            if pattern is not None:
+                fixed = np.zeros(blk.dim) if isinstance(f, L1) else np.where(pattern == 1, *bounds(blk.set, blk.dim))
+                constant = constant and not np.abs(Z[~free, :N]).any() and np.array_equal(Z[~free, N], fixed[~free])
         stationarity = float(np.abs(residual).max())
-        primal_scale = max(1.0, grad_max, dual_max,
-                           float(np.abs(mats.Q[:m]).max() * np.abs(correction).max()))
+        primal_scale = max(1.0, grad_max, dual_max, float(np.abs(mats.Q[:m]).max() * correction_max))
     bound = OPERATOR_RTOL * N * scale
     primal_bound = OPERATOR_RTOL * N * primal_scale
     why = None
@@ -491,9 +497,18 @@ def initial_point(problem: BlockProblem, w0: Iterate | None = None) -> Iterate:
     return Iterate(xs, ys, w0.lam)
 
 
-def _grown(rows: np.ndarray, count: int) -> np.ndarray:
-    out = np.empty((count,) + rows.shape[1:], dtype=rows.dtype)
-    out[:len(rows)] = rows
+def _grown(plan: Plan, cap: int, *buffers: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The buffers (solve rows, record scalars, affine flags) grown to cap
+    iterations; MemoryError when they and the trace's copies of them
+    (iterates, predictions, columns, affine rows) would take more than
+    TRACE_BYTES_MAX bytes."""
+    columns = len(RECORD_SCALARS) + 1
+    need = 8 * ((cap + 1) * (plan.d.stop + plan.N) + cap * (2 * columns + plan.N)) + 2 * cap
+    if need > TRACE_BYTES_MAX:
+        raise MemoryError(f"a trace of {cap + 1} rows needs {need} bytes, above the bound of {TRACE_BYTES_MAX}")
+    out = tuple(np.empty((count,) + old.shape[1:], dtype=old.dtype) for old, count in zip(buffers, (cap + 1, cap, cap)))
+    for new, old in zip(out, buffers):
+        new[:len(old)] = old
     return out
 
 
@@ -508,19 +523,18 @@ def _repeat(rows: np.ndarray, N: int, lo: int, hi: int) -> int | None:
 
 def _affine_chunk(plan: Plan, op: StepOperator, rows: np.ndarray, scalars: np.ndarray, lo: int, hi: int, tol: float):
     """Iterations lo .. hi - 1 on the affine step, each one `K @ w_k + k0`
-    into its solve row; then, under np.errstate(all="ignore"), the d vectors
-    and `residuals` of those before `stop`, the first whose iterate is past
+    into its solve row (a gemv into the row's view, then k0 added in place:
+    the bytes of the 1-d product); then, under np.errstate(all="ignore"), the
+    d vectors and `residuals` of those before `stop`, the first whose iterate is past
     HANDOVER_MAX or whose row fails its pattern (`Plan.misses`). Returns end,
     one past the last iteration kept (the first residual at most tol, else
     stop - 1), why iteration end leaves the affine step (None, "handover" or
     "miss") and the time the stepping ended."""
-    N = plan.N
-    W, Z = rows[:, :N], rows[:, :plan.d.start]
+    N, dot, k0, add = plan.N, op.K.dot, op.k0, np.add
     with np.errstate(all="ignore"):
-        for k in range(lo, hi):
-            z = Z[k + 1]
-            np.matmul(op.K, W[k], out=z)
-            z += op.k0
+        for w, z in zip(list(rows[lo:hi, :N]), list(rows[lo + 1:hi + 1, :plan.d.start])):
+            dot(w, z)  # np.dot(K, w, out=z) without its dispatcher
+            add(z, k0, out=z)
         stepped = perf_counter()
         block = rows[lo + 1:hi + 1]
         past = ~(np.abs(block[:, :N]).max(axis=1) <= HANDOVER_MAX)  # also when not finite
@@ -549,14 +563,14 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     validate=False (used by parameter sweeps that deliberately leave the
     certified stepsize regions).
 
-    Steps CHUNK iterations at a time and certifies each chunk afterwards
-    (see the module docstring): arithmetic on rows that may be discarded
-    runs under np.errstate(all="ignore"), the kept rows are certified once
-    under the caller's errstate. The trace records the seconds spent
-    stepping and certifying, and which iterations took the affine step.
-    Once an affine iterate repeats an earlier one of its chunk bit for bit,
-    the rest of the run is copied from the cycle instead of stepped
-    (`Trace.repeat`); the search and the copy count in `certify_s`.
+    Steps CHUNK iterations at a time and certifies each kept row once,
+    before a buffer grows, before a repeat fill and at the end (see the
+    module docstring): arithmetic on rows that may be discarded runs under
+    np.errstate(all="ignore"), the certification under the caller's
+    errstate. Once an affine iterate repeats an earlier one of its chunk bit
+    for bit, the rest of the run is copied from the cycle instead of stepped
+    (`Trace.repeat`). Raises MemoryError where the buffers would grow past
+    TRACE_BYTES_MAX bytes.
     """
     if validate:
         report = validate_problem(problem)
@@ -580,27 +594,28 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     op = None if plan.patterned else plan.operator(())  # the empty pattern holds from the start
     termination, count, fallback, repeat = ITERATION_CAP, 0, None, None  # fallback: why the run handed over
     misses, held, run = [], None, 0  # the sweep's last pattern and for how many iterations it held
-    step_s = certify_s = 0.0
-    while count < config.max_iters and termination == ITERATION_CAP:
-        lo, hi = count, min(count + CHUNK, config.max_iters)
-        if hi > cap:
-            cap = min(2 * cap, config.max_iters)
-            rows, scalars, affine = _grown(rows, cap + 1), _grown(scalars, cap), _grown(affine, cap)
-        start, end = perf_counter(), lo
-        try:
+    certified, step_s, began = 0, 0.0, perf_counter()  # iterations 0 .. certified - 1 are certified
+    try:
+        while count < config.max_iters and termination == ITERATION_CAP:
+            lo, hi = count, min(count + CHUNK, config.max_iters)
+            if hi > cap:  # certify first, so that its temporaries stay within the old buffers' size
+                certify(plan, rows[certified:count + 1], scalars[certified:count])
+                certified, cap = count, min(2 * cap, config.max_iters)
+                rows, scalars, affine = _grown(plan, cap, rows, scalars, affine)
+            start = perf_counter()
             if op is not None:
-                end, left, stepped = _affine_chunk(plan, op, rows, scalars, lo, hi, tol)
-                affine[lo:end] = True
-                if left:  # iteration `end` goes to the sweep
+                count, left, stepped = _affine_chunk(plan, op, rows, scalars, lo, hi, tol)
+                affine[lo:count] = True
+                if left:  # iteration `count` goes to the sweep
                     if left == "handover":
-                        fallback = f"iterate past {HANDOVER_MAX:g} at iteration {end}; the sweep from there"
+                        fallback = f"iterate past {HANDOVER_MAX:g} at iteration {count}; the sweep from there"
                     else:
-                        misses.append(end)
+                        misses.append(count)
                     op, held, run = None, None, 0
             else:
                 for k in range(lo, hi):
                     advance(plan, k, rows[k, :N], rows[k + 1])
-                    end = k + 1
+                    count = k + 1
                     residuals(plan, rows[k:k + 2], scalars[k:k + 1])
                     if scalars[k, -1] <= tol:
                         break
@@ -611,25 +626,27 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
                         if run >= HOLD_ITERS and (op := plan.operator(pattern)) is not None:
                             break
                 stepped = perf_counter()
-                affine[lo:end] = False
-        finally:  # certify the kept rows, also when a step raised
-            certify(plan, rows[lo:end + 1], scalars[lo:end])
-        if (end == hi < config.max_iters and affine[lo] and not scalars[end - 1, -1] <= tol
-                and (j := _repeat(rows, N, lo, hi)) is not None):
-            # w_hi = w_j, so iteration k >= hi repeats iteration src and row k + 1 is row src + 1
-            end, repeat = config.max_iters, (j, hi - j)
-            if cap < end:
-                cap = end
-                rows, scalars, affine = _grown(rows, cap + 1), _grown(scalars, cap), _grown(affine, cap)
-            src = copy_source(np.arange(hi, end), repeat)
-            rows[hi + 1:end + 1] = rows[src + 1]
-            scalars[hi:end] = scalars[src]
-            affine[hi:end] = True
-        step_s += stepped - start
-        certify_s += perf_counter() - stepped
-        count = end
-        if end > lo and scalars[end - 1, -1] <= tol:
-            termination = CONVERGED
+                affine[lo:count] = False
+            step_s += stepped - start
+            if count > lo and scalars[count - 1, -1] <= tol:
+                termination = CONVERGED
+            elif count == hi < config.max_iters and affine[lo] and (j := _repeat(rows, N, lo, hi)) is not None:
+                # w_hi = w_j, so iteration k >= hi repeats iteration src and
+                # row k + 1 is row src + 1; the fill copies certified scalars
+                certify(plan, rows[certified:count + 1], scalars[certified:count])
+                certified, repeat = count, (j, hi - j)
+                if cap < config.max_iters:
+                    cap = config.max_iters
+                    rows, scalars, affine = _grown(plan, cap, rows, scalars, affine)
+                count = certified = config.max_iters
+                src = copy_source(np.arange(hi, count), repeat)
+                rows[hi + 1:count + 1] = rows[src + 1]
+                scalars[hi:count] = scalars[src]
+                affine[hi:count] = True
+    finally:  # certify the kept rows not yet certified, also when a step raised
+        if certified < count:
+            certify(plan, rows[certified:count + 1], scalars[certified:count])
+        certify_s = perf_counter() - began - step_s
     for kernel in kernels[0] + kernels[1]:  # one oracle call per block and affine iteration, as on the sweep
         kernel.stats.calls += int(affine[:count].sum())
     table = scalars[:count].T.copy()

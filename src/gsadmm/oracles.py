@@ -18,7 +18,8 @@ patterns.
 
 Free-quadratic blocks call the gesv gufunc of `np.linalg.solve`, with its bits
 but not its costly wrapper. gesv fails only on an exact zero pivot of Heff, so
-a probe at construction decides `Unbounded`.
+the one solve at construction, which forms the block's affine map, decides
+`Unbounded`.
 
 For the engine's affine step each kernel also gives its answer as an affine
 map of u, `ProxKernel.affine`: Heff^{-1} [rho A', -r] for a free-quadratic
@@ -253,11 +254,10 @@ class ProxKernel:
         if isinstance(objective, Quadratic):
             self._Heff = self._Heff + objective.P
         if isinstance(fset, Free):
-            try:  # the singularity probe (see the module docstring)
-                np.linalg.solve(self._Heff, np.zeros(self.dim))
-                self._singular = False
+            try:  # the affine map, also the singularity probe (see the module docstring)
+                self._map = np.linalg.solve(self._Heff, np.column_stack((self.rho * self._AT, -self._r)))
             except np.linalg.LinAlgError:
-                self._singular = True
+                self._map = None
             self._solve = lambda u: _solve_free(self, u)
         else:
             table = self._table = _PatternTable(self._Heff, *bounds(fset, self.dim))
@@ -283,18 +283,19 @@ class ProxKernel:
         `test_rows` rows that `holds` reads, each map as (rows, n + 1): the
         value at u is item[:, :-1] @ u + item[:, -1].
 
-        Free quadratic (pattern None): Heff^{-1} [rho A', -r], one gesv with
-        a matrix right-hand side, and no test rows. Box and nonnegative: the
-        free components solve Heff[f, f] (one gesv with a matrix right-hand
-        side), active ones are their bound; the test rows are r - rho A'u and
-        the gradient Heff z + r - rho A'u. l1: u/alpha - sign thresh on the
-        nonzero components, 0 on the others; the test rows are u/alpha.
+        Free quadratic (pattern None): Heff^{-1} [rho A', -r], formed at
+        construction by one gesv with a matrix right-hand side, and no test
+        rows. Box and nonnegative: the free components solve Heff[f, f] (one
+        gesv with a matrix right-hand side), active ones are their bound;
+        the test rows are r - rho A'u and the gradient Heff z + r - rho A'u.
+        l1: u/alpha - sign thresh on the nonzero components, 0 on the
+        others; the test rows are u/alpha.
         """
         n = self.A.shape[0]
         if not self.patterned:
-            if self._singular:
+            if self._map is None:
                 raise Unbounded("singular proximal system; coupling matrix rank deficient")
-            return np.linalg.solve(self._Heff, np.hstack((-self._neg_rho * self._AT, -self._r[:, None]))), None
+            return self._map.copy(), None
         L = np.zeros((self.dim, n + 1))
         if self._table is None:
             scaled = np.hstack((np.eye(n) / self._alpha, np.zeros((n, 1))))
@@ -341,7 +342,7 @@ def _geff(kernel: ProxKernel, u: np.ndarray) -> np.ndarray:
 
 
 def _solve_free(kernel: ProxKernel, u: np.ndarray) -> np.ndarray:
-    if kernel._singular:
+    if kernel._map is None:
         raise Unbounded("singular proximal system; coupling matrix rank deficient")
     return _gesv(kernel._Heff, -_geff(kernel, u))
 

@@ -8,6 +8,7 @@ solver flag on `run`, `report`, `check` and `sweep`, and for generated shapes,
 sweep grids and iteration caps too large to allocate, which must fail before
 anything is drawn or allocated."""
 import re
+import tracemalloc
 import warnings
 
 import pytest
@@ -114,8 +115,7 @@ FORCED = ["--generator", "qp1", "--tol", "-1", "--max-iters", "1000000000000"]
 
 # (argv, exit code, the start of the one stderr line). Each is refused before
 # anything is drawn or allocated: a shape or a grid by its bound, and a
-# repeat fill of 10^12 rows (50.9 TiB) by numpy, which asks for the whole
-# buffer before writing to it.
+# repeat fill of 10^12 rows by the trace bound (`engine.TRACE_BYTES_MAX`).
 SIZE_CASES = [
     pytest.param(["gen", "--generator", "quadratic", "--n", HUGE], 1,
                  f"error: --n {HUGE} exceeds the largest generated size 12\n", id="gen-n"),
@@ -135,8 +135,10 @@ SIZE_CASES = [
                  "error: the sweep grid has 1e+300 x 1e+300 points, more than 10000\n", id="sweep-grid-1e300"),
     pytest.param(["sweep", *GRID, "101", "--s-grid", "0", "0.5", "100"], 1,
                  "error: the sweep grid has 101 x 100 points, more than 10000\n", id="sweep-grid-10100"),
-    pytest.param(["report", *FORCED], 2, "runtime failure: out of memory (Unable to allocate ", id="report-max-iters"),
-    pytest.param(["run", *FORCED], 2, "runtime failure: out of memory (Unable to allocate ", id="run-max-iters"),
+    pytest.param(["report", *FORCED], 2, "runtime failure: out of memory (a trace of 1000000000001 rows needs ",
+                 id="report-max-iters"),
+    pytest.param(["run", *FORCED], 2, "runtime failure: out of memory (a trace of 1000000000001 rows needs ",
+                 id="run-max-iters"),
 ]
 
 
@@ -147,3 +149,24 @@ def test_sizes_too_large_exit_with_one_line(argv, code, start, tmp_path, capsys)
     got, err = _exits_documented([*argv, *writes], " ".join(argv), capsys)
     assert got == code and err.startswith(start), err
     assert not out.exists()
+
+
+def test_fill_that_fits_the_address_space_is_refused_before_it_allocates(capsys):
+    # 10^8 forced iterations of qp1 repeat early; the fill would ask for
+    # 5.2 GiB of solve rows, which numpy grants and the fill then writes. The
+    # trace bound refuses the fill before it allocates
+    argv = ["report", "--generator", "qp1", "--tol", "-1", "--max-iters", "100000000"]
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert got == 2 and out == "" and err.count("\n") == 1, (got, out, err)
+    assert err.startswith("runtime failure: out of memory (a trace of 100000001 rows needs "), err
+    assert peak < 64 * 2 ** 20, peak
+    # the same cap on a run that converges early allocates no more than it needs
+    assert _exits_documented([*argv[:3], "--tol", "1e-10", *argv[5:]], "converging", capsys)[0] == 0

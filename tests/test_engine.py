@@ -1137,6 +1137,107 @@ def test_non_finite_box_iterate_raises(case):
         g.solve(problem(), cfg, validate=False)
 
 
+def _certified_ranges(monkeypatch) -> list:
+    """Wrap engine.certify; returns the list to which each call appends the
+    iterations it certifies, as (first, stop)."""
+    ranges, certify = [], engine.certify
+
+    def recorded(plan, block, out):
+        first = (out.ctypes.data - out.base.ctypes.data) // out.strides[0]
+        assert (block.ctypes.data - block.base.ctypes.data) // block.strides[0] == first
+        assert len(block) == len(out) + 1
+        ranges.append((first, first + len(out)))
+        return certify(plan, block, out)
+
+    monkeypatch.setattr(engine, "certify", recorded)
+    return ranges
+
+
+# (instance, config overrides); the runs of NON_FINITE_BOX_CASES join them
+CERTIFY_ONCE_CASES = {
+    # forced; the rest of the run is copied from its cycle
+    "fill": ("qp1", {"max_iters": 2000, "tol": -1.0}),
+    # pattern misses: the run moves between the sweep and the affine step
+    "misses": ("boxqp-p1q1n5-s9", {"max_iters": 2000, "tol": 1e-10}),
+    # diverging: the sweep from the handover on, and buffers grown twice
+    "handover": ("qp1", {"tau": -0.5, "s": -0.3, "max_iters": 2085, "tol": -1.0}),
+}
+
+
+@pytest.mark.parametrize("case", [*CERTIFY_ONCE_CASES, *NON_FINITE_BOX_CASES])
+def test_every_kept_row_is_certified_once(case, catalog, monkeypatch):
+    # the loop certifies the kept rows in stacked calls, before a buffer
+    # grows, before a fill and at the end: the iterations they certify are
+    # disjoint, in order, and cover every stepped iteration, also those
+    # before a step that raised; the filled ones are copies of certified ones
+    ranges = _certified_ranges(monkeypatch)
+    if case in NON_FINITE_BOX_CASES:
+        problem, stepped = NON_FINITE_BOX_CASES[case]
+        cfg = SolverConfig(tau=-0.5, s=-0.3, sigma1=0.5, sigma2=0.5, max_iters=5000, tol=-1.0)
+        with pytest.raises(engine.NonFiniteIterate, match=f"at iteration {stepped}$"), np.errstate(all="ignore"):
+            g.solve(problem(), cfg, validate=False)
+    else:
+        name, overrides = CERTIFY_ONCE_CASES[case]
+        bundle = _box_enum(9) if name.startswith("boxqp-p1q1n5") else next(b for b in catalog if b.name == name)
+        cfg = g.default_config(bundle.problem, region_policy="G", **overrides)
+        with np.errstate(all="ignore"):
+            trace = g.solve(bundle.problem, cfg, w_star=bundle.w_star, validate=False)
+        stepped = sum(trace.repeat) if trace.repeat else len(trace.predictions)
+        assert {"fill": trace.repeat is not None and stepped < len(trace.predictions),
+                "misses": bool(trace.pattern_misses) and not trace.affine_rows.all() and trace.affine_iters > 0,
+                "handover": (trace.step_fallback or "").startswith("iterate past")}[case]
+    assert ranges[0][0] == 0 and ranges[-1][1] == stepped, ranges
+    assert all(first < stop for first, stop in ranges), ranges
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:])), ranges
+    assert len(ranges) == 1 + sum(stepped > cap for cap in (1024, 2048)), ranges
+
+
+def _built_operators(catalog):
+    """The plan and step operator of every passing operator that the
+    catalog (forced, 2000 iterations), box-enum (seeds 1-10 at tol 1e-10) and
+    atlas (the 11 x 11 grid on seed 42) solves build."""
+    built, operator = {}, engine.Plan.operator
+
+    def recorded(plan, patterns):
+        op = operator(plan, patterns)
+        if op is not None:
+            built[id(op)] = plan, op
+        return op
+
+    runs = [(b, g.default_config(b.problem, max_iters=2000, tol=-1.0)) for b in catalog]
+    runs += [(b, g.default_config(b.problem, max_iters=2000, tol=1e-10)) for b in map(_box_enum, range(1, 11))]
+    atlas = g.gen_quadratic(2, 2, [2, 2], [2, 2], 3, seed=42)
+    runs += [(atlas, g.default_config(atlas.problem, tau=float(tau), s=float(s), region_policy="G"))
+             for tau in np.linspace(-1.5, 1.5, 11) for s in np.linspace(-1.5, 1.5, 11)]
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(engine.Plan, "operator", recorded)
+        for bundle, cfg in runs:
+            try:
+                g.solve(bundle.problem, cfg, w_star=bundle.w_star, validate=False)
+            except g.SingularM:  # tau + s = 0
+                continue
+    return list(built.values())
+
+
+def test_step_loop_has_the_bits_of_the_1d_product(catalog):
+    # the affine chunk steps each row as np.dot into the row's view, then
+    # adds k0 in place; for every operator the three workloads build, each
+    # row has the bytes of the 1-d `K @ w + k0`
+    shapes = set()
+    scalars = np.empty((engine.CHUNK, len(engine.RECORD_SCALARS) + 1))
+    for plan, op in _built_operators(catalog):
+        rows = np.zeros((engine.CHUNK + 1, plan.d.stop))
+        rows[0, :plan.N] = plan.ws
+        rows[0, :plan.N] += np.linspace(-1.0, 1.0, plan.N)
+        with np.errstate(all="ignore"):
+            engine._affine_chunk(plan, op, rows, scalars, 0, engine.CHUNK, -1.0)
+            for k in range(engine.CHUNK):
+                expected = op.K @ rows[k, :plan.N].copy() + op.k0
+                assert rows[k + 1, :plan.d.start].tobytes() == expected.tobytes(), (op.K.shape, k)
+        shapes.add(op.K.shape)
+    assert len(shapes) == 12, shapes
+
+
 def test_identity_error_bound_on_catalog(catalog_runs):
     for bundle, cfg, mats, trace in catalog_runs["runs"]:
         for rec in trace.records:

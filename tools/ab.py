@@ -20,13 +20,16 @@ After one untimed pass per side, each workload runs PAIRS = 20 pairs in
 ABBA order: the change first in even pairs, the parent first in odd ones.
 It prints one line per workload: the median change/parent ratio of the
 pairs' times, its 10th and 90th percentiles, the pairs the change won
-(ratio < 1), and both sides' median pass times. For catalog and box-enum it
-also prints the median ratios of the pass's solve seconds and of its verdict
-seconds (the four post-hoc checks), so that a change to one of them reads
-apart from the other. With one BLAS thread a run takes 30-40 s on a 2-vCPU
-machine. Both sides run in one process, so the machine's drift between
-processes does not enter the ratios. Where REV's package is the working
-tree's (an A=A run), they show the noise left.
+(ratio < 1), and both sides' median pass times. Beside the pass ratio it
+prints the median ratio of the pass's seconds inside `engine.solve` and, for
+catalog and box-enum, of its verdict seconds (the four post-hoc checks), so
+that a change to one of them reads apart from the other. The atlas pass runs
+`cli.main`, so its solve seconds are taken by wrapping the module attribute
+`engine.solve` during the sweep, as bench/spans.py wraps its targets. With
+one BLAS thread a run takes 30-40 s on a 2-vCPU machine. Both sides run in
+one process, so the machine's drift between processes does not enter the
+ratios. Where REV's package is the working tree's (an A=A run), they show
+the noise left.
 """
 from __future__ import annotations
 
@@ -70,7 +73,7 @@ def import_parent(rev: str, into: Path):
 
 def certified_pass(pkg, runs):
     """One pass of solves and post-hoc checks; returns its package seconds
-    in the solves and in the checks."""
+    (all, in the solves, in the checks)."""
     solve_s = verdict_s = 0.0
     for problem, config, mats, w_star in runs:
         start = perf_counter()
@@ -83,12 +86,32 @@ def certified_pass(pkg, runs):
             pkg.diagnostics.linear_rate_check(mats, trace, w_star, constants)
         solve_s += solved - start
         verdict_s += perf_counter() - solved
-    return solve_s, verdict_s
+    return solve_s + verdict_s, solve_s, verdict_s
+
+
+@contextlib.contextmanager
+def timed_solves(pkg):
+    """Wraps `pkg.engine.solve` while the block runs; yields a list whose one
+    item adds up the seconds spent in its calls."""
+    solve, spent = pkg.engine.solve, [0.0]
+
+    def timed(*args, **kwargs):
+        start = perf_counter()
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            spent[0] += perf_counter() - start
+    pkg.engine.solve = timed
+    try:
+        yield spent
+    finally:
+        pkg.engine.solve = solve
 
 
 def build(pkg, workload: str, out: Path):
     """The workload on pkg as a function that runs one pass and returns its
-    package seconds as (solve, verdict); an atlas pass gives (all of it, 0)."""
+    package seconds as (all, solve, verdict); an atlas pass has no verdict
+    seconds (0)."""
     gen = pkg.generators
     if workload == "atlas":
         rng, bundle = gen.SplitMix64(0), None
@@ -100,13 +123,13 @@ def build(pkg, workload: str, out: Path):
                 "--tau-grid", *GRID, "--s-grid", *GRID, "--out", str(out)]
 
         def sweep():
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()), timed_solves(pkg) as solve_s:
                 start = perf_counter()
                 status = pkg.harness.cli.main(argv)
                 elapsed = perf_counter() - start
             if status != 0:
                 raise RuntimeError(f"{pkg.__name__}: sweep exited {status}")
-            return elapsed, 0.0
+            return elapsed, solve_s[0], 0.0
         return sweep
     if workload == "catalog":
         bundles, overrides = gen.standard_catalog(), {"max_iters": 2000, "tol": -1.0}
@@ -137,17 +160,18 @@ def main(argv=None) -> int:
             sides = [build(pkg, workload, Path(tmp) / f"out-{i}") for i, pkg in enumerate((change, parent))]
             for run in sides:  # untimed warm-up
                 run()
-            parts = np.empty((PAIRS, 2, 2))  # pair, side, (solve, verdict); an atlas pass is one part
+            parts = np.empty((PAIRS, 2, 3))  # pair, side, (all, solve, verdict)
             for pair in range(PAIRS):
                 order = (0, 1) if pair % 2 == 0 else (1, 0)
                 for side in order:
                     gc.collect()
                     parts[pair, side] = sides[side]()
-            times = parts.sum(axis=2)
+            times = parts[:, :, 0]
             ratio = times[:, 0] / times[:, 1]
             p10, p50, p90 = np.percentile(ratio, [10, 50, 90])
-            split = "" if workload == "atlas" else "  solve {:.3f} verdict {:.3f}".format(
-                *np.median(parts[:, 0] / parts[:, 1], axis=0))
+            split = f"  solve {np.median(parts[:, 0, 1] / parts[:, 1, 1]):.3f}"
+            if workload != "atlas":
+                split += f" verdict {np.median(parts[:, 0, 2] / parts[:, 1, 2]):.3f}"
             print(f"{workload:8s} change/parent median {p50:.3f} p10 {p10:.3f} p90 {p90:.3f} "
                   f"won {int((ratio < 1.0).sum())}/{PAIRS}{split}  "
                   f"change {np.median(times[:, 0]) * 1e3:.1f} ms parent {np.median(times[:, 1]) * 1e3:.1f} ms")
