@@ -23,25 +23,25 @@ residual of w~.
 `solve` iterates on the stacked point w = (x, y, lambda), the only form of
 an iterate inside the engine. Before the first iteration it builds a `Plan`
 of everything that stays fixed over the solve: one oracle kernel per block
-(the penalty rho of each group is fixed under one config), the structural
-matrices, each group's sweep steps, the stacked reference point, the
-config's scalars and the layout of a solve row. Every box, nonnegative and
+at its group's rho = (1 + sigma) beta, the structural matrices, each group's
+sweep steps, the stacked reference point, the config's scalars, the layout
+of a solve row and the step operators. Every box, nonnegative and
 l1 block's answer has a pattern (`ProxKernel.pattern`: the active set, or
 the signs), and on a fixed pattern an iteration is an affine map of w. Each
 iteration takes one of two steps, chosen from the run's own patterns:
 
 - affine: one matrix-vector product `K @ w_k + k0` for w_{k+1}, lambda~_k,
   the feasibility residual and the rows that each pattern's KKT test reads.
-  `step_operator` builds K for a pattern once per solve and checks it once:
-  the multiplier rows as the operator identity T = I - M (I - P), the primal
-  rows as each block's stationarity at w~ with `structure`'s Q. A pattern
-  whose operator fails a check (or whose kernel is singular) is never tried
-  again in that solve. After each chunk the rows are tested against their
-  pattern (`Plan.misses`); the first that fails, and every later one, is
-  discarded and its iteration redone on the sweep. An iterate past
-  HANDOVER_MAX (a diverging run) sends the rest of the solve to the sweep.
-  The trace's `step_fallback` says why an operator failed or the run handed
-  over.
+  `Plan.operator` builds K for a pattern once per solve and checks it once
+  (`step_operator`): the multiplier rows as the identity T = I - M (I - P),
+  the primal rows as each block's stationarity at w~ with `structure`'s Q.
+  A pattern whose operator fails a check (or whose kernel is singular) is
+  never tried again in that solve. After each chunk the rows are tested
+  against their pattern (`Plan.misses`); the first that fails, and every
+  later one, is discarded and its iteration redone on the sweep. An iterate
+  past HANDOVER_MAX (a diverging run) sends the rest of the solve to the
+  sweep. The trace keeps every operator built (`Trace.operators`); its
+  `step_fallback` says why the run handed over or an operator failed.
 - sweep, the cold path and the reference: `advance` runs both group sweeps
   from the row of w_k alone, each block writing its prox answer into the
   row of w_{k+1}, and forms the feasibility residual and the d vector with
@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -146,8 +146,9 @@ class IterationRecord:
     contraction_slack: float  # nan without a reference point or outside the triangle
 
 
-# The scalar fields of a record, in order; each is one column of a Trace.
-RECORD_SCALARS = tuple(f.name for f in fields(IterationRecord) if f.name not in ("k", "w", "w_tilde"))
+# The scalar fields of a record, in order: the columns of a Trace and of a solve's scalar buffer (then the residual).
+RECORD_SCALARS = ("feasibility", "feasibility_inf", "correction_residual", "d_norm_sq", "d_inf",
+                  "identity_error", "dist_H", "contraction_slack")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,14 +165,21 @@ class Trace:
     iterates: np.ndarray      # (iterations + 1, N)
     predictions: np.ndarray   # (iterations, N)
     columns: dict[str, np.ndarray]
-    step_path: str = "sweep"  # "affine" when a step operator passed its checks, else "sweep"
-    step_fallback: str | None = None  # the first failed operator check, or the handover
+    operators: tuple[StepOperator, ...] = ()  # every step operator the solve built, in build order
+    handover: str | None = None  # why the run handed over to the sweep, when it did
     step_s: float = 0.0      # wall seconds stepping, affine rows and sweeps
     certify_s: float = 0.0   # the loop's other wall seconds: chunk tails, certification, fill, growth
     affine_rows: np.ndarray | None = None  # whether each iteration took the affine step
     pattern_misses: tuple[int, ...] = ()   # iterations whose affine row failed its pattern
-    operators_built: int = 0  # step operators built, passed or not
     repeat: tuple[int, int] | None = None  # (j, period) when w_{j+period} repeated w_j and the rest was copied
+
+    @property
+    def step_path(self) -> str:  # "affine" when a step operator passed its checks, else "sweep"
+        return "affine" if any(op.why is None for op in self.operators) else "sweep"
+
+    @property
+    def step_fallback(self) -> str | None:  # the handover, else the first failed operator check
+        return self.handover or next((op.why for op in self.operators if op.why is not None), None)
 
     @property
     def affine_iters(self) -> int:
@@ -208,14 +216,6 @@ class Records(Sequence):
 
     def __eq__(self, other):
         return isinstance(other, Sequence) and list(self) == list(other)
-
-
-def block_kernels(problem: BlockProblem, config: SolverConfig):
-    """Oracle kernels (x blocks, y blocks) at rho = (1 + sigma) beta."""
-    rho_x = (1.0 + config.sigma1) * config.beta
-    rho_y = (1.0 + config.sigma2) * config.beta
-    return (tuple(ProxKernel(blk.objective, blk.set, blk.A, rho_x) for blk in problem.x_blocks),
-            tuple(ProxKernel(blk.objective, blk.set, blk.A, rho_y) for blk in problem.y_blocks))
 
 
 def group_sweep(steps, AZ, own_sum, base, sigma, out):
@@ -259,14 +259,13 @@ class StepOperator:
     why: str | None
 
 
-def step_operator(problem: BlockProblem, config: SolverConfig,
-                  mats: structure.StructuralMatrices, steps, patterns: tuple = ()) -> StepOperator:
-    """The affine step of the pattern held by each patterned kernel
-    (`patterns`, in the order of `Plan.patterned`; empty when every block is
-    free-quadratic), composed from the kernels' affine answers
-    (`ProxKernel.affine`) as the x sweep, half dual update, y sweep and full
-    dual update, each an (N+1) x (N+1) map of (w, 1), and checked once on
-    every row.
+def step_operator(plan: Plan, patterns: tuple = ()) -> StepOperator:
+    """The affine step of the plan's solve on the pattern held by each
+    patterned kernel (`patterns`, in the order of `Plan.patterned`; empty
+    when every block is free-quadratic), composed from the kernels' affine
+    answers (`ProxKernel.affine`) as the x sweep, half dual update, y sweep
+    and full dual update, each an (N+1) x (N+1) map of (w, 1), and checked
+    once on every row.
 
     The multiplier rows are checked as the paper's identity against the
     structural M. The primal rows, where that identity holds whatever the
@@ -275,7 +274,8 @@ def step_operator(problem: BlockProblem, config: SolverConfig,
     of grad f(P) - A' lambda~ + Q (P - I) vanish, with Q from `structure`,
     and every other component is the constant of its pattern.
     """
-    N, n, m, beta = problem.total_dim, problem.n, problem.total_dim - problem.n, config.beta
+    problem, config, mats, steps = plan.problem, plan.config, plan.mats, plan.steps
+    N, n, m, beta = plan.N, problem.n, plan.m, config.beta
     R = np.zeros((n, N + 1))  # (w, 1) -> A x + B y - c
     for blk, sl in zip(problem.x_blocks + problem.y_blocks, problem.block_slices):
         R[:, sl] = blk.A
@@ -359,22 +359,25 @@ def _key(patterns) -> bytes:
 
 class Plan:
     """What every iteration of one solve reads: the problem, the config and
-    its scalars, the oracle kernels, each group's sweep steps (every block's
-    kernel with its slice of w), the structural matrices, the stacked
-    reference point (None without one), the layout of a solve row, the
-    patterned kernels (`patterned`: the steps whose kernel is
-    `ProxKernel.patterned`), the step operators of the patterns met so far,
-    and `D`, the d vector of w~ - w as a matrix (`d_components` of the
-    identity's rows), which both steps multiply.
+    its scalars, the oracle kernels (`kernels`: x blocks, then y blocks, each
+    built here at its group's rho = (1 + sigma) beta), each group's sweep
+    steps (every block's kernel with its slice of w), the structural
+    matrices, the stacked reference point (None without one), the layout of
+    a solve row, the patterned kernels (`patterned`: the steps whose kernel
+    is `ProxKernel.patterned`), and `D`, the d vector of w~ - w as a matrix
+    (`d_components` of the identity's rows), which both steps multiply.
 
-    `operator(patterns)` builds a pattern's `step_operator` once per solve
-    and returns it, or None when it failed a check; such a pattern is never
-    tried again. `fallback` is the first failed check's `why` (None
-    otherwise)."""
+    The plan owns the solve's step operators: `operator(patterns)` builds a
+    pattern's `step_operator` once per solve and returns it, or None when it
+    failed a check; such a pattern is never tried again. `operators` holds
+    every operator built, passed or not, by pattern in build order."""
 
     def __init__(self, problem: BlockProblem, config: SolverConfig,
-                 mats: structure.StructuralMatrices, w_star: Iterate | None, kernels):
-        self.problem, self.config, self.mats, self.kernels = problem, config, mats, kernels
+                 mats: structure.StructuralMatrices, w_star: Iterate | None):
+        self.problem, self.config, self.mats = problem, config, mats
+        self.kernels = kernels = tuple(
+            tuple(ProxKernel(blk.objective, blk.set, blk.A, (1.0 + sigma) * config.beta) for blk in blocks)
+            for blocks, sigma in ((problem.x_blocks, config.sigma1), (problem.y_blocks, config.sigma2)))
         slices = problem.block_slices
         self.steps = (tuple(zip(kernels[0], slices[:problem.p])), tuple(zip(kernels[1], slices[problem.p:])))
         self.patterned = tuple(step for group in self.steps for step in group if step[0].patterned)
@@ -391,16 +394,13 @@ class Plan:
         self.ws = None if w_star is None else w_star.stack()
         self.D = np.ascontiguousarray(d_components(problem, config, np.eye(N)).T)
         self.operators: dict[bytes, StepOperator] = {}
-        self.fallback = None
 
     def operator(self, patterns: tuple) -> StepOperator | None:
         """The step operator of the patterns (see the class docstring)."""
         key = _key(patterns)
         op = self.operators.get(key)
         if op is None:
-            op = self.operators[key] = step_operator(self.problem, self.config, self.mats, self.steps, patterns)
-            if op.why is not None:
-                self.fallback = self.fallback or op.why
+            op = self.operators[key] = step_operator(self, patterns)
         return op if op.why is None else None
 
     def pattern(self, row: np.ndarray) -> tuple:
@@ -427,7 +427,7 @@ def residuals(plan: Plan, block: np.ndarray, out: np.ndarray):
     each iteration of a block of solve rows (see `certify`) into out."""
     feasibility_inf = np.abs(block[1:, plan.r]).max(axis=1, initial=0.0)
     d_inf = np.abs(block[1:, plan.d]).max(axis=1, initial=0.0)
-    out[:, 1], out[:, 4] = feasibility_inf, d_inf
+    out[:, RECORD_SCALARS.index("feasibility_inf")], out[:, RECORD_SCALARS.index("d_inf")] = feasibility_inf, d_inf
     out[:, -1] = np.where(feasibility_inf > d_inf, feasibility_inf, d_inf)  # Python's max(d_inf, ...)
 
 
@@ -458,8 +458,9 @@ def certify(plan: Plan, block: np.ndarray, out: np.ndarray):
             g = row_forms(mats.G, DW)
             with np.errstate(all="ignore"):  # the scalar formula's float arithmetic never traps
                 slack = h[:-1] - h[1:] - g
-    out[:, [0, 2, 3, 5, 6, 7]] = np.column_stack((np.sqrt(rows_dot(R)), correction_residual, rows_dot(Dd),
-                                                  np.sqrt(rows_dot(gap)), dist_h, slack))
+    names = ("feasibility", "correction_residual", "d_norm_sq", "identity_error", "dist_H", "contraction_slack")
+    out[:, [RECORD_SCALARS.index(name) for name in names]] = np.column_stack(
+        (np.sqrt(rows_dot(R)), correction_residual, rows_dot(Dd), np.sqrt(rows_dot(gap)), dist_h, slack))
 
 
 def advance(plan: Plan, k: int, wk: np.ndarray, z: np.ndarray):
@@ -581,8 +582,7 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
             raise ValueError("invalid config: " + "; ".join(report.violations))
     if mats is None:
         mats = structure.assemble(problem, config)
-    kernels = block_kernels(problem, config)
-    plan = Plan(problem, config, mats, w_star, kernels)
+    plan = Plan(problem, config, mats, w_star)
     N, tol = plan.N, config.tol
     # buffers, doubled when full: solve rows 0 .. K (see `Plan`), record
     # scalars, and whether each iteration took the affine step
@@ -592,7 +592,7 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
     affine = np.empty(cap, dtype=bool)
     rows[0, :N] = initial_point(problem, w0).stack()
     op = None if plan.patterned else plan.operator(())  # the empty pattern holds from the start
-    termination, count, fallback, repeat = ITERATION_CAP, 0, None, None  # fallback: why the run handed over
+    termination, count, handover, repeat = ITERATION_CAP, 0, None, None
     misses, held, run = [], None, 0  # the sweep's last pattern and for how many iterations it held
     certified, step_s, began = 0, 0.0, perf_counter()  # iterations 0 .. certified - 1 are certified
     try:
@@ -608,7 +608,7 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
                 affine[lo:count] = True
                 if left:  # iteration `count` goes to the sweep
                     if left == "handover":
-                        fallback = f"iterate past {HANDOVER_MAX:g} at iteration {count}; the sweep from there"
+                        handover = f"iterate past {HANDOVER_MAX:g} at iteration {count}; the sweep from there"
                     else:
                         misses.append(count)
                     op, held, run = None, None, 0
@@ -619,7 +619,7 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
                     residuals(plan, rows[k:k + 2], scalars[k:k + 1])
                     if scalars[k, -1] <= tol:
                         break
-                    if plan.patterned and fallback is None:
+                    if plan.patterned and handover is None:
                         pattern = plan.pattern(rows[k + 1])
                         run = run + 1 if held is not None and _key(pattern) == _key(held) else 1
                         held = pattern
@@ -647,17 +647,16 @@ def solve(problem: BlockProblem, config: SolverConfig, w0: Iterate | None = None
         if certified < count:
             certify(plan, rows[certified:count + 1], scalars[certified:count])
         certify_s = perf_counter() - began - step_s
-    for kernel in kernels[0] + kernels[1]:  # one oracle call per block and affine iteration, as on the sweep
+    for kernel in plan.kernels[0] + plan.kernels[1]:  # one oracle call per block and affine iteration, as on the sweep
         kernel.stats.calls += int(affine[:count].sum())
     table = scalars[:count].T.copy()
     arrays = (rows[:count + 1, :N].copy(), plan.predictions(rows[1:count + 1]), table, affine[:count].copy())
     for arr in arrays:
         arr.flags.writeable = False
-    passed = any(built.why is None for built in plan.operators.values())
     return Trace(problem=problem, config=config, termination=termination,
-                 oracle_stats=tuple(kernel.stats for group in kernels for kernel in group),
+                 oracle_stats=tuple(kernel.stats for group in plan.kernels for kernel in group),
                  iterates=arrays[0], predictions=arrays[1],
                  columns=dict(zip(RECORD_SCALARS + ("residual",), table)),
-                 step_path="affine" if passed else "sweep", step_fallback=fallback or plan.fallback,
+                 operators=tuple(plan.operators.values()), handover=handover,
                  step_s=step_s, certify_s=certify_s, affine_rows=arrays[3], pattern_misses=tuple(misses),
-                 operators_built=len(plan.operators), repeat=repeat)
+                 repeat=repeat)

@@ -301,9 +301,7 @@ def cmd_sweep(args) -> int:
                     mats = structure.assemble(problem, config)
                 except (structure.SingularM, np.linalg.LinAlgError):
                     continue
-                row["lambda_min_G"] = mats.lambda_min_G
-                row["lambda_min_H"] = mats.lambda_min_H
-                row["xi"] = mats.xi
+                row.update(structure.spectral_summary(mats))
                 try:
                     # divergence at uncertified stepsizes is an expected outcome
                     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -370,9 +368,14 @@ def cmd_check(args) -> int:
         print(f"note: (tau, s) = ({config.tau}, {config.s}) outside the triangle region; "
               "definiteness not asserted "
               f"(lambda_min_G={mats.lambda_min_G:.3e})")
-    plan = engine.Plan(problem, config, mats, None, engine.block_kernels(problem, config))
-    if not plan.patterned:  # the empty pattern, which holds from the first iteration
-        op = engine.step_operator(problem, config, mats, plan.steps)
+    plan = engine.Plan(problem, config, mats, w_star)
+    if plan.patterned and w_star is None:
+        print("note: step-operator-identity skipped; a patterned instance without w* has no held pattern")
+    else:  # the pattern held at w*, that of one sweep iteration from it (the empty one when no block has one)
+        row = np.empty(plan.d.stop)
+        if plan.patterned:
+            engine.advance(plan, 0, plan.ws, row)
+        op = engine.step_operator(plan, plan.pattern(row))
         check("step-operator-identity", op.why is None, op.why or f"error={op.error:.3e}, bound={op.bound:.3e}")
     if w_star is not None:
         res = float(np.linalg.norm(diagnostics.error_map_residual(problem, w_star)))

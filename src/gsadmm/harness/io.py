@@ -304,7 +304,7 @@ def report_entries(trace: Trace, spectra: dict, nonergodic: NonergodicReport | N
         entries["step_fallback"] = trace.step_fallback
     entries["affine_iters"] = trace.affine_iters
     entries["pattern_misses"] = len(trace.pattern_misses)
-    entries["operators_built"] = trace.operators_built
+    entries["operators_built"] = len(trace.operators)
     entries["repeat_from"], entries["repeat_period"] = trace.repeat or (-1, 0)
     entries["time.assemble_s"] = assemble_s
     entries["time.step_s"] = trace.step_s

@@ -165,11 +165,8 @@ class StructuralMatrices:
     M: np.ndarray
     G: np.ndarray
     H: np.ndarray
-    beta: float
     tau: float
     s: float
-    sigma1: float
-    sigma2: float
     lambda_min_G: float
     lambda_min_H: float
     lambda_max_MTHM: float
@@ -232,7 +229,7 @@ def assemble(problem: BlockProblem, config: SolverConfig) -> StructuralMatrices:
     lambda_max_MTHM = float(np.linalg.eigvalsh(MTHM).max())
     return StructuralMatrices(
         Hx=Hx, Qtilde=Qt, Q=Q, M=M, G=G, H=H,
-        beta=beta, tau=tau, s=s, sigma1=config.sigma1, sigma2=config.sigma2,
+        tau=tau, s=s,
         lambda_min_G=lambda_min_G, lambda_min_H=lambda_min_H,
         lambda_max_MTHM=lambda_max_MTHM,
         xi=pencil_min_eig(G_s, MTHM) if in_region_D(tau, s) else float("nan"),

@@ -130,13 +130,13 @@ def solve(problem, config, mats, w0=None, w_star=None):
     affine step of the held pattern while its rows pass, on the sweep
     otherwise, entering a pattern once it has held for HOLD_ITERS sweep
     iterations."""
-    kernels = engine.block_kernels(problem, config)
-    plan = engine.Plan(problem, config, mats, w_star, kernels)
+    plan = engine.Plan(problem, config, mats, w_star)
+    kernels = plan.kernels
     N = problem.total_dim
     iterates, predictions, table, affine = [engine.initial_point(problem, w0).stack()], [], [], []
     op = None if plan.patterned else plan.operator(())
     state = _dist_sq(plan, iterates[0])
-    termination, fallback, handed_over, misses, held, run = engine.ITERATION_CAP, None, False, [], None, 0
+    termination, handover, misses, held, run = engine.ITERATION_CAP, None, [], None, 0
     for k in range(config.max_iters):
         rows = np.empty(N), np.empty(N), np.empty(len(engine.RECORD_SCALARS) + 1)
         stepped = False
@@ -148,14 +148,13 @@ def solve(problem, config, mats, w0=None, w_star=None):
                     kernel.stats.calls += 1
             except (Handover, Miss) as exc:
                 if isinstance(exc, Handover):
-                    handed_over = True
-                    fallback = f"iterate past {engine.HANDOVER_MAX:g} at iteration {k}; the sweep from there"
+                    handover = f"iterate past {engine.HANDOVER_MAX:g} at iteration {k}; the sweep from there"
                 else:
                     misses.append(k)
                 op, held, run = None, None, 0
         if not stepped:
             state, residual = sweep_advance(plan, state, k, iterates[k], *rows)
-            if residual > config.tol and plan.patterned and not handed_over:
+            if residual > config.tol and plan.patterned and handover is None:
                 pattern = plan.pattern(rows[0])
                 run = run + 1 if held is not None and engine._key(pattern) == engine._key(held) else 1
                 held = pattern
@@ -170,26 +169,23 @@ def solve(problem, config, mats, w0=None, w_star=None):
             break
     count = len(predictions)
     columns = np.array(table).reshape(count, len(engine.RECORD_SCALARS) + 1).T.copy()
-    passed = any(o.why is None for o in plan.operators.values())
     return engine.Trace(problem, config, termination, tuple(kernel.stats for group in kernels for kernel in group),
                         np.array(iterates), np.array(predictions).reshape(count, N),
                         dict(zip(engine.RECORD_SCALARS + ("residual",), columns)),
-                        step_path="affine" if passed else "sweep", step_fallback=fallback or plan.fallback,
-                        affine_rows=np.array(affine, dtype=bool), pattern_misses=tuple(misses),
-                        operators_built=len(plan.operators))
+                        operators=tuple(plan.operators.values()), handover=handover,
+                        affine_rows=np.array(affine, dtype=bool), pattern_misses=tuple(misses))
 
 
-def step(problem, config, state, mats=None, w_star=None, k=0, kernels=None):
+def step(problem, config, state, mats=None, w_star=None, k=0, plan=None):
     """One iteration from the Iterate state; returns (next Iterate, record).
 
-    `mats` and `kernels` (the pair from `engine.block_kernels`) are built
-    here when omitted.
+    `plan` (an `engine.Plan` of mats and w_star, whose kernels count the
+    oracle calls) and `mats` are built here when omitted.
     """
     if mats is None:
         mats = structure.assemble(problem, config)
-    if kernels is None:
-        kernels = engine.block_kernels(problem, config)
-    plan = engine.Plan(problem, config, mats, w_star, kernels)
+    if plan is None:
+        plan = engine.Plan(problem, config, mats, w_star)
     rows = np.empty((3, problem.total_dim))  # w_k, w_{k+1}, w~_k
     rows[0] = state.stack()
     scalars = np.empty(len(engine.RECORD_SCALARS) + 1)

@@ -9,6 +9,8 @@ import pytest
 
 import gsadmm as g
 from gsadmm import engine, oracles
+from gsadmm.harness import io
+from gsadmm.harness.cli import main
 from gsadmm.model import Block, BlockProblem, Box, Free, Iterate, Quadratic, SolverConfig, matvecs, rows_dot
 from gridsearch import kkt_ok, reference_prox_solve
 import reference_verdict
@@ -124,9 +126,8 @@ def _count_group_products(monkeypatch) -> dict:
 def test_step_forms_each_group_product_twice(qp1, monkeypatch):
     problem, cfg, w_star = qp1
     mats = g.assemble(problem, cfg)
-    kernels = engine.block_kernels(problem, cfg)
     calls = _count_group_products(monkeypatch)
-    step(problem, cfg, Iterate.zeros(problem), mats=mats, w_star=w_star, kernels=kernels)
+    step(problem, cfg, Iterate.zeros(problem), mats=mats, w_star=w_star)
     assert calls == {"x": 2, "y": 2, "d": 1}
 
 
@@ -203,14 +204,14 @@ def _stepped(problem, cfg, w_star, mats):
     """The solve loop written with the test `step`, which computes each
     H-distance afresh and always sweeps: final iterate, records and the
     oracle kernels they shared."""
-    kernels = engine.block_kernels(problem, cfg)
+    plan = engine.Plan(problem, cfg, mats, w_star)
     state, records = engine.initial_point(problem), []
     for k in range(cfg.max_iters):
-        state, rec = step(problem, cfg, state, mats=mats, w_star=w_star, k=k, kernels=kernels)
+        state, rec = step(problem, cfg, state, mats=mats, w_star=w_star, k=k, plan=plan)
         records.append(rec)
         if max(rec.d_inf, rec.feasibility_inf) <= cfg.tol:
             break
-    return state, records, kernels
+    return state, records, plan.kernels
 
 
 def _stepped_trace(problem, cfg, final, records, kernels) -> engine.Trace:
@@ -390,7 +391,7 @@ def test_every_row_d_is_the_plan_matrix_product(catalog):
         cfg = g.default_config(b.problem, max_iters=2000, tol=1e-10)
         mats = g.assemble(b.problem, cfg)
         trace = g.solve(b.problem, cfg, w_star=b.w_star, mats=mats)
-        plan = engine.Plan(b.problem, cfg, mats, None, engine.block_kernels(b.problem, cfg))
+        plan = engine.Plan(b.problem, cfg, mats, None)
         d = matvecs(plan.D, trace.predictions - trace.iterates[:-1])
         assert trace.columns["d_norm_sq"].tobytes() == rows_dot(d).tobytes(), name
         assert trace.columns["d_inf"].tobytes() == np.abs(d).max(axis=1).tobytes(), name
@@ -412,11 +413,17 @@ def test_plan_D_columns_are_the_per_block_d(catalog):
     cases.append(("p3q2n4-s7-sigma", p3, g.default_config(p3, sigma1=3.0, sigma2=2.0)))
     assert len(cases) == 21
     for name, problem, cfg in cases:
-        plan = engine.Plan(problem, cfg, g.assemble(problem, cfg), None, engine.block_kernels(problem, cfg))
+        plan = engine.Plan(problem, cfg, g.assemble(problem, cfg), None)
         assert plan.D.shape == (plan.m, plan.N), name
         for k, unit in enumerate(np.eye(plan.N)):
             ref = reference_verdict.d_components(problem, cfg, unit)
             assert plan.D[:, k].tobytes() == ref.tobytes(), (name, k)
+
+
+def test_record_scalars_are_the_record_fields_in_order():
+    # `Records` builds each record from the columns in this order, and the
+    # engine writes each column by its name
+    assert engine.RECORD_SCALARS == tuple(f.name for f in dataclasses.fields(engine.IterationRecord))[3:]
 
 
 def test_records_build_one_record_per_access(qp1_run, monkeypatch):
@@ -441,7 +448,7 @@ def _assert_same_run(fast, ref):
         return
     assert not isinstance(fast, Exception), fast
     assert (fast.termination, fast.step_path, fast.step_fallback) == (ref.termination, ref.step_path, ref.step_fallback)
-    assert (fast.pattern_misses, fast.operators_built) == (ref.pattern_misses, ref.operators_built)
+    assert (fast.pattern_misses, len(fast.operators)) == (ref.pattern_misses, len(ref.operators))
     assert fast.affine_rows.tobytes() == ref.affine_rows.tobytes()
     assert fast.oracle_stats == ref.oracle_stats
     assert fast.iterates.tobytes() == ref.iterates.tobytes()
@@ -658,7 +665,7 @@ def test_certify_block_matches_per_row_formula(catalog):
     bundle = next(b for b in catalog if b.name == "l1-p1q2n2-s5")
     problem = bundle.problem
     cfg = g.default_config(problem, max_iters=8, tol=-1.0)
-    plan = engine.Plan(problem, cfg, g.assemble(problem, cfg), bundle.w_star, engine.block_kernels(problem, cfg))
+    plan = engine.Plan(problem, cfg, g.assemble(problem, cfg), bundle.w_star)
     block = np.empty((9, plan.d.stop))
     block[0, :plan.N] = engine.initial_point(problem).stack()
     for k in range(8):
@@ -723,8 +730,7 @@ def _exact_maps(problem, cfg, pattern=None):
 
 def _step_operator(problem, cfg, mats):
     """The engine's step operator of an all-free instance."""
-    plan = engine.Plan(problem, cfg, mats, None, engine.block_kernels(problem, cfg))
-    return engine.step_operator(problem, cfg, mats, plan.steps)
+    return engine.step_operator(engine.Plan(problem, cfg, mats, None))
 
 
 def test_step_operator_identity_exact_on_qp1(qp1):
@@ -781,7 +787,7 @@ def test_mixed_instance_has_no_step_operator(catalog):
         trace = g.solve(b.problem, cfg)
         free = b.name == "qp1" or b.name.startswith("quadratic-")
         assert _all_free(b.problem) == free, b.name
-        assert (trace.step_path, trace.operators_built, trace.affine_iters) == \
+        assert (trace.step_path, len(trace.operators), trace.affine_iters) == \
             (("affine", 1, 1) if free else ("sweep", 0, 0)), b.name
         assert trace.step_fallback is None, b.name
 
@@ -790,11 +796,11 @@ def _solution_operator(bundle, cfg, mats):
     """The plan of one solve and the step operator of the pattern that one
     sweep iteration from w* holds."""
     problem = bundle.problem
-    plan = engine.Plan(problem, cfg, mats, None, engine.block_kernels(problem, cfg))
+    plan = engine.Plan(problem, cfg, mats, None)
     row = np.empty(plan.d.stop)
     start = bundle.w_star.stack()
     engine.advance(plan, 0, start, row)
-    return plan, engine.step_operator(problem, cfg, mats, plan.steps, plan.pattern(row))
+    return plan, engine.step_operator(plan, plan.pattern(row))
 
 
 def test_every_catalog_pattern_at_the_solution_has_a_checked_operator(catalog):
@@ -862,8 +868,8 @@ def test_held_pattern_operator_exact(name, held):
         assert (P[0][:3] == 0).all()
     mats = g.assemble(problem, cfg)
     assert np.abs(mats.Q - Q.astype(float)).max() <= 1e-15
-    plan = engine.Plan(problem, cfg, mats, None, engine.block_kernels(problem, cfg))
-    op = engine.step_operator(problem, cfg, mats, plan.steps, (np.array([held], dtype=np.int8),))
+    plan = engine.Plan(problem, cfg, mats, None)
+    op = engine.step_operator(plan, (np.array([held], dtype=np.int8),))
     assert op.why is None and op.error <= op.bound
     K = np.column_stack((op.K, op.k0))
     assert np.abs(K[:3] - T.astype(float)).max() <= 1e-15
@@ -911,10 +917,23 @@ def test_prox_map_error_fails_stationarity_and_sweeps(name, catalog, monkeypatch
     fell = g.solve(bundle.problem, cfg, w_star=bundle.w_star, mats=mats)
     assert fell.step_path == "sweep" and fell.affine_iters == 0
     assert fell.step_fallback.startswith("step operator stationarity residual ")
-    assert len(built) == len(set(built)) == fell.operators_built >= 1
+    assert len(built) == len(set(built)) == len(fell.operators) >= 1
     assert fell.iterates.tobytes() == ref.iterates.tobytes()
     for column, values in fell.columns.items():
         assert values.tobytes() == ref.columns[column].tobytes(), column
+
+
+@pytest.mark.parametrize("name", ["quadratic-p2q2n3-s42", "l1-p1q2n2-s5", "boxqp-p2q1n3-s13"])
+def test_check_fails_stationarity_on_prox_map_error(name, catalog, tmp_path, capsys, monkeypatch):
+    # `gsadmm check` certifies the operator of the pattern held at w*, and
+    # fails it on an error in a block's answer
+    bundle = next(b for b in catalog if b.name == name)
+    path = tmp_path / "instance.txt"
+    io.write_instance(path, bundle.problem, bundle.w_star)
+    _halved_answer(monkeypatch)
+    assert main(["check", "--instance", str(path)]) == 1
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "FAIL" in ln]
+    assert line.startswith("check step-operator-identity: FAIL (step operator stationarity residual ")
 
 
 def test_singular_free_kernel_falls_back_and_raises_unbounded():
@@ -924,8 +943,10 @@ def test_singular_free_kernel_falls_back_and_raises_unbounded():
                            (Block(Quadratic([[2.0]], [0.0]), [[1.0]], Free()),), [1.0])
     cfg = SolverConfig(sigma1=0.5, sigma2=0.5)
     mats = g.assemble(problem, cfg)
-    plan = engine.Plan(problem, cfg, mats, None, engine.block_kernels(problem, cfg))
-    assert plan.operator(()) is None and plan.fallback.startswith("singular proximal system")
+    plan = engine.Plan(problem, cfg, mats, None)
+    assert plan.operator(()) is None
+    (op,) = plan.operators.values()
+    assert op.why.startswith("singular proximal system")
     with pytest.raises(oracles.Unbounded):
         g.solve(problem, cfg, mats=mats, validate=False)
 
@@ -960,8 +981,8 @@ def test_pattern_miss_goes_to_the_sweep_and_accepted_rows_pass_kkt(case, catalog
     cfg = g.default_config(problem, **overrides)
     mats = g.assemble(problem, cfg)
     trace = g.solve(problem, cfg, w0=w0, w_star=bundle.w_star, mats=mats)
-    assert trace.pattern_misses and trace.operators_built >= 2 and trace.step_fallback is None
-    plan = engine.Plan(problem, cfg, mats, bundle.w_star, engine.block_kernels(problem, cfg))
+    assert trace.pattern_misses and len(trace.operators) >= 2 and trace.step_fallback is None
+    plan = engine.Plan(problem, cfg, mats, bundle.w_star)
     points = {}
     prox_solve = engine.prox_solve
     monkeypatch.setattr(engine, "prox_solve", lambda kernel, u: points.__setitem__(id(kernel), u.copy())
@@ -1007,7 +1028,7 @@ def test_catalog_pattern_instances_step_affine(name, catalog):
     cfg = g.default_config(bundle.problem, max_iters=2000, tol=-1.0)
     trace = g.solve(bundle.problem, cfg, w_star=bundle.w_star)
     assert trace.step_path == "affine" and trace.affine_iters >= 1990, trace.affine_iters
-    assert trace.affine_rows[-1] and trace.operators_built <= len(trace.pattern_misses) + 1
+    assert trace.affine_rows[-1] and len(trace.operators) <= len(trace.pattern_misses) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -1037,10 +1058,9 @@ def test_group_update_reads_snapshot_only():
     w_perm = Iterate((w.x[2], w.x[0], w.x[1]), w.y, w.lam)
 
     def x_sweep(prob, state):
-        kernels = engine.block_kernels(prob, cfg)[0]
         wk, out = state.stack(), np.zeros(prob.total_dim)
         base = prob.c - reference_verdict.apply_B(prob, wk) + state.lam / cfg.beta
-        steps = tuple(zip(kernels, prob.block_slices[:prob.p]))
+        steps = engine.Plan(prob, cfg, g.assemble(prob, cfg), None).steps[0]
         engine.group_sweep(steps, prob.products(0, wk), reference_verdict.apply_A(prob, wk), base, cfg.sigma1, out)
         return [out[sl] for sl in prob.block_slices[:prob.p]]
 

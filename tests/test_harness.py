@@ -617,18 +617,27 @@ def test_cmd_check_stops_after_config_failure(capsys, flags, detail):
     assert captured.out.splitlines()[-1] == f"check config-valid: FAIL ({detail})"
 
 
-@pytest.mark.parametrize("name, listed", [("qp1", True), ("quadratic", True), ("l1-1d", False)])
-def test_cmd_check_reports_step_operator_identity(capsys, name, listed):
-    # on an instance whose every block is free-quadratic
-    assert main(["check", "--generator", name, "--p", "2", "--q", "2", "--x-dims", "2,2",
-                 "--y-dims", "2,2", "--n", "3", "--seed", "42"]) == 0
+@pytest.mark.parametrize("name, free", [("qp1", True), ("quadratic", True), ("l1-1d", False), ("boxqp-1d", False)])
+def test_cmd_check_reports_step_operator_identity(capsys, tmp_path, name, free):
+    # the operator of the pattern held at w*: the empty pattern on an
+    # instance whose every block is free-quadratic, which needs no reference
+    # point; on an l1 or box instance the pattern of one sweep iteration from
+    # w*, and without w* one note instead
+    instance = ["--generator", name, "--p", "2", "--q", "2", "--x-dims", "2,2", "--y-dims", "2,2", "--n", "3",
+                "--seed", "42"]
+    assert main(["check", *instance]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if "step-operator-identity" in ln]
-    if listed:
-        (line,) = lines
-        error, bound = (float(part.split("=")[1]) for part in line[line.index("(") + 1:-1].split(", "))
-        assert line.startswith("check step-operator-identity: pass (error=") and error <= bound
-    else:
-        assert lines == []
+    (line,) = lines
+    error, bound = (float(part.split("=")[1]) for part in line[line.index("(") + 1:-1].split(", "))
+    assert line.startswith("check step-operator-identity: pass (error=") and error <= bound
+    path = tmp_path / "instance.txt"
+    assert main(["gen", *instance, "--out", str(path)]) == 0
+    io.write_instance(path, io.read_instance(path)[0])  # without its reference point
+    capsys.readouterr()
+    assert main(["check", "--instance", str(path)]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if "step-operator-identity" in ln]
+    (line,) = lines
+    assert line.startswith("check step-operator-identity: pass" if free else "note: step-operator-identity skipped")
 
 
 def test_cmd_check_fails_on_corrupted_file(tmp_path, capsys):

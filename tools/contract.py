@@ -19,7 +19,9 @@ when `violations` finds nothing. The rules, by record key:
   w*, relative to ||w_final|| for one that grows away from it (outside the
   stepsize regions; norms taken without overflow).
 
-Used by `tools/trace_digest.py --compare` and by the engine tests.
+`post_hoc` runs the four post-hoc checks of one run, for `verdict_record`
+and for the `--verdict` digest. Used by `tools/trace_digest.py` and by the
+engine tests.
 """
 import dataclasses
 import math
@@ -58,10 +60,9 @@ def run_record(trace, w_star=None) -> dict:
     }
 
 
-def verdict_record(problem, config, mats, trace, w_star) -> dict:
-    """Every flag of the four post-hoc checks, or the exception each raised,
-    and the fitted r_hat (None without a fit)."""
-    flags, r_hat = {}, None
+def post_hoc(problem, config, mats, trace, w_star) -> dict:
+    """The report of each of the four post-hoc checks by name, or the name of
+    the exception it raised."""
     constants = g.rate_constants(problem, config)
     checks = {
         "pointwise": lambda: g.pointwise_residual_check(problem, config, trace),
@@ -69,13 +70,24 @@ def verdict_record(problem, config, mats, trace, w_star) -> dict:
         "error_bound": lambda: g.diagnostics.error_bound_check(problem, mats, trace, constants),
         "rate": lambda: g.linear_rate_check(mats, trace, w_star, constants),
     }
+    reports = {}
     for name, check in checks.items():
         try:
             # a diverged run overflows the checks' products as it does the solve
             with np.errstate(over="ignore", invalid="ignore"):
-                report = check()
+                reports[name] = check()
         except (g.RegionNotCertified, g.InsufficientTrace) as exc:
-            flags[name] = type(exc).__name__
+            reports[name] = type(exc).__name__
+    return reports
+
+
+def verdict_record(problem, config, mats, trace, w_star) -> dict:
+    """Every flag of the four post-hoc checks, or the exception each raised,
+    and the fitted r_hat (None without a fit)."""
+    flags, r_hat = {}, None
+    for name, report in post_hoc(problem, config, mats, trace, w_star).items():
+        if isinstance(report, str):
+            flags[name] = report
             continue
         if name == "error_bound":
             flags["error_bound"] = bool(report[0])

@@ -186,23 +186,9 @@ def verdict_lines(label, problem, config, w0, w_star) -> list[str]:
     if args.contract:
         return [record(label, **contract.run_record(trace, w_star),
                        **contract.verdict_record(problem, config, mats, trace, w_star))]
-    constants = g.rate_constants(problem, config)
-    checks = {
-        "pointwise": lambda: g.pointwise_residual_check(problem, config, trace),
-        "nonergodic": lambda: g.nonergodic_check(mats, trace, w_star),
-        "error_bound": lambda: g.diagnostics.error_bound_check(problem, mats, trace, constants),
-        "rate": lambda: g.linear_rate_check(mats, trace, w_star, constants),
-    }
     out = [f"{label} iters={len(trace.predictions)} {trace.termination} {oracle_counters(trace)}"]
-    for name, check in checks.items():
-        try:
-            # a diverged run overflows the checks' products as it does the solve
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = check()
-        except (g.RegionNotCertified, g.InsufficientTrace) as exc:
-            value = type(exc).__name__
-        out.append(f"{label} {name} {value!r}")
-    return out
+    reports = contract.post_hoc(problem, config, mats, trace, w_star)
+    return out + [f"{label} {name} {value!r}" for name, value in reports.items()]
 
 
 def verdict_main():
